@@ -1,7 +1,5 @@
 """Video QoE grids: Figure 9 (access 9a, backbone 9b)."""
 
-import numpy as np
-
 from repro.apps.video import VideoStream, clip_frames
 from repro.core.experiment import build_network
 from repro.core.registry import ScenarioSpec, adhoc_sweep
@@ -20,6 +18,9 @@ FIG9B_WORKLOADS = ("noBG", "short-low", "short-medium", "short-high",
 
 VIDEO_PORT = 6200
 
+#: Simulated seconds between checks whether a finished stream has settled.
+SETTLE_STEP = 0.05
+
 
 def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
                    duration=8.0, warmup=5.0, seed=0, arq=False,
@@ -30,6 +31,14 @@ def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
     ``ssim`` (in [0, 1]), ``psnr`` (dB), ``mos`` and ``packet_loss`` /
     ``slice_loss`` (fractions).  IPTV flows run server -> client (the
     paper streams only downstream).
+
+    The payload is a function of the stream's send times and arrivals
+    only.  So once the last packet is sent, the run advances in
+    ``SETTLE_STEP`` chunks and ends as soon as the stream has settled
+    (:meth:`VideoStream.settled`), at the latest ``end_time + 1.0``
+    after the start.  Back-to-back ``run`` calls equal one continuous
+    run, and a settled stream gets no further arrival, so the payload
+    is the same as that of a run to the late bound.
     """
     sim, network = build_network(scenario, buffer_packets,
                                  queue_factory=queue_factory)
@@ -38,8 +47,14 @@ def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
     stream = VideoStream(sim, network.media_server, network.media_client,
                          port=VIDEO_PORT, clip=clip, resolution=resolution,
                          duration=duration, arq=arq)
+    end = sim.now + stream.end_time + 1.0
+    until = min(sim.now + stream.duration, end)  # after the last send
     stream.start()
-    sim.run(until=sim.now + stream.end_time + 1.0)
+    sim.run(until=until)
+    interfaces = network.interfaces()
+    while until < end and not stream.settled(interfaces):
+        until = min(until + SETTLE_STEP, end)
+        sim.run(until=until)
     received = stream.finish()
     workload.stop()
 
@@ -93,14 +108,3 @@ def render_fig9(results, testbed, buffers, workloads=None,
             list(workloads), list(buffers), fn, col_header="workload\\buf"))
     return "\n\n".join(blocks)
 
-
-def median_over_clips(scenario, buffer_packets, resolution, clips=("A", "B", "C"),
-                      **kwargs):
-    """Median scores across the three content classes (§8.2's comparison)."""
-    cells = [run_video_cell(scenario, buffer_packets, resolution=resolution,
-                            clip=clip, **kwargs) for clip in clips]
-    return {
-        "ssim": float(np.median([c["ssim"] for c in cells])),
-        "mos": float(np.median([c["mos"] for c in cells])),
-        "psnr": float(np.median([c["psnr"] for c in cells])),
-    }

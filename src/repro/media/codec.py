@@ -89,12 +89,24 @@ def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
     DC error; a received P slice whose reference region is corrupted
     inherits the error attenuated by ``propagation`` until the next I
     frame.  Returns the decoded frames.
+
+    A fully received I frame, or a fully received P frame whose
+    predecessor decoded to exactly its reference, is the clipped
+    reference frame (its spread error is all zero), so it is copied
+    without the per-slice work.
     """
     n_frames, height, __ = reference.shape
     types = frame_types(n_frames, gop)
     decoded = np.empty_like(reference)
     previous = np.full_like(reference[0], 0.5)  # decoder start-up grey
+    clean = False  # previous is exactly reference[f - 1]
     for f in range(n_frames):
+        if np.all(received[f]) and (clean or types[f] == "I"):
+            np.clip(reference[f], 0.0, 1.0, out=decoded[f])
+            previous = decoded[f]
+            clean = np.array_equal(previous, reference[f])
+            continue
+        clean = False
         current = np.empty_like(previous)
         if types[f] == "P" and f > 0:
             # Reference error of the previous reconstruction, dilated

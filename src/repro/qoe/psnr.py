@@ -23,11 +23,19 @@ def psnr(reference, degraded, peak=1.0):
 
 
 def psnr_sequence(reference_frames, degraded_frames, peak=1.0, cap=60.0):
-    """Mean PSNR over a sequence, with lossless frames capped at ``cap``."""
-    scores = []
-    for ref, deg in zip(reference_frames, degraded_frames):
-        value = psnr(ref, deg, peak=peak)
-        scores.append(min(value, cap))
+    """Mean PSNR over a sequence, with lossless frames capped at ``cap``.
+
+    A frame equal to its reference scores ``cap`` without computing its
+    (infinite) PSNR.
+    """
+    if len(reference_frames) != len(degraded_frames):
+        raise ValueError("sequence length mismatch %d vs %d"
+                         % (len(reference_frames), len(degraded_frames)))
+    scores = [
+        cap if np.array_equal(ref, deg)
+        else min(psnr(ref, deg, peak=peak), cap)
+        for ref, deg in zip(reference_frames, degraded_frames)
+    ]
     if not scores:
         return cap
     return float(np.mean(scores))

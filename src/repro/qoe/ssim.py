@@ -13,13 +13,17 @@ C1 = 0.01 ** 2
 C2 = 0.03 ** 2
 
 
-def _local_stats(image, window):
+def _local_stats(window):
+    """The local-mean filter of an SSIM window (``uniform``/``gaussian``)."""
     if window == "gaussian":
         def smooth(x):
             return gaussian_filter(x, sigma=1.5, truncate=3.5)
-    else:
+    elif window == "uniform":
         def smooth(x):
             return uniform_filter(x, size=8)
+    else:
+        raise ValueError("unknown SSIM window %r (use 'uniform' or "
+                         "'gaussian')" % (window,))
     return smooth
 
 
@@ -30,7 +34,7 @@ def ssim(reference, degraded, window="uniform"):
     if reference.shape != degraded.shape:
         raise ValueError("shape mismatch %s vs %s"
                          % (reference.shape, degraded.shape))
-    smooth = _local_stats(reference, window)
+    smooth = _local_stats(window)
     mu_x = smooth(reference)
     mu_y = smooth(degraded)
     mu_xx = mu_x * mu_x
@@ -45,9 +49,17 @@ def ssim(reference, degraded, window="uniform"):
 
 
 def ssim_sequence(reference_frames, degraded_frames, window="uniform"):
-    """Mean SSIM across a frame sequence (the paper's per-video score)."""
+    """Mean SSIM across a frame sequence (the paper's per-video score).
+
+    A frame equal to its reference scores 1.0 without filtering: there
+    the numerator and denominator of the formula are the same floats.
+    """
+    if len(reference_frames) != len(degraded_frames):
+        raise ValueError("sequence length mismatch %d vs %d"
+                         % (len(reference_frames), len(degraded_frames)))
+    _local_stats(window)  # reject a bad window even if no frame is filtered
     scores = [
-        ssim(ref, deg, window=window)
+        1.0 if np.array_equal(ref, deg) else ssim(ref, deg, window=window)
         for ref, deg in zip(reference_frames, degraded_frames)
     ]
     if not scores:

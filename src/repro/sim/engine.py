@@ -243,6 +243,17 @@ class Simulator:
         """Number of live (non-cancelled) events still queued — O(1)."""
         return self._live
 
+    def live_calls(self):
+        """Yield ``(fn, args)`` of every live queued event, in heap order.
+
+        A read-only view for inspecting what is still pending (e.g. which
+        packets are serializing or propagating); it schedules nothing.
+        """
+        for entry in self._heap:
+            fn = entry[2]
+            if fn is not None:
+                yield fn, entry[3]
+
     def __repr__(self):
         return "Simulator(now=%.6f, pending=%d)" % (self.now, self._live)
 

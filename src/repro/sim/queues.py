@@ -123,6 +123,10 @@ class Queue:
     def __len__(self):
         return len(self._queue)
 
+    def __iter__(self):
+        """Queued packets, head first."""
+        return iter(self._queue)
+
     @property
     def byte_length(self):
         """Bytes currently queued."""

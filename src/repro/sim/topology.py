@@ -114,6 +114,7 @@ class DumbbellNetwork:
         self.left_router.set_default_route(self.down_bottleneck)
         self.right_router.set_default_route(self.up_bottleneck)
 
+        self._edges = []
         for server in self.servers:
             self._connect_edge(server, self.left_router, edge_rate, server_edge_delay)
         for client in self.clients:
@@ -155,6 +156,7 @@ class DumbbellNetwork:
         )
         host.set_default_route(to_router)
         router.add_route(host.addr, to_host)
+        self._edges += (to_router, to_host)
 
     # ------------------------------------------------------------------
     @property
@@ -185,6 +187,10 @@ class DumbbellNetwork:
     def bottlenecks(self):
         """The two bottleneck interfaces as ``(down, up)``."""
         return (self.down_bottleneck, self.up_bottleneck)
+
+    def interfaces(self):
+        """Every interface: the two bottlenecks, then the edge links."""
+        return (self.down_bottleneck, self.up_bottleneck, *self._edges)
 
     def reset_measurements(self):
         """Zero the measurement counters of both bottleneck interfaces."""

@@ -12,9 +12,17 @@ from repro.core.study import (
     render_table2,
     table1_rows,
 )
-from repro.core.video_study import run_video_cell
+from repro.apps.video import VideoStream, clip_frames
+from repro.core.experiment import build_network
+from repro.core.video_study import SETTLE_STEP, VIDEO_PORT, run_video_cell
 from repro.core.voip_study import median_mos, run_voip_cell
 from repro.core.web_study import run_web_cell
+from repro.core.workloads import apply_workload
+from repro.media.codec import decode
+from repro.qoe.psnr import psnr_sequence
+from repro.qoe.ssim import ssim_sequence
+from repro.qoe.video import ssim_to_mos
+from repro.sim.packet import Packet
 from repro.sim.queues import CoDelQueue
 
 
@@ -93,6 +101,121 @@ class TestVideoCells:
         cell = run_video_cell(access_scenario("noBG"), 64, duration=2.0,
                               warmup=1, arq=True)
         assert cell["ssim"] == pytest.approx(1.0, abs=1e-6)
+
+
+def _stream_after_warmup(scenario, buffer_packets, resolution, warmup,
+                         duration, arq):
+    sim, network = build_network(scenario, buffer_packets)
+    apply_workload(sim, network, scenario, seed=0)
+    sim.run(until=warmup)
+    stream = VideoStream(sim, network.media_server, network.media_client,
+                         port=VIDEO_PORT, resolution=resolution,
+                         duration=duration, arq=arq)
+    return sim, network, stream
+
+
+def _video_cell_to_late_bound(scenario, buffer_packets, resolution, warmup,
+                              duration, arq):
+    """run_video_cell as it was before the settle rule: always simulate
+    to ``end_time + 1.0`` after the stream starts."""
+    sim, __, stream = _stream_after_warmup(
+        scenario, buffer_packets, resolution, warmup, duration, arq)
+    stream.start()
+    sim.run(until=sim.now + stream.end_time + 1.0)
+    received = stream.finish()
+    reference = clip_frames(stream.clip, resolution, stream.n_frames)
+    degraded = decode(reference, received)
+    ssim_value = ssim_sequence(reference, degraded)
+    return {
+        "ssim": ssim_value,
+        "psnr": psnr_sequence(reference, degraded),
+        "mos": ssim_to_mos(ssim_value),
+        "packet_loss": stream.packet_loss_rate,
+        "slice_loss": float(1.0 - received.mean()),
+    }
+
+
+#: (scenario, buffer, resolution, arq): lossy access and backbone cells,
+#: an ARQ cell whose retransmission checks outlive the last send, and a
+#: deep-buffered cell that drains video packets from its bottleneck
+#: queue for a while after the last send.
+EARLY_END_CELLS = [
+    pytest.param(access_scenario("long-many"), 8, "SD", False,
+                 id="access-long-many-8"),
+    pytest.param(backbone_scenario("short-medium"), 8, "SD", False,
+                 id="backbone-short-medium-8"),
+    pytest.param(access_scenario("long-many"), 8, "SD", True,
+                 id="access-long-many-8-arq"),
+    pytest.param(access_scenario("long-few"), 256, "HD", False,
+                 id="access-long-few-256-HD"),
+]
+
+
+class TestVideoEarlyEnd:
+    @pytest.mark.parametrize("scenario,packets,resolution,arq",
+                             EARLY_END_CELLS)
+    def test_payload_equals_run_to_late_bound(self, scenario, packets,
+                                              resolution, arq):
+        kwargs = dict(resolution=resolution, warmup=1.0, duration=1.0,
+                      arq=arq)
+        assert (run_video_cell(scenario, packets, **kwargs)
+                == _video_cell_to_late_bound(scenario, packets, **kwargs))
+
+    @pytest.mark.parametrize("scenario,packets,resolution,arq",
+                             EARLY_END_CELLS)
+    def test_no_arrival_after_settling(self, scenario, packets, resolution,
+                                       arq):
+        sim, network, stream = _stream_after_warmup(
+            scenario, packets, resolution, 1.0, 1.0, arq)
+        end = sim.now + stream.end_time + 1.0
+        stream.start()
+        until = sim.now + stream.duration
+        sim.run(until=until)
+        while not stream.settled(network.interfaces()):
+            until += SETTLE_STEP
+            sim.run(until=until)
+        assert until < end  # the early end does save simulated time
+        arrivals = list(stream.receiver.arrivals)
+        retransmitted = set(stream._retransmitted)
+        assert bool(retransmitted) == arq
+        sim.run(until=end)
+        assert stream.receiver.arrivals == arrivals
+        assert stream._retransmitted == retransmitted
+
+    @pytest.mark.parametrize("scenario,packets,resolution,arq",
+                             EARLY_END_CELLS[:2])
+    def test_cells_lose_slices(self, scenario, packets, resolution, arq):
+        # Lossless cells would make the equality checks above weak.
+        cell = run_video_cell(scenario, packets, resolution=resolution,
+                              warmup=1.0, duration=1.0, arq=arq)
+        assert cell["packet_loss"] > 0.0
+        assert cell["slice_loss"] > 0.0
+
+    def test_pending_send_is_not_settled(self):
+        sim, network, stream = _stream_after_warmup(
+            access_scenario("noBG"), 64, "SD", 1.0, 1.0, False)
+        stream.start()
+        assert not stream.settled(network.interfaces())
+        sim.run(until=sim.now + stream.duration)
+        # The last packet is still serializing or propagating.
+        assert not stream.settled(network.interfaces())
+        sim.run(until=sim.now + stream.end_time + 1.0)
+        assert stream.settled(network.interfaces())
+
+    def test_queued_packet_is_not_settled(self):
+        sim, network, stream = _stream_after_warmup(
+            access_scenario("noBG"), 64, "SD", 1.0, 1.0, False)
+        stream.start()
+        sim.run(until=sim.now + stream.end_time + 1.0)
+        queue = network.down_bottleneck.queue
+        # A packet for the receiver queued behind an idle serializer: no
+        # event refers to it, only the queue holds it.
+        queue.push(Packet(network.media_server.addr,
+                          network.media_client.addr, 1, VIDEO_PORT, "udp",
+                          1500), sim.now)
+        assert not stream.settled(network.interfaces())
+        queue.pop(sim.now)
+        assert stream.settled(network.interfaces())
 
 
 class TestWebCells:

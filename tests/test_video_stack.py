@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from proputil import seeded_property
 
 from repro.media.codec import (
+    CONCEAL_DC_SHIFT,
+    CONCEAL_SHIFT,
+    MOTION_REACH,
+    PROPAGATION,
     SLICES_PER_FRAME,
     decode,
     frame_bytes,
@@ -82,7 +87,7 @@ class TestCodecModel:
         reference = generate_clip("C", "SD", n_frames=13)
         received = np.ones((13, SLICES_PER_FRAME), dtype=bool)
         decoded = decode(reference, received)
-        assert np.allclose(decoded, reference)
+        assert np.array_equal(decoded, reference)
 
     def test_lost_slice_recovers_at_next_i_frame(self):
         reference = generate_clip("C", "SD", n_frames=25)
@@ -101,6 +106,84 @@ class TestCodecModel:
         q_light = ssim_sequence(reference, decode(reference, light))
         q_heavy = ssim_sequence(reference, decode(reference, heavy))
         assert q_light > q_heavy
+
+
+def _decode_per_slice(reference, received, gop=12):
+    """decode() without its identical-frame shortcut: every frame goes
+    through the per-slice concealment and error-spread arithmetic."""
+    height = reference.shape[1]
+    types = frame_types(len(reference), gop)
+    decoded = np.empty_like(reference)
+    previous = np.full_like(reference[0], 0.5)
+    for f in range(len(reference)):
+        current = np.empty_like(previous)
+        spread = None
+        if types[f] == "P" and f > 0:
+            error = previous - reference[f - 1]
+            up = np.roll(error, MOTION_REACH, axis=0)
+            down = np.roll(error, -MOTION_REACH, axis=0)
+            spread = np.where(np.abs(up) > np.abs(error), up, error)
+            spread = np.where(np.abs(down) > np.abs(spread), down, spread)
+        for s in range(SLICES_PER_FRAME):
+            start, stop = slice_rows(height, s)
+            if not received[f][s]:
+                current[start:stop] = (
+                    np.roll(previous[start:stop], CONCEAL_SHIFT, axis=1)
+                    + CONCEAL_DC_SHIFT)
+            elif spread is None:
+                current[start:stop] = reference[f][start:stop]
+            else:
+                current[start:stop] = (reference[f][start:stop]
+                                       + PROPAGATION * spread[start:stop])
+        np.clip(current, 0.0, 1.0, out=current)
+        decoded[f] = current
+        previous = current
+    return decoded
+
+
+def _random_reception(seed, n_frames):
+    """A reception matrix mixing complete frames and lossy ones."""
+    rng = np.random.default_rng(seed)
+    loss = rng.choice([0.0, 0.0, 0.02, 0.3], size=(n_frames, 1))
+    return rng.random((n_frames, SLICES_PER_FRAME)) >= loss
+
+
+_CLIP = generate_clip("B", "SD", n_frames=26)
+
+
+class TestIdenticalFrameShortcuts:
+    @seeded_property(max_examples=12)
+    def test_decode_matches_per_slice_decoding(self, seed):
+        received = _random_reception(seed, len(_CLIP))
+        assert np.array_equal(decode(_CLIP, received),
+                              _decode_per_slice(_CLIP, received))
+
+    @seeded_property(max_examples=8)
+    def test_decode_out_of_range_reference(self, seed):
+        # Clipping changes such a reference, so no decoded frame is
+        # "clean" and only the I-frame copy may be shortcut.
+        reference = (_CLIP[:13] * 1.4 - 0.2).astype(_CLIP.dtype)
+        received = _random_reception(seed, 13)
+        assert np.array_equal(decode(reference, received),
+                              _decode_per_slice(reference, received))
+
+    @seeded_property(max_examples=12)
+    def test_sequence_scores_equal_per_frame_means(self, seed):
+        received = _random_reception(seed, len(_CLIP))
+        received[0] = True  # frame 0 decodes to its reference...
+        received[1][seed % SLICES_PER_FRAME] = False  # ...frame 1 does not
+        degraded = decode(_CLIP, received)
+        assert ssim_sequence(_CLIP, degraded) == np.mean(
+            [ssim(r, d) for r, d in zip(_CLIP, degraded)])
+        assert psnr_sequence(_CLIP, degraded) == np.mean(
+            [min(psnr(r, d), 60.0) for r, d in zip(_CLIP, degraded)])
+
+    def test_identical_frame_scores_exactly(self):
+        frame = _CLIP[3]
+        assert ssim(frame, frame) == 1.0
+        assert ssim(frame, frame, window="gaussian") == 1.0
+        assert ssim_sequence(_CLIP, _CLIP.copy()) == 1.0
+        assert psnr_sequence(_CLIP, _CLIP.copy(), cap=42.0) == 42.0
 
 
 class TestMpegTs:
@@ -150,6 +233,21 @@ class TestSsimPsnr:
             ssim(np.zeros((4, 4)), np.zeros((5, 5)))
         with pytest.raises(ValueError):
             psnr(np.zeros((4, 4)), np.zeros((5, 5)))
+
+    def test_unknown_window_raises(self):
+        frames = generate_clip("A", "SD", n_frames=2)
+        with pytest.raises(ValueError, match="window"):
+            ssim(frames[0], frames[1], window="gausian")
+        # Identical frames skip filtering; the window is checked anyway.
+        with pytest.raises(ValueError, match="window"):
+            ssim_sequence(frames, frames, window="box")
+
+    def test_sequence_length_mismatch_raises(self):
+        frames = generate_clip("A", "SD", n_frames=3)
+        with pytest.raises(ValueError, match="length"):
+            ssim_sequence(frames, frames[:2])
+        with pytest.raises(ValueError, match="length"):
+            psnr_sequence(frames[:2], frames)
 
     def test_gaussian_window_variant(self):
         image = generate_clip("A", "SD", n_frames=1)[0]
