@@ -21,7 +21,6 @@ import numpy as np
 from repro.media.codec import SLICES_PER_FRAME, frame_bytes
 from repro.media.mpegts import packetize, slice_packet_map
 from repro.media.video_source import FPS, generate_clip
-from repro.sim.packet import Packet
 from repro.udp.rtp import RtpReceiver, RtpSender
 
 
@@ -117,29 +116,6 @@ class VideoStream:
         if not arrived:
             self._retransmitted.add(plan.index)
             self._send_plan(plan, retransmission=True)
-
-    def settled(self, interfaces):
-        """True once nothing pending can still reach the receiver.
-
-        That is: no queued event belongs to this stream (a paced send or
-        an ARQ check), and no packet addressed to the receiver's port
-        waits in a queue of ``interfaces`` or in an event (serializing
-        or propagating).  From then on the receiver gets no further
-        arrival, so :meth:`finish` and :attr:`packet_loss_rate` are final.
-        """
-        dst, port = self.dst_node.addr, self.port
-
-        def to_receiver(item):
-            return (type(item) is Packet and item.dst == dst
-                    and item.dport == port)
-
-        for fn, args in self.sim.live_calls():
-            if getattr(fn, "__self__", None) is self:
-                return False
-            if any(map(to_receiver, args if type(args) is tuple else (args,))):
-                return False
-        return not any(to_receiver(packet) for interface in interfaces
-                       for packet in interface.queue)
 
     def finish(self):
         """Close sockets; return the [frames, slices] reception matrix."""

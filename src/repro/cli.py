@@ -33,11 +33,11 @@ Subcommands
     ``--sample`` regenerates the pinned tiny sample committed under
     ``docs/sample_report/``.  See ``docs/REPORTING.md``.
 ``perf``
-    Sim-core performance tooling: run the events/sec benchmark and
-    write ``BENCH_simcore.json`` (``--quick`` for the CI smoke mode,
-    ``--check`` to fail on a >30% events/sec regression versus the
-    committed baseline), or profile one registry cell with
-    ``--profile SWEEP [--cell N]``.
+    Sim-core performance tooling: run the sim-core benchmark and write
+    ``BENCH_simcore.json`` (``--quick`` for the CI smoke mode,
+    ``--check`` to fail when CPU seconds inside ``Simulator.run`` grew
+    by more than 30% versus the committed baseline), or profile one
+    registry cell with ``--profile SWEEP [--cell N]``.
 
 Exit status is 0 on success, 2 on bad arguments (argparse), 1 on
 runtime failure.
@@ -540,11 +540,11 @@ def build_parser():
                       help="committed baseline for --check and the "
                            "pre-overhaul reference block")
     perf.add_argument("--check", action="store_true",
-                      help="exit 1 if events/sec regressed more than "
-                           "--tolerance vs the baseline")
+                      help="exit 1 if CPU seconds in Simulator.run "
+                           "grew more than --tolerance vs the baseline")
     perf.add_argument("--tolerance", type=float, default=0.30,
-                      help="allowed fractional events/sec drop "
-                           "(default 0.30)")
+                      help="allowed fractional growth of CPU seconds in "
+                           "Simulator.run (default 0.30)")
     perf.add_argument("--profile", metavar="SWEEP", default=None,
                       help="cProfile one registry cell instead of "
                            "benchmarking")

@@ -4,13 +4,15 @@ A "cell" is one (scenario, buffer size) combination — one cell of the
 paper's heatmaps.  :func:`run_qos_cell` measures the background traffic
 itself (Section 6 / Table 1 / Figures 4-5); the per-application QoE
 runners live next to their applications and reuse the same build/warm-up
-machinery via :func:`build_network`.
+machinery via :func:`build_network`, and the end-of-run settle rule via
+:func:`run_until_settled`.
 """
 
 from dataclasses import dataclass, field
 
 from repro.core.workloads import apply_workload
 from repro.sim.engine import Simulator
+from repro.sim.packet import Packet
 from repro.sim.stats import UtilizationSampler, five_number_summary
 from repro.sim.topology import AccessNetwork, BackboneNetwork
 
@@ -18,6 +20,9 @@ from repro.sim.topology import AccessNetwork, BackboneNetwork
 #: for two hours; shapes stabilize within tens of seconds in simulation.
 DEFAULT_WARMUP = 5.0
 DEFAULT_DURATION = 30.0
+
+#: Simulated seconds between checks whether finished media have settled.
+SETTLE_STEP = 0.05
 
 
 def build_network(scenario, buffer_packets, sim=None, queue_factory=None):
@@ -49,6 +54,51 @@ def build_network(scenario, buffer_packets, sim=None, queue_factory=None):
     else:
         raise ValueError("unknown testbed %r" % (scenario.testbed,))
     return sim, network
+
+
+def settled(legs, interfaces):
+    """True once nothing pending can still reach a receiver of ``legs``.
+
+    A leg is a media stream or call leg with ``sim``, ``dst_node`` and
+    ``port`` (:class:`repro.apps.video.VideoStream`,
+    :class:`repro.apps.voip.VoipCall`).  Settled means: no live event is
+    a bound method of a leg (a pending send or ARQ check), and no packet
+    addressed to a receiver's (address, port) waits in the queue of one
+    of ``interfaces`` or in an event (serializing, propagating, or on an
+    edge link, where only the arrival event holds it).  From then on the
+    receivers get no further arrival, so every leg's outcome is final.
+    """
+    owners = {id(leg) for leg in legs}
+    endpoints = {(leg.dst_node.addr, leg.port) for leg in legs}
+
+    def to_receiver(item):
+        return type(item) is Packet and (item.dst, item.dport) in endpoints
+
+    for fn, args in legs[0].sim.live_calls():
+        if id(getattr(fn, "__self__", None)) in owners:
+            return False
+        if any(map(to_receiver, args if type(args) is tuple else (args,))):
+            return False
+    return not any(to_receiver(packet) for interface in interfaces
+                   for packet in interface.queue)
+
+
+def run_until_settled(legs, interfaces, until, end):
+    """Run to ``until``, then on until ``legs`` have :func:`settled`.
+
+    After ``until`` the run advances in ``SETTLE_STEP`` chunks and stops
+    at the first chunk boundary where the legs have settled, at the
+    latest at ``end``.  Back-to-back ``run`` calls equal one continuous
+    run, and settled legs get no further arrival, so a payload that
+    reads only the legs' sends and arrivals equals that of a run to
+    ``end``.
+    """
+    sim = legs[0].sim
+    until = min(until, end)
+    sim.run(until=until)
+    while until < end and not settled(legs, interfaces):
+        until = min(until + SETTLE_STEP, end)
+        sim.run(until=until)
 
 
 @dataclass

@@ -44,11 +44,18 @@ from repro.runner.task import DISCIPLINES, KINDS
 
 
 def resolve_scale(default=1.0):
-    """Read the global fidelity knob (``REPRO_SCALE`` env var, float)."""
-    try:
-        return float(os.environ.get("REPRO_SCALE", default))
-    except ValueError:
+    """Read the global fidelity knob (``REPRO_SCALE`` env var, float).
+
+    Raises ``ValueError`` when ``REPRO_SCALE`` is set to a non-float.
+    """
+    env = os.environ.get("REPRO_SCALE", "")
+    if not env:
         return default
+    try:
+        return float(env)
+    except ValueError:
+        raise ValueError("REPRO_SCALE must be a number, got %r"
+                         % env) from None
 
 
 # ---------------------------------------------------------------------------

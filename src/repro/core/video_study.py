@@ -1,7 +1,7 @@
 """Video QoE grids: Figure 9 (access 9a, backbone 9b)."""
 
 from repro.apps.video import VideoStream, clip_frames
-from repro.core.experiment import build_network
+from repro.core.experiment import build_network, run_until_settled
 from repro.core.registry import ScenarioSpec, adhoc_sweep
 from repro.core.study import _deprecated_grid, _run_mapping
 from repro.core.workloads import apply_workload
@@ -18,9 +18,6 @@ FIG9B_WORKLOADS = ("noBG", "short-low", "short-medium", "short-high",
 
 VIDEO_PORT = 6200
 
-#: Simulated seconds between checks whether a finished stream has settled.
-SETTLE_STEP = 0.05
-
 
 def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
                    duration=8.0, warmup=5.0, seed=0, arq=False,
@@ -33,12 +30,10 @@ def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
     paper streams only downstream).
 
     The payload is a function of the stream's send times and arrivals
-    only.  So once the last packet is sent, the run advances in
-    ``SETTLE_STEP`` chunks and ends as soon as the stream has settled
-    (:meth:`VideoStream.settled`), at the latest ``end_time + 1.0``
-    after the start.  Back-to-back ``run`` calls equal one continuous
-    run, and a settled stream gets no further arrival, so the payload
-    is the same as that of a run to the late bound.
+    only.  So once the last packet is sent, the run ends as soon as the
+    stream has settled (:func:`repro.core.experiment.run_until_settled`),
+    at the latest ``end_time + 1.0`` after the start, with the same
+    payload as a run to that late bound.
     """
     sim, network = build_network(scenario, buffer_packets,
                                  queue_factory=queue_factory)
@@ -48,13 +43,9 @@ def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
                          port=VIDEO_PORT, clip=clip, resolution=resolution,
                          duration=duration, arq=arq)
     end = sim.now + stream.end_time + 1.0
-    until = min(sim.now + stream.duration, end)  # after the last send
+    until = sim.now + stream.duration  # after the last send
     stream.start()
-    sim.run(until=until)
-    interfaces = network.interfaces()
-    while until < end and not stream.settled(interfaces):
-        until = min(until + SETTLE_STEP, end)
-        sim.run(until=until)
+    run_until_settled([stream], network.bottlenecks(), until, end)
     received = stream.finish()
     workload.stop()
 

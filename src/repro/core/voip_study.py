@@ -13,7 +13,7 @@ unidirectional audio server -> client.
 
 import numpy as np
 
-from repro.core.experiment import build_network
+from repro.core.experiment import build_network, run_until_settled
 from repro.core.registry import ScenarioSpec, adhoc_sweep
 from repro.core.study import _deprecated_grid, _run_mapping
 from repro.core.workloads import apply_workload
@@ -30,6 +30,9 @@ FIG8_WORKLOADS = ("noBG", "short-low", "short-medium", "short-high",
 #: Gap between the end of one call and the start of the next.
 CALL_GAP = 0.5
 
+#: Simulated seconds a call runs past its duration for queued tail packets.
+CALL_SLACK = 2.0
+
 TALK_PORT = 6000
 LISTEN_PORT = 6002
 
@@ -42,6 +45,12 @@ def run_voip_cell(scenario, buffer_packets, calls=2, warmup=5.0, seed=0,
     ``warmup`` and ``duration`` (per call) are simulated seconds;
     ``buffer_packets`` is a packet count or ``(down, up)`` pair.
     Returns ``{direction: [VoipScore, ...]}``.
+
+    Each call runs ``duration + CALL_SLACK`` seconds, and the next one
+    starts ``CALL_GAP`` later.  The scores read only the legs' sends and
+    arrivals, so the last call instead ends as soon as its legs have
+    settled (:func:`repro.core.experiment.run_until_settled`), at the
+    latest at that bound, with the same scores as a run to the bound.
     """
     sim, network = build_network(scenario, buffer_packets,
                                  queue_factory=queue_factory)
@@ -66,7 +75,13 @@ def run_voip_cell(scenario, buffer_packets, calls=2, warmup=5.0, seed=0,
                                 duration=duration)
             live[direction] = call.start()
         # Let the calls play out plus slack for queued tail packets.
-        sim.run(until=sim.now + duration + 2.0)
+        end = sim.now + duration + CALL_SLACK
+        last = call_index == calls - 1
+        if last:
+            run_until_settled(list(live.values()), network.bottlenecks(),
+                              sim.now + duration, end)
+        else:
+            sim.run(until=end)
         finished = {direction: call.finish()
                     for direction, call in live.items()}
         # z2 reflects conversational dynamics: both directions share the
@@ -77,7 +92,8 @@ def run_voip_cell(scenario, buffer_packets, calls=2, warmup=5.0, seed=0,
             scores[direction].append(
                 score_call(live[direction].clean_signal, degraded, playout,
                            conversational_delay=conversational_delay))
-        sim.run(until=sim.now + CALL_GAP)
+        if not last:
+            sim.run(until=sim.now + CALL_GAP)
     workload.stop()
     return scores
 

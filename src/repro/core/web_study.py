@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.apps.web import PageFetch, WebServer
-from repro.core.experiment import build_network
+from repro.core.experiment import SETTLE_STEP, build_network
 from repro.core.registry import ScenarioSpec, adhoc_sweep
 from repro.core.study import _deprecated_grid, _run_mapping
 from repro.core.workloads import apply_workload
@@ -18,6 +18,9 @@ FIG11_WORKLOADS = ("noBG", "short-low", "short-medium", "short-high",
 #: Think time between consecutive page fetches.
 FETCH_GAP = 0.25
 
+#: Simulated seconds between checks whether a fetch has finished.
+POLL_STEP = 0.25
+
 #: Give-up time per fetch (PLTs beyond this are "bad" anyway).
 FETCH_TIMEOUT = 30.0
 
@@ -30,6 +33,13 @@ def run_web_cell(scenario, buffer_packets, fetches=10, warmup=5.0, seed=0,
     (seconds), median/80th-percentile PLT and median MOS (scored with
     the testbed's G.1030 anchor).  Fetches that exceed ``FETCH_TIMEOUT``
     count with that ceiling, like an impatient user.
+
+    The run checks every ``POLL_STEP`` seconds whether a fetch has
+    finished, and the next fetch starts ``FETCH_GAP`` after that check.
+    So the gap between fetches includes the polling granularity: it is
+    part of the model, and the golden traces pin it.  The PLTs
+    themselves are exact event times, so the last fetch is polled in
+    ``SETTLE_STEP`` chunks and the cell ends without the trailing gap.
     """
     sim, network = build_network(scenario, buffer_packets,
                                  queue_factory=queue_factory)
@@ -38,18 +48,21 @@ def run_web_cell(scenario, buffer_packets, fetches=10, warmup=5.0, seed=0,
     sim.run(until=warmup)
 
     plts = []
-    for __ in range(fetches):
+    for index in range(fetches):
+        last = index == fetches - 1
+        step = SETTLE_STEP if last else POLL_STEP
         fetch = PageFetch(sim, network.media_client,
                           network.media_server.addr, cc=scenario.cc)
         fetch.start()
         deadline = sim.now + FETCH_TIMEOUT
         # Run until this fetch finishes or times out.
         while sim.now < deadline and fetch.plt is None and not fetch.failed:
-            sim.run(until=min(deadline, sim.now + 0.25))
+            sim.run(until=min(deadline, sim.now + step))
         plts.append(fetch.plt if fetch.plt is not None else FETCH_TIMEOUT)
         if fetch.plt is None:
             fetch.abort()
-        sim.run(until=sim.now + FETCH_GAP)
+        if not last:
+            sim.run(until=sim.now + FETCH_GAP)
     workload.stop()
     server.close()
 

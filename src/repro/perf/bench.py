@@ -4,10 +4,13 @@ Measures the packet-level hot path end-to-end on fixed registry cell
 workloads (the Figure 5 QoS grid and the Figure 7 VoIP grids) and
 reports:
 
-* ``events_per_sec`` — executed simulator events divided by CPU time
-  spent inside :meth:`repro.sim.engine.Simulator.run`.  This is *the*
-  hot-path metric: it excludes per-cell QoE post-processing (numpy DSP)
-  whose cost is unrelated to the event loop.
+* ``sim_seconds`` — CPU seconds spent inside
+  :meth:`repro.sim.engine.Simulator.run` over the workload.  This is
+  *the* hot-path metric: it excludes per-cell QoE post-processing (numpy
+  DSP) whose cost is unrelated to the event loop, and it falls when the
+  simulator does the same payload-bearing work with fewer events.
+* ``events_per_sec`` — executed events divided by ``sim_seconds``,
+  for information: removing cheap events lowers it by design.
 * ``cells_per_sec`` — whole cells (simulation + QoE scoring) per
   wall-clock second: the number that bounds registry sweep throughput.
 * ``peak_rss_kb`` — ``ru_maxrss`` after the run.
@@ -18,9 +21,12 @@ deterministic — a varying count means nondeterminism crept in, and the
 bench raises).
 
 ``check_regression`` compares a fresh measurement against the committed
-``BENCH_simcore.json`` and fails on a >30% events/sec drop, which is the
-CI perf-smoke gate.  Cross-machine numbers differ by design; the
-committed baseline is refreshed whenever a PR deliberately moves it.
+``BENCH_simcore.json`` and fails when a workload's ``sim_seconds`` grew
+by more than 30%, which is the CI perf-smoke gate.  A full-mode run
+also measures the quick workloads (the ``quick`` block), so the quick CI
+smoke has a baseline of its own.  Cross-machine numbers differ by
+design; the committed baseline is refreshed whenever a PR deliberately
+moves it.
 """
 
 import json
@@ -43,12 +49,16 @@ FULL_WORKLOADS = (
     ("fig7", (("fig7a", 1.0), ("fig7b", 1.0))),
 )
 
-#: Quick mode: same metric, smaller cells (scale 0.25 resolves every
-#: sweep to its duration floors), so events/sec stays comparable.
+#: Quick mode: smaller cells (scale 0.25 resolves every sweep to its
+#: duration floors), gated against the baseline's ``quick`` block.
 QUICK_WORKLOADS = (
     ("fig5", (("fig5", 0.25),)),
     ("fig7", (("fig7a", 0.25), ("fig7b", 0.25))),
 )
+
+#: Best-of repetitions of each mode when none are given.
+FULL_REPETITIONS = 3
+QUICK_REPETITIONS = 2
 
 
 def _workload_tasks(parts):
@@ -125,11 +135,12 @@ def run_bench(quick=False, repetitions=None, reference=None):
     """Run the benchmark; returns the ``BENCH_simcore.json`` document.
 
     ``reference`` (a dict) is carried into the output verbatim — used to
-    keep the pre-overhaul measurements alongside fresh numbers.
+    keep the pre-overhaul measurements alongside fresh numbers.  A full
+    run also measures the quick workloads, into the ``quick`` block.
     """
     workloads = QUICK_WORKLOADS if quick else FULL_WORKLOADS
     if repetitions is None:
-        repetitions = 2 if quick else 3
+        repetitions = QUICK_REPETITIONS if quick else FULL_REPETITIONS
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1, got %r" % (repetitions,))
     results = {}
@@ -158,6 +169,10 @@ def run_bench(quick=False, repetitions=None, reference=None):
         "workloads": results,
         "totals": totals,
     }
+    if not quick:
+        document["quick"] = {
+            name: _measure_workload(name, parts, QUICK_REPETITIONS)
+            for name, parts in QUICK_WORKLOADS}
     if reference is not None:
         document["reference"] = reference
     return document
@@ -175,23 +190,43 @@ def load_baseline(path=DEFAULT_OUTPUT):
         return json.load(handle)
 
 
-def check_regression(current, baseline, tolerance=0.30, out=sys.stderr):
-    """Fail (return False) if events/sec regressed beyond ``tolerance``.
+def baseline_workloads(baseline, mode):
+    """The per-workload numbers ``baseline`` holds for ``mode`` runs."""
+    if baseline.get("mode") == mode:
+        return baseline.get("workloads", {})
+    if mode == "quick":
+        return baseline.get("quick", {})
+    return {}
 
-    Compares per-workload ``events_per_sec`` for workloads present in
-    both documents.  Machine-to-machine variance is real — the committed
-    baseline and the tolerance are calibrated for CI-class hardware.
+
+def check_regression(current, baseline, tolerance=0.30, out=sys.stderr):
+    """Fail (return False) if a workload's ``sim_seconds`` grew by more
+    than ``tolerance``.
+
+    Compares the CPU seconds inside ``Simulator.run`` of each workload
+    present in both documents, measured in the same mode (a quick run is
+    compared with the baseline's ``quick`` block); events/sec is printed
+    for information only.  Machine-to-machine variance is real — the
+    committed baseline and the tolerance are calibrated for CI-class
+    hardware.
     """
+    bases = baseline_workloads(baseline, current.get("mode"))
+    if not bases:
+        print("perf-check: the baseline has no %s-mode workloads"
+              % current.get("mode"), file=out)
+        return False
     ok = True
     for name, workload in current["workloads"].items():
-        base = baseline.get("workloads", {}).get(name)
-        if base is None or not base.get("events_per_sec"):
+        base = bases.get(name)
+        if base is None or not base.get("sim_seconds"):
             continue
-        floor = base["events_per_sec"] * (1.0 - tolerance)
-        status = "ok" if workload["events_per_sec"] >= floor else "REGRESSED"
-        print("perf-check %-6s %s: %d ev/s vs baseline %d (floor %d)"
-              % (name, status, workload["events_per_sec"],
-                 base["events_per_sec"], int(floor)), file=out)
+        ceiling = base["sim_seconds"] * (1.0 + tolerance)
+        status = "ok" if workload["sim_seconds"] <= ceiling else "REGRESSED"
+        print("perf-check %-6s %s: %.3f s in Simulator.run vs baseline "
+              "%.3f s (ceiling %.3f s); %d ev/s vs %d"
+              % (name, status, workload["sim_seconds"], base["sim_seconds"],
+                 ceiling, workload.get("events_per_sec", 0),
+                 base.get("events_per_sec", 0)), file=out)
         if status != "ok":
             ok = False
     return ok
@@ -203,9 +238,11 @@ def render_summary(document):
              % (document["mode"], document["repetitions"])]
     for name, workload in document["workloads"].items():
         lines.append(
-            "  %-6s %3d cells  %9d events  %8d ev/s (sim)  %6.2f cells/s"
+            "  %-6s %3d cells  %9d events  %7.3f s (sim)  %8d ev/s  "
+            "%6.2f cells/s"
             % (name, workload["cells"], workload["events"],
-               workload["events_per_sec"], workload["cells_per_sec"]))
+               workload["sim_seconds"], workload["events_per_sec"],
+               workload["cells_per_sec"]))
     totals = document["totals"]
     lines.append(
         "  total  %3d cells  %9d events  %8d ev/s (sim)  peak RSS %.1f MB"

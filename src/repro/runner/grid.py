@@ -20,15 +20,19 @@ from repro.runner.execute import execute_task, revive
 
 
 def resolve_workers(workers=None):
-    """Worker count: explicit arg > ``REPRO_WORKERS`` env > cpu count."""
+    """Worker count: explicit arg > ``REPRO_WORKERS`` env > cpu count.
+
+    Raises ``ValueError`` when ``REPRO_WORKERS`` is set to a non-integer.
+    """
     if workers is None:
         env = os.environ.get("REPRO_WORKERS", "")
         if env:
             try:
                 workers = int(env)
             except ValueError:
-                workers = None
-        if workers is None:
+                raise ValueError("REPRO_WORKERS must be an integer, got %r"
+                                 % env) from None
+        else:
             workers = os.cpu_count() or 1
     return max(1, int(workers))
 

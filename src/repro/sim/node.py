@@ -17,8 +17,6 @@ Packets addressed to a port nobody listens on are dropped silently (the
 simulator has no RSTs/ICMP; nothing in the study needs them).
 """
 
-from heapq import heappush
-
 from repro.sim import packet as _packet_module
 from repro.sim.packet import _POOL_CAP as _PACKET_POOL_CAP
 from repro.sim.packet import _pool as _packet_pool
@@ -72,28 +70,16 @@ class Node:
     def send(self, packet):
         """Transmit ``packet`` toward its destination.
 
-        Returns False if the output queue dropped it.  Open-codes
-        Interface.send like the forwarding branch of :meth:`receive`:
-        every transport segment enters the network here.
+        Returns False if the output queue dropped it.  Every transport
+        segment enters the network here, onto an
+        :class:`repro.sim.link.Interface` or an
+        :class:`repro.sim.link.EdgeLink`.
         """
-        interface = self.routes.get(packet.dst, self.default_route)
-        if interface is None:
+        link = self.routes.get(packet.dst, self.default_route)
+        if link is None:
             raise LookupError(
                 "%s has no route to %r" % (self.name, packet.dst))
-        sim = interface.sim
-        now = sim.now
-        accepted = interface._q_push(packet, now)
-        if accepted and not interface._busy:
-            packet = interface._q_pop(now)
-            if packet is not None:
-                interface._busy = True
-                interface._tx_started = now
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._heap,
-                         [now + (packet.size * 8.0) / interface.rate_bps,
-                          seq, interface._tx_done_cb, packet])
-                sim._live += 1
-        return accepted
+        return link.send(packet)
 
     # ------------------------------------------------------------------
     # Reception / forwarding
@@ -101,27 +87,14 @@ class Node:
     def receive(self, packet):
         """Entry point for packets arriving from a link."""
         if packet.dst != self.addr:
-            # Forwarding: two of the three hops of every packet cross
-            # this branch, so it open-codes Interface.send (push, and
-            # start the serializer when idle) — keep in lock-step with
-            # repro.sim.link.
+            # Forwarding.  Packets leaving a bottleneck for an edge link
+            # skip this event (Interface._tx_done cuts them through).
             self.forwarded += 1
-            interface = self.routes.get(packet.dst, self.default_route)
-            if interface is None:
+            link = self.routes.get(packet.dst, self.default_route)
+            if link is None:
                 raise LookupError(
                     "%s has no route to %r" % (self.name, packet.dst))
-            sim = interface.sim
-            now = sim.now
-            if interface._q_push(packet, now) and not interface._busy:
-                packet = interface._q_pop(now)
-                if packet is not None:
-                    interface._busy = True
-                    interface._tx_started = now
-                    sim._seq = seq = sim._seq + 1
-                    heappush(sim._heap,
-                             [now + (packet.size * 8.0) / interface.rate_bps,
-                              seq, interface._tx_done_cb, packet])
-                    sim._live += 1
+            link.send(packet)
             return
         proto = packet.proto
         if proto == "tcp":

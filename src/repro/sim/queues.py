@@ -233,48 +233,6 @@ class DropTailQueue(Queue):
         return "DropTailQueue(len=%d/%s)" % (len(self._queue), self.capacity_packets)
 
 
-class UnmeteredDropTailQueue(DropTailQueue):
-    """Drop-tail FIFO that skips per-packet statistics on the fast path.
-
-    Edge (non-bottleneck) links never drop — their queues are sized far
-    beyond any offered load — and nothing ever reads their counters, so
-    the per-packet stats bookkeeping of :class:`DropTailQueue` is pure
-    overhead there (two of the three hops of every packet).  Drops, if a
-    misconfigured topology ever produces one, still fall back to the
-    metered reject path so they remain visible in ``stats.dropped``.
-    """
-
-    __slots__ = ()
-
-    def push(self, packet, now):
-        queue = self._queue
-        capacity = self.capacity_packets
-        if capacity is not None and len(queue) >= capacity:
-            self._reject(packet)
-            return False
-        capacity = self.capacity_bytes
-        if capacity is not None and self._bytes + packet.size > capacity:
-            self._reject(packet)
-            return False
-        # No enqueued_at stamp: nothing reads sojourn times on an
-        # unmetered queue (the metered bottleneck re-stamps on its push).
-        queue.append(packet)
-        self._bytes += packet.size
-        return True
-
-    def pop(self, now):
-        queue = self._queue
-        if not queue:
-            return None
-        packet = queue.popleft()
-        self._bytes -= packet.size
-        return packet
-
-    def __repr__(self):
-        return "UnmeteredDropTailQueue(len=%d/%s)" % (
-            len(self._queue), self.capacity_packets)
-
-
 class REDQueue(Queue):
     """Random Early Detection (Floyd & Jacobson 1993), gentle variant.
 

@@ -17,16 +17,13 @@ Figure 3.  ``clients[0]``/``servers[0]`` are reserved for the application
 under test (the "multimedia hosts"); background traffic uses the rest.
 """
 
-from repro.sim.link import Interface
+from repro.sim.link import EdgeLink, Interface
 from repro.sim.node import Node
-from repro.sim.queues import DropTailQueue, UnmeteredDropTailQueue
+from repro.sim.queues import DropTailQueue
 from repro.util.units import GBPS, MBPS, ms
 
 #: Wire size of a full-sized data packet (MSS 1460 + 40 bytes of headers).
 FULL_PACKET_BYTES = 1500
-
-#: Capacity of non-bottleneck (edge) queues: large enough to never drop.
-EDGE_QUEUE_PACKETS = 100_000
 
 
 def _droptail_factory(capacity_packets):
@@ -114,7 +111,6 @@ class DumbbellNetwork:
         self.left_router.set_default_route(self.down_bottleneck)
         self.right_router.set_default_route(self.up_bottleneck)
 
-        self._edges = []
         for server in self.servers:
             self._connect_edge(server, self.left_router, edge_rate, server_edge_delay)
         for client in self.clients:
@@ -130,33 +126,20 @@ class DumbbellNetwork:
         return node
 
     def _connect_edge(self, host, router, rate, delay):
-        """Full-duplex host<->router link with effectively infinite queues.
+        """Full-duplex host<->router link that never drops.
 
-        Edge queues are unmetered: they never drop and nothing reads
-        their counters, so they skip per-packet stats (the buffers under
-        *study* are the metered bottleneck queues).
+        Each direction is an :class:`EdgeLink` with exactly one feeder:
+        the host feeds ``to_router``, and the bottleneck into ``router``
+        feeds ``to_host`` (hosts talk only across the bottleneck), so
+        entries are in time order.  The buffers under *study* are the
+        bottleneck queues.
         """
-        to_router = Interface(
-            self.sim,
-            "%s->%s" % (host.name, router.name),
-            rate,
-            delay,
-            UnmeteredDropTailQueue(capacity_packets=EDGE_QUEUE_PACKETS),
-            router,
-            metered=False,
-        )
-        to_host = Interface(
-            self.sim,
-            "%s->%s" % (router.name, host.name),
-            rate,
-            delay,
-            UnmeteredDropTailQueue(capacity_packets=EDGE_QUEUE_PACKETS),
-            host,
-            metered=False,
-        )
+        to_router = EdgeLink(self.sim, "%s->%s" % (host.name, router.name),
+                             rate, delay, router)
+        to_host = EdgeLink(self.sim, "%s->%s" % (router.name, host.name),
+                           rate, delay, host)
         host.set_default_route(to_router)
         router.add_route(host.addr, to_host)
-        self._edges += (to_router, to_host)
 
     # ------------------------------------------------------------------
     @property
@@ -187,10 +170,6 @@ class DumbbellNetwork:
     def bottlenecks(self):
         """The two bottleneck interfaces as ``(down, up)``."""
         return (self.down_bottleneck, self.up_bottleneck)
-
-    def interfaces(self):
-        """Every interface: the two bottlenecks, then the edge links."""
-        return (self.down_bottleneck, self.up_bottleneck, *self._edges)
 
     def reset_measurements(self):
         """Zero the measurement counters of both bottleneck interfaces."""

@@ -1,5 +1,6 @@
 """Tests for the repro.perf benchmark/profiler subsystem."""
 
+import io
 import json
 
 import pytest
@@ -56,6 +57,14 @@ class TestBench:
             json.dumps(document))
         assert "ev/s" in bench.render_summary(document)
 
+    def test_full_run_measures_the_quick_workloads(self, tiny_workloads):
+        document = bench.run_bench(quick=False, repetitions=1)
+        assert document["mode"] == "full"
+        assert set(document["quick"]) == {"fig7"}
+        assert (document["quick"]["fig7"]["events"]
+                == document["workloads"]["fig7"]["events"])
+        assert document["quick"]["fig7"]["sim_seconds"] > 0
+
     def test_rejects_nonpositive_repetitions(self, tiny_workloads):
         with pytest.raises(ValueError):
             bench.run_bench(quick=True, repetitions=0)
@@ -68,20 +77,40 @@ class TestBench:
 
 
 class TestRegressionCheck:
-    def _doc(self, events_per_sec):
-        return {"workloads": {"fig5": {"events_per_sec": events_per_sec}}}
+    def _doc(self, sim_seconds, mode="full", name="fig5"):
+        return {"mode": mode,
+                "workloads": {name: {"sim_seconds": sim_seconds,
+                                     "events_per_sec": 1000}}}
 
     def test_ok_within_tolerance(self, capsys):
-        assert bench.check_regression(self._doc(80), self._doc(100),
+        assert bench.check_regression(self._doc(1.25), self._doc(1.0),
                                       tolerance=0.30)
 
     def test_fails_beyond_tolerance(self):
-        assert not bench.check_regression(self._doc(60), self._doc(100),
+        assert not bench.check_regression(self._doc(1.35), self._doc(1.0),
                                           tolerance=0.30)
 
+    def test_events_per_sec_is_not_gated(self):
+        current = self._doc(1.0)
+        current["workloads"]["fig5"]["events_per_sec"] = 10
+        assert bench.check_regression(current, self._doc(1.0))
+
     def test_missing_baseline_workload_is_skipped(self):
-        current = self._doc(10)
-        assert bench.check_regression(current, {"workloads": {}})
+        current = self._doc(10.0)
+        current["workloads"]["fig7"] = {"sim_seconds": 1.0}
+        assert bench.check_regression(current, self._doc(1.0, name="fig7"))
+
+    def test_quick_run_is_checked_against_the_quick_block(self):
+        baseline = self._doc(10.0)
+        baseline["quick"] = self._doc(1.0)["workloads"]
+        assert bench.check_regression(self._doc(1.2, "quick"), baseline)
+        assert not bench.check_regression(self._doc(2.0, "quick"), baseline)
+
+    def test_baseline_without_the_mode_fails(self):
+        out = io.StringIO()
+        assert not bench.check_regression(self._doc(1.0, "quick"),
+                                          self._doc(1.0), out=out)
+        assert "no quick-mode workloads" in out.getvalue()
 
 
 class TestProfileHarness:
@@ -109,6 +138,9 @@ def test_committed_baseline_is_wellformed():
     document = json.loads(path.read_text())
     assert document["kind"] == "simcore-bench"
     assert set(document["workloads"]) == {"fig5", "fig7"}
-    for workload in document["workloads"].values():
+    assert set(document["quick"]) == {"fig5", "fig7"}
+    for workload in (*document["workloads"].values(),
+                     *document["quick"].values()):
+        assert workload["sim_seconds"] > 0
         assert workload["events_per_sec"] > 0
     assert document["reference"]["events_per_sec"]["fig5"] > 0

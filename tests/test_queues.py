@@ -14,7 +14,6 @@ from repro.sim.queues import (
     DropTailQueue,
     Queue,
     REDQueue,
-    UnmeteredDropTailQueue,
 )
 
 
@@ -277,7 +276,6 @@ def _discipline_queues(rng):
         # short random schedule.
         CoDelQueue(capacity_packets=max(capacity, 4), target=0.001,
                    interval=0.005),
-        UnmeteredDropTailQueue(capacity_packets=capacity),
     ]
 
 
@@ -314,16 +312,7 @@ def test_property_conservation_all_disciplines(seed):
         assert queue.byte_length >= 0
         assert len(queue) >= 0
 
-        if isinstance(queue, UnmeteredDropTailQueue):
-            # Unmetered: conservation holds against the caller's ledger
-            # (its stats stay zeroed unless a drop fires the fallback).
-            assert len(queue) == accepted - returned
-            assert queue.byte_length == bytes_accepted - bytes_returned
-            assert stats.enqueued == stats.dequeued == 0
-            assert stats.dropped == rejected
-            continue
-
-        # Metered disciplines: exact packet and byte conservation.
+        # Exact packet and byte conservation.
         assert stats.enqueued == accepted
         assert len(queue) == stats.enqueued - stats.dequeued
         assert queue.byte_length == stats.bytes_enqueued - stats.bytes_dequeued

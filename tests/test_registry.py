@@ -142,6 +142,13 @@ class TestScaleResolution:
         assert registry.resolve_scale() == 4.0
         assert len(get("fig7b").scenario_axis()) == 5
 
+    def test_bad_env_scale_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "banana")
+        with pytest.raises(ValueError, match="REPRO_SCALE"):
+            registry.resolve_scale()
+        monkeypatch.setenv("REPRO_SCALE", "")
+        assert registry.resolve_scale(default=2.0) == 2.0
+
     def test_describe_is_jsonable(self):
         for spec in REGISTRY.values():
             json.dumps(spec.describe(scale=1.0))

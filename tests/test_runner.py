@@ -146,7 +146,9 @@ class TestGridRunner:
         monkeypatch.setenv("REPRO_WORKERS", "7")
         assert resolve_workers() == 7
         monkeypatch.setenv("REPRO_WORKERS", "banana")
-        assert resolve_workers() >= 1
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            resolve_workers()
+        assert resolve_workers(2) == 2  # an explicit count wins
 
     def test_workers_1_never_spawns_a_pool(self, tmp_path, monkeypatch):
         import repro.runner.grid as grid_module

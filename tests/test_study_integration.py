@@ -1,5 +1,6 @@
 """Fast integration tests for the per-figure study runners."""
 
+import numpy as np
 import pytest
 
 from repro.core.scenarios import access_scenario, backbone_scenario
@@ -13,15 +14,31 @@ from repro.core.study import (
     table1_rows,
 )
 from repro.apps.video import VideoStream, clip_frames
-from repro.core.experiment import build_network
-from repro.core.video_study import SETTLE_STEP, VIDEO_PORT, run_video_cell
-from repro.core.voip_study import median_mos, run_voip_cell
-from repro.core.web_study import run_web_cell
+from repro.apps.voip import VoipCall
+from repro.apps.web import PageFetch, WebServer
+from repro.core.experiment import SETTLE_STEP, build_network, settled
+from repro.core.video_study import VIDEO_PORT, run_video_cell
+from repro.core.voip_study import (
+    CALL_GAP,
+    CALL_SLACK,
+    LISTEN_PORT,
+    TALK_PORT,
+    median_mos,
+    run_voip_cell,
+)
+from repro.core.web_study import (
+    FETCH_GAP,
+    FETCH_TIMEOUT,
+    POLL_STEP,
+    run_web_cell,
+)
 from repro.core.workloads import apply_workload
 from repro.media.codec import decode
 from repro.qoe.psnr import psnr_sequence
 from repro.qoe.ssim import ssim_sequence
 from repro.qoe.video import ssim_to_mos
+from repro.qoe.voip import score_call
+from repro.qoe.web import g1030_mos, min_plt_for
 from repro.sim.packet import Packet
 from repro.sim.queues import CoDelQueue
 
@@ -103,11 +120,16 @@ class TestVideoCells:
         assert cell["ssim"] == pytest.approx(1.0, abs=1e-6)
 
 
+def _cell_after_warmup(scenario, buffer_packets, warmup):
+    sim, network = build_network(scenario, buffer_packets)
+    workload = apply_workload(sim, network, scenario, seed=0)
+    sim.run(until=warmup)
+    return sim, network, workload
+
+
 def _stream_after_warmup(scenario, buffer_packets, resolution, warmup,
                          duration, arq):
-    sim, network = build_network(scenario, buffer_packets)
-    apply_workload(sim, network, scenario, seed=0)
-    sim.run(until=warmup)
+    sim, network, __ = _cell_after_warmup(scenario, buffer_packets, warmup)
     stream = VideoStream(sim, network.media_server, network.media_client,
                          port=VIDEO_PORT, resolution=resolution,
                          duration=duration, arq=arq)
@@ -171,7 +193,7 @@ class TestVideoEarlyEnd:
         stream.start()
         until = sim.now + stream.duration
         sim.run(until=until)
-        while not stream.settled(network.interfaces()):
+        while not settled([stream], network.bottlenecks()):
             until += SETTLE_STEP
             sim.run(until=until)
         assert until < end  # the early end does save simulated time
@@ -195,12 +217,12 @@ class TestVideoEarlyEnd:
         sim, network, stream = _stream_after_warmup(
             access_scenario("noBG"), 64, "SD", 1.0, 1.0, False)
         stream.start()
-        assert not stream.settled(network.interfaces())
+        assert not settled([stream], network.bottlenecks())
         sim.run(until=sim.now + stream.duration)
         # The last packet is still serializing or propagating.
-        assert not stream.settled(network.interfaces())
+        assert not settled([stream], network.bottlenecks())
         sim.run(until=sim.now + stream.end_time + 1.0)
-        assert stream.settled(network.interfaces())
+        assert settled([stream], network.bottlenecks())
 
     def test_queued_packet_is_not_settled(self):
         sim, network, stream = _stream_after_warmup(
@@ -213,9 +235,148 @@ class TestVideoEarlyEnd:
         queue.push(Packet(network.media_server.addr,
                           network.media_client.addr, 1, VIDEO_PORT, "udp",
                           1500), sim.now)
-        assert not stream.settled(network.interfaces())
+        assert not settled([stream], network.bottlenecks())
         queue.pop(sim.now)
-        assert stream.settled(network.interfaces())
+        assert settled([stream], network.bottlenecks())
+
+
+#: (scenario, buffer): a lossy cell, and a deep-buffered cell whose
+#: bottleneck queue still holds media packets after the last send.
+MEDIA_EARLY_END_CELLS = [
+    pytest.param(access_scenario("long-many"), 8, id="access-long-many-8"),
+    pytest.param(access_scenario("long-few"), 256, id="access-long-few-256"),
+]
+
+
+def _voip_legs(sim, network, call_index, duration):
+    talks = VoipCall(sim, network.media_client, network.media_server,
+                     port=TALK_PORT + call_index,
+                     sample_seed=1000 + call_index, duration=duration)
+    listens = VoipCall(sim, network.media_server, network.media_client,
+                       port=LISTEN_PORT + call_index,
+                       sample_seed=1000 + call_index, duration=duration)
+    return {"talks": talks.start(), "listens": listens.start()}
+
+
+def _voip_cell_to_late_bound(scenario, buffer_packets, calls, warmup,
+                             duration):
+    """run_voip_cell as it was before the settle rule: every call runs
+    ``duration + CALL_SLACK``, then ``CALL_GAP``."""
+    sim, network, workload = _cell_after_warmup(scenario, buffer_packets,
+                                                warmup)
+    scores = {"talks": [], "listens": []}
+    for call_index in range(calls):
+        live = _voip_legs(sim, network, call_index, duration)
+        sim.run(until=sim.now + duration + CALL_SLACK)
+        finished = {direction: call.finish()
+                    for direction, call in live.items()}
+        delay = max(playout.mouth_to_ear_delay
+                    for playout, __ in finished.values())
+        for direction, (playout, degraded) in finished.items():
+            scores[direction].append(score_call(
+                live[direction].clean_signal, degraded, playout,
+                conversational_delay=delay))
+        sim.run(until=sim.now + CALL_GAP)
+    workload.stop()
+    return scores
+
+
+class TestVoipEarlyEnd:
+    @pytest.mark.parametrize("scenario,packets", MEDIA_EARLY_END_CELLS)
+    def test_payload_equals_run_to_late_bound(self, scenario, packets):
+        kwargs = dict(calls=2, warmup=1.0, duration=1.0)
+        assert (run_voip_cell(scenario, packets, **kwargs)
+                == _voip_cell_to_late_bound(scenario, packets, **kwargs))
+
+    @pytest.mark.parametrize("scenario,packets", MEDIA_EARLY_END_CELLS)
+    def test_no_arrival_after_settling(self, scenario, packets):
+        sim, network, __ = _cell_after_warmup(scenario, packets, 1.0)
+        legs = list(_voip_legs(sim, network, 0, 1.0).values())
+        end = sim.now + 1.0 + CALL_SLACK
+        until = sim.now + 1.0
+        sim.run(until=until)
+        while not settled(legs, network.bottlenecks()):
+            until += SETTLE_STEP
+            sim.run(until=until)
+        assert until < end  # the early end does save simulated time
+        arrivals = [list(leg.receiver.arrivals) for leg in legs]
+        sim.run(until=end)
+        assert [leg.receiver.arrivals for leg in legs] == arrivals
+
+    def test_lossy_cell_loses_frames(self):
+        # A lossless cell would make the equality checks above weak.
+        scores = run_voip_cell(access_scenario("long-many"), 8, calls=1,
+                               warmup=1.0, duration=1.0)
+        assert scores["listens"][0].effective_loss > 0.0
+
+    def test_either_pending_leg_blocks_settling(self):
+        sim, network, __ = _cell_after_warmup(access_scenario("noBG"), 64,
+                                              1.0)
+        legs = list(_voip_legs(sim, network, 0, 1.0).values())
+        sim.run(until=sim.now + 2.0)
+        assert settled(legs, network.bottlenecks())
+        # A third leg that has not sent its last frame keeps all unsettled.
+        late = VoipCall(sim, network.media_server, network.media_client,
+                        port=LISTEN_PORT + 1, duration=1.0).start()
+        assert settled(legs, network.bottlenecks())
+        assert not settled(legs + [late], network.bottlenecks())
+
+
+def _web_cell_to_late_bound(scenario, buffer_packets, fetches, warmup):
+    """run_web_cell as it was before the early end: every fetch is
+    polled every ``POLL_STEP`` and followed by ``FETCH_GAP``."""
+    sim, network, workload = _cell_after_warmup(scenario, buffer_packets,
+                                                warmup)
+    server = WebServer(sim, network.media_server, cc=scenario.cc)
+    plts = []
+    for __ in range(fetches):
+        fetch = PageFetch(sim, network.media_client,
+                          network.media_server.addr, cc=scenario.cc)
+        fetch.start()
+        deadline = sim.now + FETCH_TIMEOUT
+        while sim.now < deadline and fetch.plt is None and not fetch.failed:
+            sim.run(until=min(deadline, sim.now + POLL_STEP))
+        plts.append(fetch.plt if fetch.plt is not None else FETCH_TIMEOUT)
+        if fetch.plt is None:
+            fetch.abort()
+        sim.run(until=sim.now + FETCH_GAP)
+    workload.stop()
+    server.close()
+    median_plt = float(np.median(plts))
+    return {
+        "plts": plts,
+        "median_plt": median_plt,
+        "mos": g1030_mos(median_plt, min_plt=min_plt_for(scenario.testbed)),
+        "p80_plt": float(np.percentile(plts, 80)),
+    }
+
+
+class TestWebEarlyEnd:
+    @pytest.mark.parametrize("scenario,packets", MEDIA_EARLY_END_CELLS)
+    def test_payload_equals_run_to_late_bound(self, scenario, packets):
+        kwargs = dict(fetches=2, warmup=1.0)
+        assert (run_web_cell(scenario, packets, **kwargs)
+                == _web_cell_to_late_bound(scenario, packets, **kwargs))
+
+    @pytest.mark.parametrize("scenario,packets", MEDIA_EARLY_END_CELLS)
+    def test_nothing_changes_after_the_early_end(self, scenario, packets):
+        sim, network, __ = _cell_after_warmup(scenario, packets, 1.0)
+        WebServer(sim, network.media_server, cc=scenario.cc)
+        fetch = PageFetch(sim, network.media_client,
+                          network.media_server.addr, cc=scenario.cc)
+        fetch.start()
+        polled = until = sim.now
+        while fetch.plt is None and not fetch.failed:
+            until += SETTLE_STEP
+            sim.run(until=until)
+        plt = fetch.plt
+        assert plt is not None
+        # The old tail: on to the first POLL_STEP boundary at or after
+        # the last byte, then FETCH_GAP.
+        while polled < fetch.last_byte_at:
+            polled += POLL_STEP
+        sim.run(until=polled + FETCH_GAP)
+        assert fetch.plt == plt and fetch.done and not fetch.failed
 
 
 class TestWebCells:
