@@ -14,16 +14,16 @@ def test_aqm_rescues_bloated_uplink(benchmark):
     def run():
         return run_registered("aqm-voip")
 
-    results = run_once(benchmark, run).to_mapping()
-    rows = [("%s @ %d pkts" % (discipline, packets),
-             "%.1f" % cell["talks"], "%.1f" % cell["listens"],
-             "%.0f ms" % (cell["delay"]["talks"] * 1000))
-            for (workload, packets, discipline), cell in results.items()]
+    results = run_once(benchmark, run)
+    rows = [("%s @ %d pkts" % (record.discipline, record.buffer_packets),
+             "%.1f" % record["talks"], "%.1f" % record["listens"],
+             "%.0f ms" % (record.delay("talks") * 1000))
+            for record in results]
     comparison_table(
         "A1: VoIP under upload congestion per queue discipline",
         ("queue @ buffer", "talks MOS", "listens MOS", "mouth-to-ear"), rows)
     # CoDel must bound the standing queue that drop-tail lets grow.
     droptail = results[("long-few", 256, "droptail")]
     codel = results[("long-few", 256, "codel")]
-    assert codel["delay"]["talks"] < droptail["delay"]["talks"]
+    assert codel.delay("talks") < droptail.delay("talks")
     assert codel["talks"] >= droptail["talks"]

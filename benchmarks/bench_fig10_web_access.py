@@ -5,9 +5,9 @@ Grids come from the registered ``fig10a`` / ``fig10b`` sweeps.
 
 from repro.core.paper_data import FIG10A, FIG10B
 from repro.core.registry import get
-from repro.core.web_study import render_fig10
 
-from benchmarks.common import comparison_table, run_once, run_registered
+from benchmarks.common import (comparison_table, print_figure, run_once,
+                               run_registered)
 
 
 def _table(results, paper, workloads, buffers, title):
@@ -31,9 +31,8 @@ def test_fig10a_download_activity(benchmark):
     def run():
         return run_registered(spec.name)
 
-    results = run_once(benchmark, run).to_mapping()
-    print()
-    print(render_fig10(results, "down", buffers, workloads=workloads))
+    results = run_once(benchmark, run)
+    print_figure("fig10a", results)
     _table(results, FIG10A, workloads, buffers,
            "Figure 10a (ours/paper): PLT under download congestion")
     # Baseline is excellent; long-many pins the page load regardless of
@@ -52,9 +51,8 @@ def test_fig10b_upload_activity(benchmark):
     def run():
         return run_registered(spec.name)
 
-    results = run_once(benchmark, run).to_mapping()
-    print()
-    print(render_fig10(results, "up", buffers, workloads=workloads))
+    results = run_once(benchmark, run)
+    print_figure("fig10b", results)
     _table(results, FIG10B, workloads, buffers,
            "Figure 10b (ours/paper): PLT under upload congestion")
     # Upload congestion wrecks the page load; small uplink buffers keep

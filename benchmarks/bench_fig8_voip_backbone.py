@@ -6,9 +6,9 @@ The grid is the registered ``fig8`` sweep (full workload/buffer axes at
 
 from repro.core.paper_data import FIG8
 from repro.core.registry import get
-from repro.core.voip_study import render_fig8
 
-from benchmarks.common import comparison_table, run_once, run_registered
+from benchmarks.common import (comparison_table, print_figure, run_once,
+                               run_registered)
 
 
 def test_fig8(benchmark):
@@ -19,9 +19,8 @@ def test_fig8(benchmark):
     def run():
         return run_registered(spec.name)
 
-    results = run_once(benchmark, run).to_mapping()
-    print()
-    print(render_fig8(results, buffers, workloads=workloads))
+    results = run_once(benchmark, run)
+    print_figure("fig8", results)
     rows = []
     for workload in workloads:
         for packets in buffers:

@@ -6,9 +6,9 @@ Grids come from the registered ``fig9a`` (access) and ``fig9b``
 
 from repro.core.paper_data import FIG9A_HD, FIG9A_SD
 from repro.core.registry import get
-from repro.core.video_study import render_fig9
 
-from benchmarks.common import comparison_table, run_once, run_registered
+from benchmarks.common import (comparison_table, print_figure, run_once,
+                               run_registered)
 
 
 def test_fig9a_access(benchmark):
@@ -19,9 +19,8 @@ def test_fig9a_access(benchmark):
     def run():
         return run_registered(spec.name)
 
-    results = run_once(benchmark, run).to_mapping()
-    print()
-    print(render_fig9(results, "access", buffers, workloads=workloads))
+    results = run_once(benchmark, run)
+    print_figure("fig9a", results)
     rows = []
     for workload in workloads:
         for packets in buffers:
@@ -47,15 +46,13 @@ def test_fig9a_access(benchmark):
 
 def test_fig9b_backbone(benchmark):
     spec = get("fig9b")
-    workloads = spec.workloads()
     buffers = spec.buffer_axis()
 
     def run():
         return run_registered(spec.name)
 
-    results = run_once(benchmark, run).to_mapping()
-    print()
-    print(render_fig9(results, "backbone", buffers, workloads=workloads))
+    results = run_once(benchmark, run)
+    print_figure("fig9b", results)
     # noBG and light load stream cleanly; the sustained long workload
     # degrades the stream regardless of buffer size.
     for packets in buffers:

@@ -5,61 +5,29 @@ sweeps (representative rows at scale 1, the full sweeps at higher
 ``REPRO_SCALE``).
 """
 
-from repro.core.paper_data import TABLE1_ACCESS, TABLE1_BACKBONE
-from repro.core.registry import get
-from repro.core.study import table1_rows_for
+from repro.core.paper_data import TABLE1_BACKBONE
 
-from benchmarks.common import comparison_table, run_once, run_registered
+from benchmarks.common import (comparison_table, print_figure, run_once,
+                               run_registered)
 
 
 def test_table1_access(benchmark):
-    spec = get("table1-access")
-
-    def run():
-        results = run_registered("table1-access")
-        rows = table1_rows_for(spec.scenario_axis(),
-                               [record.report for record in results])
-        return {(row["workload"], row["direction"]): row for row in rows}
-
-    reports = run_once(benchmark, run)
-    table = []
-    for (w, d), row in reports.items():
-        paper = TABLE1_ACCESS[(w, d)]
-        table.append((w, d,
-                      "%.1f / %.1f" % (row["up_util"] * 100, paper[0]),
-                      "%.1f / %.1f" % (row["down_util"] * 100, paper[1]),
-                      "%.1f / %.1f" % (row["up_loss"] * 100, paper[2]),
-                      "%.1f / %.1f" % (row["down_loss"] * 100, paper[3])))
-    comparison_table(
-        "Table 1 access (ours/paper): utilization and loss [%]",
-        ("workload", "dir", "up util", "down util", "up loss", "down loss"),
-        table)
+    results = run_once(benchmark, lambda: run_registered("table1-access"))
+    print_figure("table1-access", results)
     # Upstream-congestion rows saturate the 1 Mbit/s uplink.
-    assert reports[("short-few", "up")]["up_util"] > 0.9
+    assert results[("short-few/up", (64, 8))]["up_utilization"] > 0.9
 
 
 def test_table1_backbone(benchmark):
-    spec = get("table1-backbone")
-
-    def run():
-        results = run_registered("table1-backbone")
-        rows = table1_rows_for(spec.scenario_axis(),
-                               [record.report for record in results])
-        return {row["workload"]: row for row in rows}
-
-    reports = run_once(benchmark, run)
-    table = []
-    for w, row in reports.items():
-        paper = TABLE1_BACKBONE[w]
-        table.append((w,
-                      "%.1f / %.1f" % (row["down_util"] * 100, paper[0]),
-                      "%.2f / %.2f" % (row["down_loss"] * 100, paper[2]),
-                      "%.0f / %d" % (row["concurrent"], paper[3])))
+    results = run_once(benchmark, lambda: run_registered("table1-backbone"))
+    print_figure("table1-backbone", results)
     comparison_table(
-        "Table 1 backbone (ours/paper)",
-        ("workload", "down util %", "loss %", "flows"), table)
+        "Table 1 backbone (ours/paper): concurrent flows",
+        ("workload", "flows"),
+        [(record.key[0], "%.0f / %d" % (
+            record["concurrent_flows"], TABLE1_BACKBONE[record.key[0]][3]))
+         for record in results])
     # Load ordering must match the paper: low < medium < high.
-    assert (reports["short-low"]["down_util"]
-            < reports["short-medium"]["down_util"]
-            < reports["short-high"]["down_util"])
-    assert reports["short-high"]["down_util"] > 0.9
+    util = {record.key[0]: record["down_utilization"] for record in results}
+    assert util["short-low"] < util["short-medium"] < util["short-high"]
+    assert util["short-high"] > 0.9

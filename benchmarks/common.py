@@ -39,12 +39,28 @@ def grid_runner(**kwargs):
 def run_registered(name, runner=None):
     """Run a registered sweep through the stable facade.
 
-    Returns the typed :class:`repro.results.set.ResultSet`; call
-    ``.to_mapping()`` where a renderer wants the legacy ``{cell key:
-    value}`` dict.  Same tasks, same cache entries as ``python -m repro
-    run <name>``.
+    Returns the typed :class:`repro.results.set.ResultSet`, indexed by
+    cell key (``results[("noBG", 64)]["talks"]``).  Same tasks, same
+    cache entries as ``python -m repro run <name>``.
     """
     return api.run_sweep(name, runner=runner or grid_runner())
+
+
+def print_figure(name, results):
+    """Print (and return) the text of report figure ``name``.
+
+    The same model ``python -m repro figures`` prints and ``python -m
+    repro report`` draws as SVG, built from the registered sweep's
+    ``results`` at the current scale.
+    """
+    from repro.core.registry import get
+    from repro.report.figures import REPORT_FIGURES
+
+    figure = REPORT_FIGURES[name]
+    text = figure.model(results, get(figure.sweep), scale()).text()
+    print()
+    print(text)
+    return text
 
 
 def scaled_duration(base, minimum=4.0):

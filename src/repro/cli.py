@@ -21,10 +21,11 @@ Subcommands
     ``--output FILE``.  Accepts the same runner knobs and axis
     overrides as ``run``.
 ``figures``
-    Regenerate the paper's ASCII figures/tables from their registered
-    sweeps (all of them, or the names given), through
-    :func:`repro.api.run_sweep` — the sweeps land in the shared result
-    cache, so a later ``report`` re-simulates nothing.
+    Print the text version of the paper's figures/tables (all of them,
+    or the names given — the same names and models as ``report``, see
+    :mod:`repro.report.figures`), running their registered sweeps
+    through :func:`repro.api.run_sweep`.  The sweeps land in the shared
+    result cache, so a later ``report`` re-simulates nothing.
 ``report``
     Build the SVG reproduction report (``index.md`` + one SVG per
     figure + ``fidelity.json`` with PASS/WARN/FAIL verdicts against the
@@ -243,102 +244,23 @@ def cmd_export(args):
     return 0
 
 
-# Figure renderers: name -> function(results, spec, scale) -> text.
-def _render_fig4(direction):
-    def render(results, spec, scale):
-        from repro.core.study import render_fig4
-
-        return render_fig4(results, direction,
-                           buffers=spec.buffer_axis(scale),
-                           workloads=spec.workloads(scale))
-    return render
-
-
-def _render_fig5(results, spec, scale):
-    from repro.core.study import render_fig5
-
-    by_packets = {key[1]: report for key, report in results.items()}
-    return render_fig5(by_packets)
-
-
-def _render_table1(testbed):
-    def render(results, spec, scale):
-        from repro.core.study import render_table1, table1_rows_for
-
-        rows = table1_rows_for(spec.scenario_axis(scale),
-                               list(results.values()))
-        return render_table1(rows, testbed)
-    return render
-
-
-def _render_fig7(activity):
-    def render(results, spec, scale):
-        from repro.core.voip_study import render_fig7
-
-        return render_fig7(results, activity, spec.buffer_axis(scale),
-                           workloads=spec.workloads(scale))
-    return render
-
-
-def _render_fig8(results, spec, scale):
-    from repro.core.voip_study import render_fig8
-
-    return render_fig8(results, spec.buffer_axis(scale),
-                       workloads=spec.workloads(scale))
-
-
-def _render_fig9(testbed):
-    def render(results, spec, scale):
-        from repro.core.video_study import render_fig9
-
-        return render_fig9(results, testbed, spec.buffer_axis(scale),
-                           workloads=spec.workloads(scale))
-    return render
-
-
-def _render_fig10(activity, title="Figure 10"):
-    def render(results, spec, scale):
-        from repro.core.web_study import render_fig10
-
-        return render_fig10(results, activity, spec.buffer_axis(scale),
-                            workloads=spec.workloads(scale), title=title)
-    return render
-
-
-FIGURES = {
-    "fig4-up": _render_fig4("up"),
-    "fig4-down": _render_fig4("down"),
-    "fig5": _render_fig5,
-    "table1-access": _render_table1("access"),
-    "table1-backbone": _render_table1("backbone"),
-    "fig7a": _render_fig7("down"),
-    "fig7b": _render_fig7("up"),
-    "fig8": _render_fig8,
-    "fig9a": _render_fig9("access"),
-    "fig9b": _render_fig9("backbone"),
-    "fig10a": _render_fig10("down"),
-    "fig10b": _render_fig10("up"),
-    "fig11": _render_fig10("backbone", title="Figure 11"),
-}
-
-
 def cmd_figures(args):
-    names = args.names or list(FIGURES) + ["table2"]
+    from repro.report.build import validate_selection
+    from repro.report.figures import REPORT_FIGURES
+
+    try:
+        names = validate_selection(args.names)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     scale = resolve_scale() if args.scale is None else args.scale
     runner = _runner_from(args)
     for name in names:
-        if name == "table2":
-            from repro.core.study import render_table2
-
-            print(render_table2())
-            print()
-            continue
-        if name not in FIGURES:
-            raise SystemExit("no renderer for %r (have: %s)" % (
-                name, ", ".join(sorted(FIGURES) + ["table2"])))
-        spec = _get_spec(name)
-        results = api.run_sweep(spec, scale=scale, runner=runner)
-        print(FIGURES[name](results.to_mapping(), spec, scale))
+        figure = REPORT_FIGURES[name]
+        spec = results = None
+        if figure.sweep is not None:
+            spec = _get_spec(figure.sweep)
+            results = api.run_sweep(spec, scale=scale, runner=runner)
+        print(figure.model(results, spec, scale).text())
         print()
     return 0
 
@@ -494,12 +416,11 @@ def build_parser():
     export.set_defaults(fn=cmd_export)
 
     figures = sub.add_parser(
-        "figures", help="regenerate the paper's ASCII figures/tables "
-                        "from their registered sweeps (repro.api."
-                        "run_sweep under the hood; see `report` for the "
-                        "SVG + fidelity version)")
+        "figures", help="print the paper's figures/tables as text "
+                        "(the same figures `report` draws as SVG, with "
+                        "fidelity verdicts)")
     figures.add_argument("names", nargs="*",
-                         help="figure sweeps to render (default: all)")
+                         help="figures to print (default: all)")
     _add_runner_arguments(figures)
     figures.set_defaults(fn=cmd_figures)
 

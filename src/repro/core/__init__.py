@@ -8,11 +8,13 @@ into the paper's experiment grid:
 * :mod:`repro.core.scenarios` — Table 1's workload catalog for both
   testbeds, with calibrated Harpoon parameters.
 * :mod:`repro.core.workloads` — applies a scenario to a built network.
-* :mod:`repro.core.experiment` — single-cell experiment runners (QoS and
-  per-application QoE).
-* :mod:`repro.core.study` — grid sweeps producing the paper's heatmaps.
-* :mod:`repro.core.registry` — the declarative sweep catalog behind the
-  benchmarks and the ``python -m repro`` CLI.
+* :mod:`repro.core.experiment` — the QoS cell runner and the shared
+  network/settling helpers; :mod:`repro.core.voip_study`,
+  :mod:`repro.core.video_study` and :mod:`repro.core.web_study` run
+  one per-application QoE cell each.
+* :mod:`repro.core.registry` — the declarative sweep catalog: every
+  grid of the paper, run through :func:`repro.api.run_sweep` and drawn
+  by :mod:`repro.report.figures`.
 * :mod:`repro.core.paper_data` — the numbers printed in the paper, for
   side-by-side comparison.
 """

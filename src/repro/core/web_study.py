@@ -1,19 +1,11 @@
-"""WebQoE grids: Figures 10 (access) and 11 (backbone)."""
+"""WebQoE cells: Figures 10 (access) and 11 (backbone)."""
 
 import numpy as np
 
 from repro.apps.web import PageFetch, WebServer
 from repro.core.experiment import SETTLE_STEP, build_network
-from repro.core.registry import ScenarioSpec, adhoc_sweep
-from repro.core.study import _deprecated_grid, _run_mapping
 from repro.core.workloads import apply_workload
-from repro.qoe.scales import heat_marker_from_mos
 from repro.qoe.web import g1030_mos, min_plt_for
-from repro.viz.heatmap import render_grid
-
-FIG10_WORKLOADS = ("noBG", "long-few", "long-many", "short-few", "short-many")
-FIG11_WORKLOADS = ("noBG", "short-low", "short-medium", "short-high",
-                   "short-overload", "long")
 
 #: Think time between consecutive page fetches.
 FETCH_GAP = 0.25
@@ -74,49 +66,3 @@ def run_web_cell(scenario, buffer_packets, fetches=10, warmup=5.0, seed=0,
         "mos": g1030_mos(median_plt, min_plt=min_plt),
         "p80_plt": float(np.percentile(plts, 80)),
     }
-
-
-def fig10_grid(activity, buffers, workloads=FIG10_WORKLOADS, fetches=10,
-               warmup=5.0, seed=0, runner=None):
-    """Figure 10: access WebQoE per (workload, buffer).
-
-    ``activity`` is ``"down"`` (10a), ``"up"`` (10b) or ``"bidir"``.
-
-    .. deprecated:: use :func:`repro.api.run_sweep`.
-    """
-    _deprecated_grid("fig10_grid", "repro.api.run_sweep(\"fig10a\"/\"fig10b\")")
-    spec = adhoc_sweep(
-        "adhoc-fig10", "web",
-        scenarios=[ScenarioSpec("access", w, activity) for w in workloads],
-        buffers=buffers, seed=seed, warmup=warmup, duration=0.0,
-        params=(("fetches", fetches),))
-    return _run_mapping(spec, runner)
-
-
-def fig11_grid(buffers, workloads=FIG11_WORKLOADS, fetches=10, warmup=5.0,
-               seed=0, runner=None):
-    """Figure 11: backbone WebQoE.
-
-    .. deprecated:: use :func:`repro.api.run_sweep`.
-    """
-    _deprecated_grid("fig11_grid", "repro.api.run_sweep(\"fig11\")")
-    spec = adhoc_sweep(
-        "adhoc-fig11", "web",
-        scenarios=[ScenarioSpec("backbone", w) for w in workloads],
-        buffers=buffers, seed=seed, warmup=warmup, duration=0.0,
-        params=(("fetches", fetches),))
-    return _run_mapping(spec, runner)
-
-
-def render_fig10(results, activity, buffers, workloads=FIG10_WORKLOADS,
-                 title="Figure 10"):
-    """ASCII Figures 10/11: median PLT with a MOS marker per cell."""
-    def fn(workload, packets):
-        cell = results[(workload, packets)]
-        return "%.1fs%s" % (cell["median_plt"],
-                            heat_marker_from_mos(cell["mos"]))
-
-    return render_grid(
-        "%s (%s): median page load time (marker = MOS class)"
-        % (title, activity),
-        list(workloads), list(buffers), fn, col_header="workload\\buf")

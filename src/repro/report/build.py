@@ -4,7 +4,8 @@
 results into ``<out>/index.md`` + one SVG per figure +
 ``<out>/fidelity.json``:
 
-* figures come from :data:`repro.report.figures.REPORT_FIGURES`;
+* figures come from :data:`repro.report.figures.REPORT_FIGURES` (the
+  SVG backend of each figure's model);
 * verdicts come from :mod:`repro.report.fidelity`;
 * results stream through :func:`repro.api.iter_sweep` (so a warm cache
   re-simulates nothing and a cold one shows per-cell progress with the
@@ -216,7 +217,7 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
             results = _load_results(spec, scale, cached_only, runner)
             expected = spec.cell_count(scale)
             present = len(results)
-        markup = figure.build(results, spec, scale)
+        markup = figure.model(results, spec, scale).svg()
         svg_name = "%s.svg" % name
         with open(os.path.join(out_dir, svg_name), "w",
                   encoding="utf-8") as handle:

@@ -14,7 +14,6 @@ live one level up, in :mod:`repro.api`.
 from repro.results.convert import (
     flatten_metrics,
     format_buffer,
-    jsonable_payload,
     jsonify,
     key_str,
 )
@@ -26,7 +25,6 @@ from repro.results.record import (
     VoipResult,
     WebResult,
     record_from_payload,
-    revive_qos,
     summarize,
 )
 from repro.results.set import ResultSet, StreamAggregator, aggregate_stream
@@ -43,10 +41,8 @@ __all__ = [
     "aggregate_stream",
     "flatten_metrics",
     "format_buffer",
-    "jsonable_payload",
     "jsonify",
     "key_str",
     "record_from_payload",
-    "revive_qos",
     "summarize",
 ]

@@ -11,8 +11,6 @@ on-disk cache.  Nothing in this module may change that format — the
 golden-trace harness hashes it.
 """
 
-from dataclasses import asdict, is_dataclass
-
 
 def jsonify(value):
     """Convert a cell result payload to pure JSON types.
@@ -38,13 +36,6 @@ def jsonify(value):
     if isinstance(value, np.ndarray):
         return [jsonify(item) for item in value.tolist()]
     raise TypeError("cell payload is not JSON-serializable: %r" % (value,))
-
-
-def jsonable_payload(payload):
-    """A payload (or revived study value) as plain JSON types."""
-    if is_dataclass(payload) and not isinstance(payload, type):
-        return jsonify(asdict(payload))
-    return jsonify(payload)
 
 
 def key_str(key):

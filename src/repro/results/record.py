@@ -21,11 +21,9 @@ produced it, and gives every kind the same uniform surface:
     The cell's headline MOS-scale score, where defined (None for pure
     QoS cells).
 
-Kind-specific conveniences: :class:`QosResult` revives the study layer's
-:class:`repro.core.experiment.QosReport` (and delegates attribute access
-to it), while the QoE kinds support dict-style access to their payload,
-so existing ``cell["talks"]`` / ``report.up_mean_delay`` call sites keep
-working against records.
+Every kind also supports dict-style access to its payload
+(``record["talks"]``, ``record["up_mean_delay"]``), and the QoE kinds
+add named accessors for their headline metrics.
 """
 
 import json
@@ -35,17 +33,6 @@ from repro.results.convert import flatten_metrics, format_buffer
 
 #: Record classes by cell kind, filled in below.
 RECORD_TYPES = {}
-
-
-def revive_qos(payload, buffer_packets):
-    """Rebuild a :class:`repro.core.experiment.QosReport` from a qos cell
-    payload — the one reviver shared by the batch runner and records."""
-    from repro.core.experiment import QosReport
-
-    fields = dict(payload)
-    # JSON turned a (down, up) tuple into a list; restore from the axis.
-    fields["buffer_packets"] = buffer_packets
-    return QosReport(**fields)
 
 
 def _register(cls):
@@ -170,23 +157,6 @@ class QosResult(CellResult):
     """Background-traffic QoS cell (Table 1 / Figures 4-5)."""
 
     kind = "qos"
-
-    @property
-    def report(self):
-        """The revived :class:`repro.core.experiment.QosReport`."""
-        cached = self.__dict__.get("_report")
-        if cached is None:
-            cached = revive_qos(self.payload, self.buffer_packets)
-            object.__setattr__(self, "_report", cached)
-        return cached
-
-    def __getattr__(self, name):
-        # Delegate unknown attributes (utilizations, boxplot helpers,
-        # ...) to the revived report so records are drop-in replacements
-        # for QosReport at read sites.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self.report, name)
 
     def summary(self):
         payload = self.payload

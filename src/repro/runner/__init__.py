@@ -16,7 +16,7 @@ Knobs (environment variables):
 """
 
 from repro.runner.cache import ResultCache, code_fingerprint
-from repro.runner.execute import execute_task, revive
+from repro.runner.execute import execute_task
 from repro.runner.grid import GridRunner, resolve_workers
 from repro.runner.task import CellTask
 
@@ -27,5 +27,4 @@ __all__ = [
     "code_fingerprint",
     "execute_task",
     "resolve_workers",
-    "revive",
 ]

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from repro.results.record import record_from_payload
 from repro.runner.cache import ResultCache
-from repro.runner.execute import execute_task, revive
+from repro.runner.execute import execute_task
 
 
 def resolve_workers(workers=None):
@@ -35,6 +35,13 @@ def resolve_workers(workers=None):
         else:
             workers = os.cpu_count() or 1
     return max(1, int(workers))
+
+
+def _name_cell(exc, task):
+    """Note the failed cell on ``exc`` (type and message unchanged)."""
+    exc.add_note("in grid cell %s (task %s)"
+                 % (task.label, task.content_hash()))
+    return exc
 
 
 def _progress_enabled_by_env():
@@ -66,24 +73,10 @@ class GridRunner:
                          else progress)
         self._log = log or (lambda message: print(
             message, file=sys.stderr, flush=True))
-        #: Statistics of the most recent :meth:`run` call.
+        #: Statistics of the most recent fully consumed :meth:`iter_run`.
         self.last_stats = {}
 
     # ------------------------------------------------------------------
-    def run(self, tasks):
-        """Execute every task; returns results aligned with ``tasks``.
-
-        A thin collector over :meth:`iter_run`'s payload stream: results
-        are revived study-layer values (``QosReport`` for qos cells,
-        payload dicts otherwise) in task order.
-        """
-        tasks = list(tasks)
-        payloads = [None] * len(tasks)
-        for index, payload in self._iter_payloads(tasks):
-            payloads[index] = payload
-        return [revive(task, payload)
-                for task, payload in zip(tasks, payloads)]
-
     def iter_run(self, tasks, keys=None):
         """Yield ``(task, record)`` pairs as cells complete.
 
@@ -94,14 +87,15 @@ class GridRunner:
         :mod:`repro.results.record` values; ``keys`` optionally supplies
         the sweep cell key stored on each record, aligned with
         ``tasks``.  Each record carries its task ``index``, so
-        :meth:`repro.results.set.ResultSet.from_stream` reproduces batch
-        :meth:`run` ordering exactly.
+        :meth:`repro.results.set.ResultSet.from_stream` restores task
+        order.
 
-        Failure semantics match :meth:`run`: on a worker failure the
-        remaining in-flight siblings are still drained (and yielded),
-        then the first failure is re-raised; ``last_stats`` is populated
-        (with ``failed=True``) either way.  ``last_stats`` is written
-        when the stream is fully consumed.
+        On a pool failure the remaining in-flight siblings are still
+        drained (and yielded), then the first failure is re-raised; the
+        serial path re-raises at once.  Either way the exception carries
+        a note naming the failed cell (label and task hash), and
+        ``last_stats`` is populated with ``failed=True``.  ``last_stats``
+        is written when the stream is fully consumed.
         """
         tasks = list(tasks)
         for index, payload in self._iter_payloads(tasks):
@@ -144,7 +138,11 @@ class GridRunner:
                 "" if self.workers == 1 else "s"))
             if self.workers == 1 or len(pending) <= 1:
                 for index in pending:
-                    payload = execute_task(tasks[index])
+                    try:
+                        payload = execute_task(tasks[index])
+                    except BaseException as exc:
+                        _name_cell(exc, tasks[index])
+                        raise
                     done += 1
                     self._finish(tasks[index], payload,
                                  done, len(pending), started)
@@ -165,7 +163,7 @@ class GridRunner:
                                 # already finished still reach the cache
                                 # (and the consumer); re-raise after.
                                 if failure is None:
-                                    failure = exc
+                                    failure = _name_cell(exc, tasks[index])
                                 continue
                             done += 1
                             self._finish(tasks[index], payload,

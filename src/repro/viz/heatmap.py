@@ -1,14 +1,16 @@
-"""ASCII rendering of heatmaps (the paper's figure style) and tables.
+"""Text backend of the figure models: heatmap grids and tables.
 
-Cells carry a one-character quality marker mirroring the paper's
-green/orange/red colouring: ``+`` good, ``o`` degraded, ``!`` bad (see
-:mod:`repro.qoe.scales`).  :data:`MARKER_COLORS` is the single source
-of the marker -> colour mapping, shared between these ASCII renderers
-and the SVG report figures (:mod:`repro.report.svg`), so both views of
-a grid stay semantically identical.
+:mod:`repro.report.figures` builds one model per paper figure and
+renders it either here (``python -m repro figures``, the benchmarks) or
+as SVG (:mod:`repro.report.svg`).  Text cells carry a one-character
+quality marker mirroring the paper's green/orange/red colouring: ``+``
+good, ``o`` degraded, ``!`` bad (see :mod:`repro.qoe.scales`).
+:data:`MARKER_COLORS` is the single source of the marker -> colour
+mapping the SVG backend fills cells with, so both views of a grid stay
+semantically identical.
 """
 
-#: The paper's traffic-light semantics, keyed by ASCII marker:
+#: The paper's traffic-light semantics, keyed by text marker:
 #: ``(label, fill colour, text colour)``.  Fill colours are the muted
 #: pastels used for SVG heatmap cells; text colours are the saturated
 #: variants used for overlays and legends.

@@ -198,3 +198,24 @@ class TestExport:
         captured = capsys.readouterr()
         assert "partial grid — only 1 of 2 cells cached" in captured.err
         assert len(captured.out.strip().splitlines()) == 2  # header + 1 row
+
+
+class TestFigures:
+    def test_closed_form_table_prints_without_simulating(self, capsys,
+                                                         tmp_path):
+        assert main(["figures", "table2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Table 2: maximum queueing delay")
+        assert "backbone 7490" in out
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("names", [["table2", "nosuch"],
+                                       ["fig5", "nosuch"]])
+    def test_unknown_name_rejected_before_any_work(self, names, capsys,
+                                                   tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figures"] + names)
+        assert exit_info.value.code not in (0, None)
+        assert "nosuch" in str(exit_info.value.code)
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "cache").exists()

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from repro.core.registry import REGISTRY
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -62,7 +64,7 @@ def test_architecture_doc_covers_the_layers():
 def test_results_doc_covers_the_api():
     results = read("docs/RESULTS.md")
     for name in ("run_sweep", "iter_sweep", "load_sweep", "ResultSet",
-                 "StreamAggregator", "to_csv", "to_mapping",
+                 "StreamAggregator", "to_csv", "value_map",
                  "QosResult", "VoipResult", "VideoResult", "WebResult"):
         assert name in results, name
 
@@ -115,3 +117,47 @@ def test_reporting_doc_is_linked():
     assert "REPORTING.md" in read("docs/RESULTS.md")
     assert "repro.report" in read("docs/ARCHITECTURE.md")
     assert "python -m repro report" in read("README.md")
+
+
+def _fenced_code_lines(text):
+    """Lines inside the fenced (```) code blocks of a markdown text."""
+    lines, inside = [], False
+    for line in text.splitlines():
+        if line.strip().startswith("```"):
+            inside = not inside
+        elif inside:
+            lines.append(line.strip())
+    return lines
+
+
+def _repro_imports(lines):
+    """The ``from repro… import …`` / ``import repro…`` statements in
+    ``lines``, with parenthesized continuations joined."""
+    statements, pending = [], None
+    for line in lines:
+        if pending is not None:
+            pending += " " + line
+        elif line.startswith(("from repro", "import repro")):
+            pending = line
+        else:
+            continue
+        if "(" not in pending or ")" in pending:
+            statements.append(pending)
+            pending = None
+    return statements
+
+
+def test_doc_code_blocks_import():
+    docs = sorted("docs/" + name for name in os.listdir(
+        os.path.join(ROOT, "docs")) if name.endswith(".md"))
+    statements = [(path, statement)
+                  for path in ["README.md", ".claude/skills/verify/SKILL.md"]
+                  + docs
+                  for statement in _repro_imports(
+                      _fenced_code_lines(read(path)))]
+    assert statements
+    for path, statement in statements:
+        try:
+            exec(statement, {})
+        except ImportError as exc:
+            pytest.fail("%s: `%s` fails: %s" % (path, statement, exc))

@@ -43,7 +43,7 @@ def test_bufferbloat_voip_tiny(capsys):
     load_example("bufferbloat_voip").main(
         buffers=(8,), workloads=("noBG",), warmup=1.0, duration=1.5,
         runner=GridRunner(workers=1, use_cache=False, progress=False))
-    assert "user TALKS" in capsys.readouterr().out
+    assert "user talks" in capsys.readouterr().out
 
 
 def test_iptv_video_tiny(capsys):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import api
 from repro.core import registry
 from repro.core.registry import (
     REGISTRY,
@@ -193,16 +194,16 @@ class TestAdhocSweep:
     def test_run_returns_keyed_reports(self, tmp_path):
         spec = adhoc_sweep("t", "qos", [access("long-few", "down")], [8, 16],
                            seed=3, warmup=1.0, duration=2.0)
-        results = spec.run(runner=runner_for(tmp_path), scale=1.0)
-        assert set(results) == {("long-few", 8), ("long-few", 16)}
-        for report in results.values():
-            assert report.down_utilization > 0.0
+        results = api.run_sweep(spec, scale=1.0, runner=runner_for(tmp_path))
+        assert results.keys() == [("long-few", 8), ("long-few", 16)]
+        for record in results:
+            assert record["down_utilization"] > 0.0
 
     def test_axes_extend_cell_keys(self, tmp_path):
         spec = adhoc_sweep("t", "video", [access("noBG")], [8],
                            warmup=0.5, duration=1.0,
                            params=(("clip", "C"),),
                            axes=(("resolution", ("SD",)),))
-        results = spec.run(runner=runner_for(tmp_path), scale=1.0)
-        assert set(results) == {("noBG", 8, "SD")}
+        results = api.run_sweep(spec, scale=1.0, runner=runner_for(tmp_path))
+        assert results.keys() == [("noBG", 8, "SD")]
         assert results[("noBG", 8, "SD")]["ssim"] > 0.9

@@ -12,6 +12,9 @@ import xml.etree.ElementTree as ElementTree
 
 import pytest
 
+from repro import api
+from repro.core import registry
+from repro.qoe.scales import heat_marker_from_mos
 from repro.report import build, fidelity, schema, svg
 from repro.report.fidelity import (
     FAIL,
@@ -25,9 +28,10 @@ from repro.report.fidelity import (
     evaluate,
     spearman,
 )
-from repro.report.figures import REPORT_FIGURES
+from repro.report.figures import REPORT_FIGURES, Boxplots, Heatmaps, Table
 from repro.results.record import VoipResult
 from repro.results.set import ResultSet
+from repro.sim.stats import five_number_summary
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -371,6 +375,71 @@ class TestGenerateReport:
         assert not (tmp_path / "fig7a.svg").exists()
         assert (tmp_path / "table2.svg").exists()
         assert (tmp_path / "notes.txt").read_text() == "keep me"
+
+
+class TestFigureModels:
+    """Every catalog figure is one model, drawn by the text and SVG
+    backends alike."""
+
+    @pytest.mark.parametrize("name", list(REPORT_FIGURES))
+    def test_empty_results_render_blank(self, name):
+        figure = REPORT_FIGURES[name]
+        spec = results = None
+        if figure.sweep is not None:
+            spec = registry.get(figure.sweep)
+            results = ResultSet()
+        model = figure.model(results, spec, 1.0)
+        ElementTree.fromstring(model.svg())
+        text = model.text()
+        lines = text.splitlines()
+        if isinstance(model, Heatmaps):
+            for __, rows, cols, cell_fn in model.panels:
+                assert rows and cols
+                assert all(cell_fn(row, col) is None
+                           for row in rows for col in cols)
+                for row in rows:
+                    assert str(row) in [line.strip() for line in lines]
+        elif isinstance(model, Boxplots):
+            assert all(box is None
+                       for __, boxes in model.series for box in boxes)
+            assert "%" not in text
+        elif figure.sweep is not None:
+            assert isinstance(model, Table) and model.rows == []
+        else:  # closed-form Table 2 needs no results
+            assert "7490" in text
+
+    def test_sample_results_render_both_backends(self):
+        committed = os.path.join(ROOT, "docs", "sample_report")
+        for name in build.SAMPLE_FIGURES:
+            figure = REPORT_FIGURES[name]
+            spec = api.apply_overrides(registry.get(figure.sweep),
+                                       scale=1.0,
+                                       **build.SAMPLE_OVERRIDES[name])
+            results = api.run_sweep(spec, scale=1.0)
+            model = figure.model(results, spec, 1.0)
+            with open(os.path.join(committed, "%s.svg" % name),
+                      encoding="utf-8") as handle:
+                assert model.svg() == handle.read()
+            text = model.text()
+            assert text.startswith(model.title)
+            for record in results:
+                if name == "fig7a":
+                    for direction in ("talks", "listens"):
+                        mos = record[direction]
+                        assert ("%.1f%s" % (mos, heat_marker_from_mos(mos))
+                                in text)
+                else:
+                    for side in ("down", "up"):
+                        box = five_number_summary(
+                            record["%s_utilization_samples" % side])
+                        row = [line.split() for line in text.splitlines()
+                               if line.split()[:2] == [
+                                   str(record.buffer_packets),
+                                   side + "link"]]
+                        assert row == [[str(record.buffer_packets),
+                                        side + "link"]
+                                       + ["%.0f%%" % (value * 100)
+                                          for value in box]]
 
 
 class TestCommittedSample:

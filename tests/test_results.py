@@ -30,6 +30,7 @@ from repro.results import (
 )
 from repro.runner import CellTask
 from repro.runner.execute import execute_task
+from repro.sim.stats import five_number_summary
 
 # ---------------------------------------------------------------------------
 # One real payload per kind (executed once per test session).
@@ -104,16 +105,13 @@ class TestRecordRoundTrip:
         assert record.summary() == summarize(kind, payload)
         assert record.summary()  # non-empty
 
-    def test_qos_record_revives_and_delegates(self, executed):
-        from repro.core.experiment import QosReport
-
+    def test_qos_record_reads_its_payload(self, executed):
         task, payload = executed["qos"]
         record = record_from_payload(task, payload)
-        assert isinstance(record.report, QosReport)
-        assert record.report is record.report  # cached
-        assert record.down_utilization == payload["down_utilization"]
+        assert record["down_utilization"] == payload["down_utilization"]
+        assert record.value("up_mean_delay") == payload["up_mean_delay"]
         assert record.buffer_packets == 16  # axis value, not payload echo
-        box = record.down_utilization_boxplot()
+        box = five_number_summary(record["down_utilization_samples"])
         assert box[0] <= box[2] <= box[4]
         assert record.qoe is None
 
@@ -222,14 +220,14 @@ class TestResultSet:
             (object(), record) for record in synthetic)
         assert rs == synthetic
 
-    def test_to_mapping_requires_keys(self, synthetic):
-        mapping = synthetic.to_mapping()
-        assert mapping[("noBG", 8, "droptail")] == synthetic[0].payload
+    def test_value_map_requires_keys(self, synthetic):
+        grid = synthetic.value_map("talks")
+        assert grid[("noBG", 8, "droptail")] == synthetic[0]["talks"]
         keyless = ResultSet([VoipResult(
             scenario="s", buffer_packets=8, seed=0, discipline="droptail",
             params=(), payload={"talks": 1.0})])
         with pytest.raises(KeyError):
-            keyless.to_mapping()
+            keyless.value_map("talks")
 
     def test_csv_handles_heterogeneous_columns(self, synthetic):
         other = ResultSet([WebResult(

@@ -1,18 +1,17 @@
 """Tests for the parallel grid runner and its result cache."""
 
+from dataclasses import asdict
+
 import pytest
 
+from repro import api
 from repro.core.experiment import run_qos_cell
+from repro.core.registry import access, adhoc_sweep
 from repro.core.scenarios import access_scenario
-from repro.core.study import fig4_delay_grid, table1_rows
+from repro.results import ResultSet
 from repro.runner import CellTask, GridRunner, ResultCache, resolve_workers
 from repro.runner.execute import execute_task, jsonify, queue_factory_for
 from repro.sim.queues import CoDelQueue, REDQueue
-
-
-class _Buf:
-    def __init__(self, packets):
-        self.packets = packets
 
 
 def _flaky_execute(task):
@@ -25,6 +24,16 @@ def _flaky_execute(task):
 def qos_task(packets=16, seed=1, warmup=1.0, duration=2.0):
     return CellTask.make("qos", access_scenario("long-few", "down"), packets,
                          seed=seed, warmup=warmup, duration=duration)
+
+
+def run_payloads(runner, tasks):
+    """Payloads of ``tasks`` in task order, streamed through iter_run."""
+    return [record.payload
+            for record in ResultSet.from_stream(runner.iter_run(tasks))]
+
+
+def failed_cell_note(task):
+    return "in grid cell %s (task %s)" % (task.label, task.content_hash())
 
 
 def fresh_runner(tmp_path, **kwargs):
@@ -158,17 +167,18 @@ class TestGridRunner:
 
         monkeypatch.setattr(grid_module, "ProcessPoolExecutor", boom)
         runner = fresh_runner(tmp_path, workers=1)
-        results = runner.run([qos_task(16), qos_task(32)])
+        results = run_payloads(runner, [qos_task(16), qos_task(32)])
         assert len(results) == 2
-        assert results[0].down_utilization > 0.0
+        assert results[0]["down_utilization"] > 0.0
 
     def test_parallel_matches_serial_and_direct(self, tmp_path):
         tasks = [qos_task(16), qos_task(32)]
-        serial = fresh_runner(tmp_path / "a", workers=1).run(tasks)
-        parallel = fresh_runner(tmp_path / "b", workers=2).run(tasks)
-        direct = [run_qos_cell(access_scenario("long-few", "down"), packets,
-                               warmup=1.0, duration=2.0, seed=1)
-                  for packets in (16, 32)]
+        serial = run_payloads(fresh_runner(tmp_path / "a", workers=1), tasks)
+        parallel = run_payloads(fresh_runner(tmp_path / "b", workers=2),
+                                tasks)
+        direct = [jsonify(asdict(run_qos_cell(
+            access_scenario("long-few", "down"), packets, warmup=1.0,
+            duration=2.0, seed=1))) for packets in (16, 32)]
         assert serial == parallel
         assert parallel == direct
 
@@ -176,10 +186,10 @@ class TestGridRunner:
         cache = ResultCache(directory=str(tmp_path), enabled=True)
         tasks = [qos_task(16), qos_task(32)]
         cold = GridRunner(workers=2, cache=cache, progress=False)
-        first = cold.run(tasks)
+        first = run_payloads(cold, tasks)
         assert cold.last_stats["computed"] == 2
         warm = GridRunner(workers=2, cache=cache, progress=False)
-        second = warm.run(tasks)
+        second = run_payloads(warm, tasks)
         assert warm.last_stats["computed"] == 0
         assert warm.last_stats["cached"] == 2
         assert first == second
@@ -191,9 +201,11 @@ class TestGridRunner:
         monkeypatch.setattr(grid_module, "execute_task", _flaky_execute)
         cache = ResultCache(directory=str(tmp_path), enabled=True)
         runner = GridRunner(workers=2, cache=cache, progress=False)
-        with pytest.raises(RuntimeError, match="boom"):
-            runner.run([qos_task(16), qos_task(32), qos_task(48)])
-        # The healthy siblings' results survived the failure.
+        with pytest.raises(RuntimeError, match="boom") as failure:
+            run_payloads(runner, [qos_task(16), qos_task(32), qos_task(48)])
+        # The failure names its cell; the healthy siblings' results
+        # survived it.
+        assert failure.value.__notes__ == [failed_cell_note(qos_task(32))]
         assert cache.get(qos_task(16)) is not None
         assert cache.get(qos_task(48)) is not None
         assert cache.get(qos_task(32)) is None
@@ -208,8 +220,9 @@ class TestGridRunner:
         monkeypatch.setattr(grid_module, "execute_task", _flaky_execute)
         cache = ResultCache(directory=str(tmp_path), enabled=True)
         runner = GridRunner(workers=2, cache=cache, progress=False)
-        with pytest.raises(RuntimeError, match="boom"):
-            runner.run([qos_task(16), qos_task(32), qos_task(48)])
+        with pytest.raises(RuntimeError, match="boom") as failure:
+            run_payloads(runner, [qos_task(16), qos_task(32), qos_task(48)])
+        assert failure.value.__notes__ == [failed_cell_note(qos_task(32))]
         stats = runner.last_stats
         assert stats["failed"] is True
         assert stats["cells"] == 3
@@ -221,34 +234,34 @@ class TestGridRunner:
         serial = GridRunner(workers=1, cache=ResultCache(
             directory=str(tmp_path / "serial"), enabled=True),
             progress=False)
-        with pytest.raises(RuntimeError, match="boom"):
-            serial.run([qos_task(32), qos_task(16)])
+        with pytest.raises(RuntimeError, match="boom") as failure:
+            run_payloads(serial, [qos_task(32), qos_task(16)])
+        assert failure.value.__notes__ == [failed_cell_note(qos_task(32))]
         assert serial.last_stats["failed"] is True
         assert serial.last_stats["cells"] == 2
         assert serial.last_stats["computed"] == 0
 
     def test_successful_run_reports_not_failed(self, tmp_path):
         runner = fresh_runner(tmp_path, workers=1)
-        runner.run([qos_task(16)])
+        run_payloads(runner, [qos_task(16)])
         assert runner.last_stats["failed"] is False
         assert runner.last_stats["computed"] == 1
 
     def test_run_is_a_collector_over_the_payload_stream(self, tmp_path):
-        # run() and iter_run() must agree cell for cell.
+        # iter_run() streams typed records whose payloads are exactly
+        # what the cell executor returns, task for task.
         tasks = [qos_task(16), qos_task(32)]
-        batch = fresh_runner(tmp_path / "a", workers=1).run(tasks)
-        streamed = list(fresh_runner(tmp_path / "b",
-                                     workers=1).iter_run(tasks))
+        streamed = list(fresh_runner(tmp_path, workers=1).iter_run(tasks))
         assert [task for task, __ in streamed] == tasks
-        for (__, record), revived in zip(streamed, batch):
-            assert record.report == revived
+        for task, record in streamed:
+            assert record.payload == execute_task(task)
             assert record.kind == "qos"
 
     def test_progress_lines_report_cells_and_eta(self, tmp_path):
         lines = []
         runner = fresh_runner(tmp_path, workers=1, progress=True,
                               log=lines.append)
-        runner.run([qos_task(16)])
+        run_payloads(runner, [qos_task(16)])
         assert any("running 1 cells" in line for line in lines)
         assert any("eta" in line for line in lines)
 
@@ -259,7 +272,7 @@ class TestGridRunner:
         task = CellTask.make("voip", scenario, 64, seed=0, warmup=0.5,
                              duration=2.0, calls=1,
                              directions=("listens",))
-        result = fresh_runner(tmp_path, workers=1).run([task])[0]
+        (result,) = run_payloads(fresh_runner(tmp_path, workers=1), [task])
         scores = run_voip_cell(scenario, 64, calls=1, warmup=0.5,
                                duration=2.0, seed=0,
                                directions=("listens",))
@@ -269,38 +282,41 @@ class TestGridRunner:
 
 
 class TestStudyGridsThroughRunner:
+    def fig4_spec(self, buffers):
+        return adhoc_sweep("t-fig4", "qos", [access("long-few", "down")],
+                           buffers, seed=3, warmup=1.0, duration=2.0)
+
     def test_fig4_parallel_identical_to_serial(self, tmp_path):
-        kwargs = dict(buffers=[_Buf(8), _Buf(16)], workloads=("long-few",),
-                      warmup=1.0, duration=2.0, seed=3)
-        serial = fig4_delay_grid(
-            "down", runner=fresh_runner(tmp_path / "a", workers=1), **kwargs)
-        parallel = fig4_delay_grid(
-            "down", runner=fresh_runner(tmp_path / "b", workers=2), **kwargs)
-        assert list(serial) == list(parallel)
+        spec = self.fig4_spec([8, 16])
+        serial = api.run_sweep(spec, scale=1.0, runner=fresh_runner(
+            tmp_path / "a", workers=1))
+        parallel = api.run_sweep(spec, scale=1.0, runner=fresh_runner(
+            tmp_path / "b", workers=2))
+        assert serial.keys() == parallel.keys()
         assert serial == parallel
 
     def test_table1_parallel_identical_to_serial(self, tmp_path):
-        workloads = [("long-few", "down"), ("short-few", "down")]
-        kwargs = dict(warmup=1.0, duration=2.0, seed=3, workloads=workloads)
-        serial = table1_rows(
-            "access", runner=fresh_runner(tmp_path / "a", workers=1),
-            **kwargs)
-        parallel = table1_rows(
-            "access", runner=fresh_runner(tmp_path / "b", workers=2),
-            **kwargs)
-        assert serial == parallel
-        assert [row["workload"] for row in serial] == ["long-few",
-                                                       "short-few"]
         # Table 1 access cells use per-direction BDP buffers.
-        assert serial[0]["down_util"] > 0.0
+        spec = adhoc_sweep(
+            "t-table1", "qos",
+            [access(w, "down", label="%s/down" % w)
+             for w in ("long-few", "short-few")],
+            [(64, 8)], seed=3, warmup=1.0, duration=2.0)
+        serial = api.run_sweep(spec, scale=1.0, runner=fresh_runner(
+            tmp_path / "a", workers=1))
+        parallel = api.run_sweep(spec, scale=1.0, runner=fresh_runner(
+            tmp_path / "b", workers=2))
+        assert serial == parallel
+        assert serial.keys() == [("long-few/down", (64, 8)),
+                                 ("short-few/down", (64, 8))]
+        assert serial[0]["down_utilization"] > 0.0
 
     def test_fig4_warm_cache_repeat(self, tmp_path):
         cache = ResultCache(directory=str(tmp_path), enabled=True)
-        kwargs = dict(buffers=[_Buf(8)], workloads=("long-few",),
-                      warmup=1.0, duration=2.0, seed=3)
+        spec = self.fig4_spec([8])
         first_runner = GridRunner(workers=1, cache=cache, progress=False)
-        first = fig4_delay_grid("down", runner=first_runner, **kwargs)
+        first = api.run_sweep(spec, scale=1.0, runner=first_runner)
         warm_runner = GridRunner(workers=1, cache=cache, progress=False)
-        second = fig4_delay_grid("down", runner=warm_runner, **kwargs)
+        second = api.run_sweep(spec, scale=1.0, runner=warm_runner)
         assert warm_runner.last_stats["computed"] == 0
         assert first == second

@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import api
+from repro.core.registry import access, adhoc_sweep, backbone
 from repro.core.scenarios import access_scenario, backbone_scenario
-from repro.core.study import (
-    fig4_delay_grid,
-    fig5_utilization,
-    render_fig4,
-    render_fig5,
-    render_table1,
-    render_table2,
-    table1_rows,
-)
 from repro.apps.video import VideoStream, clip_frames
 from repro.apps.voip import VoipCall
 from repro.apps.web import PageFetch, WebServer
@@ -39,45 +32,51 @@ from repro.qoe.ssim import ssim_sequence
 from repro.qoe.video import ssim_to_mos
 from repro.qoe.voip import score_call
 from repro.qoe.web import g1030_mos, min_plt_for
+from repro.report.figures import REPORT_FIGURES
+from repro.runner import GridRunner
 from repro.sim.packet import Packet
 from repro.sim.queues import CoDelQueue
 
 
-class _Buf:
-    def __init__(self, packets):
-        self.packets = packets
+def run_qos_grid(scenarios, buffers, **timing):
+    """A qos sweep over ``scenarios`` x ``buffers``, run serially."""
+    spec = adhoc_sweep("t", "qos", scenarios, buffers, **timing)
+    runner = GridRunner(workers=1, use_cache=False, progress=False)
+    return spec, api.run_sweep(spec, scale=1.0, runner=runner)
+
+
+def figure_text(name, results, spec):
+    return REPORT_FIGURES[name].model(results, spec, 1.0).text()
 
 
 class TestQosStudies:
     def test_fig4_grid_and_render(self):
-        buffers = [_Buf(8), _Buf(64)]
-        results = fig4_delay_grid("up", buffers=buffers,
-                                  workloads=("long-few",), warmup=3,
-                                  duration=5, seed=2)
-        assert set(results) == {("long-few", 8), ("long-few", 64)}
+        spec, results = run_qos_grid([access("long-few", "up")], [8, 64],
+                                     warmup=3, duration=5, seed=2)
+        assert results.keys() == [("long-few", 8), ("long-few", 64)]
         # Bigger buffer, bigger mean uplink delay.
-        assert (results[("long-few", 64)].up_mean_delay
-                > results[("long-few", 8)].up_mean_delay)
-        text = render_fig4(results, "up", buffers=buffers,
-                           workloads=("long-few",))
+        assert (results[("long-few", 64)]["up_mean_delay"]
+                > results[("long-few", 8)]["up_mean_delay"])
+        text = figure_text("fig4-up", results, spec)
         assert "UPLINK" in text and "DOWNLINK" in text
 
     def test_fig5_and_render(self):
-        results = fig5_utilization(buffers=[_Buf(64)], warmup=3, duration=5,
-                                   seed=1)
-        report = results[64]
-        assert len(report.up_utilization_samples) >= 4
-        assert "utilization" in render_fig5(results)
+        spec, results = run_qos_grid([access("long-many", "bidir")], [64],
+                                     warmup=3, duration=5, seed=1)
+        assert len(results[("long-many", 64)]["up_utilization_samples"]) >= 4
+        assert "utilization" in figure_text("fig5", results, spec)
 
     def test_table1_rows_and_render(self):
-        rows = table1_rows("backbone", warmup=2, duration=4, seed=1,
-                           include_overload=False)
-        assert len(rows) == 4
-        text = render_table1(rows, "backbone")
+        spec, results = run_qos_grid(
+            [backbone(w) for w in ("short-low", "short-medium",
+                                   "short-high", "long")],
+            [749], warmup=2, duration=4, seed=1)
+        assert len(results) == 4
+        text = figure_text("table1-backbone", results, spec)
         assert "short-low" in text
 
     def test_table2_render(self):
-        text = render_table2()
+        text = figure_text("table2", None, None)
         assert "96" in text  # 8-packet uplink delay
         assert "7490" in text
 
