@@ -24,6 +24,7 @@ and ``REPRO_PROGRESS=1`` for per-cell progress/ETA lines.
 from repro import api
 from repro.core.registry import resolve_scale
 from repro.runner import GridRunner
+from repro.viz.heatmap import render_table
 
 
 def scale():
@@ -104,16 +105,11 @@ def fidelity_line(figure, results):
 
 
 def comparison_table(title, headers, rows):
-    """Print an aligned paper-vs-measured table (shown with ``-s``)."""
-    widths = [len(h) for h in headers]
-    str_rows = [[str(c) for c in row] for row in rows]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["", "=== %s ===" % title]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    for row in str_rows:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)))
-    text = "\n".join(lines)
+    """Print (and return) an aligned paper-vs-measured table (``-s``).
+
+    The same text backend as the figure catalog's tables.
+    """
+    text = render_table(title, headers, rows)
+    print()
     print(text)
     return text

@@ -96,15 +96,6 @@ class BulkTraffic:
         for listener in self._listeners:
             listener.close()
 
-    def sender_connections(self):
-        """The endpoints that transmit the bulk data."""
-        if self.direction == "up":
-            return list(self.connections)
-        senders = []
-        for server in self.servers:
-            senders.extend(server.tcp_connections.values())
-        return senders
-
     def __repr__(self):
         return "BulkTraffic(%d %s flows, cc=%s)" % (
             self.count, self.direction, self.cc_name)

@@ -9,8 +9,7 @@ Subcommands
     prints each cell's content hash (the result-cache key input).
 ``run NAME``
     Execute a sweep through :func:`repro.api.run_sweep` and print one
-    summary line per cell (``--format table``, the default), or the
-    full results as ``--format csv|json``.
+    summary line per cell (``export`` writes the full results).
     ``--workers/--no-cache/--progress`` map to the runner knobs;
     ``--workloads/--buffers/--discipline/--duration/--warmup/--seed``
     override the spec's axes for ad-hoc runs (overridden runs use
@@ -201,16 +200,9 @@ def cmd_describe(args):
 def cmd_run(args):
     runner = _runner_from(args)
     spec, __, results = _run_through_api(args, runner=runner)
-    fmt = args.format or ("json" if args.json else "table")
-    if fmt == "json":
-        print(json.dumps({key_str(record.key): record.payload
-                          for record in results}, indent=2))
-    elif fmt == "csv":
-        print(results.to_csv(), end="")
-    else:
-        print("%s — %s (%d cells)" % (spec.name, spec.title, len(results)))
-        for record in results:
-            print("  %-40s %s" % (key_str(record.key), record.summary()))
+    print("%s — %s (%d cells)" % (spec.name, spec.title, len(results)))
+    for record in results:
+        print("  %-40s %s" % (key_str(record.key), record.summary()))
     _print_runner_stats(runner)
     return 0
 
@@ -296,7 +288,7 @@ def cmd_report(args):
 
 def cmd_perf(args):
     from repro.perf import bench as bench_module
-    from repro.perf.profile import SORT_KEYS, profile_cell
+    from repro.perf.profile import profile_cell
 
     if args.profile:
         text, __ = profile_cell(args.profile, cell=args.cell,
@@ -392,11 +384,6 @@ def build_parser():
     run.add_argument("name")
     _add_runner_arguments(run)
     _add_override_arguments(run)
-    run.add_argument("--format", choices=("table", "csv", "json"),
-                     default=None,
-                     help="output format (default: table)")
-    run.add_argument("--json", action="store_true",
-                     help="alias for --format json")
     run.set_defaults(fn=cmd_run)
 
     export = sub.add_parser(

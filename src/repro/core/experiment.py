@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from repro.core.workloads import apply_workload
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
-from repro.sim.stats import UtilizationSampler, five_number_summary
+from repro.sim.stats import UtilizationSampler
 from repro.sim.topology import AccessNetwork, BackboneNetwork
 
 #: Default measurement windows (seconds, simulated).  The paper measures
@@ -122,14 +122,6 @@ class QosReport:
     completed_transfers: int = 0
     down_utilization_samples: list = field(default_factory=list)
     up_utilization_samples: list = field(default_factory=list)
-
-    def down_utilization_boxplot(self):
-        """Five-number summary of per-second downlink utilization."""
-        return five_number_summary(self.down_utilization_samples)
-
-    def up_utilization_boxplot(self):
-        """Five-number summary of per-second uplink utilization."""
-        return five_number_summary(self.up_utilization_samples)
 
 
 def run_qos_cell(scenario, buffer_packets, warmup=DEFAULT_WARMUP,

@@ -76,10 +76,6 @@ class Scenario:
         return self.name
 
     @property
-    def has_background(self):
-        return self.kind != "none"
-
-    @property
     def is_lossy(self):
         return self.down_loss > 0.0 or self.up_loss > 0.0
 

@@ -102,42 +102,6 @@ class PlayoutBuffer:
         )
 
 
-class AdaptivePlayoutBuffer(PlayoutBuffer):
-    """Playout buffer that sizes its delay from the observed jitter.
-
-    Real VoIP clients (including the paper's PjSIP) adapt the playout
-    delay to network conditions.  This variant inspects the relative
-    arrival jitter of the stream and sets the delay to the given
-    percentile of it (plus headroom), clamped to sane bounds — trading
-    a little extra mouth-to-ear delay for far fewer late losses on jittery
-    paths.
-    """
-
-    def __init__(self, frame_duration=0.020, percentile=95.0,
-                 headroom=0.010, min_delay=0.040, max_delay=0.400):
-        super().__init__(frame_duration, playout_delay=min_delay)
-        self.percentile = percentile
-        self.headroom = headroom
-        self.min_delay = min_delay
-        self.max_delay = max_delay
-
-    def schedule(self, arrivals, n_frames, send_times):
-        if arrivals:
-            relative = [
-                arrivals[index] - send_times[index]
-                for index in arrivals
-                if index in send_times
-            ]
-            if relative:
-                base = min(relative)
-                jitter = float(np.percentile(
-                    [delay - base for delay in relative], self.percentile))
-                self.playout_delay = min(
-                    self.max_delay,
-                    max(self.min_delay, jitter + self.headroom))
-        return super().schedule(arrivals, n_frames, send_times)
-
-
 def reconstruct_signal(reference_frames, statuses, decay=0.5, mute_after=3):
     """Rebuild the played signal applying concealment.
 

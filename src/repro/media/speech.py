@@ -105,9 +105,3 @@ def synthesize_speech(seed, duration=SAMPLE_SECONDS, rate=SAMPLE_RATE,
         if rms > 0:
             out *= rms_level / rms
     return np.clip(out, -32768, 32767)
-
-
-def speech_corpus(count=20, duration=SAMPLE_SECONDS):
-    """The study's sample set: ``count`` seeded samples (ITU uses 20)."""
-    return [synthesize_speech(seed=1000 + index, duration=duration)
-            for index in range(count)]

@@ -52,21 +52,3 @@ def profile_cell(sweep, cell=0, scale=1.0, top=25, sort="tottime",
     header = "profile: %s cell %d (scale %g) — %s\n" % (
         sweep, cell, scale, task.label)
     return header + buffer.getvalue(), task
-
-
-def timeit_cell(sweep, cell=0, scale=1.0, repetitions=3):
-    """Best-of-N CPU seconds for one registry cell (no profiler)."""
-    import time
-
-    from repro.core.registry import get
-    from repro.runner.execute import execute_task
-
-    task = get(sweep).tasks(scale)[cell]
-    execute_task(task)  # warm process-lifetime caches
-    best = None
-    for __ in range(repetitions):
-        start = time.process_time()
-        execute_task(task)
-        elapsed = time.process_time() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best

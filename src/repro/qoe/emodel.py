@@ -19,10 +19,9 @@ import math
 #: Default transmission rating budget with G.107 defaults.
 DEFAULT_R0 = 93.2
 
-#: Packet-loss robustness of G.711 (ITU-T G.113 Appendix I): 4.3 without
-#: concealment, 25.1 with packet-loss concealment.
+#: Packet-loss robustness of G.711 with packet-loss concealment (ITU-T
+#: G.113 Appendix I; 4.3 without concealment).
 G711_BPL_PLC = 25.1
-G711_BPL_NO_PLC = 4.3
 G711_IE = 0.0
 
 

@@ -39,10 +39,3 @@ def psnr_sequence(reference_frames, degraded_frames, peak=1.0, cap=60.0):
     if not scores:
         return cap
     return float(np.mean(scores))
-
-
-def psnr_to_mos(psnr_db):
-    """Map PSNR to the ACR MOS scale (piecewise linear, Zinner et al.)."""
-    anchors_db = [20.0, 25.0, 31.0, 37.0, 45.0]
-    anchors_mos = [1.0, 2.0, 3.0, 4.0, 5.0]
-    return float(np.interp(psnr_db, anchors_db, anchors_mos))

@@ -25,9 +25,8 @@ from repro.results.record import (
     VoipResult,
     WebResult,
     record_from_payload,
-    summarize,
 )
-from repro.results.set import ResultSet, StreamAggregator, aggregate_stream
+from repro.results.set import ResultSet, StreamAggregator
 
 __all__ = [
     "CellResult",
@@ -38,11 +37,9 @@ __all__ = [
     "VideoResult",
     "VoipResult",
     "WebResult",
-    "aggregate_stream",
     "flatten_metrics",
     "format_buffer",
     "jsonify",
     "key_str",
     "record_from_payload",
-    "summarize",
 ]

@@ -27,7 +27,7 @@ add named accessors for their headline metrics.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.results.convert import flatten_metrics, format_buffer
 
@@ -282,13 +282,3 @@ def record_from_payload(task, payload, key=None, index=None):
         raise ValueError("no record type for cell kind %r (have %s)"
                          % (task.kind, sorted(RECORD_TYPES))) from None
     return cls.from_payload(task, payload, key=key, index=index)
-
-
-def summarize(kind, payload):
-    """One-line human summary of a raw payload (record-free helper)."""
-    cls = RECORD_TYPES.get(kind)
-    if cls is None:
-        return str(payload)
-    record = cls(scenario="", buffer_packets=0, seed=0, discipline="",
-                 params=(), payload=payload)
-    return record.summary()

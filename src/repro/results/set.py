@@ -18,7 +18,7 @@ import csv
 import io
 import json
 
-from repro.results.record import CellResult, record_from_payload
+from repro.results.record import CellResult
 
 
 def _unwrap(item):
@@ -40,16 +40,6 @@ class ResultSet:
         self._by_key = None  # lazy cell-key index
 
     # -- construction ----------------------------------------------------
-    @classmethod
-    def from_payloads(cls, tasks, payloads, keys=None):
-        """Build records from aligned task/payload lists (batch results)."""
-        tasks = list(tasks)
-        if keys is None:
-            keys = [None] * len(tasks)
-        return cls(record_from_payload(task, payload, key=key, index=index)
-                   for index, (task, payload, key)
-                   in enumerate(zip(tasks, payloads, keys)))
-
     @classmethod
     def from_stream(cls, stream):
         """Collect a record stream (e.g. ``GridRunner.iter_run``).
@@ -101,8 +91,8 @@ class ResultSet:
                 if record.key is None:
                     raise KeyError(
                         "records carry no cell keys — build the set "
-                        "through repro.api.run_sweep (or pass keys= to "
-                        "from_payloads) to index by key")
+                        "through repro.api.run_sweep (or pass key= to "
+                        "record_from_payload) to index by key")
                 index[record.key] = record
             self._by_key = index
         return self._by_key
@@ -338,8 +328,3 @@ class StreamAggregator:
             return out.get((), {"count": 0, "sum": 0.0, "mean": None,
                                 "min": None, "max": None})
         return out
-
-
-def aggregate_stream(stream, value, by=()):
-    """One-shot helper: fold a stream and return the aggregate result."""
-    return StreamAggregator(value, by=by).consume(stream).result()

@@ -203,11 +203,6 @@ class Interface:
         sim._live += 1
 
     # ------------------------------------------------------------------
-    @property
-    def busy(self):
-        """True while a packet is being serialized."""
-        return self._busy
-
     def reset_stats(self):
         """Zero both interface and queue measurement counters (post warm-up)."""
         self.stats.reset(self.sim.now)
@@ -216,10 +211,6 @@ class Interface:
     def utilization(self):
         """Utilization since the last :meth:`reset_stats`."""
         return self.stats.utilization(self.rate_bps, self.sim.now)
-
-    def serialization_delay(self, nbytes):
-        """Time to serialize ``nbytes`` at this interface's rate."""
-        return (nbytes * 8.0) / self.rate_bps
 
     def __repr__(self):
         return "Interface(%s, %.0f bit/s, q=%d)" % (

@@ -60,13 +60,6 @@ class Node:
         """Fallback interface for destinations without a specific route."""
         self.default_route = interface
 
-    def route_for(self, dst_addr):
-        """Resolve the output interface for ``dst_addr`` (or raise)."""
-        interface = self.routes.get(dst_addr, self.default_route)
-        if interface is None:
-            raise LookupError("%s has no route to %r" % (self.name, dst_addr))
-        return interface
-
     def send(self, packet):
         """Transmit ``packet`` toward its destination.
 

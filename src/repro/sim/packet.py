@@ -219,13 +219,3 @@ class Packet:
                 "|".join(self.flag_names()),
             )
         return "Packet(%s)" % core
-
-
-def tcp_wire_size(payload_len):
-    """Wire size of a TCP segment carrying ``payload_len`` bytes."""
-    return IPV4_HEADER + TCP_HEADER + payload_len
-
-
-def udp_wire_size(payload_len):
-    """Wire size of a UDP datagram carrying ``payload_len`` bytes."""
-    return IPV4_HEADER + UDP_HEADER + payload_len

@@ -12,8 +12,9 @@ All queues share the :class:`Queue` interface used by
 * ``push(packet, now)`` → bool — False means the packet was dropped.
 * ``pop(now)`` → packet or None — AQM heads may drop here too.
 
-Statistics (:class:`QueueStats`) are collected uniformly: enqueue/drop
-counters, byte counters and sojourn-time aggregates.
+Capacity is a packet count, as in the paper's Table 2.  Statistics
+(:class:`QueueStats`) are collected uniformly: enqueue/drop/dequeue
+counters, their byte totals and sojourn-time aggregates.
 """
 
 import math
@@ -38,7 +39,6 @@ class QueueStats:
         "delay_sum",
         "delay_max",
         "delay_samples",
-        "occupancy_samples",
     )
 
     def __init__(self):
@@ -54,7 +54,6 @@ class QueueStats:
         self.delay_sum = 0.0
         self.delay_max = 0.0
         self.delay_samples = 0
-        self.occupancy_samples = []
 
     @property
     def mean_delay(self):
@@ -64,13 +63,6 @@ class QueueStats:
         return self.delay_sum / self.delay_samples
 
     @property
-    def mean_occupancy(self):
-        """Mean queue depth (packets) observed at enqueue instants."""
-        if not self.occupancy_samples:
-            return 0.0
-        return sum(self.occupancy_samples) / len(self.occupancy_samples)
-
-    @property
     def loss_rate(self):
         """Fraction of arriving packets dropped."""
         arrived = self.enqueued + self.dropped
@@ -78,43 +70,21 @@ class QueueStats:
             return 0.0
         return self.dropped / arrived
 
-    def record_enqueue(self, packet, occupancy=None):
-        self.enqueued += 1
-        self.bytes_enqueued += packet.size
-        if occupancy is not None:
-            self.occupancy_samples.append(occupancy)
-
-    def record_drop(self, packet):
-        self.dropped += 1
-        self.bytes_dropped += packet.size
-
-    def record_dequeue(self, packet, sojourn):
-        self.dequeued += 1
-        self.bytes_dequeued += packet.size
-        self.delay_sum += sojourn
-        self.delay_samples += 1
-        if sojourn > self.delay_max:
-            self.delay_max = sojourn
-
 
 class Queue:
     """Abstract FIFO with drop policy.  Subclasses implement push/pop.
 
-    The shared plumbing (``_accept``/``_reject``/``_take``) updates
-    :class:`QueueStats` counters inline rather than through the
-    ``record_*`` helpers: these run once per packet per hop and are part
-    of the sim core's hot path.  The helpers remain the public API for
-    out-of-band bookkeeping.
+    The shared plumbing (``_accept``/``_reject``/``_take``) updates the
+    :class:`QueueStats` counters inline: it runs once per packet per hop
+    and is part of the sim core's hot path.
     """
 
-    __slots__ = ("capacity_packets", "capacity_bytes", "stats", "_queue",
-                 "_bytes")
+    __slots__ = ("capacity_packets", "stats", "_queue", "_bytes")
 
-    def __init__(self, capacity_packets=None, capacity_bytes=None):
-        if capacity_packets is None and capacity_bytes is None:
-            raise ValueError("queue needs a packet or byte capacity")
+    def __init__(self, capacity_packets=None):
+        if capacity_packets is None:
+            raise ValueError("queue needs a packet capacity")
         self.capacity_packets = capacity_packets
-        self.capacity_bytes = capacity_bytes
         self.stats = QueueStats()
         self._queue = deque()
         self._bytes = 0
@@ -132,15 +102,8 @@ class Queue:
         """Bytes currently queued."""
         return self._bytes
 
-    def _would_overflow(self, packet):
-        if self.capacity_packets is not None and len(self._queue) >= self.capacity_packets:
-            return True
-        if (
-            self.capacity_bytes is not None
-            and self._bytes + packet.size > self.capacity_bytes
-        ):
-            return True
-        return False
+    def _would_overflow(self):
+        return len(self._queue) >= self.capacity_packets
 
     # -- interface ------------------------------------------------------
     def push(self, packet, now):
@@ -159,7 +122,6 @@ class Queue:
         stats = self.stats
         stats.enqueued += 1
         stats.bytes_enqueued += size
-        stats.occupancy_samples.append(len(queue))
 
     def _reject(self, packet):
         stats = self.stats
@@ -193,23 +155,16 @@ class DropTailQueue(Queue):
 
     def push(self, packet, now):
         queue = self._queue
+        if len(queue) >= self.capacity_packets:
+            self._reject(packet)
+            return False
         size = packet.size
-        occupancy = len(queue)
-        capacity = self.capacity_packets
-        if capacity is not None and occupancy >= capacity:
-            self._reject(packet)
-            return False
-        capacity = self.capacity_bytes
-        if capacity is not None and self._bytes + size > capacity:
-            self._reject(packet)
-            return False
         packet.enqueued_at = now
         queue.append(packet)
         self._bytes += size
         stats = self.stats
         stats.enqueued += 1
         stats.bytes_enqueued += size
-        stats.occupancy_samples.append(occupancy + 1)
         return True
 
     def pop(self, now):
@@ -296,7 +251,7 @@ class REDQueue(Queue):
 
     def push(self, packet, now):
         self._update_avg(now)
-        if self._would_overflow(packet):
+        if self._would_overflow():
             self._reject(packet)
             self._count_since_drop = 0
             return False
@@ -357,7 +312,7 @@ class CoDelQueue(Queue):
         self.dropping = False
 
     def push(self, packet, now):
-        if self._would_overflow(packet):
+        if self._would_overflow():
             self._reject(packet)
             return False
         self._accept(packet, now)

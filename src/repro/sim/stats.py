@@ -39,45 +39,6 @@ class UtilizationSampler:
             self._event.cancel()
             self._event = None
 
-    def boxplot(self):
-        """Five-number summary of the collected utilization samples."""
-        return five_number_summary(self.samples)
-
-
-class QueueDelaySampler:
-    """Periodically samples the *instantaneous* queueing delay of a queue.
-
-    The instantaneous delay is the backlog divided by the drain rate —
-    what a packet arriving right now would wait.  Used for the delay time
-    series behind Figure 4's mean-delay cells.
-    """
-
-    def __init__(self, sim, interface, bin_seconds=0.1):
-        self.sim = sim
-        self.interface = interface
-        self.bin_seconds = bin_seconds
-        self.samples = []
-        self._event = None
-
-    def start(self):
-        self.samples = []
-        self._event = self.sim.schedule(self.bin_seconds, self._tick)
-
-    def _tick(self):
-        backlog_bits = self.interface.queue.byte_length * 8.0
-        self.samples.append(backlog_bits / self.interface.rate_bps)
-        self._event = self.sim.schedule(self.bin_seconds, self._tick)
-
-    def stop(self):
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def mean(self):
-        if not self.samples:
-            return 0.0
-        return float(np.mean(self.samples))
-
 
 def five_number_summary(samples):
     """Return (min, q1, median, q3, max) of ``samples`` as floats."""

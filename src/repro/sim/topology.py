@@ -182,8 +182,9 @@ class AccessNetwork(DumbbellNetwork):
 
     Asymmetric 16/1 Mbit/s bottleneck; 5 ms client-side and 20 ms
     server-side one-way delays (DSL interleaving + access/backbone path),
-    base RTT 50 ms.  The buffers under study: the DSLAM's downstream
-    queue (``down_buffer_packets``) and the home router's upstream queue
+    base RTT 50 ms.  The buffers under study: the DSLAM's
+    (``left_router``) downstream queue (``down_buffer_packets``) and the
+    home router's (``right_router``) upstream queue
     (``up_buffer_packets``), both in packets, 8–256 in the paper.
     """
 
@@ -217,16 +218,6 @@ class AccessNetwork(DumbbellNetwork):
             down_loss=down_loss,
             up_loss=up_loss,
         )
-
-    @property
-    def dslam(self):
-        """The left (ISP-side) router."""
-        return self.left_router
-
-    @property
-    def home_router(self):
-        """The right (subscriber-side) router — the bufferbloat suspect."""
-        return self.right_router
 
 
 class BackboneNetwork(DumbbellNetwork):

@@ -35,7 +35,6 @@ from repro.sim.packet import (
     IPV4_HEADER,
     TCP_HEADER,
     Packet,
-    tcp_wire_size,
 )
 from repro.tcp.cc import Reno
 
@@ -105,14 +104,6 @@ class TcpStats:
         if self.srtt_samples == 0:
             return 0.0
         return self.srtt_sum / self.srtt_samples
-
-    def record_srtt(self, srtt):
-        self.srtt_samples += 1
-        self.srtt_sum += srtt
-        if srtt < self.srtt_min:
-            self.srtt_min = srtt
-        if srtt > self.srtt_max:
-            self.srtt_max = srtt
 
 
 class TcpConnection:
@@ -273,17 +264,6 @@ class TcpConnection:
         """True once close() was called (FIN pending or sent)."""
         return self._fin_pending or self._fin_sent
 
-    @property
-    def bytes_unsent(self):
-        """Application bytes queued but not yet transmitted."""
-        if self._infinite:
-            return _INFINITE_BYTES
-        return max(0, self._data_end_seq() - self.snd_nxt)
-
-    def effective_window(self):
-        """Current usable congestion window in bytes."""
-        return min(self.cc.cwnd + self._inflation, self._peer_rwnd)
-
     # ------------------------------------------------------------------
     # Sending machinery
     # ------------------------------------------------------------------
@@ -300,8 +280,8 @@ class TcpConnection:
         peer_rwnd = self._peer_rwnd
         cc = self.cc
         while True:
-            # Inline effective_window(): cwnd may move inside the loop
-            # (never does today), so re-read it like the method did.
+            # Usable window: min(cwnd + inflation, peer rwnd).  cwnd may
+            # move inside the loop (never does today), so re-read it.
             window = cc.cwnd + self._inflation
             if peer_rwnd < window:
                 window = peer_rwnd
@@ -382,7 +362,7 @@ class TcpConnection:
             self.local_port,         # sport
             self.peer_port,          # dport
             "tcp",
-            IPV4_HEADER + TCP_HEADER + payload_len,  # tcp_wire_size()
+            IPV4_HEADER + TCP_HEADER + payload_len,
             seq,
             self.rcv_nxt,            # ack_no
             FLAG_ACK,
@@ -413,7 +393,7 @@ class TcpConnection:
             self.local_port,         # sport
             self.peer_port,          # dport
             "tcp",
-            IPV4_HEADER + TCP_HEADER + payload_len,  # tcp_wire_size()
+            IPV4_HEADER + TCP_HEADER + payload_len,
             seq,
             self.rcv_nxt if (flags & FLAG_ACK) else 0,  # ack_no
             flags,
@@ -635,7 +615,7 @@ class TcpConnection:
             self.srtt = 0.875 * self.srtt + 0.125 * sample
         srtt = self.srtt
         self.rto = min(max(srtt + max(0.01, 4.0 * self.rttvar), MIN_RTO), MAX_RTO)
-        # Inline stats.record_srtt: one sample per timestamped ACK.
+        # One SRTT sample per timestamped ACK.
         stats = self.stats
         stats.srtt_samples += 1
         stats.srtt_sum += srtt
@@ -762,7 +742,7 @@ class TcpConnection:
             self.local_port,         # sport
             self.peer_port,          # dport
             "tcp",
-            IPV4_HEADER + TCP_HEADER,  # tcp_wire_size(0)
+            IPV4_HEADER + TCP_HEADER,
             self.snd_nxt,            # seq
             self.rcv_nxt,            # ack_no
             FLAG_ACK,

@@ -1,6 +1,6 @@
 """Minimal UDP socket bound to a node port."""
 
-from repro.sim.packet import IPV4_HEADER, UDP_HEADER, Packet, udp_wire_size
+from repro.sim.packet import IPV4_HEADER, UDP_HEADER, Packet
 
 _UDP_OVERHEAD = IPV4_HEADER + UDP_HEADER
 
@@ -48,7 +48,7 @@ class UdpSocket:
             self.port,               # sport
             dst_port,
             "udp",
-            _UDP_OVERHEAD + payload_len,  # udp_wire_size()
+            _UDP_OVERHEAD + payload_len,
             0,                       # seq
             0,                       # ack_no
             0,                       # flags

@@ -2,34 +2,13 @@
 
 from repro.util.intervals import IntervalSet
 from repro.util.rng import RngRegistry
-from repro.util.units import (
-    GBPS,
-    KBPS,
-    MBPS,
-    MS,
-    US,
-    bits_to_bytes,
-    bytes_to_bits,
-    mbps,
-    ms,
-    pretty_bytes,
-    pretty_rate,
-    pretty_time,
-)
+from repro.util.units import GBPS, MBPS, MS, ms
 
 __all__ = [
     "IntervalSet",
     "RngRegistry",
     "GBPS",
-    "KBPS",
     "MBPS",
     "MS",
-    "US",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "mbps",
     "ms",
-    "pretty_bytes",
-    "pretty_rate",
-    "pretty_time",
 ]

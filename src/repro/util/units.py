@@ -7,59 +7,13 @@ of raw exponents.
 """
 
 # Rate units (bits per second).
-KBPS = 1_000.0
 MBPS = 1_000_000.0
 GBPS = 1_000_000_000.0
 
 # Time units (seconds).
 MS = 1e-3
-US = 1e-6
-
-
-def mbps(value):
-    """Return ``value`` megabits per second expressed in bit/s."""
-    return value * MBPS
 
 
 def ms(value):
     """Return ``value`` milliseconds expressed in seconds."""
     return value * MS
-
-
-def bytes_to_bits(nbytes):
-    """Convert a byte count to bits."""
-    return nbytes * 8
-
-
-def bits_to_bytes(nbits):
-    """Convert a bit count to (possibly fractional) bytes."""
-    return nbits / 8
-
-
-def pretty_rate(rate_bps):
-    """Format a bit/s rate using the most natural unit."""
-    if rate_bps >= GBPS:
-        return "%.2f Gbit/s" % (rate_bps / GBPS)
-    if rate_bps >= MBPS:
-        return "%.2f Mbit/s" % (rate_bps / MBPS)
-    if rate_bps >= KBPS:
-        return "%.2f kbit/s" % (rate_bps / KBPS)
-    return "%.0f bit/s" % rate_bps
-
-
-def pretty_time(seconds):
-    """Format a duration with an adaptive unit (s / ms / us)."""
-    if seconds >= 1.0:
-        return "%.3f s" % seconds
-    if seconds >= MS:
-        return "%.1f ms" % (seconds / MS)
-    return "%.1f us" % (seconds / US)
-
-
-def pretty_bytes(nbytes):
-    """Format a byte count using KiB/MiB when large."""
-    if nbytes >= 1 << 20:
-        return "%.2f MiB" % (nbytes / float(1 << 20))
-    if nbytes >= 1 << 10:
-        return "%.2f KiB" % (nbytes / float(1 << 10))
-    return "%d B" % nbytes

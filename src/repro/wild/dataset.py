@@ -18,7 +18,6 @@ The queueing delay per flow is a two-component lognormal mixture: a
 utilized) and a rare "heavy" bufferbloat component.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -52,28 +51,12 @@ _TECH_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One TCP connection's kernel sRTT statistics."""
-
-    min_srtt: float
-    avg_srtt: float
-    max_srtt: float
-    samples: int
-    tech: AccessTech
-
-    @property
-    def estimated_queueing_delay(self):
-        """The paper's estimator: sRTT range (max - min)."""
-        return self.max_srtt - self.min_srtt
-
-
 def generate_dataset(n_flows=200_000, seed=7):
     """Generate ``n_flows`` records; returns a structured numpy bundle.
 
     Returns a dict of arrays: ``min``, ``avg``, ``max`` (seconds),
-    ``samples`` (int) and ``tech`` (object array of AccessTech) — array
-    form keeps 200k-flow analyses instant.
+    ``samples`` (int) and ``tech`` (object array of AccessTech values) —
+    array form keeps 200k-flow analyses instant.
     """
     rng = np.random.default_rng(seed)
     techs = [t for t, __ in TECH_MIX]
@@ -117,17 +100,3 @@ def generate_dataset(n_flows=200_000, seed=7):
         "samples": samples,
         "tech": np.array([techs[i].value for i in assignment], dtype=object),
     }
-
-
-def to_records(dataset):
-    """Materialize :class:`FlowRecord` objects (tests / small analyses)."""
-    return [
-        FlowRecord(
-            min_srtt=float(dataset["min"][i]),
-            avg_srtt=float(dataset["avg"][i]),
-            max_srtt=float(dataset["max"][i]),
-            samples=int(dataset["samples"][i]),
-            tech=AccessTech(dataset["tech"][i]),
-        )
-        for i in range(len(dataset["min"]))
-    ]

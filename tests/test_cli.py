@@ -78,13 +78,17 @@ class TestRun:
         assert "util" in out
 
     def test_json_run(self, capsys):
-        code = main(["run", "wireless-qos", "--workloads", "long-few",
-                     "--buffers", "8", "--duration", "2", "--warmup", "1",
-                     "--no-cache", "--json"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "long-few/8" in payload
-        assert payload["long-few/8"]["duration"] == 2.0
+        # `run` prints the table only; a run's JSON comes from `export`.
+        argv = ["wireless-qos", "--workloads", "long-few", "--buffers", "8",
+                "--duration", "2", "--warmup", "1", "--no-cache"]
+        for option in (["--json"], ["--format", "json"]):
+            with pytest.raises(SystemExit):
+                main(["run"] + argv + option)
+        capsys.readouterr()
+        assert main(["export"] + argv + ["--format", "json"]) == 0
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["key"] == ["long-few", 8]
+        assert record["payload"]["duration"] == 2.0
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
@@ -102,12 +106,12 @@ class TestRun:
                                                       monkeypatch):
         # --duration must mean simulated seconds, not seconds*REPRO_SCALE.
         monkeypatch.setenv("REPRO_SCALE", "4")
-        code = main(["run", "wireless-qos", "--workloads", "long-few",
+        code = main(["export", "wireless-qos", "--workloads", "long-few",
                      "--buffers", "8", "--duration", "2", "--warmup", "1",
-                     "--no-cache", "--json"])
+                     "--no-cache", "--format", "json"])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["long-few/8"]["duration"] == 2.0
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["payload"]["duration"] == 2.0
 
     def test_per_direction_buffer_override(self, capsys):
         code = main(["run", "wireless-qos", "--workloads", "long-few",
@@ -116,19 +120,14 @@ class TestRun:
         assert code == 0
         assert "long-few/(16, 4)" in capsys.readouterr().out
 
-    def test_format_json_matches_json_flag(self, capsys):
-        argv = ["run", "wireless-qos", "--workloads", "long-few",
-                "--buffers", "8", "--duration", "2", "--warmup", "1"]
-        assert main(argv + ["--json"]) == 0
-        legacy = capsys.readouterr().out
-        assert main(argv + ["--format", "json"]) == 0
-        assert capsys.readouterr().out == legacy
-
     def test_format_csv(self, capsys):
-        code = main(["run", "wireless-qos", "--workloads", "long-few",
-                     "--buffers", "8", "--duration", "2", "--warmup", "1",
-                     "--format", "csv"])
-        assert code == 0
+        # `run` has no --format; a run's CSV comes from `export`.
+        argv = ["wireless-qos", "--workloads", "long-few", "--buffers", "8",
+                "--duration", "2", "--warmup", "1"]
+        with pytest.raises(SystemExit):
+            main(["run"] + argv + ["--format", "csv"])
+        capsys.readouterr()
+        assert main(["export"] + argv + ["--format", "csv"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 1
         assert rows[0]["key"] == "long-few/8"
@@ -155,11 +154,15 @@ class TestExport:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert rows, "export produced an empty CSV"
         assert all(row["kind"] == kind for row in rows)
+        cell = [EXPORT_CASES[kind][3], "8"]  # the one workload and buffer
+        assert all(row["key"].split("/")[:2] == cell for row in rows)
         # Every row carries at least one parseable numeric metric.
         metric = {"qos": "down_utilization", "voip": "listens",
                   "video": "ssim", "web": "median_plt"}[kind]
         for row in rows:
             float(row[metric])
+        if kind == "qos":
+            assert float(rows[0]["down_utilization"]) > 0.0
 
     def test_json_format(self, capsys):
         assert main(EXPORT_CASES["qos"] + ["--format", "json"]) == 0

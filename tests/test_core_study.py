@@ -1,9 +1,8 @@
-"""Tests for the core study layer: catalogs, cells, wild, adaptive, viz."""
+"""Tests for the core study layer: catalogs, cells, wild, viz."""
 
 import numpy as np
 import pytest
 
-from repro.core.adaptive import LoadAdaptiveBuffer
 from repro.core.buffers import (
     ACCESS_BUFFERS,
     BACKBONE_BUFFERS,
@@ -20,12 +19,12 @@ from repro.core.scenarios import (
     backbone_scenario,
 )
 from repro.core import paper_data
-from repro.sim import Simulator
-from repro.sim.topology import AccessNetwork, BackboneNetwork
+from repro.sim.stats import five_number_summary
+from repro.sim.topology import BackboneNetwork
 from repro.util.units import MBPS
 from repro.viz.heatmap import render_grid, render_table
 from repro.wild import analyze, generate_dataset
-from repro.wild.dataset import AccessTech, to_records
+from repro.wild.dataset import AccessTech
 
 
 class TestBufferCatalog:
@@ -111,7 +110,7 @@ class TestExperimentCell:
                               warmup=3, duration=6)
         assert report.down_utilization > 0.5
         assert len(report.down_utilization_samples) >= 5
-        box = report.down_utilization_boxplot()
+        box = five_number_summary(report.down_utilization_samples)
         assert box[0] <= box[2] <= box[4]
 
     def test_unknown_testbed_rejected(self):
@@ -148,50 +147,18 @@ class TestWild:
 
     def test_records_consistent(self):
         dataset = generate_dataset(200, seed=1)
-        records = to_records(dataset)
-        assert len(records) == 200
-        for record in records[:20]:
-            assert record.min_srtt <= record.avg_srtt <= record.max_srtt
-            assert record.estimated_queueing_delay >= 0
-            assert isinstance(record.tech, AccessTech)
+        assert all(len(dataset[column]) == 200
+                   for column in ("min", "avg", "max", "samples", "tech"))
+        assert np.all(dataset["min"] <= dataset["avg"])
+        assert np.all(dataset["avg"] <= dataset["max"])
+        assert np.all(dataset["samples"] >= 1)
+        techs = {tech.value for tech in AccessTech}
+        assert set(dataset["tech"]) <= techs
 
     def test_mix_fractions(self):
         dataset = generate_dataset(50_000, seed=2)
         adsl = np.mean(dataset["tech"] == "adsl")
         assert adsl == pytest.approx(0.70, abs=0.02)
-
-
-class TestAdaptiveBuffer:
-    def test_shrinks_under_load(self):
-        from repro.apps.bulk import BulkTraffic
-
-        sim = Simulator()
-        net = AccessNetwork(sim, down_buffer_packets=256)
-        controller = LoadAdaptiveBuffer(sim, net.down_bottleneck, 16, 256,
-                                        interval=0.5).start()
-        bulk = BulkTraffic(sim, net.traffic_servers(), net.traffic_clients(),
-                           count=8, direction="down")
-        bulk.start()
-        sim.run(until=10)
-        assert controller.current_packets == 16
-        assert controller.switches >= 1
-        bulk.stop()
-        controller.stop()
-
-    def test_grows_when_idle(self):
-        sim = Simulator()
-        net = AccessNetwork(sim, down_buffer_packets=16)
-        controller = LoadAdaptiveBuffer(sim, net.down_bottleneck, 16, 256,
-                                        interval=0.5).start()
-        sim.run(until=3)
-        assert controller.current_packets == 256
-        controller.stop()
-
-    def test_invalid_sizes(self):
-        sim = Simulator()
-        net = AccessNetwork(sim)
-        with pytest.raises(ValueError):
-            LoadAdaptiveBuffer(sim, net.down_bottleneck, 256, 16)
 
 
 class TestViz:

@@ -1,50 +1,8 @@
-"""Tests for the extension features: adaptive playout, PLT analysis, ARQ."""
-
-import numpy as np
-import pytest
+"""Tests for the extension features: PLT analysis, ARQ."""
 
 from repro.apps.web import PageFetch, WebServer
-from repro.media.playout import AdaptivePlayoutBuffer, PlayoutBuffer
 from repro.sim import Simulator
 from repro.sim.topology import AccessNetwork
-
-
-class TestAdaptivePlayout:
-    def _jittery_stream(self, n=200, jitter=0.12):
-        rng = np.random.default_rng(0)
-        send_times = {i: i * 0.02 for i in range(n)}
-        arrivals = {i: send_times[i] + 0.03 + float(rng.uniform(0, jitter))
-                    for i in range(n)}
-        return arrivals, send_times
-
-    def test_adapts_to_jitter(self):
-        arrivals, send_times = self._jittery_stream()
-        fixed = PlayoutBuffer(0.02, playout_delay=0.04)
-        adaptive = AdaptivePlayoutBuffer(0.02, min_delay=0.04)
-        fixed_result = fixed.schedule(dict(arrivals), len(send_times),
-                                      send_times)
-        adaptive_result = adaptive.schedule(dict(arrivals), len(send_times),
-                                            send_times)
-        # The adaptive buffer converts late losses into (bounded) delay.
-        assert adaptive_result.late < fixed_result.late
-        assert adaptive.playout_delay > 0.04
-        assert adaptive.playout_delay <= 0.400
-
-    def test_stays_small_on_clean_path(self):
-        send_times = {i: i * 0.02 for i in range(100)}
-        arrivals = {i: send_times[i] + 0.03 for i in range(100)}
-        adaptive = AdaptivePlayoutBuffer(0.02, min_delay=0.04)
-        result = adaptive.schedule(arrivals, 100, send_times)
-        assert adaptive.playout_delay == pytest.approx(0.05, abs=0.011)
-        assert result.late == 0
-
-    def test_clamped_at_max(self):
-        send_times = {i: i * 0.02 for i in range(50)}
-        arrivals = {i: send_times[i] + 0.03 + (1.0 if i > 10 else 0.0)
-                    for i in range(50)}
-        adaptive = AdaptivePlayoutBuffer(0.02, max_delay=0.2)
-        adaptive.schedule(arrivals, 50, send_times)
-        assert adaptive.playout_delay == 0.2
 
 
 class TestPltAnalysis:

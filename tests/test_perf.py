@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.perf import bench
-from repro.perf.profile import profile_cell, timeit_cell
+from repro.perf.profile import profile_cell
 from repro.sim import engine
 from repro.sim.engine import Simulator
 
@@ -125,9 +125,6 @@ class TestProfileHarness:
             profile_cell("fig7a", sort="nonsense")
         with pytest.raises(IndexError):
             profile_cell("fig7a", cell=999, scale=0.1)
-
-    def test_timeit_cell(self):
-        assert timeit_cell("fig7a", cell=0, scale=0.1, repetitions=1) >= 0.0
 
 
 def test_committed_baseline_is_wellformed():

@@ -12,7 +12,6 @@ from repro.sim.packet import Packet
 from repro.sim.queues import (
     CoDelQueue,
     DropTailQueue,
-    Queue,
     REDQueue,
 )
 
@@ -38,14 +37,6 @@ class TestDropTail:
         assert len(queue) == 3
         assert queue.stats.dropped == 1
         assert queue.stats.enqueued == 3
-
-    def test_byte_capacity_enforced(self):
-        queue = DropTailQueue(capacity_bytes=4000)
-        assert queue.push(make_packet(1500), 0.0)
-        assert queue.push(make_packet(1500), 0.0)
-        assert not queue.push(make_packet(1500), 0.0)  # 4500 > 4000
-        assert queue.push(make_packet(500), 0.0)
-        assert queue.byte_length == 3500
 
     def test_requires_some_capacity(self):
         with pytest.raises(ValueError):
@@ -73,27 +64,6 @@ class TestDropTail:
         queue.stats.reset()
         assert queue.stats.enqueued == 0
         assert len(queue) == 1
-
-    def test_occupancy_recorded_on_enqueue(self):
-        queue = DropTailQueue(capacity_packets=3)
-        for __ in range(3):
-            queue.push(make_packet(), 0.0)
-        assert queue.stats.occupancy_samples == [1, 2, 3]
-        queue.push(make_packet(), 0.0)  # dropped: no occupancy sample
-        assert queue.stats.occupancy_samples == [1, 2, 3]
-        queue.pop(1.0)
-        queue.push(make_packet(), 1.0)
-        assert queue.stats.occupancy_samples == [1, 2, 3, 3]
-        assert queue.stats.mean_occupancy == pytest.approx(2.25)
-
-    def test_occupancy_cleared_on_reset(self):
-        queue = DropTailQueue(capacity_packets=5)
-        queue.push(make_packet(), 0.0)
-        queue.stats.reset()
-        assert queue.stats.occupancy_samples == []
-        assert queue.stats.mean_occupancy == 0.0
-        queue.push(make_packet(), 1.0)
-        assert queue.stats.occupancy_samples == [2]
 
 
 class TestRed:

@@ -20,13 +20,11 @@ from repro.results import (
     VideoResult,
     VoipResult,
     WebResult,
-    aggregate_stream,
     flatten_metrics,
     format_buffer,
     jsonify,
     key_str,
     record_from_payload,
-    summarize,
 )
 from repro.runner import CellTask
 from repro.runner.execute import execute_task
@@ -75,6 +73,7 @@ class TestRecordRoundTrip:
         assert record.payload == payload  # wire format untouched
         metrics = record.metrics
         assert metrics, "every kind must expose scalar metrics"
+        assert record.summary()  # the one-line `run` table entry
 
         (row,) = ResultSet([record]).to_rows()
         for name, value in metrics.items():
@@ -92,18 +91,11 @@ class TestRecordRoundTrip:
     @pytest.mark.parametrize("kind", sorted(KIND_TASKS))
     def test_json_export_keeps_payload_bit_identical(self, kind, executed):
         task, payload = executed[kind]
-        rs = ResultSet.from_payloads([task], [payload])
+        rs = ResultSet([record_from_payload(task, payload)])
         (entry,) = json.loads(rs.to_json())
         assert entry["payload"] == payload
         assert entry["kind"] == kind
         assert entry["seed"] == task.seed
-
-    @pytest.mark.parametrize("kind", sorted(KIND_TASKS))
-    def test_summary_matches_payload_helper(self, kind, executed):
-        task, payload = executed[kind]
-        record = record_from_payload(task, payload)
-        assert record.summary() == summarize(kind, payload)
-        assert record.summary()  # non-empty
 
     def test_qos_record_reads_its_payload(self, executed):
         task, payload = executed["qos"]
@@ -254,16 +246,17 @@ class TestStreamingAggregation:
         assert streamed["long-few"]["max"] == 3.0
 
     def test_groupless_and_helper(self, synthetic):
-        flat = aggregate_stream(synthetic, "talks")
+        flat = StreamAggregator("talks").consume(synthetic).result()
         assert flat["count"] == 4
         assert flat["sum"] == pytest.approx(4.2 + 4.1 + 3.0 + 1.2)
 
     def test_empty_stream_is_not_an_all_zero_aggregate(self):
-        flat = aggregate_stream([], "talks")
+        flat = StreamAggregator("talks").consume([]).result()
         assert flat["count"] == 0
         assert flat["mean"] is None  # 'no data', not MOS 0.0
         assert flat["min"] is None and flat["max"] is None
-        assert aggregate_stream([], "talks", by="scenario") == {}
+        grouped = StreamAggregator("talks", by="scenario").consume([])
+        assert grouped.result() == {}
 
     def test_constant_memory_contract(self, synthetic):
         # The aggregator must keep per-group counters, not records.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.media.playout import CODEC_DELAY, PlayoutBuffer, reconstruct_signal
-from repro.media.speech import SAMPLE_RATE, speech_corpus, synthesize_speech
+from repro.media.speech import SAMPLE_RATE, synthesize_speech
 
 
 class TestSpeech:
@@ -34,10 +34,6 @@ class TestSpeech:
             speech[: len(speech) // 160 * 160].reshape(-1, 160) ** 2, axis=1))
         assert (frame_rms > 500).any()
         assert (frame_rms < 50).any()
-
-    def test_corpus_size(self):
-        corpus = speech_corpus(count=3, duration=1.0)
-        assert len(corpus) == 3
 
     def test_wrong_rate_rejected(self):
         with pytest.raises(ValueError):

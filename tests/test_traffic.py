@@ -127,15 +127,6 @@ class TestBulk:
         sim.run(until=15)
         assert net.up_bottleneck.utilization() > 0.9
 
-    def test_sender_connections_listed(self):
-        sim = Simulator()
-        net = AccessNetwork(sim)
-        bulk = BulkTraffic(sim, net.traffic_servers(), net.traffic_clients(),
-                           count=3, direction="down")
-        bulk.start()
-        sim.run(until=3)
-        assert len(bulk.sender_connections()) == 3
-
     def test_stop_aborts(self):
         sim = Simulator()
         net = AccessNetwork(sim)

@@ -1,17 +1,9 @@
-"""Tests for utility helpers: RNG streams and unit formatting."""
+"""Tests for utility helpers: RNG streams and unit conversion."""
 
 import numpy as np
 
 from repro.util.rng import RngRegistry
-from repro.util.units import (
-    bits_to_bytes,
-    bytes_to_bits,
-    mbps,
-    ms,
-    pretty_bytes,
-    pretty_rate,
-    pretty_time,
-)
+from repro.util.units import ms
 
 
 class TestRngRegistry:
@@ -44,23 +36,4 @@ class TestRngRegistry:
 
 class TestUnits:
     def test_conversions(self):
-        assert mbps(16) == 16_000_000
         assert ms(50) == 0.05
-        assert bytes_to_bits(1500) == 12_000
-        assert bits_to_bytes(12_000) == 1500
-
-    def test_pretty_rate(self):
-        assert pretty_rate(16_000_000) == "16.00 Mbit/s"
-        assert pretty_rate(1_500) == "1.50 kbit/s"
-        assert pretty_rate(2_000_000_000) == "2.00 Gbit/s"
-        assert pretty_rate(12) == "12 bit/s"
-
-    def test_pretty_time(self):
-        assert pretty_time(1.5) == "1.500 s"
-        assert pretty_time(0.05) == "50.0 ms"
-        assert pretty_time(0.00005) == "50.0 us"
-
-    def test_pretty_bytes(self):
-        assert pretty_bytes(512) == "512 B"
-        assert pretty_bytes(2048) == "2.00 KiB"
-        assert pretty_bytes(3 << 20) == "3.00 MiB"

@@ -23,7 +23,7 @@ from repro.media.mpegts import (
     slice_packet_map,
 )
 from repro.media.video_source import BITRATES, RESOLUTIONS, generate_clip
-from repro.qoe.psnr import psnr, psnr_sequence, psnr_to_mos
+from repro.qoe.psnr import psnr, psnr_sequence
 from repro.qoe.ssim import ssim, ssim_sequence
 from repro.qoe.video import ssim_to_mos
 
@@ -277,6 +277,3 @@ class TestSsimPsnr:
         mos = [ssim_to_mos(v) for v in ssim_values]
         assert mos == sorted(mos)
         assert mos[-1] == 5.0
-        psnr_values = [18, 26, 33, 40]
-        pm = [psnr_to_mos(v) for v in psnr_values]
-        assert pm == sorted(pm)
