@@ -5,12 +5,10 @@ Grids come from the registered ``fig4-up`` / ``fig4-down`` sweeps; at
 workload axis automatically.
 """
 
-from repro.core.paper_data import FIG4_UP_ONLY_UPLINK
 from repro.core.registry import get
 from repro.qoe.scales import g114_class
 
-from benchmarks.common import (comparison_table, print_figure, run_once,
-                               run_registered)
+from benchmarks.common import print_figure, run_once, run_registered
 
 
 def test_fig4_upstream(benchmark):
@@ -23,14 +21,6 @@ def test_fig4_upstream(benchmark):
 
     results = run_once(benchmark, run)
     print_figure("fig4-up", results)
-    rows = []
-    for workload in workloads:
-        for packets in buffers:
-            ours = results[(workload, packets)]["up_mean_delay"] * 1000
-            paper = FIG4_UP_ONLY_UPLINK[(workload, packets)]
-            rows.append((workload, packets, "%.0f" % ours, "%.0f" % paper))
-    comparison_table("Figure 4c uplink mean delay [ms] (ours vs paper)",
-                     ("workload", "buffer", "ours", "paper"), rows)
     # The bufferbloat staircase: delay grows with buffer size and crosses
     # the G.114 "bad" boundary at the oversized configurations.
     for workload in workloads:

@@ -6,8 +6,7 @@ entries) that ``python -m repro run fig5`` executes.
 
 from repro.sim.stats import five_number_summary
 
-from benchmarks.common import (fidelity_line, print_figure, run_once,
-                               run_registered)
+from benchmarks.common import print_figure, run_once, run_registered
 
 
 def test_fig5(benchmark):
@@ -16,7 +15,6 @@ def test_fig5(benchmark):
 
     results = run_once(benchmark, run)
     print_figure("fig5", results)
-    fidelity_line("fig5", results)
     # Paper shape: the uplink is pinned near 100% at every size; the
     # downlink suffers when the uplink buffer bloats the ACK path, and
     # small buffers underutilize relative to the best configuration.

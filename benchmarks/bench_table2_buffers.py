@@ -1,28 +1,14 @@
 """T2: regenerate Table 2 (buffer sizes and maximum queueing delays)."""
 
-from repro.core.buffers import access_buffer_delays, backbone_buffer_delays
-from repro.core.paper_data import TABLE2_ACCESS, TABLE2_BACKBONE
+from repro.core.buffers import access_buffer_delays
+from repro.core.paper_data import TABLE2_ACCESS
 
-from benchmarks.common import comparison_table, run_once
+from benchmarks.common import print_figure, run_once
 
 
 def test_table2(benchmark):
-    access, backbone = run_once(
-        benchmark, lambda: (access_buffer_delays(), backbone_buffer_delays()))
-    rows = []
-    for packets, up, down in access:
-        paper_up, paper_down = TABLE2_ACCESS[packets]
-        rows.append(("access", packets,
-                     "%.0f / %.0f" % (up * 1000, paper_up),
-                     "%.0f / %.0f" % (down * 1000, paper_down)))
-    for packets, delay in backbone:
-        rows.append(("backbone", packets,
-                     "%.1f / %.1f" % (delay * 1000, TABLE2_BACKBONE[packets]),
-                     ""))
-    comparison_table(
-        "Table 2: max queueing delay, measured/paper [ms]",
-        ("testbed", "packets", "uplink (ours/paper)", "downlink (ours/paper)"),
-        rows)
+    access = run_once(benchmark, access_buffer_delays)
+    print_figure("table2", None)
     # The analytic delays must track the paper within framing tolerance.
     for packets, up, down in access:
         paper_up, paper_down = TABLE2_ACCESS[packets]

@@ -1,8 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures at a
-reduced scale and prints measured values next to the paper's reported
-ones.  The grids themselves are declared once in the sweep registry
+reduced scale and prints the report figure — measured values next to
+the paper's reported ones — with its fidelity verdict.  The grids
+themselves are declared once in the sweep registry
 (:mod:`repro.core.registry`): each figure benchmark looks up its
 registered :class:`repro.core.registry.SweepSpec` and runs it, so the
 benchmark, ``python -m repro run <name>`` and any other consumer execute
@@ -48,17 +49,27 @@ def run_registered(name, runner=None):
 
 
 def print_figure(name, results):
-    """Print (and return) the text of report figure ``name``.
+    """Print (and return) report figure ``name`` and its verdict.
 
     The same model ``python -m repro figures`` prints and ``python -m
     repro report`` draws as SVG, built from the registered sweep's
-    ``results`` at the current scale.
+    ``results`` at the current scale (None for the closed-form Table
+    2): each cell shows the reproduced value and, where the paper has
+    one, `` / `` and the paper value.  The verdict line is the scoring
+    ``python -m repro report`` runs, so a benchmark session and the
+    report agree by construction.
     """
     from repro.core.registry import get
     from repro.report.figures import REPORT_FIGURES
 
     figure = REPORT_FIGURES[name]
-    text = figure.model(results, get(figure.sweep), scale()).text()
+    spec = get(figure.sweep) if figure.sweep is not None else None
+    scored = figure.score(results)
+    gates = ", ".join("%s %.3g" % (gate_name, gate["value"])
+                      for gate_name, gate in scored.gates.items())
+    text = "%s\nfidelity %s: %s%s" % (
+        figure.model(results, spec, scale()).text(), name, scored.verdict,
+        " (%s)" % gates if gates else "")
     print()
     print(text)
     return text
@@ -81,27 +92,6 @@ def run_once(benchmark, fn):
     measures nothing new and multiplies runtime.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def fidelity_line(figure, results):
-    """Print (and return) the report layer's verdict for one sweep.
-
-    ``results`` is the sweep's ResultSet; figures without digitized
-    paper data report SKIP.  This is the same scoring ``python -m repro
-    report`` runs — a benchmark session and the report agree by
-    construction.
-    """
-    from repro.report import fidelity
-
-    check = fidelity.check_for(figure)
-    scored = (fidelity.evaluate(check, results) if check is not None
-              else fidelity.skip(figure))
-    gates = ", ".join("%s %.3g" % (name, gate["value"])
-                      for name, gate in scored.gates.items())
-    text = "fidelity %s: %s%s" % (figure, scored.verdict,
-                                  " (%s)" % gates if gates else "")
-    print(text)
-    return text
 
 
 def comparison_table(title, headers, rows):

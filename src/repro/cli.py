@@ -49,7 +49,7 @@ import sys
 
 from repro import api
 from repro.core import registry
-from repro.core.registry import REGISTRY, resolve_scale
+from repro.core.registry import REGISTRY, parse_scale, resolve_scale
 from repro.results import key_str
 from repro.runner import GridRunner
 
@@ -67,6 +67,14 @@ def _parse_buffer(text):
     except ValueError:
         raise SystemExit("invalid buffer size %r (want a packet count "
                          "like 64, or DOWN:UP like 64:8)" % (text,))
+
+
+def _parse_scale(text):
+    """argparse type of every ``--scale``: :func:`parse_scale`'s check."""
+    try:
+        return parse_scale(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_csv(text, parse=lambda token: token):
@@ -337,7 +345,7 @@ def _add_runner_arguments(parser):
                         help="bypass the on-disk result cache")
     parser.add_argument("--progress", action="store_true",
                         help="per-cell progress/ETA lines on stderr")
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=_parse_scale, default=None,
                         help="fidelity multiplier (default: REPRO_SCALE)")
 
 
@@ -367,7 +375,7 @@ def build_parser():
         "list", help="catalog of registered sweeps")
     list_parser.add_argument("--json", action="store_true",
                              help="machine-readable output")
-    list_parser.add_argument("--scale", type=float, default=None)
+    list_parser.add_argument("--scale", type=_parse_scale, default=None)
     list_parser.set_defaults(fn=cmd_list)
 
     describe = sub.add_parser(
@@ -376,7 +384,7 @@ def build_parser():
     describe.add_argument("--json", action="store_true")
     describe.add_argument("--hashes", action="store_true",
                           help="also print each cell's content hash")
-    describe.add_argument("--scale", type=float, default=None)
+    describe.add_argument("--scale", type=_parse_scale, default=None)
     describe.set_defaults(fn=cmd_describe)
 
     run = sub.add_parser("run", help="execute a sweep through the grid "
@@ -462,7 +470,7 @@ def build_parser():
                       help="rows to print for --profile")
     perf.add_argument("--sort", default="tottime",
                       help="profile sort key: tottime/cumulative/ncalls")
-    perf.add_argument("--scale", type=float, default=None,
+    perf.add_argument("--scale", type=_parse_scale, default=None,
                       help="scale for --profile cells (default 1.0)")
     perf.set_defaults(fn=cmd_perf)
     return parser

@@ -1,8 +1,9 @@
 """The paper's reported numbers, transcribed for side-by-side comparison.
 
-Benchmarks print these next to the measured values so EXPERIMENTS.md can
-record paper-vs-measured per artifact.  Keys follow the figure grids:
-``(workload, buffer_packets)`` (plus a resolution for Figure 9).
+The figure catalog (:data:`repro.report.figures.REPORT_FIGURES`) pairs
+each grid with the reproduced column it is drawn beside and scored
+against.  Grid keys are ``(workload, buffer_packets)``; Figure 9's
+SD/HD grids are separate tables.
 
 Transcription notes
 -------------------
@@ -163,30 +164,6 @@ FIG11 = _grid(BACKBONE_WORKLOAD_ROWS, BACKBONE_BUFFER_SIZES, [
     0.9, 0.8, 0.9, 1.3, 3.4, 5.0,   0.8, 0.8, 1.0, 1.3, 3.5, 4.8,
     0.8, 0.8, 0.8, 1.5, 4.5, 5.9,   0.8, 0.8, 0.8, 1.6, 9.5, 9.2,
 ])
-
-# ---------------------------------------------------------------------------
-# Digitized-grid index: sweep name -> {series label: {(row, col): value}}.
-#
-# This index feeds the SVG report figures' per-cell paper overlays
-# (repro.report.figures); the series labels match the reproduced result
-# columns drawn next to them (VoIP call directions, video resolutions,
-# web PLT).  The fidelity *checks* are declared separately — and more
-# richly, with thresholds, key mappings and Table-1/fig4-down special
-# cases this simple index cannot express — in
-# repro.report.fidelity.CHECKS; when transcribing new paper data, add
-# it here for the overlay AND declare a FigureCheck for the verdict.
-# ---------------------------------------------------------------------------
-DIGITIZED = {
-    "fig4-up": {"uplink": FIG4_UP_ONLY_UPLINK},
-    "fig7a": {"listens": FIG7A_LISTENS, "talks": FIG7A_TALKS},
-    "fig7b": {"listens": FIG7B_LISTENS, "talks": FIG7B_TALKS},
-    "fig8": {"listens": FIG8},
-    "fig9a": {"SD": FIG9A_SD, "HD": FIG9A_HD},
-    "fig9b": {"SD": FIG9B_SD, "HD": FIG9B_HD},
-    "fig10a": {"median PLT": FIG10A},
-    "fig10b": {"median PLT": FIG10B},
-    "fig11": {"median PLT": FIG11},
-}
 
 #: Buffer sizes the paper's discussion highlights (§6–§7): the uplink
 #: BDP, the downlink BDP and the bufferbloat extreme on access; tiny /

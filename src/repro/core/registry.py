@@ -31,6 +31,7 @@ same way.  Specs may also declare reduced axes (``scenarios_small``,
 ``buffers_small``) used below ``full_scale`` so quick runs stay quick.
 """
 
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -43,19 +44,32 @@ from repro.runner import CellTask
 from repro.runner.task import DISCIPLINES, KINDS
 
 
+def parse_scale(text, name="scale"):
+    """``text`` as a fidelity scale: a finite number above zero.
+
+    Raises ``ValueError`` naming ``name`` for anything else (``nan``,
+    ``inf``, ``0``, negative numbers, non-numbers).
+    """
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("%s must be a finite number above 0, got %r"
+                         % (name, text))
+    return scale
+
+
 def resolve_scale(default=1.0):
     """Read the global fidelity knob (``REPRO_SCALE`` env var, float).
 
-    Raises ``ValueError`` when ``REPRO_SCALE`` is set to a non-float.
+    Raises ``ValueError`` when ``REPRO_SCALE`` is set to anything
+    :func:`parse_scale` rejects.
     """
     env = os.environ.get("REPRO_SCALE", "")
     if not env:
         return default
-    try:
-        return float(env)
-    except ValueError:
-        raise ValueError("REPRO_SCALE must be a number, got %r"
-                         % env) from None
+    return parse_scale(env, "REPRO_SCALE")
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,16 @@ without anyone eyeballing text heatmaps.  It has three layers:
     charts, tables) sharing the traffic-light colour semantics of the
     text backend (:data:`repro.viz.heatmap.MARKER_COLORS`).
 :mod:`repro.report.figures`
-    The figure catalog: one model per paper artifact (Figures 4–11,
-    Tables 1–2), built straight from
+    The figure catalog: one entry per paper artifact (Figures 4–11,
+    Tables 1–2) declaring its sweep, its model — built straight from
     :class:`repro.results.set.ResultSet`s with the digitized paper
-    value beside each cell, and rendered as SVG or as text.
+    value beside each cell, and rendered as SVG or as text — and the
+    fidelity check whose paper series that model draws.
 :mod:`repro.report.fidelity`
-    Per-figure scoring against :data:`repro.core.paper_data.DIGITIZED`
-    — rank correlation along the buffer axis, trend agreement at the
-    paper's highlighted sizes, max absolute MOS/SSIM/PLT deviation —
-    graded into a ``PASS``/``WARN``/``FAIL``/``SKIP`` verdict.
+    The scoring engine behind those checks — rank correlation along
+    the buffer axis, trend agreement at the paper's highlighted sizes,
+    max absolute MOS/SSIM/PLT deviation — graded into a
+    ``PASS``/``WARN``/``FAIL``/``SKIP`` verdict.
 
 :func:`repro.report.build.generate_report` ties them together into a
 self-contained ``index.md`` + SVGs + ``fidelity.json`` directory; the
@@ -32,7 +33,6 @@ from repro.report.build import (
     generate_report,
 )
 from repro.report.fidelity import (
-    CHECKS,
     FAIL,
     PASS,
     SKIP,
@@ -48,7 +48,6 @@ from repro.report.fidelity import (
 from repro.report.figures import REPORT_FIGURES, ReportFigure, figure_names
 
 __all__ = [
-    "CHECKS",
     "FAIL",
     "FigureCheck",
     "FigureFidelity",

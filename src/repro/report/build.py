@@ -6,7 +6,8 @@ results into ``<out>/index.md`` + one SVG per figure +
 
 * figures come from :data:`repro.report.figures.REPORT_FIGURES` (the
   SVG backend of each figure's model);
-* verdicts come from :mod:`repro.report.fidelity`;
+* verdicts come from each figure's check, scored by
+  :mod:`repro.report.fidelity`;
 * results stream through :func:`repro.api.iter_sweep` (so a warm cache
   re-simulates nothing and a cold one shows per-cell progress with the
   usual runner knobs), or through :func:`repro.api.load_sweep` when
@@ -24,7 +25,6 @@ import json
 import os
 import sys
 
-from repro.report import fidelity as fidelity_mod
 from repro.report.figures import REPORT_FIGURES, figure_names
 
 #: fidelity.json schema version (see docs/fidelity.schema.json).
@@ -80,18 +80,6 @@ def _load_results(spec, scale, cached_only, runner):
         return api.load_sweep(spec, scale=scale)
     return ResultSet.from_stream(
         api.iter_sweep(spec, scale=scale, runner=runner))
-
-
-def _figure_fidelity(name, results):
-    if name == "table2":
-        return fidelity_mod.table2_fidelity()
-    check = fidelity_mod.check_for(name)
-    if check is None:
-        return fidelity_mod.skip(name)
-    if results is None or len(results) == 0:
-        return fidelity_mod.skip(
-            name, "no reproduced cells available (cold cache?)")
-    return fidelity_mod.evaluate(check, results)
 
 
 def _fmt_metric(value):
@@ -222,11 +210,11 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
         with open(os.path.join(out_dir, svg_name), "w",
                   encoding="utf-8") as handle:
             handle.write(markup)
-        fig_fidelity = _figure_fidelity(name, results)
+        fig_fidelity = figure.score(results)
         entry = {
             "figure": name,
             "sweep": figure.sweep,
-            "title": figure.title,
+            "title": figure.title if spec is None else spec.title,
             "svg": svg_name,
             "verdict": fig_fidelity.verdict,
             "cells_expected": expected,

@@ -1,10 +1,10 @@
 """Fidelity scoring: reproduced grids vs the paper's digitized values.
 
-The digitized numbers in :mod:`repro.core.paper_data` have sat next to
-the benchmarks for human eyeballing; this module turns them into a
-machine-checked verdict per figure.  For every reportable sweep a
-:class:`FigureCheck` declares which paper grid each reproduced column is
-compared against and which thresholds gate the verdict; calling
+This module turns the digitized numbers of :mod:`repro.core.paper_data`
+into a machine-checked verdict per figure.  Each figure of the catalog
+(:data:`repro.report.figures.REPORT_FIGURES`) declares one
+:class:`FigureCheck`: which paper grid each reproduced column is
+compared against and which thresholds gate the verdict.  Calling
 :func:`evaluate` with the sweep's :class:`repro.results.set.ResultSet`
 produces a :class:`FigureFidelity` carrying the metrics and a
 ``PASS``/``WARN``/``FAIL`` verdict (``SKIP`` when there is no digitized
@@ -101,16 +101,6 @@ def _default_map_key(key):
     return (key[0], key[1])
 
 
-def _split_label_key(key):
-    """table1-access keys: ``("short-few/up", (64, 8))`` -> paper key."""
-    return tuple(key[0].split("/", 1))
-
-
-def _workload_key(key):
-    """table1-backbone keys: ``("long", 749)`` -> ``"long"``."""
-    return key[0]
-
-
 @dataclass(frozen=True)
 class Thresholds:
     """Verdict gates for one figure (all in the figure's units).
@@ -161,9 +151,13 @@ class MonotoneSpec:
 
 @dataclass(frozen=True)
 class FigureCheck:
-    """Everything needed to score one figure's reproduction."""
+    """Everything needed to score one figure's reproduction.
 
-    figure: str
+    Each entry of :data:`repro.report.figures.REPORT_FIGURES` carries
+    its check; the figure draws its paper values from the same
+    ``series`` this check scores.
+    """
+
     units: str  # unit of the deviation metrics ("MOS", "pp", "s", ...)
     series: tuple = ()  # SeriesSpec entries
     monotone: tuple = ()  # MonotoneSpec entries
@@ -174,6 +168,13 @@ class FigureCheck:
     envelope_bound: float = None
     envelope_factor: float = 1.0
     notes: str = ""
+
+    def paper(self, label):
+        """The paper grid of the series called ``label`` (``{}`` if none)."""
+        for spec in self.series:
+            if spec.label == label:
+                return spec.paper
+        return {}
 
 
 @dataclass
@@ -270,10 +271,10 @@ def _grade(value, pass_bound, warn_bound, higher_is_better):
     return FAIL
 
 
-def evaluate(check, results):
-    """Score one figure's :class:`ResultSet` against its check."""
+def evaluate(check, results, figure=""):
+    """Score the :class:`ResultSet` of ``figure`` against its check."""
     thresholds = check.thresholds
-    fidelity = FigureFidelity(figure=check.figure, verdict=SKIP,
+    fidelity = FigureFidelity(figure=figure, verdict=SKIP,
                               units=check.units, notes=check.notes)
     deviations = []  # (abs deviation, paper key, paper, repro)
     pooled_paper, pooled_repro = [], []
@@ -329,7 +330,7 @@ def evaluate(check, results):
                 raise ValueError(
                     "monotone check %r on figure %r sees several cells "
                     "at (%r, %r) — pin the sweep's extra axes with "
-                    "MonotoneSpec.filters" % (spec.label, check.figure,
+                    "MonotoneSpec.filters" % (spec.label, figure,
                                               key[0], key[1]))
             row[key[1]] = float(value) * spec.factor
         for row, by_buffer in sorted(rows.items()):
@@ -420,171 +421,6 @@ def evaluate(check, results):
         fidelity.notes = fidelity.notes or ("not enough overlapping data "
                                             "to gate any metric")
     return fidelity
-
-
-# ---------------------------------------------------------------------------
-# The per-figure check catalog.
-#
-# Threshold calibration: the PASS/WARN bounds below were set against a
-# full-scale (REPRO_SCALE=4) reproduction run with comfortable headroom
-# over the measured deviation (see docs/REPORTING.md for the measured
-# values per figure).  Tightening a bound is a deliberate act: do it
-# only with a fresh full-scale run in hand.
-# ---------------------------------------------------------------------------
-_MOS_THRESHOLDS = Thresholds(
-    max_deviation_pass=1.5, max_deviation_warn=2.5,
-    rank_pass=0.6, rank_warn=0.3,
-    trend_pass=0.5, trend_warn=0.25,
-    flat_epsilon=0.5)
-
-
-def _table1_access_series():
-    """Utilization/loss series from Table 1's access half."""
-    columns = (("up utilization", 0, "up_utilization", 100.0),
-               ("down utilization", 1, "down_utilization", 100.0),
-               ("up loss", 2, "up_loss", 100.0),
-               ("down loss", 3, "down_loss", 100.0))
-    return tuple(
-        SeriesSpec(label, {key: row[index] for key, row
-                           in paper_data.TABLE1_ACCESS.items()},
-                   column, factor=factor, map_key=_split_label_key)
-        for label, index, column, factor in columns)
-
-
-def _table1_backbone_series():
-    columns = (("down utilization", 0, "down_utilization", 100.0),
-               ("loss", 2, "down_loss", 100.0))
-    return tuple(
-        SeriesSpec(label, {key: row[index] for key, row
-                           in paper_data.TABLE1_BACKBONE.items()},
-                   column, factor=factor, map_key=_workload_key)
-        for label, index, column, factor in columns)
-
-
-def _fig5_anchor(index):
-    """Table 1's long-many/bidir utilization, anchored at the 64-packet
-    downlink-BDP buffer of the fig5 sweep."""
-    return {("long-many", 64):
-            paper_data.TABLE1_ACCESS[("long-many", "bidir")][index]}
-
-
-CHECKS = {
-    "fig4-up": FigureCheck(
-        figure="fig4-up", units="ms",
-        series=(SeriesSpec("uplink", paper_data.FIG4_UP_ONLY_UPLINK,
-                           "up_mean_delay", factor=1000.0),),
-        thresholds=Thresholds(
-            max_deviation_pass=1500.0, max_deviation_warn=2500.0,
-            rank_pass=0.9, rank_warn=0.6,
-            trend_pass=0.99, trend_warn=0.5,
-            flat_epsilon=50.0),
-        notes="the bufferbloat staircase: ordering and growth trend are "
-              "the signal, absolute ms deviations are secondary"),
-    "fig4-down": FigureCheck(
-        figure="fig4-down", units="ms",
-        envelope_column="down_mean_delay",
-        envelope_bound=paper_data.FIG4_DOWN_ONLY_DOWNLINK_MAX_MS,
-        envelope_factor=1000.0,
-        notes="Figure 4a digitizes ambiguously; the paper's qualitative "
-              "envelope (mean downlink delay < 200 ms everywhere) is "
-              "checked instead"),
-    "fig5": FigureCheck(
-        figure="fig5", units="pp",
-        series=(SeriesSpec("up utilization", _fig5_anchor(0),
-                           "up_utilization", factor=100.0),
-                SeriesSpec("down utilization", _fig5_anchor(1),
-                           "down_utilization", factor=100.0)),
-        monotone=(MonotoneSpec("down utilization grows with the buffer",
-                               "down_utilization", direction=1),),
-        thresholds=Thresholds(
-            max_deviation_pass=25.0, max_deviation_warn=40.0,
-            rank_pass=0.8, rank_warn=0.5),
-        notes="Figure 5's boxplots are not digitized; the check anchors "
-              "on Table 1's long-many/bidir utilizations at the 64-packet "
-              "BDP buffer plus the figure's monotone downlink trend"),
-    "table1-access": FigureCheck(
-        figure="table1-access", units="pp",
-        series=_table1_access_series(),
-        thresholds=Thresholds(
-            max_deviation_pass=35.0, max_deviation_warn=50.0,
-            rank_pass=0.6, rank_warn=0.3),
-        notes="Harpoon session behaviour is calibrated, not specified "
-              "(see docs/SCENARIOS.md), so utilization/loss columns "
-              "carry wide tolerances"),
-    "table1-backbone": FigureCheck(
-        figure="table1-backbone", units="pp",
-        series=_table1_backbone_series(),
-        thresholds=Thresholds(
-            max_deviation_pass=25.0, max_deviation_warn=40.0,
-            rank_pass=0.6, rank_warn=0.3)),
-    "fig7a": FigureCheck(
-        figure="fig7a", units="MOS",
-        series=(SeriesSpec("listens", paper_data.FIG7A_LISTENS, "listens"),
-                SeriesSpec("talks", paper_data.FIG7A_TALKS, "talks")),
-        thresholds=Thresholds(
-            max_deviation_pass=1.5, max_deviation_warn=2.5,
-            rank_pass=0.6, rank_warn=0.3,
-            trend_pass=0.5, trend_warn=0.25,
-            # Figure 7a is the paper's near-flat figure (download
-            # activity barely moves MOS): every row's range is < 0.8
-            # MOS, so per-row buffer ordering is noise and the pooled
-            # rank correlation carries the gate instead.
-            flat_epsilon=0.8),),
-    "fig7b": FigureCheck(
-        figure="fig7b", units="MOS",
-        series=(SeriesSpec("listens", paper_data.FIG7B_LISTENS, "listens"),
-                SeriesSpec("talks", paper_data.FIG7B_TALKS, "talks")),
-        thresholds=_MOS_THRESHOLDS,
-        notes="the headline bufferbloat collapse: MOS must fall with the "
-              "uplink buffer in both call directions"),
-    "fig8": FigureCheck(
-        figure="fig8", units="MOS",
-        series=(SeriesSpec("listens", paper_data.FIG8, "listens"),),
-        thresholds=_MOS_THRESHOLDS),
-    "fig9a": FigureCheck(
-        figure="fig9a", units="SSIM",
-        series=(SeriesSpec("SD", paper_data.FIG9A_SD, "ssim",
-                           filters=(("resolution", "SD"),)),
-                SeriesSpec("HD", paper_data.FIG9A_HD, "ssim",
-                           filters=(("resolution", "HD"),))),
-        thresholds=Thresholds(
-            max_deviation_pass=0.35, max_deviation_warn=0.6,
-            rank_pass=0.5, rank_warn=0.2, flat_epsilon=0.1),
-        notes="our stream recovers at large buffers under short-few "
-              "where the paper's stays degraded — expect WARN"),
-    "fig9b": FigureCheck(
-        figure="fig9b", units="SSIM",
-        series=(SeriesSpec("SD", paper_data.FIG9B_SD, "ssim",
-                           filters=(("resolution", "SD"),)),
-                SeriesSpec("HD", paper_data.FIG9B_HD, "ssim",
-                           filters=(("resolution", "HD"),))),
-        thresholds=Thresholds(
-            max_deviation_pass=0.45, max_deviation_warn=0.6,
-            rank_pass=0.5, rank_warn=0.2, flat_epsilon=0.1)),
-    "fig10a": FigureCheck(
-        figure="fig10a", units="s",
-        series=(SeriesSpec("median PLT", paper_data.FIG10A, "median_plt"),),
-        thresholds=Thresholds(
-            max_deviation_pass=4.0, max_deviation_warn=8.0,
-            rank_pass=0.4, rank_warn=0.0, flat_epsilon=1.0)),
-    "fig10b": FigureCheck(
-        figure="fig10b", units="s",
-        series=(SeriesSpec("median PLT", paper_data.FIG10B, "median_plt"),),
-        thresholds=Thresholds(
-            max_deviation_pass=12.0, max_deviation_warn=20.0,
-            rank_pass=0.5, rank_warn=0.2, flat_epsilon=1.0)),
-    "fig11": FigureCheck(
-        figure="fig11", units="s",
-        series=(SeriesSpec("median PLT", paper_data.FIG11, "median_plt"),),
-        thresholds=Thresholds(
-            max_deviation_pass=5.0, max_deviation_warn=10.0,
-            rank_pass=0.4, rank_warn=0.0, flat_epsilon=1.0)),
-}
-
-
-def check_for(figure):
-    """The :class:`FigureCheck` for a figure name, or None (=> SKIP)."""
-    return CHECKS.get(figure)
 
 
 def table2_fidelity():

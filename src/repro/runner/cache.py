@@ -78,6 +78,8 @@ class ResultCache:
                 entry = json.load(handle)
         except (OSError, ValueError):
             return None
+        if not isinstance(entry, dict):
+            return None
         return entry.get("result")
 
     def put(self, task, payload):

@@ -31,6 +31,17 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["describe", "fig99"])
 
+    def test_bad_scale_is_a_usage_error(self, capsys, tmp_path):
+        # Every --scale goes through the check REPRO_SCALE does.
+        for command in (["list"], ["describe", "fig5"], ["run", "fig5"],
+                        ["figures"], ["report"], ["perf"]):
+            for bad in ("nan", "inf", "0", "-3", "banana"):
+                with pytest.raises(SystemExit) as exit_info:
+                    main(command + ["--scale=%s" % bad])
+                assert exit_info.value.code == 2, (command, bad)
+                assert "finite number above 0" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
 
 class TestList:
     def test_lists_every_registered_sweep(self, capsys):

@@ -98,12 +98,10 @@ def test_catalog_cell_counts_and_axes_match_registry():
 
 def test_reporting_doc_covers_the_report_layer():
     reporting = read("docs/REPORTING.md")
-    from repro.report.fidelity import CHECKS
     from repro.report.figures import figure_names
 
     for name in figure_names():
         assert "`%s`" % name in reporting, name
-    assert set(CHECKS) <= set(figure_names())
     for term in ("python -m repro report", "--cached-only", "--sample",
                  "fidelity.json", "fidelity.schema.json",
                  "max_abs_deviation", "rank_correlation",

@@ -144,9 +144,10 @@ class TestScaleResolution:
         assert len(get("fig7b").scenario_axis()) == 5
 
     def test_bad_env_scale_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "banana")
-        with pytest.raises(ValueError, match="REPRO_SCALE"):
-            registry.resolve_scale()
+        for bad in ("banana", "nan", "inf", "0", "-3"):
+            monkeypatch.setenv("REPRO_SCALE", bad)
+            with pytest.raises(ValueError, match="REPRO_SCALE"):
+                registry.resolve_scale()
         monkeypatch.setenv("REPRO_SCALE", "")
         assert registry.resolve_scale(default=2.0) == 2.0
 

@@ -8,6 +8,7 @@ byte-identical regeneration of the committed ``docs/sample_report/``.
 
 import json
 import os
+import re
 import xml.etree.ElementTree as ElementTree
 
 import pytest
@@ -28,8 +29,14 @@ from repro.report.fidelity import (
     evaluate,
     spearman,
 )
-from repro.report.figures import REPORT_FIGURES, Boxplots, Heatmaps, Table
-from repro.results.record import VoipResult
+from repro.report.figures import (
+    REPORT_FIGURES,
+    Boxplots,
+    Heatmaps,
+    ReportFigure,
+    Table,
+)
+from repro.results.record import RECORD_TYPES, VoipResult
 from repro.results.set import ResultSet
 from repro.sim.stats import five_number_summary
 
@@ -90,7 +97,7 @@ PAPER = {("w", 8): 4.0, ("w", 64): 3.0, ("w", 256): 2.0}
 
 
 def check_with(thresholds):
-    return FigureCheck(figure="test", units="MOS",
+    return FigureCheck(units="MOS",
                        series=(SeriesSpec("talks", PAPER, "talks"),),
                        thresholds=thresholds)
 
@@ -170,12 +177,13 @@ class TestEvaluate:
         assert scored.verdict == SKIP
 
     def test_unknown_figure_skips(self):
-        assert fidelity.check_for("aqm-voip") is None
+        unchecked = ReportFigure("aqm-voip", "aqm-voip", draw=None)
+        assert unchecked.score(voip_set(PAPER)).verdict == SKIP
         assert fidelity.skip("aqm-voip").verdict == SKIP
 
     def test_monotone_expectation(self):
         check = FigureCheck(
-            figure="mono", units="pp",
+            units="pp",
             monotone=(MonotoneSpec("up", "talks", direction=1),),
             thresholds=Thresholds(rank_pass=0.8, rank_warn=0.0))
         rising = voip_set({("w", 8): 1.0, ("w", 64): 2.0, ("w", 256): 3.0})
@@ -189,10 +197,6 @@ class TestEvaluate:
         scored = fidelity.table2_fidelity()
         assert scored.verdict == PASS
         assert scored.compared > 0
-
-    def test_every_production_check_names_a_report_figure(self):
-        for name in fidelity.CHECKS:
-            assert name in REPORT_FIGURES, name
 
     def test_fidelity_json_roundtrip(self):
         results = voip_set({key: value for key, value in PAPER.items()})
@@ -352,7 +356,7 @@ class TestGenerateReport:
         results = voip_set({("w", 8): 3.0, ("w", 16): 3.5,
                             ("w", 256): 4.0})
         check = FigureCheck(
-            figure="t", units="MOS",
+            units="MOS",
             series=(SeriesSpec("talks", paper, "talks"),),
             thresholds=Thresholds(trend_pass=1.0, flat_epsilon=0.5))
         scored = evaluate(check, results)
@@ -440,6 +444,108 @@ class TestFigureModels:
                                         side + "link"]
                                        + ["%.0f%%" % (value * 100)
                                           for value in box]]
+
+
+#: Every column a catalog figure reads, per cell kind; synthetic cells
+#: hold 0.0 wherever no paper series sets a value.
+KIND_COLUMNS = {
+    "qos": ("up_mean_delay", "down_mean_delay", "up_utilization",
+            "down_utilization", "up_loss", "down_loss"),
+    "voip": ("talks", "listens"),
+    "video": ("ssim", "mos"),
+    "web": ("median_plt", "mos"),
+}
+
+PAPER_FIGURES = [name for name, figure in REPORT_FIGURES.items()
+                 if figure.check is not None and figure.check.series]
+
+
+def paper_results(figure, spec, scale):
+    """A ResultSet over ``spec``'s cells whose values equal the figure's
+    paper grids, each divided by its series' factor, and the paper cells
+    those grids put on the sweep's axes (``{series label: {paper key:
+    value}}``)."""
+    axis_names = [param for param, __ in spec.axes]
+    records = []
+    on_axes = {series.label: {} for series in figure.check.series}
+    for index, key in enumerate(spec.cells(scale)):
+        params = tuple(sorted(zip(axis_names, key[2:])))
+        payload = dict.fromkeys(KIND_COLUMNS[spec.kind], 0.0)
+        payload["up_utilization_samples"] = [0.0]
+        payload["down_utilization_samples"] = [0.0]
+        for series in figure.check.series:
+            paper = series.paper.get(series.map_key(key))
+            if paper is not None and set(series.filters) <= set(params):
+                payload[series.column] = paper / series.factor
+                on_axes[series.label][series.map_key(key)] = paper
+        records.append(RECORD_TYPES[spec.kind](
+            scenario=key[0], buffer_packets=key[1], seed=0,
+            discipline="droptail", params=params, payload=payload,
+            key=key, index=index))
+    return ResultSet(records), on_axes
+
+
+def _tolerance(token):
+    """Half a unit in the last printed digit of ``token``."""
+    decimals = len(token.split(".")[1]) if "." in token else 0
+    return 0.5 * 10 ** -decimals + 1e-9
+
+
+def _panel_shows(panel, block, markup, paper):
+    """Whether one heatmap panel (its text ``block`` and the figure's
+    SVG ``markup``) shows every value of the ``paper`` grid."""
+    __, rows, cols, __ = panel
+    lines = {line.split()[0]: line for line in block.splitlines()[3:]}
+    for row in rows:
+        expected = [paper[(row, col)] for col in cols if (row, col) in paper]
+        shown = re.findall(r" / (\S+)", lines[str(row)])
+        if len(shown) != len(expected):
+            return False
+        for token, value in zip(shown, expected):
+            if (abs(float(token) - value) > _tolerance(token)
+                    or ">%s</text>" % token not in markup):
+                return False
+    return True
+
+
+class TestProductionPairing:
+    """Every catalog figure with paper series draws and scores the same
+    grids: fed its own paper values, it deviates by nothing and shows
+    each one on its axes."""
+
+    @pytest.mark.parametrize("name", PAPER_FIGURES)
+    def test_paper_grid_scores_zero_and_is_shown(self, name):
+        figure = REPORT_FIGURES[name]
+        spec = registry.get(figure.sweep)
+        scale = spec.full_scale
+        results, on_axes = paper_results(figure, spec, scale)
+        scored = figure.score(results)
+        assert scored.compared == sum(len(cells)
+                                      for cells in on_axes.values()) > 0
+        assert scored.metrics["max_abs_deviation"] <= 1e-9
+
+        model = figure.model(results, spec, scale)
+        text, markup = model.text(), model.svg()
+        if isinstance(model, Heatmaps):
+            blocks = text.split("\n\n")[1:]
+            for label, paper in on_axes.items():
+                assert any(_panel_shows(panel, block, markup, paper)
+                           for panel, block in zip(model.panels, blocks)), \
+                    label
+        elif isinstance(model, Table):
+            for index, paper in enumerate(on_axes.values(), start=1):
+                shown = sorted(float(row[index].split(" / ")[1])
+                               for row in model.rows)
+                assert shown == pytest.approx(sorted(paper.values()),
+                                              abs=0.05)
+            for row in model.rows:
+                for cell in row:
+                    assert cell in text
+                    assert ">%s</text>" % cell in markup
+        else:
+            # Figure 5 anchors on Table 1's utilizations, which its
+            # boxplots do not draw.
+            assert isinstance(model, Boxplots)
 
 
 class TestCommittedSample:

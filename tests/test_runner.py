@@ -138,12 +138,14 @@ class TestResultCache:
         assert old.get(task) == {"x": 1}
         assert new.get(task) is None  # code changed -> cache invalidated
 
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
+    @pytest.mark.parametrize("entry", ["not json {", "[1, 2]", "null"],
+                             ids=["truncated", "list", "null"])
+    def test_corrupt_entry_reads_as_miss(self, tmp_path, entry):
         cache = ResultCache(directory=str(tmp_path), enabled=True)
         task = qos_task()
         cache.put(task, {"x": 1})
         with open(cache.path(task), "w") as handle:
-            handle.write("not json {")
+            handle.write(entry)
         assert cache.get(task) is None
 
 
