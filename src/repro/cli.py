@@ -77,6 +77,18 @@ def _parse_scale(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _parse_workers(text):
+    """argparse type of ``--workers``: an integer of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            "must be an integer of at least 1, got %r" % (text,))
+    return workers
+
+
 def _parse_csv(text, parse=lambda token: token):
     return tuple(parse(token.strip()) for token in text.split(",")
                  if token.strip())
@@ -101,10 +113,13 @@ def _overrides_from(args):
 
 
 def _runner_from(args):
-    return GridRunner(workers=getattr(args, "workers", None),
-                      use_cache=not getattr(args, "no_cache", False),
-                      progress=True if getattr(args, "progress", False)
-                      else None)
+    try:
+        return GridRunner(workers=getattr(args, "workers", None),
+                          use_cache=not getattr(args, "no_cache", False),
+                          progress=True if getattr(args, "progress", False)
+                          else None)
+    except ValueError as exc:  # a bad REPRO_WORKERS
+        raise SystemExit(str(exc))
 
 
 def _run_through_api(args, runner=None):
@@ -338,7 +353,7 @@ def cmd_perf(args):
 # Argument parsing.
 # ---------------------------------------------------------------------------
 def _add_runner_arguments(parser):
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=_parse_workers, default=None,
                         help="worker processes (default: REPRO_WORKERS or "
                              "all cores; 1 = serial in-process)")
     parser.add_argument("--no-cache", action="store_true",

@@ -81,10 +81,10 @@ class _SimRunTimer:
         original = engine.Simulator.run
         timer = self
 
-        def timed_run(sim, until=None, max_events=None):
+        def timed_run(sim, until=None):
             t0 = time.process_time()
             try:
-                return original(sim, until=until, max_events=max_events)
+                return original(sim, until=until)
             finally:
                 timer.seconds += time.process_time() - t0
 

@@ -8,9 +8,9 @@ results into ``<out>/index.md`` + one SVG per figure +
   SVG backend of each figure's model);
 * verdicts come from each figure's check, scored by
   :mod:`repro.report.fidelity`;
-* results stream through :func:`repro.api.iter_sweep` (so a warm cache
+* results come from :func:`repro.api.run_sweep` (so a warm cache
   re-simulates nothing and a cold one shows per-cell progress with the
-  usual runner knobs), or through :func:`repro.api.load_sweep` when
+  usual runner knobs), or from :func:`repro.api.load_sweep` when
   ``cached_only`` — which never simulates and reports partial coverage
   honestly instead of failing.
 
@@ -70,16 +70,6 @@ def validate_selection(names, sample=False, scale=None):
         raise ValueError("no report figure for %s (have: %s)" % (
             ", ".join(sorted(unknown)), ", ".join(figure_names())))
     return names
-
-
-def _load_results(spec, scale, cached_only, runner):
-    from repro import api
-    from repro.results.set import ResultSet
-
-    if cached_only:
-        return api.load_sweep(spec, scale=scale)
-    return ResultSet.from_stream(
-        api.iter_sweep(spec, scale=scale, runner=runner))
 
 
 def _fmt_metric(value):
@@ -202,7 +192,8 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
             if sample and name in SAMPLE_OVERRIDES:
                 spec = api.apply_overrides(spec, scale=scale,
                                            **SAMPLE_OVERRIDES[name])
-            results = _load_results(spec, scale, cached_only, runner)
+            results = (api.load_sweep(spec, scale=scale) if cached_only
+                       else api.run_sweep(spec, scale=scale, runner=runner))
             expected = spec.cell_count(scale)
             present = len(results)
         markup = figure.model(results, spec, scale).svg()

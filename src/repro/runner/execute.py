@@ -7,9 +7,9 @@ worker processes.  Study-layer imports happen lazily inside the
 executors to keep ``repro.runner`` import-light and cycle-free.
 
 Cells run with the cyclic garbage collector paused: the sim core is
-careful about reference cycles (packets are pooled, events are plain
-lists) and gen-0 scans over a large live heap cost several percent of
-every cell.  The pause cannot change results — collection timing has no
+careful about reference cycles (packets and events are plain objects
+that reference counting frees) and gen-0 scans over a large live heap
+cost several percent of every cell.  The pause cannot change results — collection timing has no
 observable effect on the simulation — and collection happens naturally
 once the payload is built.
 """

@@ -22,19 +22,23 @@ from repro.runner.execute import execute_task
 def resolve_workers(workers=None):
     """Worker count: explicit arg > ``REPRO_WORKERS`` env > cpu count.
 
-    Raises ``ValueError`` when ``REPRO_WORKERS`` is set to a non-integer.
+    Raises ``ValueError``, naming where the count came from, when it is
+    not an integer of at least 1.
     """
+    source = "workers"
     if workers is None:
         env = os.environ.get("REPRO_WORKERS", "")
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError("REPRO_WORKERS must be an integer, got %r"
-                                 % env) from None
-        else:
-            workers = os.cpu_count() or 1
-    return max(1, int(workers))
+        if not env:
+            return os.cpu_count() or 1
+        source = "REPRO_WORKERS"
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError("REPRO_WORKERS must be an integer, got %r"
+                             % env) from None
+    if workers < 1:
+        raise ValueError("%s must be at least 1, got %r" % (source, workers))
+    return int(workers)
 
 
 def _name_cell(exc, task):

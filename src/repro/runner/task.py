@@ -9,6 +9,7 @@ content hash that keys the on-disk result cache.
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 #: Bump when the meaning of a cached payload changes incompatibly.
@@ -20,6 +21,23 @@ KINDS = ("qos", "voip", "video", "web")
 
 #: Queue disciplines understood by :func:`repro.runner.execute.queue_factory_for`.
 DISCIPLINES = ("droptail", "red", "codel")
+
+
+def _check_cell_values(kind, buffer_packets, warmup, duration):
+    """Raise ``ValueError`` for a cell no simulation can give meaning to."""
+    buffers = (buffer_packets if isinstance(buffer_packets, tuple)
+               else (buffer_packets,))
+    if len(buffers) not in (1, 2) or not all(
+            type(packets) is int and packets >= 1 for packets in buffers):
+        raise ValueError("buffer size must be a packet count of at least 1, "
+                         "or a (down, up) pair of them; got %r"
+                         % (buffer_packets,))
+    if not (math.isfinite(warmup) and warmup >= 0):
+        raise ValueError("warmup must be a finite number of seconds >= 0, "
+                         "got %r" % (warmup,))
+    if kind != "web" and not (math.isfinite(duration) and duration > 0):
+        raise ValueError("duration must be a finite number of seconds > 0, "
+                         "got %r" % (duration,))
 
 
 def _jsonable(value):
@@ -38,7 +56,8 @@ class CellTask:
     ``params`` holds kind-specific keyword arguments (e.g. ``calls`` and
     ``directions`` for VoIP cells) as a sorted item tuple so the task
     stays hashable; build tasks through :meth:`make`, which accepts them
-    as plain keywords.  ``warmup``/``duration`` are simulated seconds;
+    as plain keywords and rejects buffers, warm-ups and windows out of
+    range.  ``warmup``/``duration`` are simulated seconds;
     ``buffer_packets`` is a packet count (or a per-direction pair).
     """
 
@@ -61,6 +80,7 @@ class CellTask:
                              % (discipline, DISCIPLINES))
         if isinstance(buffer_packets, list):
             buffer_packets = tuple(buffer_packets)
+        _check_cell_values(kind, buffer_packets, warmup, duration)
         if kind == "web":
             # Web cells run a fixed fetch count, not a measurement window;
             # normalize the unused knob so semantically identical cells

@@ -6,9 +6,13 @@ an event engine (:mod:`repro.sim.engine`), packets
 CoDel (:mod:`repro.sim.queues`), store-and-forward and closed-form edge links
 (:mod:`repro.sim.link`), hosts/routers (:mod:`repro.sim.node`) and the two
 dumbbell topologies used by the paper (:mod:`repro.sim.topology`).
+
+One clock drives it all.  Callbacks are scheduled with
+``Simulator.call_later`` (or ``schedule_many``); a ``Timer`` is the only
+cancellable kind.  Packets are plain objects that any callback may keep.
 """
 
-from repro.sim.engine import Event, SimTimeError, Simulator, Timer
+from repro.sim.engine import SimTimeError, Simulator, Timer
 from repro.sim.link import EdgeLink, Interface
 from repro.sim.node import Node
 from repro.sim.packet import FLAG_ACK, FLAG_FIN, FLAG_SYN, Packet
@@ -20,7 +24,6 @@ from repro.sim.topology import (
 )
 
 __all__ = [
-    "Event",
     "SimTimeError",
     "Simulator",
     "Timer",

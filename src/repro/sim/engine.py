@@ -22,15 +22,14 @@ Design notes
   a set lookup, and a live-event counter makes :meth:`Simulator.pending`
   O(1) as well.  The run loop also marks entries as it executes them,
   so cancelling an already-fired event is an exact no-op.
-* :meth:`Simulator.schedule` returns a cancellable :class:`Event`
-  handle.  Hot callers that never cancel (link serialization, packet
-  delivery, media ticks) should use the allocation-free
-  :meth:`Simulator.call_later` / :meth:`Simulator.call_at` instead, and
-  periodic sources with a precomputed transmission plan should batch
-  through :meth:`Simulator.schedule_many`.
-* :class:`Timer` wraps the common restartable-timeout pattern used by TCP
-  retransmission and delayed-ACK timers, working on raw heap entries so
-  per-ACK restarts allocate nothing but the entry itself.
+* There are two ways to schedule.  :meth:`Simulator.call_later` (and
+  its batch form :meth:`Simulator.schedule_many`, for sources with a
+  precomputed transmission plan) pushes a callback nobody can cancel.
+  A :class:`Timer` is the cancellable one: the restartable timeout of
+  TCP retransmission and delayed ACKs, and of the utilization sampler.
+  It works on raw heap entries, so a per-ACK restart allocates nothing
+  but the entry itself.  The sim core's hottest sites (link
+  serialization, packet delivery) open-code the ``call_later`` push.
 """
 
 from heapq import heappop, heappush
@@ -52,46 +51,6 @@ class SimTimeError(ValueError):
     """Raised when an event is scheduled in the past."""
 
 
-class Event:
-    """A cancellable handle for one scheduled callback.
-
-    Returned by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`.
-    ``cancel()`` is idempotent and exact: cancelling an event that
-    already ran (or was already cancelled) changes nothing but the
-    ``cancelled`` flag.
-    """
-
-    __slots__ = ("_sim", "_entry", "cancelled")
-
-    def __init__(self, sim, entry):
-        self._sim = sim
-        self._entry = entry
-        self.cancelled = False
-
-    @property
-    def time(self):
-        """Absolute simulated time the callback fires at."""
-        return self._entry[0]
-
-    @property
-    def seq(self):
-        """Scheduling sequence number (the FIFO tie-breaker)."""
-        return self._entry[1]
-
-    def cancel(self):
-        """Prevent the callback from running (idempotent)."""
-        self.cancelled = True
-        entry = self._entry
-        if entry[2] is not None:
-            entry[2] = None
-            self._sim._live -= 1
-
-    def __repr__(self):
-        state = " cancelled" if self.cancelled else ""
-        return "Event(t=%.9f, fn=%r%s)" % (
-            self._entry[0], self._entry[2], state)
-
-
 class Simulator:
     """The event loop.  All times are seconds on a simulated clock."""
 
@@ -99,30 +58,18 @@ class Simulator:
         self.now = 0.0
         self._heap = []
         self._seq = 0
-        self._stopped = False
         self._live = 0  # non-cancelled entries still in the heap
         self.events_executed = 0  # cumulative, across run() calls
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def call_at(self, time, fn, *args):
-        """Schedule ``fn(*args)`` at absolute ``time``; no handle.
-
-        The allocation-free fast path: use it wherever the caller never
-        cancels.  Use :meth:`schedule_at` when a cancellable
-        :class:`Event` handle is needed.
-        """
-        if time < self.now:
-            raise SimTimeError(
-                "cannot schedule at %.9f; clock already at %.9f" % (time, self.now)
-            )
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, [time, seq, fn, args])
-        self._live += 1
-
     def call_later(self, delay, fn, *args):
-        """Schedule ``fn(*args)`` after ``delay`` seconds; no handle."""
+        """Schedule ``fn(*args)`` after ``delay`` seconds.
+
+        Nothing can cancel the call; arm a :class:`Timer` for a timeout
+        that may be cancelled or restarted.
+        """
         time = self.now + delay
         if time < self.now:
             raise SimTimeError(
@@ -131,25 +78,6 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heappush(self._heap, [time, seq, fn, args])
         self._live += 1
-
-    def schedule_at(self, time, fn, *args):
-        """Schedule ``fn(*args)`` at absolute simulated ``time``.
-
-        Returns a cancellable :class:`Event` handle.
-        """
-        if time < self.now:
-            raise SimTimeError(
-                "cannot schedule at %.9f; clock already at %.9f" % (time, self.now)
-            )
-        self._seq = seq = self._seq + 1
-        entry = [time, seq, fn, args]
-        heappush(self._heap, entry)
-        self._live += 1
-        return Event(self, entry)
-
-    def schedule(self, delay, fn, *args):
-        """Schedule ``fn(*args)`` after ``delay`` seconds (cancellable)."""
-        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_many(self, events):
         """Batch-schedule ``(delay, fn, args)`` triples; returns None.
@@ -184,16 +112,12 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until=None, max_events=None):
-        """Run events until the heap drains, ``until`` or ``max_events``.
+    def run(self, until=None):
+        """Run events until the heap drains or the next one is past ``until``.
 
         Returns the number of events executed.  When ``until`` is given the
         clock is advanced to ``until`` even if the heap drained earlier, so
-        that back-to-back ``run`` calls behave like one continuous run.  A
-        ``max_events`` break leaves the clock on the last executed event:
-        fast-forwarding past still-pending events would make the next
-        ``run`` move the clock backwards and ``schedule_at`` spuriously
-        reject legal times.  ``max_events <= 0`` executes nothing.
+        that back-to-back ``run`` calls behave like one continuous run.
         """
         global _total_events
         heap = self._heap
@@ -201,9 +125,6 @@ class Simulator:
         tuple_type = tuple
         limit = _INFINITY if until is None else until
         executed = 0
-        self._stopped = False
-        if max_events is not None and max_events <= 0:
-            return 0
         while heap:
             # Pop-first: cheaper than peek-then-pop on the hot path; the
             # rare beyond-limit entry is pushed back (once per run call).
@@ -224,20 +145,11 @@ class Simulator:
             else:
                 fn(args)  # scalar-arg fast path (see module docstring)
             executed += 1
-            if executed == max_events or self._stopped:
-                break
-        if until is not None and until > self.now and not self._stopped:
-            while heap and heap[0][2] is None:
-                pop(heap)
-            if not heap or heap[0][0] > until:
-                self.now = until
+        if until is not None and until > self.now:
+            self.now = until
         self.events_executed += executed
         _total_events += executed
         return executed
-
-    def stop(self):
-        """Stop :meth:`run` after the currently executing event."""
-        self._stopped = True
 
     def pending(self):
         """Number of live (non-cancelled) events still queued — O(1)."""
@@ -265,11 +177,11 @@ class Timer:
 
         timer = Timer(sim, self._on_rto)
         timer.start(1.0)     # arm
-        timer.restart(2.0)   # re-arm, cancelling the pending expiry
+        timer.restart(2.0)   # re-arm, cancelling the armed deadline
         timer.cancel()       # disarm
 
     Works on raw heap entries, so the per-ACK RTO restart of every TCP
-    connection costs one list, not an :class:`Event` handle on top.
+    connection costs one list and nothing on top.
     """
 
     __slots__ = ("_sim", "_fn", "_entry", "_cb")
@@ -278,7 +190,7 @@ class Timer:
         self._sim = sim
         self._fn = fn
         self._entry = None
-        self._cb = self._fire  # bound once; _arm runs per RTO restart
+        self._cb = self._fire  # bound once; restart runs per ACK
 
     @property
     def active(self):
@@ -286,22 +198,15 @@ class Timer:
         entry = self._entry
         return entry is not None and entry[2] is not None
 
-    @property
-    def expiry(self):
-        """Absolute expiry time, or None when disarmed."""
-        if self.active:
-            return self._entry[0]
-        return None
-
     def start(self, delay):
         """Arm the timer; raises if already armed (use restart)."""
         entry = self._entry
         if entry is not None and entry[2] is not None:  # inline .active
             raise RuntimeError("timer already armed")
-        self._arm(delay)
+        self.restart(delay)
 
     def restart(self, delay):
-        """Arm the timer, cancelling any pending expiry first.
+        """Arm the timer, cancelling any armed deadline first.
 
         Inlines cancel + arm: TCP restarts its RTO timer on every ACK.
         """
@@ -310,20 +215,6 @@ class Timer:
         if entry is not None and entry[2] is not None:
             entry[2] = None
             sim._live -= 1
-        time = sim.now + delay
-        if time < sim.now:
-            raise SimTimeError(
-                "cannot schedule at %.9f; clock already at %.9f"
-                % (time, sim.now)
-            )
-        sim._seq = seq = sim._seq + 1
-        entry = [time, seq, self._cb, ()]
-        heappush(sim._heap, entry)
-        sim._live += 1
-        self._entry = entry
-
-    def _arm(self, delay):
-        sim = self._sim
         time = sim.now + delay
         if time < sim.now:
             raise SimTimeError(

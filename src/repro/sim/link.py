@@ -58,9 +58,7 @@ class Interface:
 
     Hot-path notes: the serializer chain (``send`` → ``_tx_done``) runs
     once per packet and open-codes both the engine's scheduling and the
-    start-of-next-transmission logic; packets lost on the wire are
-    returned to the :mod:`repro.sim.packet` pool here, delivered
-    packets by the receiving node.  A serialized packet whose next hop
+    start-of-next-transmission logic.  A serialized packet whose next hop
     would forward it onto an :class:`EdgeLink` enters that edge link
     directly, at its arrival time (egress cut-through: the forwarding
     node's receive event is skipped).
@@ -80,8 +78,7 @@ class Interface:
         serialization.  The buffer size under study is this queue's
         capacity.
     dst_node:
-        Receiving :class:`repro.sim.node.Node` (set later via
-        :meth:`connect` if not known at construction).
+        Receiving :class:`repro.sim.node.Node`.
     loss_rate:
         Probability in ``[0, 1]`` that a serialized packet is lost on
         the wire (wireless-like corruption loss); 0.0 models a clean
@@ -96,7 +93,7 @@ class Interface:
                  "stats", "_busy", "_tx_started", "_tx_done_cb",
                  "_deliver_cb", "_q_push", "_q_pop")
 
-    def __init__(self, sim, name, rate_bps, prop_delay, queue, dst_node=None,
+    def __init__(self, sim, name, rate_bps, prop_delay, queue, dst_node,
                  loss_rate=0.0):
         self.sim = sim
         self.name = name
@@ -118,14 +115,9 @@ class Interface:
         # Bound-method caches: creating a bound method per scheduled
         # event (or per queue operation) is measurable at packet rates.
         self._tx_done_cb = self._tx_done
-        self._deliver_cb = dst_node.receive if dst_node is not None else None
+        self._deliver_cb = dst_node.receive
         self._q_push = queue.push
         self._q_pop = queue.pop
-
-    def connect(self, dst_node):
-        """Attach the receiving node."""
-        self.dst_node = dst_node
-        self._deliver_cb = dst_node.receive if dst_node is not None else None
 
     # ------------------------------------------------------------------
     # The send/_tx_done pair below runs once per packet — with
@@ -173,8 +165,7 @@ class Interface:
         stats.busy_time += now - started
         if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
             self.wire_drops += 1
-            packet.release()
-        elif self._deliver_cb is not None:
+        else:
             node = self.dst_node
             edge = node.routes.get(packet.dst)
             if edge.__class__ is EdgeLink:
@@ -259,7 +250,8 @@ class EdgeLink:
     def send_at(self, packet, time):
         """Enter ``packet`` at ``time`` (not earlier than the last entry).
 
-        Open-codes the engine's ``call_at`` (keep in lock-step with
+        Open-codes the engine's heap push (the same ``[time, seq, fn,
+        args]`` entries; keep in lock-step with
         :class:`repro.sim.engine.Simulator`); runs once per packet per
         edge hop.
         """

@@ -17,20 +17,13 @@ Packets addressed to a port nobody listens on are dropped silently (the
 simulator has no RSTs/ICMP; nothing in the study needs them).
 """
 
-from repro.sim import packet as _packet_module
-from repro.sim.packet import _POOL_CAP as _PACKET_POOL_CAP
-from repro.sim.packet import _pool as _packet_pool
-
 
 class Node:
     """A network element with interfaces, routes and transport endpoints.
 
     :meth:`receive` is the per-packet hot path: it inlines the TCP/UDP
-    demultiplexing (rather than dispatching through the ``_deliver_*``
-    helpers) and returns locally delivered packets to the
-    :mod:`repro.sim.packet` pool once the transport callback has run —
-    transports must not retain delivered packets (see
-    docs/ARCHITECTURE.md).
+    demultiplexing and hands each locally delivered packet to its
+    transport endpoint.
     """
 
     __slots__ = ("sim", "name", "addr", "routes", "default_route",
@@ -103,13 +96,6 @@ class Node:
             socket = self.udp_sockets.get(packet.dport)
             if socket is not None:
                 socket.handle_packet(packet)
-        # The packet has left the simulation: recycle it (inline
-        # Packet.release — one call per delivered packet).  Transport
-        # callbacks must not have kept a reference (pooling contract).
-        if (_packet_module.POOL_ENABLED and not packet._pooled
-                and len(_packet_pool) < _PACKET_POOL_CAP):
-            packet._pooled = True
-            _packet_pool.append(packet)
 
     # ------------------------------------------------------------------
     # Endpoint registry (used by the transport layers)

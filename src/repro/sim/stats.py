@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from repro.sim.engine import Timer
+
 
 class UtilizationSampler:
     """Samples per-bin link utilization — Figure 5's boxplot input.
@@ -12,18 +14,17 @@ class UtilizationSampler:
     """
 
     def __init__(self, sim, interface, bin_seconds=1.0):
-        self.sim = sim
         self.interface = interface
         self.bin_seconds = bin_seconds
         self.samples = []
         self._last_bytes = 0
-        self._event = None
+        self._timer = Timer(sim, self._tick)
 
     def start(self):
         """Begin sampling at the next bin boundary."""
         self.samples = []
         self._last_bytes = self.interface.stats.tx_bytes
-        self._event = self.sim.schedule(self.bin_seconds, self._tick)
+        self._timer.restart(self.bin_seconds)
 
     def _tick(self):
         now_bytes = self.interface.stats.tx_bytes
@@ -31,13 +32,11 @@ class UtilizationSampler:
         self._last_bytes = now_bytes
         capacity = self.interface.rate_bps * self.bin_seconds / 8.0
         self.samples.append(min(1.0, delta / capacity))
-        self._event = self.sim.schedule(self.bin_seconds, self._tick)
+        self._timer.start(self.bin_seconds)
 
     def stop(self):
         """Stop sampling."""
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
+        self._timer.cancel()
 
 
 def five_number_summary(samples):

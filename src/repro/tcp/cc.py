@@ -6,7 +6,7 @@ connection calls:
 * :meth:`on_ack` for every ACK that advances ``snd_una`` outside recovery,
 * :meth:`on_loss` when entering fast recovery (dup-ACK loss detection),
 * :meth:`on_exit_recovery` when recovery completes,
-* :meth:`on_timeout` on RTO expiry.
+* :meth:`on_timeout` when the retransmission timer fires.
 
 Windows are floats in bytes; the connection rounds down to whole segments
 when deciding what to transmit.  BIC and CUBIC follow the published

@@ -356,7 +356,7 @@ class TcpConnection:
         now = self.sim.now
         markers = (self._markers_for(seq, payload_len)
                    if self._tx_marker_offsets else None)
-        packet = Packet.alloc(
+        packet = Packet(
             self.node.addr,          # src
             self.peer_addr,          # dst
             self.local_port,         # sport
@@ -370,7 +370,6 @@ class TcpConnection:
             now,                     # ts
             self._ts_to_echo,
             markers,
-            now,                     # created
         )
         stats = self.stats
         stats.segments_sent += 1
@@ -387,7 +386,7 @@ class TcpConnection:
 
     def _send_control(self, flags, seq, payload_len=0, markers=None):
         now = self.sim.now
-        packet = Packet.alloc(
+        packet = Packet(
             self.node.addr,          # src
             self.peer_addr,          # dst
             self.local_port,         # sport
@@ -401,7 +400,6 @@ class TcpConnection:
             now,                     # ts
             self._ts_to_echo,
             markers,
-            now,                     # created
         )
         self.node.send(packet)
 
@@ -736,7 +734,7 @@ class TcpConnection:
         # the most common control segment by far (one per delivered data
         # pair), so skip the extra frame and the flag branches.
         now = self.sim.now
-        self.node.send(Packet.alloc(
+        self.node.send(Packet(
             self.node.addr,          # src
             self.peer_addr,          # dst
             self.local_port,         # sport
@@ -750,7 +748,6 @@ class TcpConnection:
             now,                     # ts
             self._ts_to_echo,
             None,                    # payload
-            now,                     # created
         ))
 
     def __repr__(self):

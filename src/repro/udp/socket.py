@@ -42,7 +42,7 @@ class UdpSocket:
         if self._closed:
             raise RuntimeError("sendto() on closed socket")
         node = self.node
-        packet = Packet.alloc(
+        packet = Packet(
             node.addr,               # src
             dst_addr,
             self.port,               # sport
@@ -56,7 +56,6 @@ class UdpSocket:
             0.0,                     # ts
             -1.0,                    # ts_echo
             payload,
-            self.sim.now,            # created
         )
         self.sent_datagrams += 1
         self.sent_bytes += payload_len

@@ -109,6 +109,28 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "fig5", "--discipline", "fifo"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fig7a", "--workloads", "noBG", "--buffers", "0"], "buffer size"),
+        (["fig7a", "--workloads", "noBG", "--buffers=-4"], "buffer size"),
+        (["fig5", "--buffers", "8", "--duration", "-1"], "duration"),
+        (["fig5", "--buffers", "8", "--warmup", "-3"], "warmup"),
+        (["fig9a", "--workloads", "noBG", "--buffers", "8", "--duration",
+          "0"], "duration"),
+    ])
+    def test_out_of_range_cell_values_rejected(self, argv, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["run"] + argv + ["--no-cache"])
+
+    def test_bad_workers_is_a_usage_error(self, capsys, monkeypatch):
+        for bad in ("0", "-2", "two"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", "fig5", "--workers", bad])
+            assert exit_info.value.code == 2, bad
+            assert "at least 1" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        with pytest.raises(SystemExit, match="REPRO_WORKERS must be at least"):
+            main(["run", "fig5", "--buffers", "8"])
+
     def test_malformed_buffers_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "fig5", "--buffers", "8x"])
@@ -186,7 +208,8 @@ class TestExport:
         target = tmp_path / "out.csv"
         assert main(EXPORT_CASES["qos"] + ["--output", str(target)]) == 0
         assert "wrote 1 records" in capsys.readouterr().err
-        rows = list(csv.DictReader(target.open()))
+        with target.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
         assert len(rows) == 1
 
     def test_cached_only_round_trip(self, capsys):

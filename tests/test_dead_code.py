@@ -41,9 +41,6 @@ ALLOWED = {
     "StreamAggregator": "streaming aggregation shown in README.md; ROADMAP "
                         "item 1 puts per-cell CIs in it",
     "consume": "StreamAggregator verb shown in README.md",
-    "call_at": "Simulator scheduling API in docs/ARCHITECTURE.md; the link "
-               "hot path open-codes it",
-    "expiry": "Timer state the engine tests pin",
     "covers": "IntervalSet query the interval property tests check",
     "gaps": "IntervalSet query the interval property tests check",
     "byte_length": "queued bytes: the conservation property tests read it",

@@ -1,6 +1,7 @@
 """Docs/registry consistency: the catalog documents what the code registers."""
 
 import os
+import re
 
 import pytest
 
@@ -94,6 +95,36 @@ def test_catalog_cell_counts_and_axes_match_registry():
         for scale, shape in ((1.0, cells[4].split("→")[0]),
                              (4.0, cells[4].split("→")[-1])):
             assert shape.strip() == axis_shape(spec, scale), (name, scale)
+
+
+#: A knob read: ``environ.get(`` or ``environ[`` and a quoted REPRO_ name.
+ENVIRON_READ = re.compile(r"""environ(?:\.get\(|\[)\s*["'](REPRO_\w+)""")
+
+
+def _knobs_read_by_code():
+    names = set()
+    for top in ("src/repro", "tests"):
+        for directory, _dirs, files in os.walk(os.path.join(ROOT, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    with open(path, encoding="utf-8") as handle:
+                        names.update(ENVIRON_READ.findall(handle.read()))
+    return names
+
+
+def _knob_table(text):
+    """``REPRO_*`` names in the rows of the "Knobs" section's table."""
+    section = text.split("## Knobs (environment variables)", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(REPRO_\w+)`", section, re.MULTILINE))
+
+
+@pytest.mark.parametrize("doc", ["README.md", "docs/ARCHITECTURE.md"])
+def test_knob_table_matches_the_environment_reads(doc):
+    read_by_code = _knobs_read_by_code()
+    assert "REPRO_WORKERS" in read_by_code  # the scan finds reads at all
+    assert _knob_table(read(doc)) == read_by_code
 
 
 def test_reporting_doc_covers_the_report_layer():

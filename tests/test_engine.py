@@ -11,9 +11,9 @@ from repro.sim.engine import SimTimeError, Simulator, Timer
 def test_events_run_in_time_order():
     sim = Simulator()
     order = []
-    sim.schedule(3.0, order.append, "c")
-    sim.schedule(1.0, order.append, "a")
-    sim.schedule(2.0, order.append, "b")
+    sim.call_later(3.0, order.append, "c")
+    sim.call_later(1.0, order.append, "a")
+    sim.call_later(2.0, order.append, "b")
     sim.run()
     assert order == ["a", "b", "c"]
     assert sim.now == 3.0
@@ -23,7 +23,7 @@ def test_simultaneous_events_fifo():
     sim = Simulator()
     order = []
     for tag in range(5):
-        sim.schedule(1.0, order.append, tag)
+        sim.call_later(1.0, order.append, tag)
     sim.run()
     assert order == [0, 1, 2, 3, 4]
 
@@ -31,7 +31,7 @@ def test_simultaneous_events_fifo():
 def test_run_until_stops_and_advances_clock():
     sim = Simulator()
     fired = []
-    sim.schedule(5.0, fired.append, "late")
+    sim.call_later(5.0, fired.append, "late")
     executed = sim.run(until=2.0)
     assert executed == 0
     assert sim.now == 2.0
@@ -42,17 +42,21 @@ def test_run_until_stops_and_advances_clock():
 
 def test_schedule_in_past_raises():
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.call_later(1.0, lambda: None)
     sim.run()
     with pytest.raises(SimTimeError):
-        sim.schedule_at(0.5, lambda: None)
+        sim.call_later(-0.5, lambda: None)
+    with pytest.raises(SimTimeError):
+        Timer(sim, lambda: None).start(-0.5)
+    assert sim.pending() == 0
 
 
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    event = sim.schedule(1.0, fired.append, "x")
-    event.cancel()
+    timer = Timer(sim, lambda: fired.append("x"))
+    timer.start(1.0)
+    timer.cancel()
     sim.run()
     assert fired == []
 
@@ -63,61 +67,24 @@ def test_events_scheduled_during_run_execute():
 
     def first():
         seen.append(sim.now)
-        sim.schedule(1.0, second)
+        sim.call_later(1.0, second)
 
     def second():
         seen.append(sim.now)
 
-    sim.schedule(1.0, first)
+    sim.call_later(1.0, first)
     sim.run()
     assert seen == [1.0, 2.0]
-
-
-def test_stop_halts_run():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, lambda: (seen.append(1), sim.stop()))
-    sim.schedule(2.0, seen.append, 2)
-    sim.run()
-    assert seen == [1]
-    assert sim.pending() == 1
-
-
-def test_max_events_limit():
-    sim = Simulator()
-    seen = []
-    for i in range(10):
-        sim.schedule(i + 1.0, seen.append, i)
-    executed = sim.run(max_events=4)
-    assert executed == 4
-    assert seen == [0, 1, 2, 3]
-
-
-def test_max_events_break_does_not_fast_forward_clock():
-    """Regression: a max_events break with events still pending before
-    ``until`` must not jump the clock to ``until`` — the next run() would
-    execute those events with the clock moving backwards."""
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, seen.append, "a")
-    sim.schedule(2.0, seen.append, "b")
-    executed = sim.run(until=5.0, max_events=1)
-    assert executed == 1
-    assert seen == ["a"]
-    assert sim.now == 1.0  # not 5.0: the 2.0 event has not run yet
-    # Scheduling between the pending event and the old `until` is legal.
-    sim.schedule_at(1.5, seen.append, "mid")
-    sim.run(until=5.0)
-    assert seen == ["a", "mid", "b"]
-    assert sim.now == 5.0
 
 
 def test_clock_never_moves_backwards_across_runs():
     sim = Simulator()
     times = []
     for t in (1.0, 2.0, 3.0):
-        sim.schedule_at(t, lambda: times.append(sim.now))
-    sim.run(until=10.0, max_events=2)
+        sim.call_later(t, lambda: times.append(sim.now))
+    sim.run(until=2.5)
+    sim.run(until=1.0)  # an `until` in the past runs nothing
+    assert sim.now == 2.5
     sim.run(until=10.0)
     assert times == sorted(times)
     assert times == [1.0, 2.0, 3.0]
@@ -126,12 +93,13 @@ def test_clock_never_moves_backwards_across_runs():
 def test_run_until_skips_cancelled_events_when_fast_forwarding():
     # A cancelled event below `until` must not pin the clock.
     sim = Simulator()
-    event = sim.schedule(1.0, lambda: None)
-    late = sim.schedule(7.0, lambda: None)
-    event.cancel()
+    early, late = Timer(sim, lambda: None), Timer(sim, lambda: None)
+    early.start(1.0)
+    late.start(7.0)
+    early.cancel()
     sim.run(until=5.0)
     assert sim.now == 5.0
-    assert not late.cancelled
+    assert late.active
 
 
 def test_timer_restart_and_cancel():
@@ -160,29 +128,17 @@ def test_timer_double_start_raises():
         timer.start(2.0)
 
 
-def test_timer_expiry_property():
-    sim = Simulator()
-    timer = Timer(sim, lambda: None)
-    assert timer.expiry is None
-    timer.start(3.0)
-    assert timer.expiry == 3.0
-    sim.run()
-    assert timer.expiry is None
-
-
 # ---------------------------------------------------------------------------
-# Fast-path API: call_later / call_at / schedule_many.
+# Uncancellable scheduling: call_later / schedule_many.
 # ---------------------------------------------------------------------------
-def test_call_later_and_call_at_fire_in_order():
+def test_call_later_fires_in_time_then_fifo_order():
     sim = Simulator()
     order = []
     sim.call_later(2.0, order.append, "b")
-    sim.call_at(1.0, order.append, "a")
+    sim.call_later(1.0, order.append, "a")
     sim.call_later(2.0, order.append, "c")  # same time: FIFO by seq
     sim.run()
     assert order == ["a", "b", "c"]
-    with pytest.raises(SimTimeError):
-        sim.call_at(0.5, order.append, "past")
     with pytest.raises(SimTimeError):
         sim.call_later(-1.0, order.append, "past")
 
@@ -195,7 +151,7 @@ def test_schedule_many_matches_loop_of_schedules():
     triples = [(1.0, order_a.append, (index,)) for index in range(5)]
     sim_a.schedule_many(iter(triples))
     for __, __unused, (index,) in triples:
-        sim_b.schedule(1.0, order_b.append, index)
+        sim_b.call_later(1.0, order_b.append, index)
     assert sim_a.pending() == sim_b.pending() == 5
     sim_a.run()
     sim_b.run()
@@ -204,7 +160,7 @@ def test_schedule_many_matches_loop_of_schedules():
 
 def test_schedule_many_rejects_past_times():
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.call_later(1.0, lambda: None)
     sim.run()
     with pytest.raises(SimTimeError):
         sim.schedule_many([(0.5, lambda: None, ()), (-1.0, lambda: None, ())])
@@ -212,21 +168,11 @@ def test_schedule_many_rejects_past_times():
     assert sim.pending() == 1
 
 
-def test_max_events_zero_or_negative_runs_nothing():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "x")
-    assert sim.run(max_events=0) == 0
-    assert sim.run(max_events=-3) == 0
-    assert fired == []
-    assert sim.pending() == 1
-
-
 def test_events_executed_accumulates():
     sim = Simulator()
     for index in range(5):
-        sim.schedule(float(index + 1), lambda: None)
-    sim.run(max_events=2)
+        sim.call_later(float(index + 1), lambda: None)
+    sim.run(until=2.0)
     assert sim.events_executed == 2
     sim.run()
     assert sim.events_executed == 5
@@ -237,22 +183,23 @@ def test_events_executed_accumulates():
 # ---------------------------------------------------------------------------
 def test_cancel_is_lazy_and_pending_is_exact():
     sim = Simulator()
-    events = [sim.schedule(float(index + 1), lambda: None)
-              for index in range(100)]
+    timers = [Timer(sim, lambda: None) for __ in range(100)]
+    for index, timer in enumerate(timers):
+        timer.start(float(index + 1))
     assert sim.pending() == 100
     heap_size = len(sim._heap)
-    for event in events[::2]:
-        event.cancel()
+    for timer in timers[::2]:
+        timer.cancel()
     # Lazy deletion: cancellation must not touch the heap structure.
     assert len(sim._heap) == heap_size
     assert sim.pending() == 50
-    for event in events[::2]:
-        event.cancel()  # double cancel: exact no-op
+    for timer in timers[::2]:
+        timer.cancel()  # double cancel: exact no-op
     assert sim.pending() == 50
     executed = sim.run()
     assert executed == 50
     assert sim.pending() == 0
-    events[1].cancel()  # cancel after fire: exact no-op
+    timers[1].cancel()  # cancel after fire: exact no-op
     assert sim.pending() == 0
 
 
@@ -260,15 +207,18 @@ def test_pending_consistent_through_lazy_deletion_sweep():
     """run(until=...) sweeps cancelled heads while fast-forwarding; the
     live counter must not drift."""
     sim = Simulator()
-    cancelled = [sim.schedule(1.0, lambda: None) for __ in range(10)]
-    keeper = sim.schedule(7.0, lambda: None)
-    for event in cancelled:
-        event.cancel()
+    cancelled = [Timer(sim, lambda: None) for __ in range(10)]
+    keeper = Timer(sim, lambda: None)
+    for timer in cancelled:
+        timer.start(1.0)
+    keeper.start(7.0)
+    for timer in cancelled:
+        timer.cancel()
     assert sim.pending() == 1
     sim.run(until=5.0)  # sweeps the cancelled entries below `until`
     assert sim.now == 5.0
     assert sim.pending() == 1
-    assert not keeper.cancelled
+    assert keeper.active
     sim.run(until=10.0)
     assert sim.pending() == 0
 
@@ -281,7 +231,7 @@ def test_pending_is_consistent_mid_run():
         seen.append(sim.pending())
 
     for index in range(3):
-        sim.schedule(float(index + 1), probe)
+        sim.call_later(float(index + 1), probe)
     sim.run()
     assert seen == [2, 1, 0]
 
@@ -298,7 +248,7 @@ def test_timer_restart_does_not_leak_pending():
 
 
 # ---------------------------------------------------------------------------
-# Property: (time, seq) FIFO ordering under cancel/stop/max_events.
+# Property: (time, seq) FIFO ordering under cancellation and `until`.
 # ---------------------------------------------------------------------------
 @seeded_property()
 def test_property_event_order_with_cancellations(seed):
@@ -306,43 +256,39 @@ def test_property_event_order_with_cancellations(seed):
     sim = Simulator()
     fired = []
     live = []  # (time, id) in scheduling order
-    handles = {}
+    timers = {}
     for event_id in range(rng.randrange(0, 40)):
         time = rng.randrange(0, 8) * 0.25  # coarse grid: collisions likely
-        handles[event_id] = sim.schedule(time, fired.append, event_id)
+        if rng.random() < 0.5:
+            sim.call_later(time, fired.append, event_id)
+        else:
+            timers[event_id] = Timer(
+                sim, lambda event_id=event_id: fired.append(event_id))
+            timers[event_id].start(time)
         live.append((time, event_id))
     for time, event_id in list(live):
-        if rng.random() < 0.3:
-            handles[event_id].cancel()
+        if event_id in timers and rng.random() < 0.5:
+            timers[event_id].cancel()
             if rng.random() < 0.5:
-                handles[event_id].cancel()  # idempotent
+                timers[event_id].cancel()  # idempotent
             live.remove((time, event_id))
     assert sim.pending() == len(live)
 
     until = rng.choice([None, 0.6, 1.1, 1.75, 10.0])
-    max_events = rng.choice([None, 0, 1, 3, 10 ** 6])
-    executed = sim.run(until=until, max_events=max_events)
+    executed = sim.run(until=until)
 
     # Stable sort by time over scheduling order == (time, seq) order.
+    times = dict(map(reversed, live))
     expected = [event_id for __, event_id in
-                sorted(live, key=lambda pair: pair[0])]
-    if until is not None:
-        expected = [event_id for event_id in expected
-                    if dict(map(reversed, live))[event_id] <= until]
-    if max_events is not None:
-        expected = expected[:max(0, max_events)]
+                sorted(live, key=lambda pair: pair[0])
+                if until is None or times[event_id] <= until]
     assert fired == expected
     assert executed == len(expected)
     assert sim.pending() == len(live) - len(expected)
-    times = dict(map(reversed, live))
-    if fired:
-        assert sim.now >= times[fired[-1]]
-    if until is not None and executed == len(
-            [1 for t, __ in live if t <= until]):
-        # Everything below `until` ran (no max_events cut): clock lands on
-        # `until` exactly.
-        if max_events is None or executed < max_events:
-            assert sim.now == until
+    if until is not None:
+        assert sim.now == until  # everything due ran; the clock lands on it
+    elif fired:
+        assert sim.now == times[fired[-1]]
 
 
 @seeded_property()
@@ -359,27 +305,7 @@ def test_property_mid_run_scheduling_preserves_order(seed):
             for __ in range(rng.randrange(0, 3)):
                 sim.call_later(rng.randrange(0, 4) * 0.125, tick)
 
-    sim.schedule(0.0, tick)
+    sim.call_later(0.0, tick)
     sim.run()
     assert fired_times == sorted(fired_times)
     assert sim.pending() == 0
-
-
-@seeded_property(max_examples=40)
-def test_property_stop_halts_exactly(seed):
-    rng = random.Random(seed)
-    sim = Simulator()
-    fired = []
-    count = rng.randrange(2, 20)
-    stop_at = rng.randrange(0, count)
-    for event_id in range(count):
-        if event_id == stop_at:
-            sim.schedule(float(event_id), lambda i=event_id: (
-                fired.append(i), sim.stop()))
-        else:
-            sim.schedule(float(event_id), fired.append, event_id)
-    executed = sim.run(until=100.0)
-    assert fired == list(range(stop_at + 1))
-    assert executed == stop_at + 1
-    assert sim.now == float(stop_at)  # stop: no fast-forward to `until`
-    assert sim.pending() == count - stop_at - 1

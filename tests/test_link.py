@@ -17,8 +17,9 @@ def make_packet(size=1000):
 
 
 def make_interface(sim, rate_bps=8000.0):
+    sink = Node(sim, "sink", 2)  # no socket on the port: drops on arrival
     return Interface(sim, "slow", rate_bps, 0.0,
-                     DropTailQueue(capacity_packets=10))
+                     DropTailQueue(capacity_packets=10), sink)
 
 
 def test_full_packet_credited_inside_window():
@@ -94,7 +95,7 @@ def _send_all(sim, link_send, traffic, dst):
     for index, (time, size) in enumerate(traffic):
         packet = Packet(src=1, dst=dst, sport=1, dport=2, proto="udp",
                         size=size, payload=index)
-        sim.call_at(time, link_send, packet)
+        sim.call_later(time, link_send, packet)
 
 
 def _unbounded_interface(sim, name, rate, delay, dst):

@@ -8,7 +8,7 @@ import pytest
 from repro.perf import bench
 from repro.perf.profile import profile_cell
 from repro.sim import engine
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timer
 
 
 class TestSimRunTimer:
@@ -17,7 +17,7 @@ class TestSimRunTimer:
         with bench._SimRunTimer() as timer:
             sim = Simulator()
             for index in range(50):
-                sim.schedule(float(index), lambda: None)
+                sim.call_later(float(index), lambda: None)
             sim.run()
         assert engine.Simulator.run is original
         assert timer.seconds >= 0.0
@@ -25,12 +25,14 @@ class TestSimRunTimer:
     def test_total_events_counts_executed_only(self):
         before = engine.total_events()
         sim = Simulator()
-        kept = sim.schedule(1.0, lambda: None)
-        cancelled = sim.schedule(2.0, lambda: None)
+        fired = []
+        sim.call_later(1.0, fired.append, "kept")
+        cancelled = Timer(sim, lambda: fired.append("cancelled"))
+        cancelled.start(2.0)
         cancelled.cancel()
         sim.run()
         assert engine.total_events() - before == 1
-        assert not kept.cancelled
+        assert fired == ["kept"]
 
 
 class TestBench:

@@ -309,11 +309,12 @@ def test_property_fifo_order_preserved(seed):
             if rng.random() < 0.6:
                 packet = make_packet(rng.randint(40, 1500))
                 if queue.push(packet, now):
-                    pushed.append(packet.pid)
+                    pushed.append(packet)
             else:
                 packet = queue.pop(now)
                 if packet is not None:
-                    popped.append(packet.pid)
-        # Delivered packets are a subsequence of accepted ones, in order.
+                    popped.append(packet)
+        # Delivered packets are a subsequence of accepted ones, in order
+        # (``in`` compares packets by identity).
         iterator = iter(pushed)
-        assert all(pid in iterator for pid in popped)
+        assert all(packet in iterator for packet in popped)

@@ -89,6 +89,25 @@ class TestCellTask:
             CellTask.make("qos", access_scenario("noBG"), 16,
                           discipline="madmax")
 
+    @pytest.mark.parametrize("kind, buffer_packets, warmup, duration, match", [
+        ("voip", 0, 1.0, 2.0, "buffer size"),
+        ("voip", -4, 1.0, 2.0, "buffer size"),
+        ("qos", (16, 0), 1.0, 2.0, "buffer size"),
+        ("qos", (16, 8, 4), 1.0, 2.0, "buffer size"),
+        ("qos", 8.0, 1.0, 2.0, "buffer size"),
+        ("qos", 8, -3.0, 2.0, "warmup"),
+        ("qos", 8, float("nan"), 2.0, "warmup"),
+        ("qos", 8, 1.0, -1.0, "duration"),
+        ("qos", 8, 1.0, float("inf"), "duration"),
+        ("video", 8, 1.0, 0.0, "duration"),
+        ("web", 8, -1.0, 0.0, "warmup"),
+    ])
+    def test_out_of_range_cell_values_rejected(self, kind, buffer_packets,
+                                               warmup, duration, match):
+        with pytest.raises(ValueError, match=match):
+            CellTask.make(kind, access_scenario("noBG"), buffer_packets,
+                          warmup=warmup, duration=duration)
+
     def test_queue_factory_mapping(self):
         assert queue_factory_for("droptail") is None
         assert queue_factory_for(None) is None
@@ -160,6 +179,16 @@ class TestGridRunner:
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
             resolve_workers()
         assert resolve_workers(2) == 2  # an explicit count wins
+        for bad in ("0", "-2"):
+            monkeypatch.setenv("REPRO_WORKERS", bad)
+            with pytest.raises(ValueError, match="REPRO_WORKERS must be at "
+                                                 "least 1"):
+                resolve_workers()
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                resolve_workers(bad)
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                GridRunner(workers=bad)
 
     def test_workers_1_never_spawns_a_pool(self, tmp_path, monkeypatch):
         import repro.runner.grid as grid_module

@@ -51,7 +51,7 @@ class TestRtp:
         receiver = RtpReceiver(sim, b, port=7000)
         sender = RtpSender(sim, a, b.addr, 7000)
         for i in range(10):
-            sim.schedule(i * 0.02, sender.send, 160, i * 0.02, i)
+            sim.call_later(i * 0.02, sender.send, 160, i * 0.02, i)
         sim.run(until=2)
         assert receiver.received == 10
         assert receiver.expected == 10
@@ -68,7 +68,7 @@ class TestRtp:
         for i in range(10):
             sender.send(1000, 0.0, i)
         for i in range(5):
-            sim.schedule(1.0 + 0.2 * i, sender.send, 1000, 1.0, 10 + i)
+            sim.call_later(1.0 + 0.2 * i, sender.send, 1000, 1.0, 10 + i)
         sim.run(until=5)
         assert receiver.loss_rate > 0.2
 
