@@ -67,6 +67,9 @@ def settled(legs, interfaces):
     of ``interfaces`` or in an event (serializing, propagating, or on an
     edge link, where only the arrival event holds it).  From then on the
     receivers get no further arrival, so every leg's outcome is final.
+    The queue scan is for event-driven interfaces (AQM): a packet
+    accepted by a closed-form ``DropTailLink`` is already held by its
+    next hop's arrival event, unless the wire will lose it.
     """
     owners = {id(leg) for leg in legs}
     endpoints = {(leg.dst_node.addr, leg.port) for leg in legs}
@@ -147,18 +150,20 @@ def run_qos_cell(scenario, buffer_packets, warmup=DEFAULT_WARMUP,
     down_sampler.stop()
     up_sampler.stop()
 
+    down, up = network.bottlenecks()
+    down_queue, up_queue = down.queue.stats, up.queue.stats
     report = QosReport(
         scenario=str(scenario),
         buffer_packets=buffer_packets,
         duration=duration,
-        down_utilization=network.down_bottleneck.utilization(),
-        up_utilization=network.up_bottleneck.utilization(),
-        down_loss=network.down_bottleneck.queue.stats.loss_rate,
-        up_loss=network.up_bottleneck.queue.stats.loss_rate,
-        down_mean_delay=network.down_bottleneck.queue.stats.mean_delay,
-        up_mean_delay=network.up_bottleneck.queue.stats.mean_delay,
-        down_max_delay=network.down_bottleneck.queue.stats.delay_max,
-        up_max_delay=network.up_bottleneck.queue.stats.delay_max,
+        down_utilization=down.utilization(),
+        up_utilization=up.utilization(),
+        down_loss=down_queue.loss_rate,
+        up_loss=up_queue.loss_rate,
+        down_mean_delay=down_queue.mean_delay,
+        up_mean_delay=up_queue.mean_delay,
+        down_max_delay=down_queue.delay_max,
+        up_max_delay=up_queue.delay_max,
         concurrent_flows=workload.mean_concurrent_flows(),
         completed_transfers=workload.completed_transfers(),
         down_utilization_samples=list(down_sampler.samples),

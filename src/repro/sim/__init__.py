@@ -3,7 +3,8 @@
 This package is the "testbed hardware" substrate of the reproduction:
 an event engine (:mod:`repro.sim.engine`), packets
 (:mod:`repro.sim.packet`), queue disciplines including drop-tail, RED and
-CoDel (:mod:`repro.sim.queues`), store-and-forward and closed-form edge links
+CoDel (:mod:`repro.sim.queues`), store-and-forward bottleneck links
+(closed-form for drop-tail, event-driven for AQM) and closed-form edge links
 (:mod:`repro.sim.link`), hosts/routers (:mod:`repro.sim.node`) and the two
 dumbbell topologies used by the paper (:mod:`repro.sim.topology`).
 
@@ -13,7 +14,7 @@ cancellable kind.  Packets are plain objects that any callback may keep.
 """
 
 from repro.sim.engine import SimTimeError, Simulator, Timer
-from repro.sim.link import EdgeLink, Interface
+from repro.sim.link import DropTailLink, EdgeLink, Interface
 from repro.sim.node import Node
 from repro.sim.packet import FLAG_ACK, FLAG_FIN, FLAG_SYN, Packet
 from repro.sim.queues import CoDelQueue, DropTailQueue, Queue, QueueStats, REDQueue
@@ -28,6 +29,7 @@ __all__ = [
     "Simulator",
     "Timer",
     "Interface",
+    "DropTailLink",
     "EdgeLink",
     "Node",
     "Packet",

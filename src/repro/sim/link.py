@@ -1,22 +1,33 @@
 """Store-and-forward output interfaces.
 
-An :class:`Interface` models one *direction* of a link: an output queue,
-a serializer running at ``rate_bps`` and a propagation delay to the
-receiving node.  Buffers under study live in the queue attached to the
-bottleneck interfaces; all QoS measurements (utilization, loss, queueing
-delay) are taken here.
+One direction of a bottleneck link is an output queue, a serializer
+running at ``rate_bps`` and a propagation delay to the receiving node.
+Buffers under study live in the bottleneck queues; all QoS measurements
+(utilization, loss, queueing delay) are taken there.  Two classes model
+it, with the same counters and the same floats:
+
+* :class:`DropTailLink`, for a plain drop-tail FIFO (the paper's
+  buffers), computes the serializer in closed form: a FIFO that drops
+  only at the tail knows a packet's departure time the moment it accepts
+  it.  The arrival decides drop or accept and hands the packet straight
+  to its next hop, so the bottleneck adds no event of its own.  Its
+  counters are replayed lazily, in FIFO order, before every read.
+* :class:`Interface` is event-driven (one event per serialized packet)
+  and takes any :class:`repro.sim.queues.Queue`.  AQM queues need it:
+  CoDel drops at dequeue and RED reads the backlog and idle time.  It is
+  also the reference the tests compare :class:`DropTailLink` against.
 
 An :class:`EdgeLink` models one direction of a host<->router edge link,
 which never drops and whose counters nothing reads: it computes its
 FIFO serializer in closed form and costs one event per packet (the
-arrival), where an :class:`Interface` costs two.
+arrival).
 
-An interface may additionally model a lossy channel (``loss_rate``):
+A bottleneck may additionally model a lossy channel (``loss_rate``):
 each successfully serialized packet is then dropped *on the wire* with
 that probability, independently of the queue.  This approximates a
 wireless-like access link where corruption loss is unrelated to
 congestion.  The loss process is driven by a private generator seeded
-from the interface name, so results stay bit-identical across runs and
+from the link name, so results stay bit-identical across runs and
 worker processes.
 """
 
@@ -24,11 +35,28 @@ import hashlib
 import random
 from heapq import heappush
 
+from repro.sim.queues import DropTailQueue
+
+_INF = float("inf")
+
 
 def _stable_seed(name):
     """Process-independent integer seed derived from an interface name."""
     digest = hashlib.sha256(name.encode("utf-8")).hexdigest()
     return int(digest[:16], 16)
+
+
+def _wire_loss(name, loss_rate):
+    """``(loss_rate, rng)`` of one bottleneck direction, validated.
+
+    ``rng`` is None on a clean wire.  Raises ``ValueError`` unless
+    ``loss_rate`` is in ``[0, 1)`` (nan included).
+    """
+    loss_rate = float(loss_rate)
+    if not 0.0 <= loss_rate < 1.0:
+        raise ValueError("loss_rate must be in [0, 1), got %r" % (loss_rate,))
+    rng = random.Random(_stable_seed(name)) if loss_rate > 0.0 else None
+    return loss_rate, rng
 
 
 class InterfaceStats:
@@ -80,7 +108,7 @@ class Interface:
     dst_node:
         Receiving :class:`repro.sim.node.Node`.
     loss_rate:
-        Probability in ``[0, 1]`` that a serialized packet is lost on
+        Probability in ``[0, 1)`` that a serialized packet is lost on
         the wire (wireless-like corruption loss); 0.0 models a clean
         wire.  Lost packets still consume serialization time and count
         as transmitted in the interface statistics — they vanish between
@@ -101,14 +129,9 @@ class Interface:
         self.prop_delay = float(prop_delay)
         self.queue = queue
         self.dst_node = dst_node
-        self.loss_rate = float(loss_rate)
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1), got %r"
-                             % (loss_rate,))
+        self.loss_rate, self._loss_rng = _wire_loss(name, loss_rate)
         #: Packets lost on the wire (corruption, not queue overflow).
         self.wire_drops = 0
-        self._loss_rng = (random.Random(_stable_seed(name))
-                         if self.loss_rate > 0.0 else None)
         self.stats = InterfaceStats()
         self._busy = False
         self._tx_started = 0.0
@@ -172,7 +195,7 @@ class Interface:
                 # Egress cut-through: the packet would only be forwarded
                 # onto the edge link on arrival, so it enters it now, at
                 # its arrival time.
-                node.forwarded += 1
+                node._forwarded += 1
                 edge.send_at(packet, now + self.prop_delay)
             else:
                 sim._seq = seq = sim._seq + 1
@@ -203,12 +226,293 @@ class Interface:
         """Utilization since the last :meth:`reset_stats`."""
         return self.stats.utilization(self.rate_bps, self.sim.now)
 
+    def stats_at(self, sched):
+        """The transmit counters (kept eagerly here; see :class:`DropTailLink`)."""
+        return self.stats
+
+    def backlog(self):
+        """``(waiting, in_service)``: queued packets, and 1 while serializing."""
+        return len(self.queue), int(self._busy)
+
     def __repr__(self):
         return "Interface(%s, %.0f bit/s, q=%d)" % (
             self.name,
             self.rate_bps,
             len(self.queue),
         )
+
+
+#: Started packets a :class:`DropTailLink` lets accumulate before it
+#: replays their counters; bounds its log to ``capacity + 256`` records.
+_REPLAY_BATCH = 256
+
+# What became of a packet a DropTailLink accepted: decided on acceptance,
+# counted when its serialization completes.
+_DELIVERED, _FORWARDED, _LOST = 0, 1, 2
+
+
+class DropTailLink:
+    """One direction of a drop-tail bottleneck, in closed form.
+
+    Takes the same arguments as :class:`Interface`, but only a plain
+    :class:`repro.sim.queues.DropTailQueue`, and produces the same
+    drops, departures and counters, float for float, with no event of
+    its own.  A packet offered at ``now`` (its arrival event at the
+    router) is handled there and then:
+
+    1. Every waiting packet whose service started before ``now`` is
+       retired; the others are what the event-driven queue would hold.
+    2. The packet is dropped if as many packets wait as the queue holds.
+    3. Otherwise it starts at ``max(now, free)`` and finishes
+       ``size * 8.0 / rate`` later, where ``free`` is when the previous
+       packet finishes.
+    4. The wire-loss draw is made in acceptance order, which is
+       completion order, so the generator yields the same sequence.
+    5. A surviving packet enters its next hop: the egress
+       :class:`EdgeLink` at ``finish + prop_delay`` (finishes rise in
+       FIFO order, so entries stay in time order), or else the receiving
+       node's ``receive`` event at that time.
+
+    **Tie rule.**  The engine orders equal-time events by when they were
+    scheduled.  When an arrival falls at exactly the time a packet
+    finishes, the event-driven completion goes first iff it was
+    scheduled (when the finishing packet started) no later than the
+    arrival (when the packet entered its upstream edge link, stamped as
+    ``packet.scheduled_at`` by :meth:`EdgeLink.send_at`).  The same rule
+    decides which completions a :class:`repro.sim.stats.UtilizationSampler`
+    tick sees (:meth:`stats_at`).
+
+    **Counters replayed on read.**  Accept and drop counts are kept at
+    once; dequeues, sojourn times, transmit counters (with the warm-up
+    proration of :meth:`Interface._tx_done`), :attr:`wire_drops` and the
+    egress node's ``forwarded`` count are logged per accepted packet and
+    replayed, in FIFO order, up to the current time before every reader:
+    :attr:`stats`, :attr:`queue`, :attr:`wire_drops`, :meth:`stats_at`,
+    :meth:`utilization`, :meth:`reset_stats`, :meth:`backlog` and the
+    node's ``forwarded``.  Read them between runs (or, like the sampler,
+    through :meth:`stats_at`).  :attr:`queue` is the factory's
+    ``DropTailQueue``: it carries the capacity and the statistics, but
+    packets do not pass through it.  A waiting packet is held by the
+    arrival event of its next hop.
+    """
+
+    __slots__ = ("sim", "name", "rate_bps", "prop_delay", "dst_node",
+                 "loss_rate", "_loss_rng", "_wire_drops", "_queue",
+                 "_capacity", "_stats", "_deliver_cb", "_free", "_log",
+                 "_head", "_dequeued", "_done")
+
+    def __init__(self, sim, name, rate_bps, prop_delay, queue, dst_node,
+                 loss_rate=0.0):
+        if type(queue) is not DropTailQueue:
+            raise TypeError("DropTailLink needs a DropTailQueue, got %r"
+                            % (queue,))
+        self.sim = sim
+        self.name = name
+        self.rate_bps = float(rate_bps)
+        self.prop_delay = float(prop_delay)
+        self.dst_node = dst_node
+        self.loss_rate, self._loss_rng = _wire_loss(name, loss_rate)
+        self._wire_drops = 0
+        self._queue = queue
+        self._capacity = queue.capacity_packets
+        self._stats = InterfaceStats()
+        self._deliver_cb = dst_node.receive
+        dst_node._lazy_links.append(self)  # its forwarded count reads ours
+        self._free = 0.0  # when the last accepted packet finishes
+        # One (start, finish, size, sojourn, outcome) record per accepted
+        # packet, in FIFO order.  Cursors: records before _head have
+        # started, before _dequeued have had their dequeue counted, and
+        # before _done their completion; _done <= _dequeued <= _head.
+        self._log = []
+        self._head = self._dequeued = self._done = 0
+
+    def _retire(self, now, sched):
+        """Advance past the packets whose service has started, as an
+        event scheduled at ``sched`` and firing at ``now`` sees them;
+        returns the index of the first one still waiting."""
+        log = self._log
+        count = len(log)
+        head = self._head
+        while head < count:
+            start = log[head][0]  # starts rise in FIFO order
+            if start >= now and (start > now
+                                 or not self._started_first(head, sched)):
+                break
+            head += 1
+        self._head = head
+        return head
+
+    def _started_first(self, index, sched):
+        """Tie rule: did the packet at ``index``, starting exactly now,
+        start before an event scheduled at ``sched`` that also fires now?
+
+        It did if it started on its own arrival (on an idle link), or if
+        the completion that started it was scheduled, when its
+        predecessor started, no later than ``sched``.
+        """
+        if index == 0:
+            return True  # the first packet starts on its arrival
+        log = self._log
+        prev_start, prev_finish = log[index - 1][:2]
+        return log[index][0] != prev_finish or prev_start <= sched
+
+    # ------------------------------------------------------------------
+    # The arrival below runs once per offered packet.  It open-codes the
+    # engine's heap push for a next hop that is not an edge link (keep
+    # in lock-step with :class:`repro.sim.engine.Simulator`).
+    def send(self, packet):
+        """Offer ``packet`` now; returns False when the queue drops it."""
+        sim = self.sim
+        now = sim.now
+        log = self._log
+        count = len(log)
+        head = self._retire(now, packet.scheduled_at)
+        size = packet.size
+        qstats = self._queue.stats
+        if count - head >= self._capacity:
+            qstats.dropped += 1
+            qstats.bytes_dropped += size
+            return False
+        qstats.enqueued += 1
+        qstats.bytes_enqueued += size
+        start = self._free
+        if now > start:
+            start = now
+        self._free = finish = start + (size * 8.0) / self.rate_bps
+        if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
+            outcome = _LOST
+        else:
+            node = self.dst_node
+            edge = node.routes.get(packet.dst)
+            if edge.__class__ is EdgeLink:
+                edge.send_at(packet, finish + self.prop_delay)
+                outcome = _FORWARDED
+            else:
+                sim._seq = seq = sim._seq + 1
+                heappush(sim._heap, [finish + self.prop_delay, seq,
+                                     self._deliver_cb, packet])
+                sim._live += 1
+                outcome = _DELIVERED
+        log.append((start, finish, size, start - now, outcome))
+        if head - self._done >= _REPLAY_BATCH:
+            self.replay(packet.scheduled_at)
+        return True
+
+    def replay(self, sched=_INF):
+        """Count the dequeues and completions due by now, in FIFO order.
+
+        They are counted as an event scheduled at ``sched`` and firing
+        now sees them; the default, between runs, counts every one up to
+        and including now.
+        """
+        now = self.sim.now
+        log = self._log
+        head = self._retire(now, sched)
+
+        index = self._dequeued
+        if index < head:
+            qstats = self._queue.stats
+            delay_sum = qstats.delay_sum
+            delay_max = qstats.delay_max
+            bytes_dequeued = qstats.bytes_dequeued
+            for __, __, size, sojourn, __ in log[index:head]:
+                bytes_dequeued += size
+                delay_sum += sojourn
+                if sojourn > delay_max:
+                    delay_max = sojourn
+            qstats.dequeued += head - index
+            qstats.delay_samples += head - index
+            qstats.bytes_dequeued = bytes_dequeued
+            qstats.delay_sum = delay_sum
+            qstats.delay_max = delay_max
+            self._dequeued = head
+
+        index = done = self._done
+        if index == head:
+            return
+        stats = self._stats
+        window_start = stats.window_start
+        tx_bytes = stats.tx_bytes
+        busy_time = stats.busy_time
+        forwarded = lost = 0
+        while index < head:
+            start, finish, size, __, outcome = log[index]
+            if finish >= now and (finish > now or start > sched):
+                break
+            # Interface._tx_done's proration of a packet in flight across
+            # a reset_stats(), operation for operation.
+            tx_time = finish - start
+            if start < window_start:
+                start = window_start
+            if tx_time > 0.0:
+                tx_bytes += size * (finish - start) / tx_time
+            else:
+                tx_bytes += size
+            busy_time += finish - start
+            if outcome == _FORWARDED:
+                forwarded += 1
+            elif outcome == _LOST:
+                lost += 1
+            index += 1
+        stats.tx_packets += index - done
+        stats.tx_bytes = tx_bytes
+        stats.busy_time = busy_time
+        self.dst_node._forwarded += forwarded
+        self._wire_drops += lost
+        self._done = index
+        if index > _REPLAY_BATCH:
+            # Keep the last completed record: the tie rule reads the
+            # predecessor of the first unstarted one.
+            cut = index - 1
+            del log[:cut]
+            self._head -= cut
+            self._dequeued -= cut
+            self._done -= cut
+
+    # ------------------------------------------------------------------
+    @property
+    def stats(self):
+        """Transmit counters (:class:`InterfaceStats`), replayed up to now."""
+        self.replay()
+        return self._stats
+
+    def stats_at(self, sched):
+        """Transmit counters as an event scheduled at ``sched``, firing
+        now, sees them (the tie rule above)."""
+        self.replay(sched)
+        return self._stats
+
+    @property
+    def queue(self):
+        """The ``DropTailQueue`` (capacity and statistics), replayed up to now."""
+        self.replay()
+        return self._queue
+
+    @property
+    def wire_drops(self):
+        """Packets lost on the wire (corruption, not queue overflow)."""
+        self.replay()
+        return self._wire_drops
+
+    def reset_stats(self):
+        """Zero both interface and queue measurement counters (post warm-up)."""
+        self.replay()
+        self._stats.reset(self.sim.now)
+        self._queue.stats.reset()
+
+    def utilization(self):
+        """Utilization since the last :meth:`reset_stats`."""
+        return self.stats.utilization(self.rate_bps, self.sim.now)
+
+    def backlog(self):
+        """``(waiting, in_service)`` now: packets waiting for the
+        serializer, and 1 while one is being serialized."""
+        self.replay()
+        return len(self._log) - self._head, int(self._done < self._head)
+
+    def __repr__(self):
+        return "DropTailLink(%s, %.0f bit/s, backlog=%r)" % (
+            self.name, self.rate_bps, self.backlog())
 
 
 class EdgeLink:
@@ -250,10 +554,12 @@ class EdgeLink:
     def send_at(self, packet, time):
         """Enter ``packet`` at ``time`` (not earlier than the last entry).
 
-        Open-codes the engine's heap push (the same ``[time, seq, fn,
-        args]`` entries; keep in lock-step with
-        :class:`repro.sim.engine.Simulator`); runs once per packet per
-        edge hop.
+        Stamps ``packet.scheduled_at`` with the current time, when the
+        arrival at the receiving node is scheduled (the tie rule of
+        :class:`DropTailLink` reads it).  Open-codes the engine's heap
+        push (the same ``[time, seq, fn, args]`` entries; keep in
+        lock-step with :class:`repro.sim.engine.Simulator`); runs once
+        per packet per edge hop.
         """
         if time < self._entered:
             raise ValueError(
@@ -265,6 +571,7 @@ class EdgeLink:
             free = time
         self._free = free = free + (packet.size * 8.0) / self.rate_bps
         sim = self.sim
+        packet.scheduled_at = sim.now
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap,
                  [free + self.prop_delay, seq, self._deliver_cb, packet])

@@ -28,7 +28,7 @@ class Node:
 
     __slots__ = ("sim", "name", "addr", "routes", "default_route",
                  "tcp_connections", "tcp_listeners", "udp_sockets",
-                 "_next_port", "forwarded")
+                 "_next_port", "_forwarded", "_lazy_links")
 
     def __init__(self, sim, name, addr):
         self.sim = sim
@@ -40,7 +40,17 @@ class Node:
         self.tcp_listeners = {}
         self.udp_sockets = {}
         self._next_port = 10_000
-        self.forwarded = 0
+        self._forwarded = 0
+        # Closed-form bottlenecks into this node: they count the packets
+        # they cut through to our edge links when they replay.
+        self._lazy_links = []
+
+    @property
+    def forwarded(self):
+        """Packets this node forwarded, exact at any time between runs."""
+        for link in self._lazy_links:
+            link.replay()
+        return self._forwarded
 
     # ------------------------------------------------------------------
     # Routing
@@ -57,9 +67,8 @@ class Node:
         """Transmit ``packet`` toward its destination.
 
         Returns False if the output queue dropped it.  Every transport
-        segment enters the network here, onto an
-        :class:`repro.sim.link.Interface` or an
-        :class:`repro.sim.link.EdgeLink`.
+        segment enters the network here, onto a link
+        (:mod:`repro.sim.link`).
         """
         link = self.routes.get(packet.dst, self.default_route)
         if link is None:
@@ -74,8 +83,8 @@ class Node:
         """Entry point for packets arriving from a link."""
         if packet.dst != self.addr:
             # Forwarding.  Packets leaving a bottleneck for an edge link
-            # skip this event (Interface._tx_done cuts them through).
-            self.forwarded += 1
+            # skip this event (the bottleneck cuts them through).
+            self._forwarded += 1
             link = self.routes.get(packet.dst, self.default_route)
             if link is None:
                 raise LookupError(

@@ -48,6 +48,12 @@ class Packet:
     enqueued_at:
         When the packet entered its current queue (queueing-delay
         accounting).
+    scheduled_at:
+        When its arrival at the next node was scheduled, i.e. when it
+        entered its current edge link
+        (:meth:`repro.sim.link.EdgeLink.send_at` stamps it).  A
+        :class:`repro.sim.link.DropTailLink` breaks arrival/completion
+        ties with it.
     """
 
     __slots__ = (
@@ -65,6 +71,7 @@ class Packet:
         "ts_echo",
         "payload",
         "enqueued_at",
+        "scheduled_at",
     )
 
     def __init__(
@@ -97,6 +104,7 @@ class Packet:
         self.ts_echo = ts_echo
         self.payload = payload
         self.enqueued_at = 0.0
+        self.scheduled_at = 0.0
 
     def flag_names(self):
         """Human-readable flag list (for logs and tests)."""

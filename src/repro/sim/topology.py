@@ -15,9 +15,17 @@ Both testbeds are dumbbells with a single bottleneck link:
 Servers live on the *left*, clients on the *right*, exactly as in
 Figure 3.  ``clients[0]``/``servers[0]`` are reserved for the application
 under test (the "multimedia hosts"); background traffic uses the rest.
+
+Each bottleneck direction is a closed-form
+:class:`repro.sim.link.DropTailLink` when its queue is a plain
+:class:`repro.sim.queues.DropTailQueue` (the paper's buffers), and an
+event-driven :class:`repro.sim.link.Interface` for any other queue
+(the RED and CoDel ablations).  The queue type alone picks the path;
+both give the same results for a drop-tail queue.  Host<->router links
+are closed-form :class:`repro.sim.link.EdgeLink` delay boxes.
 """
 
-from repro.sim.link import EdgeLink, Interface
+from repro.sim.link import DropTailLink, EdgeLink, Interface
 from repro.sim.node import Node
 from repro.sim.queues import DropTailQueue
 from repro.util.units import GBPS, MBPS, ms
@@ -28,6 +36,13 @@ FULL_PACKET_BYTES = 1500
 
 def _droptail_factory(capacity_packets):
     return DropTailQueue(capacity_packets=capacity_packets)
+
+
+def _bottleneck(sim, name, rate, delay, queue, dst_node, loss_rate):
+    """A :class:`DropTailLink` for a plain drop-tail queue, else an
+    :class:`Interface`."""
+    link = DropTailLink if type(queue) is DropTailQueue else Interface
+    return link(sim, name, rate, delay, queue, dst_node, loss_rate=loss_rate)
 
 
 class DumbbellNetwork:
@@ -53,9 +68,9 @@ class DumbbellNetwork:
         Callable ``capacity_packets -> Queue`` used for the two
         bottleneck queues; defaults to drop-tail like the paper.
     down_loss, up_loss:
-        Wire loss probability of each bottleneck direction (see
-        :class:`repro.sim.link.Interface`); 0.0 models the paper's clean
-        wired testbeds, >0 a wireless-like lossy channel.
+        Wire loss probability of each bottleneck direction, in
+        ``[0, 1)`` (see :mod:`repro.sim.link`); 0.0 models the paper's
+        clean wired testbeds, >0 a wireless-like lossy channel.
     """
 
     def __init__(
@@ -90,23 +105,23 @@ class DumbbellNetwork:
         ]
 
         # Bottleneck link: left router <-> right router.
-        self.down_bottleneck = Interface(
+        self.down_bottleneck = _bottleneck(
             sim,
             "bottleneck-down",
             down_rate,
             bottleneck_delay,
             queue_factory(down_buffer_packets),
             self.right_router,
-            loss_rate=down_loss,
+            down_loss,
         )
-        self.up_bottleneck = Interface(
+        self.up_bottleneck = _bottleneck(
             sim,
             "bottleneck-up",
             up_rate,
             bottleneck_delay,
             queue_factory(up_buffer_packets),
             self.left_router,
-            loss_rate=up_loss,
+            up_loss,
         )
         self.left_router.set_default_route(self.down_bottleneck)
         self.right_router.set_default_route(self.up_bottleneck)
@@ -168,7 +183,7 @@ class DumbbellNetwork:
         return self.clients[1:] if len(self.clients) > 1 else self.clients
 
     def bottlenecks(self):
-        """The two bottleneck interfaces as ``(down, up)``."""
+        """The two bottleneck links as ``(down, up)``."""
         return (self.down_bottleneck, self.up_bottleneck)
 
     def reset_measurements(self):

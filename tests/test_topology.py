@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core.scenarios import access_scenario, backbone_scenario
+from repro.runner.execute import execute_task
+from repro.runner.task import CellTask
 from repro.sim import Simulator
+from repro.sim.link import DropTailLink, Interface
 from repro.sim.packet import Packet
-from repro.sim.topology import AccessNetwork, BackboneNetwork
+from repro.sim.topology import AccessNetwork, BackboneNetwork, DumbbellNetwork
 from repro.udp import UdpSocket
 
 
@@ -117,3 +121,63 @@ class TestNodeRouting:
         node = Node(Simulator(), "n", 1)
         ports = {node.allocate_port() for __ in range(100)}
         assert len(ports) == 100
+
+
+#: (kind, scenario, buffer, discipline, params): golden-scale cells of
+#: every kind on the access link, one backbone cell, and a RED cell (an
+#: event-driven Interface).
+CONSERVATION_CELLS = [
+    pytest.param("qos", access_scenario("long-many"), 8, "droptail", {},
+                 id="qos-access"),
+    pytest.param("voip", access_scenario("long-many"), 64, "droptail",
+                 {"calls": 1}, id="voip-access"),
+    pytest.param("video", access_scenario("long-few"), 64, "droptail",
+                 {"resolution": "SD"}, id="video-access"),
+    pytest.param("web", access_scenario("long-many"), 64, "droptail",
+                 {"fetches": 2}, id="web-access"),
+    pytest.param("voip", backbone_scenario("short-medium"), 749, "droptail",
+                 {"calls": 1, "directions": ("listens",)},
+                 id="voip-backbone"),
+    pytest.param("voip", access_scenario("long-few"), 64, "red",
+                 {"calls": 1}, id="voip-access-red"),
+]
+
+
+@pytest.mark.parametrize("kind,scenario,packets,discipline,params",
+                         CONSERVATION_CELLS)
+def test_bottleneck_packets_are_conserved(monkeypatch, kind, scenario,
+                                          packets, discipline, params):
+    """Per bottleneck, since the last reset: every packet enqueued is
+    dequeued or still waits, and every packet dequeued is transmitted
+    or still serializing (counting the backlog at the reset)."""
+    networks, backlog_at_reset = [], {}
+    build, reset = DumbbellNetwork.__init__, DumbbellNetwork.reset_measurements
+
+    def recording_build(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        networks.append(self)
+
+    def recording_reset(self):
+        for link in self.bottlenecks():
+            backlog_at_reset[id(link)] = link.backlog()
+        reset(self)
+
+    monkeypatch.setattr(DumbbellNetwork, "__init__", recording_build)
+    monkeypatch.setattr(DumbbellNetwork, "reset_measurements",
+                        recording_reset)
+    execute_task(CellTask.make(kind, scenario, packets, warmup=1.0,
+                               duration=1.25, discipline=discipline,
+                               **params))
+    (network,) = networks
+    for link in network.bottlenecks():
+        assert type(link) is (Interface if discipline == "red"
+                              else DropTailLink)
+        assert (id(link) in backlog_at_reset) == (kind == "qos")
+        waiting_at_reset, in_service_at_reset = backlog_at_reset.get(
+            id(link), (0, 0))
+        queue = link.queue.stats
+        waiting, in_service = link.backlog()
+        assert queue.enqueued > 0
+        assert queue.enqueued + waiting_at_reset == queue.dequeued + waiting
+        assert (queue.dequeued + in_service_at_reset
+                == link.stats.tx_packets + in_service)
