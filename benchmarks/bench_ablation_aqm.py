@@ -7,14 +7,13 @@ three queue disciplines.  AQM should recover most of the MOS that
 drop-tail loses to standing queues.
 """
 
-from benchmarks.common import comparison_table, run_once, run_registered
+from repro import api
+
+from benchmarks.common import comparison_table
 
 
-def test_aqm_rescues_bloated_uplink(benchmark):
-    def run():
-        return run_registered("aqm-voip")
-
-    results = run_once(benchmark, run)
+def test_aqm_rescues_bloated_uplink():
+    results = api.run_sweep("aqm-voip")
     rows = [("%s @ %d pkts" % (record.discipline, record.buffer_packets),
              "%.1f" % record["talks"], "%.1f" % record["listens"],
              "%.0f ms" % (record.delay("talks") * 1000))

@@ -4,29 +4,31 @@
 proprietary ARQ scheme and that the paper's numbers are therefore a
 baseline "without error recovery".  This ablation enables the one-shot
 ARQ mode of :class:`repro.apps.video.VideoStream` and quantifies the
-SSIM recovery.
+SSIM recovery.  Both cells are one inline sweep with an ``arq`` axis,
+run through :func:`repro.api.run_sweep` like every registered grid.
 """
 
-from repro.core.scenarios import access_scenario
-from repro.core.video_study import run_video_cell
+from repro import api
+from repro.core.registry import SweepSpec, access
 
-from benchmarks.common import comparison_table, run_once, scaled_duration
+from benchmarks.common import comparison_table
+
+ARQ_SWEEP = SweepSpec(
+    name="ablation-video-arq",
+    kind="video",
+    title="A3: video SSIM with and without one-shot ARQ",
+    provenance="extension",
+    scenarios=(access("long-few", "down"),),
+    buffers=(64,),
+    seed=4, warmup=6.0, duration=6.0, duration_min=4.0,
+    params=(("resolution", "SD"),),
+    axes=(("arq", (False, True)),))
 
 
-def test_video_arq_recovers_quality(benchmark):
-    duration = scaled_duration(6.0, minimum=4.0)
-    scenario = access_scenario("long-few", "down")
-
-    def run():
-        base = run_video_cell(scenario, 64, resolution="SD",
-                              duration=duration, warmup=6.0, seed=4,
-                              arq=False)
-        arq = run_video_cell(scenario, 64, resolution="SD",
-                             duration=duration, warmup=6.0, seed=4,
-                             arq=True)
-        return base, arq
-
-    base, arq = run_once(benchmark, run)
+def test_video_arq_recovers_quality():
+    results = api.run_sweep(ARQ_SWEEP)
+    base = results[("long-few", 64, False)]
+    arq = results[("long-few", 64, True)]
     comparison_table(
         "A3: video SSIM with and without one-shot ARQ (long-few, 64 pkts)",
         ("mode", "SSIM", "MOS", "packet loss"),

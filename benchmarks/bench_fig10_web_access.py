@@ -3,11 +3,13 @@
 Grids come from the registered ``fig10a`` / ``fig10b`` sweeps.
 """
 
-from benchmarks.common import print_figure, run_once, run_registered
+from repro import api
+
+from benchmarks.common import print_figure
 
 
-def test_fig10a_download_activity(benchmark):
-    results = run_once(benchmark, lambda: run_registered("fig10a"))
+def test_fig10a_download_activity():
+    results = api.run_sweep("fig10a")
     print_figure("fig10a", results)
     # Baseline is excellent; long-many pins the page load regardless of
     # buffer; long-few shows the bufferbloat PLT growth with buffer size.
@@ -17,8 +19,8 @@ def test_fig10a_download_activity(benchmark):
             > results[("long-few", 8)]["median_plt"])
 
 
-def test_fig10b_upload_activity(benchmark):
-    results = run_once(benchmark, lambda: run_registered("fig10b"))
+def test_fig10b_upload_activity():
+    results = api.run_sweep("fig10b")
     print_figure("fig10b", results)
     # Upload congestion wrecks the page load; small uplink buffers keep
     # long-few barely acceptable (the paper's only tolerable upload cell).

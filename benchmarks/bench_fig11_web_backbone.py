@@ -4,11 +4,13 @@ The grid is the registered ``fig11`` sweep (full workload axis at
 ``REPRO_SCALE >= 2``).
 """
 
-from benchmarks.common import print_figure, run_once, run_registered
+from repro import api
+
+from benchmarks.common import print_figure
 
 
-def test_fig11(benchmark):
-    results = run_once(benchmark, lambda: run_registered("fig11"))
+def test_fig11():
+    results = api.run_sweep("fig11")
     print_figure("fig11", results)
     # Baseline and light load are fine at every size; the sustained long
     # workload degrades PLT, worst with the 10x BDP buffer (RTT-dominated).

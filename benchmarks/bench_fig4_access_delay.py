@@ -5,21 +5,18 @@ Grids come from the registered ``fig4-up`` / ``fig4-down`` sweeps; at
 workload axis automatically.
 """
 
+from repro import api
 from repro.core.registry import get
 from repro.qoe.scales import g114_class
 
-from benchmarks.common import print_figure, run_once, run_registered
+from benchmarks.common import print_figure
 
 
-def test_fig4_upstream(benchmark):
+def test_fig4_upstream():
     spec = get("fig4-up")
     workloads = spec.workloads()
     buffers = spec.buffer_axis()
-
-    def run():
-        return run_registered("fig4-up")
-
-    results = run_once(benchmark, run)
+    results = api.run_sweep(spec)
     print_figure("fig4-up", results)
     # The bufferbloat staircase: delay grows with buffer size and crosses
     # the G.114 "bad" boundary at the oversized configurations.
@@ -30,13 +27,9 @@ def test_fig4_upstream(benchmark):
         assert g114_class(delays[-1]) == "bad"
 
 
-def test_fig4_downstream_only(benchmark):
+def test_fig4_downstream_only():
     spec = get("fig4-down")
-
-    def run():
-        return run_registered("fig4-down")
-
-    results = run_once(benchmark, run)
+    results = api.run_sweep(spec)
     # Figure 4a envelope: downlink mean delay < 200 ms at every size,
     # uplink (pure ACK traffic) near zero.
     for packets in spec.buffer_axis():

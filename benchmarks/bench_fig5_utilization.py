@@ -4,16 +4,14 @@ The grid is the registered ``fig5`` sweep — the same cells (and cache
 entries) that ``python -m repro run fig5`` executes.
 """
 
+from repro import api
 from repro.sim.stats import five_number_summary
 
-from benchmarks.common import print_figure, run_once, run_registered
+from benchmarks.common import print_figure
 
 
-def test_fig5(benchmark):
-    def run():
-        return run_registered("fig5")
-
-    results = run_once(benchmark, run)
+def test_fig5():
+    results = api.run_sweep("fig5")
     print_figure("fig5", results)
     # Paper shape: the uplink is pinned near 100% at every size; the
     # downlink suffers when the uplink buffer bloats the ACK path, and

@@ -4,12 +4,14 @@ Grids come from the registered ``fig7b`` (upload activity, the headline
 bufferbloat case) and ``fig7a`` (download activity) sweeps.
 """
 
-from benchmarks.common import print_figure, run_once, run_registered
+from repro import api
+
+from benchmarks.common import print_figure
 
 
-def test_fig7b_upload_activity(benchmark):
+def test_fig7b_upload_activity():
     """The headline bufferbloat result: upload congestion."""
-    results = run_once(benchmark, lambda: run_registered("fig7b"))
+    results = api.run_sweep("fig7b")
     print_figure("fig7b", results)
     # noBG is excellent everywhere; congested talks at a bloated buffer is
     # terrible; the listening direction degrades too (conversational z2).
@@ -21,8 +23,8 @@ def test_fig7b_upload_activity(benchmark):
             > results[("long-many", 256)]["talks"])
 
 
-def test_fig7a_download_activity(benchmark):
-    results = run_once(benchmark, lambda: run_registered("fig7a"))
+def test_fig7a_download_activity():
+    results = api.run_sweep("fig7a")
     print_figure("fig7a", results)
     # Download congestion hurts the listening direction, not talking, and
     # far less than upload congestion does.

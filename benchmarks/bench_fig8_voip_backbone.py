@@ -4,19 +4,16 @@ The grid is the registered ``fig8`` sweep (full workload/buffer axes at
 ``REPRO_SCALE >= 2``).
 """
 
+from repro import api
 from repro.core.registry import get
 
-from benchmarks.common import print_figure, run_once, run_registered
+from benchmarks.common import print_figure
 
 
-def test_fig8(benchmark):
+def test_fig8():
     spec = get("fig8")
     buffers = spec.buffer_axis()
-
-    def run():
-        return run_registered(spec.name)
-
-    results = run_once(benchmark, run)
+    results = api.run_sweep(spec)
     print_figure("fig8", results)
     # The paper's finding: workload, not buffer size, dominates — the
     # noBG and moderate rows are fine at every size; the sustained 'long'

@@ -4,19 +4,16 @@ Grids come from the registered ``fig9a`` (access) and ``fig9b``
 (backbone) sweeps; result keys are (workload, buffer, resolution).
 """
 
+from repro import api
 from repro.core.registry import get
 
-from benchmarks.common import print_figure, run_once, run_registered
+from benchmarks.common import print_figure
 
 
-def test_fig9a_access(benchmark):
+def test_fig9a_access():
     spec = get("fig9a")
     buffers = spec.buffer_axis()
-
-    def run():
-        return run_registered(spec.name)
-
-    results = run_once(benchmark, run)
+    results = api.run_sweep(spec)
     print_figure("fig9a", results)
     # Binary behaviour: clean without congestion at every buffer size,
     # bad whenever long flows congest the downlink — and largely
@@ -29,14 +26,10 @@ def test_fig9a_access(benchmark):
             >= results[("long-few", 64, "SD")]["ssim"] - 0.05)
 
 
-def test_fig9b_backbone(benchmark):
+def test_fig9b_backbone():
     spec = get("fig9b")
     buffers = spec.buffer_axis()
-
-    def run():
-        return run_registered(spec.name)
-
-    results = run_once(benchmark, run)
+    results = api.run_sweep(spec)
     print_figure("fig9b", results)
     # noBG and light load stream cleanly; the sustained long workload
     # degrades the stream regardless of buffer size.

@@ -5,21 +5,21 @@ sweeps (representative rows at scale 1, the full sweeps at higher
 ``REPRO_SCALE``).
 """
 
+from repro import api
 from repro.core.paper_data import TABLE1_BACKBONE
 
-from benchmarks.common import (comparison_table, print_figure, run_once,
-                               run_registered)
+from benchmarks.common import comparison_table, print_figure
 
 
-def test_table1_access(benchmark):
-    results = run_once(benchmark, lambda: run_registered("table1-access"))
+def test_table1_access():
+    results = api.run_sweep("table1-access")
     print_figure("table1-access", results)
     # Upstream-congestion rows saturate the 1 Mbit/s uplink.
     assert results[("short-few/up", (64, 8))]["up_utilization"] > 0.9
 
 
-def test_table1_backbone(benchmark):
-    results = run_once(benchmark, lambda: run_registered("table1-backbone"))
+def test_table1_backbone():
+    results = api.run_sweep("table1-backbone")
     print_figure("table1-backbone", results)
     comparison_table(
         "Table 1 backbone (ours/paper): concurrent flows",

@@ -3,11 +3,11 @@
 from repro.core.buffers import access_buffer_delays
 from repro.core.paper_data import TABLE2_ACCESS
 
-from benchmarks.common import print_figure, run_once
+from benchmarks.common import print_figure
 
 
-def test_table2(benchmark):
-    access = run_once(benchmark, access_buffer_delays)
+def test_table2():
+    access = access_buffer_delays()
     print_figure("table2", None)
     # The analytic delays must track the paper within framing tolerance.
     for packets, up, down in access:

@@ -7,12 +7,14 @@ a packet-level discrete-event simulator with the paper's two dumbbell
 testbeds (:mod:`repro.sim`), a from-scratch TCP with Reno/BIC/CUBIC
 (:mod:`repro.tcp`), Harpoon-style workloads (:mod:`repro.apps`),
 signal-level media pipelines (:mod:`repro.media`), standardized QoE
-models (:mod:`repro.qoe`), the Section-3 CDN analysis (:mod:`repro.wild`)
-and the sensitivity-study grids that regenerate every table and figure
-(:mod:`repro.core`), declared once in a scenario registry
-(:mod:`repro.core.registry`) and executed by a parallel cached grid
-runner (:mod:`repro.runner`).  ``python -m repro list/describe/run/
-figures`` exposes the registered sweeps on the command line.
+models (:mod:`repro.qoe`) and the sensitivity-study grids behind the
+paper's testbed tables and figures (:mod:`repro.core`), declared once
+in a scenario registry (:mod:`repro.core.registry`) and executed by a
+parallel cached grid runner (:mod:`repro.runner`).  ``python -m repro
+list/describe/run/figures`` exposes the registered sweeps on the
+command line.  Figure 1 and the Section-3 statistics are not
+reproduced: they come from the paper's proprietary CDN corpus, which
+this package does not have.
 
 Quickstart::
 

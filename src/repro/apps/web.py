@@ -125,42 +125,3 @@ class PageFetch:
     def abort(self):
         """Abandon the fetch (experiment teardown)."""
         self.connection.abort()
-
-    def analysis(self, base_rtt=None, rtt_rounds=14):
-        """Classify what dominated this fetch's PLT (§9.1's tcpcsm step).
-
-        The paper calls a PLT *RTT-dominated* when most of it is the
-        ``14 x RTT`` component (queueing inflated the round trips) and
-        *loss-dominated* when retransmission/timeout stalls account for
-        the growth instead.  We use the connection's smoothed-RTT
-        statistics — what a tcpcsm-style trace analysis estimates.
-
-        Returns a dict with the RTT component, its share of the PLT and
-        the dominance label.
-        """
-        plt = self.plt
-        if plt is None:
-            return {"class": "incomplete", "rtt_component": None,
-                    "rtt_share": None}
-        stats = self.connection.stats
-        if stats.srtt_samples:
-            srtt_avg = stats.srtt_avg
-            srtt_min = stats.srtt_min
-        else:
-            srtt_avg = srtt_min = base_rtt or 0.0
-        rtt_component = min(plt, rtt_rounds * srtt_avg)
-        share = rtt_component / plt if plt > 0 else 0.0
-        # Growth beyond the base-RTT budget, and how much of it queueing
-        # delay (inflated sRTT) explains vs retransmission stalls.
-        growth = max(0.0, plt - rtt_rounds * srtt_min)
-        rtt_growth = max(0.0, rtt_rounds * (srtt_avg - srtt_min))
-        if growth <= max(0.1, 0.25 * plt):
-            label = "rtt-dominated"  # PLT is essentially the RTT budget
-        elif rtt_growth >= 0.5 * growth:
-            label = "rtt-dominated"
-        elif stats.timeouts > 0 or rtt_growth < 0.3 * growth:
-            label = "loss-dominated"
-        else:
-            label = "mixed"
-        return {"class": label, "rtt_component": rtt_component,
-                "rtt_share": share}

@@ -22,9 +22,10 @@ Subcommands
 ``figures``
     Print the text version of the paper's figures/tables (all of them,
     or the names given — the same names and models as ``report``, see
-    :mod:`repro.report.figures`), running their registered sweeps
-    through :func:`repro.api.run_sweep`.  The sweeps land in the shared
-    result cache, so a later ``report`` re-simulates nothing.
+    :mod:`repro.report.figures`), each followed by its fidelity verdict
+    line, running their registered sweeps through
+    :func:`repro.api.run_sweep`.  The sweeps land in the shared result
+    cache, so a later ``report`` re-simulates nothing.
 ``report``
     Build the SVG reproduction report (``index.md`` + one SVG per
     figure + ``fidelity.json`` with PASS/WARN/FAIL verdicts against the
@@ -50,6 +51,7 @@ import sys
 from repro import api
 from repro.core import registry
 from repro.core.registry import REGISTRY, parse_scale, resolve_scale
+from repro.perf.profile import SORT_KEYS
 from repro.results import key_str
 from repro.runner import GridRunner
 
@@ -77,16 +79,16 @@ def _parse_scale(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_workers(text):
-    """argparse type of ``--workers``: an integer of at least 1."""
+def _parse_positive_int(text):
+    """argparse type of ``--workers``/``--repetitions``: an int >= 1."""
     try:
-        workers = int(text)
+        value = int(text)
     except ValueError:
-        workers = 0
-    if workers < 1:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(
             "must be an integer of at least 1, got %r" % (text,))
-    return workers
+    return value
 
 
 def _parse_csv(text, parse=lambda token: token):
@@ -275,7 +277,7 @@ def cmd_figures(args):
         if figure.sweep is not None:
             spec = _get_spec(figure.sweep)
             results = api.run_sweep(spec, scale=scale, runner=runner)
-        print(figure.model(results, spec, scale).text())
+        print(figure.text(results, spec, scale))
         print()
     return 0
 
@@ -314,9 +316,13 @@ def cmd_perf(args):
     from repro.perf.profile import profile_cell
 
     if args.profile:
-        text, __ = profile_cell(args.profile, cell=args.cell,
-                                scale=args.scale or 1.0, top=args.top,
-                                sort=args.sort)
+        # An unknown sweep or an out-of-range cell is a usage error.
+        try:
+            text, __ = profile_cell(args.profile, cell=args.cell,
+                                    scale=args.scale or 1.0, top=args.top,
+                                    sort=args.sort)
+        except (KeyError, IndexError) as exc:
+            raise SystemExit(exc.args[0])
         print(text)
         return 0
 
@@ -353,7 +359,7 @@ def cmd_perf(args):
 # Argument parsing.
 # ---------------------------------------------------------------------------
 def _add_runner_arguments(parser):
-    parser.add_argument("--workers", type=_parse_workers, default=None,
+    parser.add_argument("--workers", type=_parse_positive_int, default=None,
                         help="worker processes (default: REPRO_WORKERS or "
                              "all cores; 1 = serial in-process)")
     parser.add_argument("--no-cache", action="store_true",
@@ -461,7 +467,8 @@ def build_parser():
                      "cell profiler")
     perf.add_argument("--quick", action="store_true",
                       help="CI smoke mode: scale-0.25 cells, 2 reps")
-    perf.add_argument("--repetitions", type=int, default=None,
+    perf.add_argument("--repetitions", type=_parse_positive_int,
+                      default=None,
                       help="best-of-N timing (default: 3, quick: 2)")
     perf.add_argument("--output", default=None,
                       help="where to write the bench JSON (default: "
@@ -483,8 +490,8 @@ def build_parser():
                       help="cell index for --profile (default 0)")
     perf.add_argument("--top", type=int, default=25,
                       help="rows to print for --profile")
-    perf.add_argument("--sort", default="tottime",
-                      help="profile sort key: tottime/cumulative/ncalls")
+    perf.add_argument("--sort", choices=SORT_KEYS, default="tottime",
+                      help="profile sort key (default tottime)")
     perf.add_argument("--scale", type=_parse_scale, default=None,
                       help="scale for --profile cells (default 1.0)")
     perf.set_defaults(fn=cmd_perf)

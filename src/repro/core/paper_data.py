@@ -174,17 +174,3 @@ HIGHLIGHT_BUFFERS = {
     "backbone": (8, 749, 7490),
 }
 
-
-# ---------------------------------------------------------------------------
-# Section 3 (Figure 1) headline statistics.
-# ---------------------------------------------------------------------------
-WILD_STATS = {
-    "qd_below_100ms": 0.80,
-    "qd_above_500ms": 0.028,
-    "qd_above_1s": 0.01,
-    "near_qd_below_100ms": 0.95,
-    "near_qd_below_1s": 0.999,
-    "adsl_share": 0.70,
-    "cable_share": 0.014,
-    "ftth_share": 0.0002,
-}

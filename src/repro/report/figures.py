@@ -150,6 +150,19 @@ class ReportFigure:
         """The figure's model over ``results`` of ``spec`` at ``scale``."""
         return self.draw(results, spec, scale, self.check)
 
+    def text(self, results, spec, scale):
+        """The model's text and a ``fidelity NAME: VERDICT (gates)`` line.
+
+        What ``python -m repro figures`` and the benchmarks print; the
+        verdict is :meth:`score`'s, the one the report writes.
+        """
+        scored = self.score(results)
+        gates = ", ".join("%s %.3g" % (gate_name, gate["value"])
+                          for gate_name, gate in scored.gates.items())
+        return "%s\nfidelity %s: %s%s" % (
+            self.model(results, spec, scale).text(), self.name,
+            scored.verdict, " (%s)" % gates if gates else "")
+
     def score(self, results):
         """The figure's :class:`repro.report.fidelity.FigureFidelity`."""
         if self.name == "table2":

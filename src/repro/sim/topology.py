@@ -131,9 +131,6 @@ class DumbbellNetwork:
         for client in self.clients:
             self._connect_edge(client, self.right_router, edge_rate, client_edge_delay)
 
-        self._edge_delays = (server_edge_delay, client_edge_delay)
-        self._bottleneck_delay = bottleneck_delay
-
     # ------------------------------------------------------------------
     def _make_node(self, name):
         node = Node(self.sim, name, self._next_addr)
@@ -157,13 +154,6 @@ class DumbbellNetwork:
         router.add_route(host.addr, to_host)
 
     # ------------------------------------------------------------------
-    @property
-    def base_rtt(self):
-        """Round-trip time with empty queues, server <-> client."""
-        server_delay, client_delay = self._edge_delays
-        one_way = server_delay + client_delay + self._bottleneck_delay
-        return 2.0 * one_way
-
     @property
     def media_server(self):
         """Host running the server side of the application under test."""

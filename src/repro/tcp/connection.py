@@ -61,11 +61,10 @@ _marker_ids = _counter()
 
 
 class TcpStats:
-    """Per-connection counters, including the kernel-style sRTT triple.
+    """Per-connection counters, including sRTT summary statistics.
 
-    ``srtt_min`` / ``srtt_avg`` / ``srtt_max`` and ``srtt_samples`` mirror
-    the fields of the CDN dataset analysed in Section 3 of the paper
-    (smoothed RTT as estimated by Karn's algorithm).
+    ``srtt_min``, ``srtt_sum`` and ``srtt_samples`` summarize the
+    smoothed RTT (as estimated by Karn's algorithm) over the connection.
     """
 
     __slots__ = (
@@ -73,7 +72,6 @@ class TcpStats:
         "established_at",
         "closed_at",
         "srtt_min",
-        "srtt_max",
         "srtt_sum",
         "srtt_samples",
         "bytes_acked",
@@ -89,7 +87,6 @@ class TcpStats:
         self.established_at = None
         self.closed_at = None
         self.srtt_min = float("inf")
-        self.srtt_max = 0.0
         self.srtt_sum = 0.0
         self.srtt_samples = 0
         self.bytes_acked = 0
@@ -98,12 +95,6 @@ class TcpStats:
         self.fast_retransmits = 0
         self.timeouts = 0
         self.retransmitted_segments = 0
-
-    @property
-    def srtt_avg(self):
-        if self.srtt_samples == 0:
-            return 0.0
-        return self.srtt_sum / self.srtt_samples
 
 
 class TcpConnection:
@@ -619,8 +610,6 @@ class TcpConnection:
         stats.srtt_sum += srtt
         if srtt < stats.srtt_min:
             stats.srtt_min = srtt
-        if srtt > stats.srtt_max:
-            stats.srtt_max = srtt
         cc = self.cc
         if cc.cwnd < cc.ssthresh:  # inline in_slow_start precondition
             cc.maybe_exit_slow_start(sample, self.min_rtt)

@@ -1,8 +1,7 @@
 """Deterministic, named random-number streams.
 
-Every stochastic component of an experiment (each Harpoon session, each
-media source, the synthetic CDN dataset, ...) draws from its own named
-stream so that
+Every stochastic component of an experiment (each direction's Harpoon
+sessions, ...) draws from its own named stream so that
 
 * experiments are reproducible given a single root seed, and
 * adding a new consumer does not perturb the draws seen by existing ones.

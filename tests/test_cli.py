@@ -244,6 +244,8 @@ class TestFigures:
         out = capsys.readouterr().out
         assert out.startswith("Table 2: maximum queueing delay")
         assert "backbone 7490" in out
+        # The verdict line the benchmarks print, from the report's scorer.
+        assert "\nfidelity table2: PASS (max_abs_deviation " in out
         assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("names", [["table2", "nosuch"],
@@ -256,3 +258,24 @@ class TestFigures:
         assert "nosuch" in str(exit_info.value.code)
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "cache").exists()
+
+
+class TestPerf:
+    @pytest.mark.parametrize("argv, message", [
+        (["--profile", "nope"], "unknown sweep 'nope'"),
+        (["--profile", "fig5", "--cell", "999"], "cell 999 out of range"),
+        (["--profile", "fig5", "--sort", "bogus"], "invalid choice: 'bogus'"),
+        (["--repetitions", "0"], "at least 1, got '0'"),
+    ])
+    def test_bad_arguments_exit_cleanly(self, argv, message, capsys):
+        # A one-line message and a non-zero exit, never a traceback and
+        # never a profiled or benchmarked cell.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["perf"] + argv + ["--output", ""])
+        code = exit_info.value.code
+        if isinstance(code, str):
+            assert message in code and "\n" not in code
+        else:
+            assert code == 2
+            assert message in capsys.readouterr().err
+        assert capsys.readouterr().out == ""

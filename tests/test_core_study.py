@@ -1,4 +1,4 @@
-"""Tests for the core study layer: catalogs, cells, wild, viz."""
+"""Tests for the core study layer: catalogs, cells, viz."""
 
 import numpy as np
 import pytest
@@ -23,8 +23,6 @@ from repro.sim.stats import five_number_summary
 from repro.sim.topology import BackboneNetwork
 from repro.util.units import MBPS
 from repro.viz.heatmap import render_grid, render_table
-from repro.wild import analyze, generate_dataset
-from repro.wild.dataset import AccessTech
 
 
 class TestBufferCatalog:
@@ -120,45 +118,6 @@ class TestExperimentCell:
                        kind="short")
         with pytest.raises(ValueError):
             build_network(bad, 64)
-
-
-class TestWild:
-    @pytest.fixture(scope="class")
-    def analysis(self):
-        return analyze(generate_dataset(60_000, seed=7))
-
-    def test_headline_statistics(self, analysis):
-        stats = analysis.stats
-        assert stats["qd_below_100ms"] > 0.7
-        assert 0.01 < stats["qd_above_500ms"] < 0.05
-        assert stats["qd_above_1s"] < stats["qd_above_500ms"]
-        assert stats["near_qd_below_100ms"] >= stats["qd_below_100ms"]
-
-    def test_filter_applied(self, analysis):
-        assert analysis.n_filtered < analysis.n_total
-
-    def test_tech_ordering(self, analysis):
-        # FTTH queues less than ADSL: compare PDF mass above 100 ms.
-        def tail(tech):
-            centers, density = analysis.qd_pdfs[tech]
-            return float(density[centers > 2.0].sum())
-
-        assert tail("ftth") < tail("adsl")
-
-    def test_records_consistent(self):
-        dataset = generate_dataset(200, seed=1)
-        assert all(len(dataset[column]) == 200
-                   for column in ("min", "avg", "max", "samples", "tech"))
-        assert np.all(dataset["min"] <= dataset["avg"])
-        assert np.all(dataset["avg"] <= dataset["max"])
-        assert np.all(dataset["samples"] >= 1)
-        techs = {tech.value for tech in AccessTech}
-        assert set(dataset["tech"]) <= techs
-
-    def test_mix_fractions(self):
-        dataset = generate_dataset(50_000, seed=2)
-        adsl = np.mean(dataset["tech"] == "adsl")
-        assert adsl == pytest.approx(0.70, abs=0.02)
 
 
 class TestViz:

@@ -29,7 +29,7 @@ def test_examples_import_without_side_effects():
     # Importing must not run simulations (the smoke runs below are the
     # only slow part); every example exposes a main() entry point.
     for name in ("quickstart", "bufferbloat_voip", "iptv_video",
-                 "backbone_sweep", "web_browsing", "wild_cdn_analysis"):
+                 "backbone_sweep", "web_browsing"):
         module = load_example(name)
         assert callable(module.main), name
 
@@ -67,7 +67,3 @@ def test_web_browsing_tiny(capsys):
         buffers=(8,), fetches=1, warmup=1.0)
     assert "median PLT" in capsys.readouterr().out
 
-
-def test_wild_cdn_analysis_tiny(capsys):
-    load_example("wild_cdn_analysis").main(n_flows=3000)
-    assert "bufferbloat" in capsys.readouterr().out

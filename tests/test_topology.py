@@ -12,10 +12,28 @@ from repro.sim.topology import AccessNetwork, BackboneNetwork, DumbbellNetwork
 from repro.udp import UdpSocket
 
 
+def probe_round_trip(network_class):
+    """Seconds for a header-only UDP probe to reach the media server of
+    an empty testbed and be echoed back to the media client."""
+    sim = Simulator()
+    net = network_class(sim)
+    UdpSocket(sim, net.media_server, port=7,
+              on_datagram=lambda sock, packet: sock.sendto(
+                  0, packet.src, packet.sport))
+    echoes = []
+    client = UdpSocket(sim, net.media_client,
+                       on_datagram=lambda sock, packet: echoes.append(sim.now))
+    client.sendto(0, net.media_server.addr, 7)
+    sim.run(until=1)
+    assert len(echoes) == 1
+    return echoes[0]
+
+
 class TestAccessNetwork:
     def test_base_rtt_is_50ms(self):
-        net = AccessNetwork(Simulator())
-        assert net.base_rtt == pytest.approx(0.050)
+        # 50 ms of propagation plus well under 0.5 ms of serialization
+        # for the probe's headers (0.22 ms of it on the 1 Mbit/s uplink).
+        assert 0.050 < probe_round_trip(AccessNetwork) < 0.0505
 
     def test_asymmetric_rates(self):
         net = AccessNetwork(Simulator())
@@ -63,8 +81,8 @@ class TestAccessNetwork:
 
 class TestBackboneNetwork:
     def test_base_rtt_is_60ms(self):
-        net = BackboneNetwork(Simulator())
-        assert net.base_rtt == pytest.approx(0.0604, abs=0.001)
+        assert probe_round_trip(BackboneNetwork) == pytest.approx(
+            0.0604, abs=0.001)
 
     def test_symmetric_bottleneck(self):
         net = BackboneNetwork(Simulator(), buffer_packets=28)
