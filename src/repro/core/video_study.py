@@ -42,11 +42,12 @@ def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
     workload.stop()
 
     reference = clip_frames(clip, resolution, stream.n_frames)
-    degraded = decode(reference, received)
-    ssim_value = ssim_sequence(reference, degraded)
+    frame_mse = []
+    ssim_value = ssim_sequence(reference, decode(reference, received),
+                               frame_mse)
     return {
         "ssim": ssim_value,
-        "psnr": psnr_sequence(reference, degraded),
+        "psnr": psnr_sequence(frame_mse),
         "mos": ssim_to_mos(ssim_value),
         "packet_loss": stream.packet_loss_rate,
         "slice_loss": float(1.0 - received.mean()),

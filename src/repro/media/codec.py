@@ -73,7 +73,7 @@ def slice_rows(height, slice_index, n_slices=SLICES_PER_FRAME):
 def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
            conceal_shift=CONCEAL_SHIFT, conceal_dc=CONCEAL_DC_SHIFT,
            motion_reach=MOTION_REACH):
-    """Decode a received stream with error concealment.
+    """Decode a received stream with error concealment, frame by frame.
 
     Parameters
     ----------
@@ -88,7 +88,12 @@ def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
     region of the previous decoded frame (wrong motion vectors) plus a
     DC error; a received P slice whose reference region is corrupted
     inherits the error attenuated by ``propagation`` until the next I
-    frame.  Returns the decoded frames.
+    frame.
+
+    Yields the decoded frames in order.  They are decoded into a
+    two-frame ring, so memory does not grow with the clip: a yielded
+    frame is overwritten when the frame after the next one is decoded
+    (copy it to keep it).
 
     A fully received I frame, or a fully received P frame whose
     predecessor decoded to exactly its reference, is the clipped
@@ -97,17 +102,18 @@ def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
     """
     n_frames, height, __ = reference.shape
     types = frame_types(n_frames, gop)
-    decoded = np.empty_like(reference)
-    previous = np.full_like(reference[0], 0.5)  # decoder start-up grey
+    ring = np.full((2,) + reference.shape[1:], 0.5, dtype=reference.dtype)
+    previous = ring[1]  # decoder start-up grey
     clean = False  # previous is exactly reference[f - 1]
     for f in range(n_frames):
+        current = ring[f % 2]
         if np.all(received[f]) and (clean or types[f] == "I"):
-            np.clip(reference[f], 0.0, 1.0, out=decoded[f])
-            previous = decoded[f]
-            clean = np.array_equal(previous, reference[f])
+            np.clip(reference[f], 0.0, 1.0, out=current)
+            clean = np.array_equal(current, reference[f])
+            previous = current
+            yield current
             continue
         clean = False
-        current = np.empty_like(previous)
         if types[f] == "P" and f > 0:
             # Reference error of the previous reconstruction, dilated
             # vertically by the motion search range: P slices inherit
@@ -136,6 +142,5 @@ def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
                 patch = np.roll(previous[start:stop], conceal_shift, axis=1)
                 current[start:stop] = patch + conceal_dc
         np.clip(current, 0.0, 1.0, out=current)
-        decoded[f] = current
         previous = current
-    return decoded
+        yield current

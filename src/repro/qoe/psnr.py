@@ -8,34 +8,31 @@ rankings.
 
 import numpy as np
 
+from repro.qoe.ssim import Workspace
 
-def psnr(reference, degraded, peak=1.0):
-    """PSNR in dB between two images; identical images give +inf."""
-    reference = np.asarray(reference, dtype=np.float64)
-    degraded = np.asarray(degraded, dtype=np.float64)
-    if reference.shape != degraded.shape:
-        raise ValueError("shape mismatch %s vs %s"
-                         % (reference.shape, degraded.shape))
-    mse = np.mean((reference - degraded) ** 2)
+
+def _decibels(mse, peak):
+    """PSNR in dB of a mean squared error; zero error gives +inf."""
     if mse == 0:
         return float("inf")
     return float(10.0 * np.log10(peak * peak / mse))
 
 
-def psnr_sequence(reference_frames, degraded_frames, peak=1.0, cap=60.0):
+def psnr(reference, degraded, peak=1.0):
+    """PSNR in dB between two images; identical images give +inf."""
+    workspace = Workspace(np.shape(reference))
+    workspace.load(reference, degraded)
+    return _decibels(workspace.mse(), peak)
+
+
+def psnr_sequence(frame_mse, peak=1.0, cap=60.0):
     """Mean PSNR over a sequence, with lossless frames capped at ``cap``.
 
-    A frame equal to its reference scores ``cap`` without computing its
-    (infinite) PSNR.
+    ``frame_mse`` holds each frame's mean squared error, as
+    :func:`repro.qoe.ssim.ssim_sequence` collects it while it scores the
+    frames.  A frame with zero error scores ``cap``.
     """
-    if len(reference_frames) != len(degraded_frames):
-        raise ValueError("sequence length mismatch %d vs %d"
-                         % (len(reference_frames), len(degraded_frames)))
-    scores = [
-        cap if np.array_equal(ref, deg)
-        else min(psnr(ref, deg, peak=peak), cap)
-        for ref, deg in zip(reference_frames, degraded_frames)
-    ]
+    scores = [min(_decibels(mse, peak), cap) for mse in frame_mse]
     if not scores:
         return cap
     return float(np.mean(scores))

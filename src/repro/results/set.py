@@ -54,10 +54,6 @@ class ResultSet:
         return cls(records)
 
     # -- basic protocol --------------------------------------------------
-    @property
-    def records(self):
-        return list(self._records)
-
     def __len__(self):
         return len(self._records)
 

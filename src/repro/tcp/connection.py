@@ -61,37 +61,12 @@ _marker_ids = _counter()
 
 
 class TcpStats:
-    """Per-connection counters, including sRTT summary statistics.
+    """Per-connection loss-recovery counters: fast retransmits, RTOs and
+    retransmitted segments."""
 
-    ``srtt_min``, ``srtt_sum`` and ``srtt_samples`` summarize the
-    smoothed RTT (as estimated by Karn's algorithm) over the connection.
-    """
+    __slots__ = ("fast_retransmits", "timeouts", "retransmitted_segments")
 
-    __slots__ = (
-        "created_at",
-        "established_at",
-        "closed_at",
-        "srtt_min",
-        "srtt_sum",
-        "srtt_samples",
-        "bytes_acked",
-        "bytes_delivered",
-        "segments_sent",
-        "fast_retransmits",
-        "timeouts",
-        "retransmitted_segments",
-    )
-
-    def __init__(self, now):
-        self.created_at = now
-        self.established_at = None
-        self.closed_at = None
-        self.srtt_min = float("inf")
-        self.srtt_sum = 0.0
-        self.srtt_samples = 0
-        self.bytes_acked = 0
-        self.bytes_delivered = 0
-        self.segments_sent = 0
+    def __init__(self):
         self.fast_retransmits = 0
         self.timeouts = 0
         self.retransmitted_segments = 0
@@ -145,7 +120,7 @@ class TcpConnection:
         self.delayed_ack = delayed_ack
         self.rwnd = rwnd
         self.state = CLOSED
-        self.stats = TcpStats(sim.now)
+        self.stats = TcpStats()
 
         # Application callbacks (assign after construction).
         self.on_established = None
@@ -239,7 +214,6 @@ class TcpConnection:
         self._delack_timer.cancel()
         if self.state != CLOSED:
             self.state = CLOSED
-            self.stats.closed_at = self.sim.now
             self.node.unregister_tcp(self.peer_addr, self.peer_port, self.local_port)
 
     # ------------------------------------------------------------------
@@ -362,10 +336,8 @@ class TcpConnection:
             self._ts_to_echo,
             markers,
         )
-        stats = self.stats
-        stats.segments_sent += 1
         if retransmission:
-            stats.retransmitted_segments += 1
+            self.stats.retransmitted_segments += 1
         # Data segments piggyback the current ACK: cancel any pending one
         # (guarded inline — the timer is idle for almost every segment a
         # bulk sender pushes).
@@ -454,7 +426,6 @@ class TcpConnection:
         self._rto_timer.cancel()
         self.rto = max(self.rto, MIN_RTO)
         self.state = ESTABLISHED
-        self.stats.established_at = self.sim.now
         self._send_ack_now()
         if self.on_established is not None:
             self.on_established(self)
@@ -464,7 +435,6 @@ class TcpConnection:
     def _process_ack(self, packet):
         if self.state == SYN_RCVD and packet.ack_no >= 1:
             self.state = ESTABLISHED
-            self.stats.established_at = self.sim.now
             self._rto_timer.cancel()
             if packet.ts_echo >= 0:
                 self._update_rtt(self.sim.now - packet.ts_echo)
@@ -476,7 +446,6 @@ class TcpConnection:
         if ack > snd_una:
             acked = ack - snd_una
             self.snd_una = ack
-            self.stats.bytes_acked += acked
             if packet.ts_echo >= 0:
                 self._update_rtt(self.sim.now - packet.ts_echo)
             if self._in_recovery:
@@ -586,7 +555,6 @@ class TcpConnection:
 
     def _fail_connection(self):
         self.state = CLOSED
-        self.stats.closed_at = self.sim.now
         self.node.unregister_tcp(self.peer_addr, self.peer_port, self.local_port)
         if self.on_close is not None:
             self.on_close(self)
@@ -602,14 +570,8 @@ class TcpConnection:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample)
             self.srtt = 0.875 * self.srtt + 0.125 * sample
-        srtt = self.srtt
-        self.rto = min(max(srtt + max(0.01, 4.0 * self.rttvar), MIN_RTO), MAX_RTO)
-        # One SRTT sample per timestamped ACK.
-        stats = self.stats
-        stats.srtt_samples += 1
-        stats.srtt_sum += srtt
-        if srtt < stats.srtt_min:
-            stats.srtt_min = srtt
+        self.rto = min(max(self.srtt + max(0.01, 4.0 * self.rttvar), MIN_RTO),
+                       MAX_RTO)
         cc = self.cc
         if cc.cwnd < cc.ssthresh:  # inline in_slow_start precondition
             cc.maybe_exit_slow_start(sample, self.min_rtt)
@@ -648,7 +610,6 @@ class TcpConnection:
             holes is not None and len(holes._ivals) > 0
         )
         if delivered > 0:
-            self.stats.bytes_delivered += delivered
             if self.on_data is not None:
                 self.on_data(self, delivered)
             if self._rx_marker_heap:
@@ -707,7 +668,6 @@ class TcpConnection:
     def _maybe_finish(self):
         if self._fin_acked and self._peer_fin_consumed and self.state != CLOSED:
             self.state = CLOSED
-            self.stats.closed_at = self.sim.now
             self._rto_timer.cancel()
             self._delack_timer.cancel()
             self.node.unregister_tcp(self.peer_addr, self.peer_port, self.local_port)

@@ -87,10 +87,6 @@ class IntervalSet:
         istart, iend = ivals[idx]
         return istart <= start and end <= iend
 
-    def total(self):
-        """Total number of integers covered."""
-        return sum(end - start for start, end in self._ivals)
-
     def gaps(self, start, end):
         """Yield the uncovered sub-intervals of ``[start, end)``."""
         cursor = start

@@ -5,7 +5,9 @@ functions, classes and UPPER_CASE constants plus every non-dunder method,
 then collects every name *read* by the code in ``src/``, ``benchmarks/``,
 ``examples/`` and ``perfbench/``: loaded identifiers, attribute accesses,
 and string literals spelling an identifier (``getattr`` and registry
-lookups).  Definitions, imports and ``__all__`` entries are not reads, so
+lookups).  A method is read only through an attribute access or a string
+literal: a local variable that happens to share its name is not a read
+of it.  Definitions, imports and ``__all__`` entries are not reads, so
 a name that is only re-exported, or only exercised by ``tests/``, counts
 as dead.  Delete it, or add it to ``ALLOWED`` with the reason it stays.
 """
@@ -44,6 +46,8 @@ ALLOWED = {
     "covers": "IntervalSet query the interval property tests check",
     "gaps": "IntervalSet query the interval property tests check",
     "byte_length": "queued bytes: the conservation property tests read it",
+    "forwarded": "Node.forwarded, packets a router forwarded: the packet "
+                 "conservation tests read it (docs/ARCHITECTURE.md)",
     # Needed by open ROADMAP work.
     "fork": "RngRegistry.fork: per-flow seed jitter (ROADMAP item 1) needs it",
 }
@@ -69,26 +73,29 @@ def is_dunder(name):
 
 
 def definitions(tree):
-    """(name, line) for the module's functions, classes, constants, methods."""
+    """(name, line, is_method) for the module's functions, classes,
+    constants and methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
         elif isinstance(node, ast.ClassDef):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not is_dunder(item.name)):
-                    yield item.name, item.lineno
+                    yield item.name, item.lineno, True
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name) and CONSTANT.match(target.id):
-                    yield target.id, node.lineno
+                    yield target.id, node.lineno, False
 
 
 def reads(tree):
-    """Every identifier the module reads, excluding ``__all__`` entries."""
+    """(identifier, is_bare_name) for every read in the module, excluding
+    ``__all__`` entries; ``is_bare_name`` marks a loaded identifier, as
+    opposed to an attribute access or a string literal."""
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -97,33 +104,42 @@ def reads(tree):
             exported.update(id(child) for child in ast.walk(node.value))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id
+            yield node.id, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and IDENTIFIER.match(node.value) and id(node) not in exported):
-            yield node.value
+            yield node.value, False
 
 
 def defined_names():
-    """(path, line, name) for every definition under ``src/repro``."""
+    """(path, line, name, is_method) for every definition under
+    ``src/repro``."""
     for path in python_files(PACKAGE):
-        for name, line in definitions(parse(path)):
-            yield os.path.relpath(path, ROOT), line, name
+        for name, line, is_method in definitions(parse(path)):
+            yield os.path.relpath(path, ROOT), line, name, is_method
 
 
 def read_names():
-    read = set()
+    """``{name: reached_only_as_a_bare_name}`` for every name read."""
+    read = {}
     for top in READERS:
         for path in python_files(os.path.join(ROOT, top)):
-            read.update(reads(parse(path)))
+            for name, bare in reads(parse(path)):
+                read[name] = read.get(name, True) and bare
     return read
+
+
+def is_read(read, name, is_method):
+    """Whether a definition is read; a method needs a non-bare read."""
+    return name in read and not (is_method and read[name])
 
 
 def test_every_defined_name_is_read():
     read = read_names()
-    dead = ["%s:%d %s" % entry for entry in defined_names()
-            if entry[2] not in read and entry[2] not in ALLOWED]
+    dead = ["%s:%d %s" % (path, line, name)
+            for path, line, name, is_method in defined_names()
+            if not is_read(read, name, is_method) and name not in ALLOWED]
     assert not dead, ("names nothing in %s reads (delete them or allowlist "
                       "them with a reason):\n  %s"
                       % ("/".join(READERS), "\n  ".join(dead)))
@@ -131,7 +147,7 @@ def test_every_defined_name_is_read():
 
 def test_allowlist_names_only_unread_definitions():
     read = read_names()
-    defined = {name for __, __, name in defined_names()}
-    stale = sorted(name for name in ALLOWED
-                   if name not in defined or name in read)
+    unread = {name for __, __, name, is_method in defined_names()
+              if not is_read(read, name, is_method)}
+    stale = sorted(name for name in ALLOWED if name not in unread)
     assert not stale, "allowlisted names that are gone or now read: %s" % stale

@@ -22,7 +22,7 @@ def test_empty_interval_ignored():
     ivals.add(5, 5)
     ivals.add(7, 3)
     assert len(ivals) == 0
-    assert ivals.total() == 0
+    assert list(ivals) == []
 
 
 def test_overlapping_merge():
@@ -94,7 +94,7 @@ def test_property_matches_reference_set(intervals):
     for start, end in intervals:
         ivals.add(start, end)
         reference.update(range(start, end))
-    assert ivals.total() == len(reference)
+    assert sum(end - start for start, end in ivals) == len(reference)
     # Disjoint, sorted, non-adjacent invariants.
     previous_end = None
     for start, end in ivals:

@@ -145,11 +145,12 @@ def _video_cell_to_late_bound(scenario, buffer_packets, resolution, warmup,
     sim.run(until=sim.now + stream.end_time + 1.0)
     received = stream.finish()
     reference = clip_frames(stream.clip, resolution, stream.n_frames)
-    degraded = decode(reference, received)
-    ssim_value = ssim_sequence(reference, degraded)
+    frame_mse = []
+    ssim_value = ssim_sequence(reference, decode(reference, received),
+                               frame_mse)
     return {
         "ssim": ssim_value,
-        "psnr": psnr_sequence(reference, degraded),
+        "psnr": psnr_sequence(frame_mse),
         "mos": ssim_to_mos(ssim_value),
         "packet_loss": stream.packet_loss_rate,
         "slice_loss": float(1.0 - received.mean()),

@@ -137,9 +137,8 @@ class TestLossRecovery:
 
     def test_srtt_statistics_populated(self):
         sim, recorder, client = run_transfer(200_000)
-        stats = client.stats
-        assert stats.srtt_samples > 0
-        assert 0 < stats.srtt_min <= stats.srtt_sum / stats.srtt_samples
+        assert client.srtt is not None and client.rttvar is not None
+        assert 0 < client.min_rtt <= client.srtt
 
     def test_rtt_reflects_path_delay(self):
         sim, a, b = two_hosts(delay=ms(50), queue_packets=1000)
@@ -153,9 +152,10 @@ class TestLossRecovery:
         client.on_peer_fin = lambda c: c.close()
         client.connect()
         sim.run(until=30)
-        server_stats = client.stats
-        # Base RTT is 100 ms; smoothed samples must be at least that.
-        assert server_stats.srtt_min >= 0.099
+        # Base RTT is 100 ms; RTT samples and their smoothing must be at
+        # least that.
+        assert client.min_rtt >= 0.099
+        assert client.srtt >= 0.099
 
 
 class TestLongFlows:

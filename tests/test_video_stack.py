@@ -1,10 +1,13 @@
 """Tests for the video substrate: sources, codec, TS packing, SSIM/PSNR."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from proputil import seeded_property
+from scipy.ndimage import uniform_filter
 
 from repro.media.codec import (
     CONCEAL_DC_SHIFT,
@@ -24,8 +27,21 @@ from repro.media.mpegts import (
 )
 from repro.media.video_source import BITRATES, RESOLUTIONS, generate_clip
 from repro.qoe.psnr import psnr, psnr_sequence
-from repro.qoe.ssim import ssim, ssim_sequence
+from repro.qoe.ssim import C1, C2, ssim, ssim_sequence
 from repro.qoe.video import ssim_to_mos
+
+
+def _decoded(reference, received, **knobs):
+    """decode()'s stream as one array (each ring frame copied out)."""
+    return np.array([frame.copy()
+                     for frame in decode(reference, received, **knobs)])
+
+
+def _scores(reference, degraded_frames):
+    """(mean SSIM, mean PSNR) scored the way a video cell scores them."""
+    frame_mse = []
+    ssim_value = ssim_sequence(reference, degraded_frames, frame_mse)
+    return ssim_value, psnr_sequence(frame_mse)
 
 
 class TestVideoSource:
@@ -86,14 +102,14 @@ class TestCodecModel:
     def test_perfect_reception_is_lossless(self):
         reference = generate_clip("C", "SD", n_frames=13)
         received = np.ones((13, SLICES_PER_FRAME), dtype=bool)
-        decoded = decode(reference, received)
+        decoded = _decoded(reference, received)
         assert np.array_equal(decoded, reference)
 
     def test_lost_slice_recovers_at_next_i_frame(self):
         reference = generate_clip("C", "SD", n_frames=25)
         received = np.ones((25, SLICES_PER_FRAME), dtype=bool)
         received[2][5] = False  # one lost slice early in the first GOP
-        decoded = decode(reference, received, gop=12)
+        decoded = _decoded(reference, received, gop=12)
         assert not np.allclose(decoded[2], reference[2])
         # After the next I frame (index 12) everything is clean again.
         assert np.allclose(decoded[12], reference[12])
@@ -149,13 +165,35 @@ def _random_reception(seed, n_frames):
 
 
 _CLIP = generate_clip("B", "SD", n_frames=26)
+_HD_CLIP = generate_clip("B", "HD", n_frames=14)
+
+
+def _ssim_formula(reference, degraded):
+    """Wang et al.'s SSIM with the 8x8 uniform window, as written."""
+    x = reference.astype(np.float64)
+    y = degraded.astype(np.float64)
+    mu_x = uniform_filter(x, size=8)
+    mu_y = uniform_filter(y, size=8)
+    sigma_xx = uniform_filter(x * x, size=8) - mu_x * mu_x
+    sigma_yy = uniform_filter(y * y, size=8) - mu_y * mu_y
+    sigma_xy = uniform_filter(x * y, size=8) - mu_x * mu_y
+    numerator = (2.0 * (mu_x * mu_y) + C1) * (2.0 * sigma_xy + C2)
+    denominator = ((mu_x * mu_x + mu_y * mu_y + C1)
+                   * (sigma_xx + sigma_yy + C2))
+    return float(np.mean(numerator / denominator))
+
+
+def _psnr_formula(reference, degraded):
+    """PSNR in dB at peak 1.0, as written; identical frames give +inf."""
+    mse = np.mean((reference.astype(np.float64) - degraded) ** 2)
+    return float("inf") if mse == 0 else float(10.0 * np.log10(1.0 / mse))
 
 
 class TestIdenticalFrameShortcuts:
     @seeded_property(max_examples=12)
     def test_decode_matches_per_slice_decoding(self, seed):
         received = _random_reception(seed, len(_CLIP))
-        assert np.array_equal(decode(_CLIP, received),
+        assert np.array_equal(_decoded(_CLIP, received),
                               _decode_per_slice(_CLIP, received))
 
     @seeded_property(max_examples=8)
@@ -164,26 +202,52 @@ class TestIdenticalFrameShortcuts:
         # "clean" and only the I-frame copy may be shortcut.
         reference = (_CLIP[:13] * 1.4 - 0.2).astype(_CLIP.dtype)
         received = _random_reception(seed, 13)
-        assert np.array_equal(decode(reference, received),
+        assert np.array_equal(_decoded(reference, received),
                               _decode_per_slice(reference, received))
 
     @seeded_property(max_examples=12)
     def test_sequence_scores_equal_per_frame_means(self, seed):
-        received = _random_reception(seed, len(_CLIP))
-        received[0] = True  # frame 0 decodes to its reference...
-        received[1][seed % SLICES_PER_FRAME] = False  # ...frame 1 does not
-        degraded = decode(_CLIP, received)
-        assert ssim_sequence(_CLIP, degraded) == np.mean(
-            [ssim(r, d) for r, d in zip(_CLIP, degraded)])
-        assert psnr_sequence(_CLIP, degraded) == np.mean(
-            [min(psnr(r, d), 60.0) for r, d in zip(_CLIP, degraded)])
+        # Differential: the streamed scores of decode()'s ring frames are
+        # the plain formulas, applied to every frame of the fully
+        # materialised per-slice decoding.
+        for clip in (_CLIP, _HD_CLIP):
+            received = _random_reception(seed, len(clip))
+            received[0] = True  # frame 0 decodes to its reference...
+            received[1][seed % SLICES_PER_FRAME] = False  # ...frame 1 not
+            degraded = _decode_per_slice(clip, received)
+            assert _scores(clip, decode(clip, received)) == (
+                np.mean([_ssim_formula(r, d) for r, d in zip(clip, degraded)]),
+                np.mean([min(_psnr_formula(r, d), 60.0)
+                         for r, d in zip(clip, degraded)]))
 
     def test_identical_frame_scores_exactly(self):
         frame = _CLIP[3]
         assert ssim(frame, frame) == 1.0
-        assert ssim(frame, frame, window="gaussian") == 1.0
-        assert ssim_sequence(_CLIP, _CLIP.copy()) == 1.0
-        assert psnr_sequence(_CLIP, _CLIP.copy(), cap=42.0) == 42.0
+        assert _ssim_formula(frame, frame) == 1.0
+        frame_mse = []
+        assert ssim_sequence(_CLIP, _CLIP.copy(), frame_mse) == 1.0
+        assert psnr_sequence(frame_mse, cap=42.0) == 42.0
+
+
+_LONG_CLIP = generate_clip("B", "SD", n_frames=64)
+
+
+def _peak_scoring_bytes(n_frames):
+    """Peak bytes traced while a cell's scoring decodes and scores a clip."""
+    reference = _LONG_CLIP[:n_frames]
+    received = np.ones((n_frames, SLICES_PER_FRAME), dtype=bool)
+    received[1:, ::5] = False  # every frame after the first is damaged
+    tracemalloc.start()
+    try:
+        _scores(reference, decode(reference, received))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_memory_does_not_grow_with_the_clip():
+    frame_bytes = _LONG_CLIP[0].size * np.dtype(np.float64).itemsize
+    assert _peak_scoring_bytes(64) <= _peak_scoring_bytes(8) + frame_bytes
 
 
 class TestMpegTs:
@@ -234,28 +298,12 @@ class TestSsimPsnr:
         with pytest.raises(ValueError):
             psnr(np.zeros((4, 4)), np.zeros((5, 5)))
 
-    def test_unknown_window_raises(self):
-        frames = generate_clip("A", "SD", n_frames=2)
-        with pytest.raises(ValueError, match="window"):
-            ssim(frames[0], frames[1], window="gausian")
-        # Identical frames skip filtering; the window is checked anyway.
-        with pytest.raises(ValueError, match="window"):
-            ssim_sequence(frames, frames, window="box")
-
     def test_sequence_length_mismatch_raises(self):
         frames = generate_clip("A", "SD", n_frames=3)
         with pytest.raises(ValueError, match="length"):
             ssim_sequence(frames, frames[:2])
         with pytest.raises(ValueError, match="length"):
-            psnr_sequence(frames[:2], frames)
-
-    def test_gaussian_window_variant(self):
-        image = generate_clip("A", "SD", n_frames=1)[0]
-        rng = np.random.default_rng(0)
-        noisy = np.clip(image + rng.normal(0, 0.05, image.shape), 0, 1)
-        uniform = ssim(image, noisy)
-        gaussian = ssim(image, noisy, window="gaussian")
-        assert abs(uniform - gaussian) < 0.15
+            ssim_sequence(frames[:2], iter(frames))
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20)
@@ -269,8 +317,7 @@ class TestSsimPsnr:
 
     def test_sequence_means(self):
         frames = generate_clip("A", "SD", n_frames=4)
-        assert ssim_sequence(frames, frames) == pytest.approx(1.0)
-        assert psnr_sequence(frames, frames) == 60.0  # capped
+        assert _scores(frames, frames) == (1.0, 60.0)  # PSNR capped
 
     def test_mappings_monotone(self):
         ssim_values = [0.3, 0.6, 0.88, 0.95, 1.0]
