@@ -16,7 +16,7 @@ def test_aqm_rescues_bloated_uplink():
     results = api.run_sweep("aqm-voip")
     rows = [("%s @ %d pkts" % (record.discipline, record.buffer_packets),
              "%.1f" % record["talks"], "%.1f" % record["listens"],
-             "%.0f ms" % (record.delay("talks") * 1000))
+             "%.0f ms" % (record["delay"]["talks"] * 1000))
             for record in results]
     comparison_table(
         "A1: VoIP under upload congestion per queue discipline",
@@ -24,5 +24,5 @@ def test_aqm_rescues_bloated_uplink():
     # CoDel must bound the standing queue that drop-tail lets grow.
     droptail = results[("long-few", 256, "droptail")]
     codel = results[("long-few", 256, "codel")]
-    assert codel.delay("talks") < droptail.delay("talks")
+    assert codel["delay"]["talks"] < droptail["delay"]["talks"]
     assert codel["talks"] >= droptail["talks"]

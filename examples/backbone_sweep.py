@@ -34,8 +34,8 @@ def main(workloads=("noBG", "short-medium", "long"),
             call = voip[(workload, packets)]
             page = web[(workload, packets)]
             print("%-14s %-6d %-10.1f %6.2f s (MOS %.1f)"
-                  % (workload, packets, call.mos("listens"),
-                     page.median_plt, page.mos))
+                  % (workload, packets, call["listens"],
+                     page["median_plt"], page["mos"]))
         print()
 
 

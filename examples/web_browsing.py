@@ -31,8 +31,8 @@ def main(cases=CASES, buffers=(8, 64, 256), fetches=5, warmup=8.0):
         print("%s — %s" % (results[0].scenario, label))
         for record in results:
             print("  buffer %3d pkts: median PLT %5.2f s -> MOS %.1f (%s)"
-                  % (record.buffer_packets, record.median_plt, record.mos,
-                     mos_class(record.mos)))
+                  % (record.buffer_packets, record["median_plt"],
+                     record["mos"], mos_class(record["mos"])))
         print()
 
 

@@ -1,4 +1,4 @@
-"""Stable public facade: run sweeps, get typed :class:`ResultSet`s.
+"""Stable public facade: run sweeps, get keyed :class:`ResultSet`s.
 
 This module is the one entry point everything user-facing goes through —
 the CLI, the benchmarks, the examples and downstream analysis code::
@@ -6,7 +6,8 @@ the CLI, the benchmarks, the examples and downstream analysis code::
     from repro import api
 
     results = api.run_sweep("fig7b")                 # ResultSet
-    results.pivot("scenario", "buffer", "talks")     # heatmap dict
+    results.value_map("talks")                       # {cell key: MOS}
+    results[("long-many", 256)]["talks"]             # one cell's value
     results.to_csv("fig7b.csv")
 
     for record in api.iter_sweep("fig5"):            # streaming
@@ -21,8 +22,9 @@ Sweeps are named registry entries (``python -m repro list``) or explicit
 :class:`repro.core.registry.SweepSpec` objects (e.g. from
 :func:`repro.core.registry.adhoc_sweep`).  ``overrides`` narrows or
 retunes a sweep's axes without editing the registry — the same knobs the
-``run``/``export`` CLI flags expose.  Results come back as typed records
-in a :class:`repro.results.set.ResultSet`; the payload wire format and
+``run``/``export`` CLI flags expose.  Results come back as
+:class:`repro.results.record.CellResult` records in a
+:class:`repro.results.set.ResultSet`; the payload wire format and
 cache schema underneath are exactly the runner's, so facade runs share
 cache entries bit-identically with every other consumer.
 """
@@ -103,12 +105,11 @@ def _prepare(name_or_spec, scale, overrides):
 def iter_sweep(name_or_spec, *, scale=None, overrides=None, runner=None):
     """Stream one sweep's records as cells complete.
 
-    Yields typed :mod:`repro.results.record` values (cache hits first,
-    then pool completions), each carrying its sweep cell ``key`` and
-    task ``index``.  Feed the stream to
-    :meth:`repro.results.set.ResultSet.from_stream` to collect, or to a
-    :class:`repro.results.set.StreamAggregator` for constant-memory
-    aggregation over huge grids.
+    Yields :class:`repro.results.record.CellResult` records (cache hits
+    first, then pool completions), each carrying its sweep cell ``key``
+    and task ``index``.  Consume the stream in a loop to hold one cell
+    at a time, or feed it to
+    :meth:`repro.results.set.ResultSet.from_stream` to collect.
     """
     spec, scale = _prepare(name_or_spec, scale, overrides)
     runner = runner or GridRunner()

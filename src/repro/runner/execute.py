@@ -2,8 +2,9 @@
 
 :func:`execute_task` runs one :class:`repro.runner.task.CellTask` and
 returns a JSON-ready payload (:mod:`repro.results.record` wraps it in a
-typed record).  Everything here is module-level and picklable so the grid runner can ship tasks to
-worker processes.  Study-layer imports happen lazily inside the
+:class:`repro.results.record.CellResult`).  Everything here is
+module-level and picklable so the grid runner can ship tasks to worker
+processes.  Study-layer imports happen lazily inside the
 executors to keep ``repro.runner`` import-light and cycle-free.
 
 Cells run with the cyclic garbage collector paused: the sim core is

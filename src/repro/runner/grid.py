@@ -86,13 +86,13 @@ class GridRunner:
 
         Cache hits stream first (in task order), then computed cells in
         completion order — so incremental consumers (progress UIs,
-        :class:`repro.results.set.StreamAggregator`) see results as soon
-        as they exist, in constant memory.  Records are typed
-        :mod:`repro.results.record` values; ``keys`` optionally supplies
-        the sweep cell key stored on each record, aligned with
-        ``tasks``.  Each record carries its task ``index``, so
-        :meth:`repro.results.set.ResultSet.from_stream` restores task
-        order.
+        :func:`repro.api.iter_sweep`) see results as soon as they exist,
+        in constant memory.  Records are
+        :class:`repro.results.record.CellResult` values; ``keys``
+        optionally supplies the sweep cell key stored on each record,
+        aligned with ``tasks``.  Each record carries its task ``index``,
+        so :meth:`repro.results.set.ResultSet.from_stream` (fed the
+        records) restores task order.
 
         On a pool failure the remaining in-flight siblings are still
         drained (and yielded), then the first failure is re-raised; the

@@ -2,7 +2,9 @@
 
 The paper studies plain drop-tail FIFOs sized in packets (the NetFPGA
 Stanford reference router and Cisco line cards both drop at the tail), so
-:class:`DropTailQueue` is the workhorse.  :class:`REDQueue` and
+:class:`DropTailQueue` is the paper's buffer; on the testbeds
+:class:`repro.sim.link.DropTailLink` serves it in closed form and keeps
+only its capacity and statistics.  :class:`REDQueue` and
 :class:`CoDelQueue` implement the AQM schemes the bufferbloat debate
 motivates (paper §1/§3 cite CoDel) and power the ablation benchmarks.
 
@@ -75,8 +77,8 @@ class Queue:
     """Abstract FIFO with drop policy.  Subclasses implement push/pop.
 
     The shared plumbing (``_accept``/``_reject``/``_take``) updates the
-    :class:`QueueStats` counters inline: it runs once per packet per hop
-    and is part of the sim core's hot path.
+    :class:`QueueStats` counters inline: it runs once per packet at every
+    AQM bottleneck.
     """
 
     __slots__ = ("capacity_packets", "stats", "_queue", "_bytes")
@@ -146,43 +148,25 @@ class Queue:
 class DropTailQueue(Queue):
     """Plain FIFO that drops arrivals once full — the paper's discipline.
 
-    ``push``/``pop`` inline the shared plumbing: drop-tail queues sit on
-    every hop of every topology, so this is the hottest queue code in
-    the tree.
+    On the testbeds a drop-tail bottleneck is a
+    :class:`repro.sim.link.DropTailLink`, which reads only this queue's
+    capacity and statistics; ``push``/``pop`` serve the reference
+    :class:`repro.sim.link.Interface` the tests compare it against.
     """
 
     __slots__ = ()
 
     def push(self, packet, now):
-        queue = self._queue
-        if len(queue) >= self.capacity_packets:
+        if self._would_overflow():
             self._reject(packet)
             return False
-        size = packet.size
-        packet.enqueued_at = now
-        queue.append(packet)
-        self._bytes += size
-        stats = self.stats
-        stats.enqueued += 1
-        stats.bytes_enqueued += size
+        self._accept(packet, now)
         return True
 
     def pop(self, now):
-        queue = self._queue
-        if not queue:
+        if not self._queue:
             return None
-        packet = queue.popleft()
-        size = packet.size
-        self._bytes -= size
-        sojourn = now - packet.enqueued_at
-        stats = self.stats
-        stats.dequeued += 1
-        stats.bytes_dequeued += size
-        stats.delay_sum += sojourn
-        stats.delay_samples += 1
-        if sojourn > stats.delay_max:
-            stats.delay_max = sojourn
-        return packet
+        return self._take(now)
 
     def __repr__(self):
         return "DropTailQueue(len=%d/%s)" % (len(self._queue), self.capacity_packets)

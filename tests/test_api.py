@@ -4,7 +4,7 @@ import pytest
 
 from repro import api
 from repro.core.registry import access, adhoc_sweep
-from repro.results import ResultSet, StreamAggregator
+from repro.results import ResultSet
 from repro.runner import GridRunner, ResultCache
 from repro.runner.execute import execute_task
 
@@ -58,15 +58,6 @@ class TestStreaming:
         assert streamed == batch
         assert streamed.keys() == batch.keys()
 
-    def test_stream_aggregation_over_iter_sweep(self, tmp_path):
-        spec = tiny_spec()
-        agg = StreamAggregator("down_utilization", by="buffer")
-        agg.consume(api.iter_sweep(spec, scale=1.0,
-                                   runner=runner_for(tmp_path)))
-        stats = agg.result()
-        assert set(stats) == {8, 16}
-        assert all(entry["count"] == 1 for entry in stats.values())
-
     @pytest.mark.parametrize("workers", [1, 4])
     def test_iter_run_bit_identical_to_run(self, tmp_path, workers):
         """iter_run payloads equal direct in-process cell runs."""
@@ -75,7 +66,8 @@ class TestStreaming:
         direct = [execute_task(task) for task in tasks]
         runner = runner_for(tmp_path, workers=workers)
         streamed = ResultSet.from_stream(
-            runner.iter_run(tasks, keys=spec.cells(1.0)))
+            record for __, record in runner.iter_run(tasks,
+                                                     keys=spec.cells(1.0)))
         # from_stream restores task order, so records align with direct.
         assert [record.payload for record in streamed] == direct
         assert [r.index for r in streamed] == [0, 1, 2, 3]

@@ -7,7 +7,10 @@ then collects every name *read* by the code in ``src/``, ``benchmarks/``,
 and string literals spelling an identifier (``getattr`` and registry
 lookups).  A method is read only through an attribute access or a string
 literal: a local variable that happens to share its name is not a read
-of it.  Definitions, imports and ``__all__`` entries are not reads, so
+of it.  A read inside the body of a function of the same name is not a
+read either, so a method that only calls itself, or two same-named
+methods that only call each other, still count as dead.  Definitions,
+imports and ``__all__`` entries are not reads, so
 a name that is only re-exported, or only exercised by ``tests/``, counts
 as dead.  Delete it, or add it to ``ALLOWED`` with the reason it stays.
 """
@@ -33,16 +36,10 @@ ALLOWED = {
     "FIG4_BIDIR_UPLINK": "digitized paper data (Figure 4, bidir panel)",
     "ACCESS_SCENARIOS": "Table 1 access catalog: tests check its rows",
     "BACKBONE_SCENARIOS": "Table 1 backbone catalog: tests check its rows",
-    # Public API that README.md or docs/ show, with no caller in the tree.
-    "QosResult": "record type named in docs/RESULTS.md",
-    "VoipResult": "record type named in docs/RESULTS.md",
-    "VideoResult": "record type named in docs/RESULTS.md",
-    "WebResult": "record type named in docs/RESULTS.md",
-    "pivot": "ResultSet verb shown in README.md and docs/RESULTS.md",
-    "merge": "ResultSet verb shown in docs/RESULTS.md",
-    "StreamAggregator": "streaming aggregation shown in README.md; ROADMAP "
-                        "item 1 puts per-cell CIs in it",
-    "consume": "StreamAggregator verb shown in README.md",
+    # Queries the tests read, with no caller in the tree.
+    "from_json": "SweepSpec/ScenarioSpec inverse of to_json: the registry "
+                 "round-trip tests check that the spec JSON `describe` "
+                 "prints loses nothing",
     "covers": "IntervalSet query the interval property tests check",
     "gaps": "IntervalSet query the interval property tests check",
     "byte_length": "queued bytes: the conservation property tests read it",
@@ -92,24 +89,43 @@ def definitions(tree):
                     yield target.id, node.lineno, False
 
 
+def scoped(node, enclosing=frozenset()):
+    """(descendant, names of the functions whose body holds it) for every
+    node under ``node``."""
+    for field, value in ast.iter_fields(node):
+        inner = enclosing
+        if field == "body" and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = enclosing | {node.name}
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield child, inner
+                yield from scoped(child, inner)
+
+
 def reads(tree):
     """(identifier, is_bare_name) for every read in the module, excluding
-    ``__all__`` entries; ``is_bare_name`` marks a loaded identifier, as
-    opposed to an attribute access or a string literal."""
+    ``__all__`` entries and reads inside a function of the same name;
+    ``is_bare_name`` marks a loaded identifier, as opposed to an
+    attribute access or a string literal."""
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
             exported.update(id(child) for child in ast.walk(node.value))
-    for node in ast.walk(tree):
+    for node, enclosing in scoped(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            yield node.id, True
+            name, bare = node.id, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, False
+            name, bare = node.attr, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and IDENTIFIER.match(node.value) and id(node) not in exported):
-            yield node.value, False
+            name, bare = node.value, False
+        else:
+            continue
+        if name not in enclosing:
+            yield name, bare
 
 
 def defined_names():
@@ -151,3 +167,17 @@ def test_allowlist_names_only_unread_definitions():
               if not is_read(read, name, is_method)}
     stale = sorted(name for name in ALLOWED if name not in unread)
     assert not stale, "allowlisted names that are gone or now read: %s" % stale
+
+
+def test_a_read_inside_a_same_named_function_is_not_a_read():
+    def read(source):
+        return {name for name, __ in reads(ast.parse(source))}
+
+    recursive = ("class Spec:\n"
+                 "    def from_json(cls, data):\n"
+                 "        return Inner.from_json(data)\n"
+                 "def walk(node):\n"
+                 "    return [walk(child) for child in node]\n")
+    assert read(recursive) == {"Inner", "data", "child", "node"}
+    called = recursive + "def run(spec):\n    return walk(spec)\n"
+    assert "walk" in read(called) and "from_json" not in read(called)

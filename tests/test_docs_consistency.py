@@ -65,8 +65,8 @@ def test_architecture_doc_covers_the_layers():
 def test_results_doc_covers_the_api():
     results = read("docs/RESULTS.md")
     for name in ("run_sweep", "iter_sweep", "load_sweep", "ResultSet",
-                 "StreamAggregator", "to_csv", "value_map",
-                 "QosResult", "VoipResult", "VideoResult", "WebResult"):
+                 "CellResult", "record_from_payload", "to_csv", "to_json",
+                 "value_map", "from_stream"):
         assert name in results, name
 
 

@@ -36,7 +36,7 @@ from repro.report.figures import (
     ReportFigure,
     Table,
 )
-from repro.results.record import RECORD_TYPES, VoipResult
+from repro.results.record import CellResult
 from repro.results.set import ResultSet
 from repro.sim.stats import five_number_summary
 
@@ -85,8 +85,8 @@ def voip_set(talks_by_cell):
     """A keyed VoIP ResultSet from ``{(workload, buffer): talks MOS}``."""
     records = []
     for index, (key, talks) in enumerate(sorted(talks_by_cell.items())):
-        records.append(VoipResult(
-            scenario=key[0], buffer_packets=key[1], seed=0,
+        records.append(CellResult(
+            kind="voip", scenario=key[0], buffer_packets=key[1], seed=0,
             discipline="droptail", params=(),
             payload={"talks": talks, "delay": {"talks": 0.15}},
             key=key, index=index))
@@ -478,8 +478,8 @@ def paper_results(figure, spec, scale):
             if paper is not None and set(series.filters) <= set(params):
                 payload[series.column] = paper / series.factor
                 on_axes[series.label][series.map_key(key)] = paper
-        records.append(RECORD_TYPES[spec.kind](
-            scenario=key[0], buffer_packets=key[1], seed=0,
+        records.append(CellResult(
+            kind=spec.kind, scenario=key[0], buffer_packets=key[1], seed=0,
             discipline="droptail", params=params, payload=payload,
             key=key, index=index))
     return ResultSet(records), on_axes

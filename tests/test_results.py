@@ -1,8 +1,8 @@
-"""Tests for the typed results layer (repro.results).
+"""Tests for the results layer (repro.results).
 
 The round-trip suite executes one real cell per kind (tiny windows) and
 checks payload → record → rows/CSV/JSON → parse-back fidelity; the
-ResultSet verb tests run on synthetic records and stay sim-free.
+ResultSet and summary tests run on synthetic records and stay sim-free.
 """
 
 import csv
@@ -14,12 +14,7 @@ import pytest
 from repro.core.scenarios import access_scenario
 from repro.results import (
     CellResult,
-    QosResult,
     ResultSet,
-    StreamAggregator,
-    VideoResult,
-    VoipResult,
-    WebResult,
     flatten_metrics,
     format_buffer,
     jsonify,
@@ -47,9 +42,6 @@ KIND_TASKS = {
         "web", access_scenario("noBG"), 64, seed=0, warmup=0.5, fetches=2),
 }
 
-RECORD_CLASSES = {"qos": QosResult, "voip": VoipResult,
-                  "video": VideoResult, "web": WebResult}
-
 
 @pytest.fixture(scope="module")
 def executed():
@@ -68,7 +60,7 @@ class TestRecordRoundTrip:
         task, payload = executed[kind]
         record = record_from_payload(task, payload, key=("cell", 1),
                                      index=0)
-        assert isinstance(record, RECORD_CLASSES[kind])
+        assert isinstance(record, CellResult)
         assert record.kind == kind
         assert record.payload == payload  # wire format untouched
         metrics = record.metrics
@@ -105,29 +97,57 @@ class TestRecordRoundTrip:
         assert record.buffer_packets == 16  # axis value, not payload echo
         box = five_number_summary(record["down_utilization_samples"])
         assert box[0] <= box[2] <= box[4]
-        assert record.qoe is None
 
     def test_voip_record_accessors(self, executed):
         task, payload = executed["voip"]
         record = record_from_payload(task, payload)
-        assert record.directions == ("listens",)
-        assert record.mos("listens") == payload["listens"]
-        assert record.delay("listens") == payload["delay"]["listens"]
-        assert record.qoe == payload["listens"]
-        assert record.metrics["delay.listens"] == payload["delay"]["listens"]
         assert record["listens"] == payload["listens"]  # dict-style
+        assert record["delay"]["listens"] == payload["delay"]["listens"]
+        assert record.value("listens") == payload["listens"]
+        assert record.metrics["delay.listens"] == payload["delay"]["listens"]
+        assert record.value("calls") == 1  # a param column
 
     def test_video_and_web_accessors(self, executed):
         __, video_payload = executed["video"]
         video = record_from_payload(KIND_TASKS["video"](), video_payload)
-        assert video.ssim == video_payload["ssim"]
-        assert video.qoe == video_payload["mos"]
+        assert video["ssim"] == video_payload["ssim"]
+        assert video.value("resolution") == "SD"  # a param column
 
         __, web_payload = executed["web"]
         web = record_from_payload(KIND_TASKS["web"](), web_payload)
-        assert web.median_plt == web_payload["median_plt"]
-        assert web.plts == web_payload["plts"]  # series kept on payload
+        assert web["median_plt"] == web_payload["median_plt"]
+        assert web["plts"] == web_payload["plts"]  # series kept on payload
         assert "plts" not in web.metrics  # ... but it is not a metric
+
+
+# ---------------------------------------------------------------------------
+# The `python -m repro run` table line, pinned per kind.
+# ---------------------------------------------------------------------------
+SUMMARY_PAYLOADS = {
+    "qos": ({"down_utilization": 0.7021, "up_utilization": 0.274,
+             "down_loss": 0.0913, "up_loss": 0.0,
+             "down_mean_delay": 0.0031, "up_mean_delay": 0.0004},
+            "down util  70.2%  up util  27.4%  loss  9.13%/ 0.00%  "
+            "mean delay    3/   0 ms"),
+    "voip": ({"talks": 4.41, "listens": 3.95,
+              "delay": {"talks": 0.1516, "listens": 0.2504}},
+             "listens MOS 4.0  talks MOS 4.4  m2e listens 250 ms  "
+             "m2e talks 152 ms"),
+    "video": ({"ssim": 0.8765, "psnr": 31.2, "mos": 3.25,
+               "packet_loss": 0.0125},
+              "SSIM 0.88  MOS 3.2  pkt loss 1.2%"),
+    "web": ({"median_plt": 0.6789, "p80_plt": 0.9, "mos": 4.66,
+             "plts": [0.6789]},
+            "median PLT 0.68 s  MOS 4.7"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUMMARY_PAYLOADS))
+def test_summary_text_is_pinned_per_kind(kind):
+    payload, text = SUMMARY_PAYLOADS[kind]
+    record = CellResult(kind=kind, scenario="s", buffer_packets=8, seed=0,
+                        discipline="droptail", params=(), payload=payload)
+    assert record.summary() == text
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +155,8 @@ class TestRecordRoundTrip:
 # ---------------------------------------------------------------------------
 def voip_record(scenario, packets, talks, listens, discipline="droptail",
                 index=None):
-    return VoipResult(
-        scenario=scenario, buffer_packets=packets, seed=3,
+    return CellResult(
+        kind="voip", scenario=scenario, buffer_packets=packets, seed=3,
         discipline=discipline, params=(("calls", 1),),
         payload={"talks": talks, "listens": listens,
                  "delay": {"talks": 0.1, "listens": 0.2}},
@@ -161,45 +181,33 @@ class TestResultSet:
         assert synthetic[("long-few", 256, "droptail")].value("talks") == 1.2
         assert ("noBG", 8, "droptail") in synthetic
         assert ("ghost", 8, "droptail") not in synthetic
-        assert len(synthetic[1:3]) == 2
 
     def test_column_and_value_lookup(self, synthetic):
-        assert synthetic.column("talks") == [4.2, 4.1, 3.0, 1.2]
-        assert synthetic.column("buffer") == [8, 256, 8, 256]
-        assert synthetic.column("calls") == [1, 1, 1, 1]  # params
+        record = synthetic[("long-few", 256, "droptail")]
+        assert record.value("talks") == 1.2  # metric
+        assert record.value("buffer") == 256  # axis alias
+        assert record.value("kind") == "voip"  # axis
+        assert record.value("calls") == 1  # param
+        assert record.value("delay.listens") == 0.2  # nested metric
         with pytest.raises(KeyError):
-            synthetic.column("mystery")
+            record.value("mystery")
 
-    def test_filter_equality_and_membership(self, synthetic):
+    def test_filter_is_equality_only(self, synthetic):
         assert len(synthetic.filter(scenario="noBG")) == 2
         assert len(synthetic.filter(scenario="noBG", buffer=8)) == 1
-        assert len(synthetic.filter(buffer=(8, 256))) == 4  # membership
-        low = synthetic.filter(lambda r: r.value("talks") < 4.0)
-        assert [r.scenario for r in low] == ["long-few", "long-few"]
+        # A tuple is a value, not a set of choices: a (down, up) buffer
+        # pair matches only records with that pair.
+        assert len(synthetic.filter(buffer=(8, 256))) == 0
+        pair = voip_record("noBG", (64, 8), 4.0, 4.0)
+        assert list(ResultSet([pair]).filter(buffer=(64, 8))) == [pair]
 
-    def test_group_by_and_aggregate(self, synthetic):
-        groups = synthetic.group_by("scenario")
-        assert set(groups) == {"noBG", "long-few"}
-        assert len(groups["noBG"]) == 2
-        means = synthetic.aggregate("talks", agg="mean", by="scenario")
-        assert means["noBG"] == pytest.approx((4.2 + 4.1) / 2)
-        assert synthetic.aggregate("talks", agg="min") == 1.2
-        assert synthetic.aggregate("talks", agg="count") == 4
-        assert synthetic.aggregate("talks", agg="median") == pytest.approx(
-            (3.0 + 4.1) / 2)
-
-    def test_pivot_is_heatmap_shaped(self, synthetic):
-        grid = synthetic.pivot("scenario", "buffer", "talks")
-        assert grid[("long-few", 256)] == 1.2
-        assert grid[("noBG", 8)] == 4.2
+    def test_value_map_is_heatmap_shaped(self, synthetic):
+        grid = synthetic.value_map("talks")
+        assert grid[("long-few", 256, "droptail")] == 1.2
+        assert grid[("noBG", 8, "droptail")] == 4.2
         assert len(grid) == 4
-
-    def test_sort_and_merge(self, synthetic):
-        by_talks = synthetic.sort("talks")
-        assert [r.value("talks") for r in by_talks] == [1.2, 3.0, 4.1, 4.2]
-        merged = synthetic.merge(ResultSet([voip_record("x", 8, 2.0, 2.0)]))
-        assert len(merged) == 5
-        assert len(synthetic) == 4  # merge is non-destructive
+        assert synthetic.value_map("talks", scenario="noBG") == {
+            ("noBG", 8, "droptail"): 4.2, ("noBG", 256, "droptail"): 4.1}
 
     def test_from_stream_restores_task_order(self, synthetic):
         shuffled = [synthetic[2], synthetic[0], synthetic[3], synthetic[1]]
@@ -207,63 +215,27 @@ class TestResultSet:
         assert [r.index for r in rs] == [0, 1, 2, 3]
         assert rs == synthetic
 
-    def test_from_stream_accepts_task_record_pairs(self, synthetic):
-        rs = ResultSet.from_stream(
-            (object(), record) for record in synthetic)
-        assert rs == synthetic
-
     def test_value_map_requires_keys(self, synthetic):
         grid = synthetic.value_map("talks")
         assert grid[("noBG", 8, "droptail")] == synthetic[0]["talks"]
-        keyless = ResultSet([VoipResult(
-            scenario="s", buffer_packets=8, seed=0, discipline="droptail",
+        keyless = ResultSet([CellResult(
+            kind="voip", scenario="s", buffer_packets=8, seed=0, discipline="droptail",
             params=(), payload={"talks": 1.0})])
         with pytest.raises(KeyError):
             keyless.value_map("talks")
 
     def test_csv_handles_heterogeneous_columns(self, synthetic):
-        other = ResultSet([WebResult(
-            scenario="w", buffer_packets=8, seed=0, discipline="droptail",
-            params=(), payload={"median_plt": 1.0, "mos": 4.0,
-                                "p80_plt": 1.2, "plts": [1.0]},
-            key=("w", 8))])
-        text = synthetic.merge(other).to_csv()
+        web = CellResult(
+            kind="web", scenario="w", buffer_packets=8, seed=0,
+            discipline="droptail", params=(),
+            payload={"median_plt": 1.0, "mos": 4.0, "p80_plt": 1.2,
+                     "plts": [1.0]},
+            key=("w", 8))
+        text = ResultSet(list(synthetic) + [web]).to_csv()
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 5
         assert rows[0]["median_plt"] == ""  # missing column left empty
         assert rows[4]["median_plt"] == "1.0"
-
-
-class TestStreamingAggregation:
-    def test_matches_batch_aggregate(self, synthetic):
-        streamed = StreamAggregator("talks", by="scenario").consume(
-            synthetic).result()
-        batch = synthetic.aggregate("talks", agg="mean", by="scenario")
-        for scenario, stats in streamed.items():
-            assert stats["mean"] == pytest.approx(batch[scenario])
-        assert streamed["noBG"]["count"] == 2
-        assert streamed["long-few"]["min"] == 1.2
-        assert streamed["long-few"]["max"] == 3.0
-
-    def test_groupless_and_helper(self, synthetic):
-        flat = StreamAggregator("talks").consume(synthetic).result()
-        assert flat["count"] == 4
-        assert flat["sum"] == pytest.approx(4.2 + 4.1 + 3.0 + 1.2)
-
-    def test_empty_stream_is_not_an_all_zero_aggregate(self):
-        flat = StreamAggregator("talks").consume([]).result()
-        assert flat["count"] == 0
-        assert flat["mean"] is None  # 'no data', not MOS 0.0
-        assert flat["min"] is None and flat["max"] is None
-        grouped = StreamAggregator("talks", by="scenario").consume([])
-        assert grouped.result() == {}
-
-    def test_constant_memory_contract(self, synthetic):
-        # The aggregator must keep per-group counters, not records.
-        agg = StreamAggregator("talks", by="scenario").consume(synthetic)
-        assert len(agg._groups) == 2
-        for state in agg._groups.values():
-            assert isinstance(state, list) and len(state) == 4
 
 
 class TestConvertHelpers:
@@ -294,8 +266,8 @@ class TestConvertHelpers:
             record_from_payload(Fake(), {})
 
     def test_base_record_value_errors_name_unknown_columns(self):
-        record = CellResult(scenario="s", buffer_packets=8, seed=0,
-                            discipline="droptail", params=(),
+        record = CellResult(kind="qos", scenario="s", buffer_packets=8,
+                            seed=0, discipline="droptail", params=(),
                             payload={"x": 1.0})
         assert record.value("x") == 1.0
         with pytest.raises(KeyError):

@@ -28,8 +28,8 @@ def qos_task(packets=16, seed=1, warmup=1.0, duration=2.0):
 
 def run_payloads(runner, tasks):
     """Payloads of ``tasks`` in task order, streamed through iter_run."""
-    return [record.payload
-            for record in ResultSet.from_stream(runner.iter_run(tasks))]
+    records = (record for __, record in runner.iter_run(tasks))
+    return [record.payload for record in ResultSet.from_stream(records)]
 
 
 def failed_cell_note(task):
