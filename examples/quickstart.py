@@ -8,7 +8,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core.scenarios import access_scenario
-from repro.core.voip_study import median_mos, run_voip_cell
+from repro.core.voip_study import run_voip_cell
 from repro.qoe.scales import voip_mos_class
 
 
@@ -17,16 +17,13 @@ def main(buffers=(8, 256), warmup=10.0, duration=6.0):
     scenario = access_scenario("long-many", "up")  # 8 uploading long flows
 
     for packets in buffers:
-        scores = run_voip_cell(scenario, packets, calls=1, warmup=warmup,
-                               duration=duration, seed=1)
-        talks = median_mos(scores["talks"])
-        listens = median_mos(scores["listens"])
-        sample = scores["talks"][0]
+        cell = run_voip_cell(scenario, packets, calls=1, warmup=warmup,
+                             duration=duration, seed=1)
+        talks, listens = cell["talks"], cell["listens"]
         print("uplink buffer %3d pkts: user talks MOS %.1f (%s), "
-              "listens MOS %.1f | m2e delay %.0f ms, frame loss %.0f%%"
+              "listens MOS %.1f | talks m2e delay %.0f ms"
               % (packets, talks, voip_mos_class(talks), listens,
-                 sample.mouth_to_ear_delay * 1000,
-                 sample.effective_loss * 100))
+                 cell["delay"]["talks"] * 1000))
 
     print()
     print("The workload, not the buffer, ruins the call -- but the bloated")

@@ -19,11 +19,11 @@ this package does not have.
 Quickstart::
 
     from repro.core.scenarios import access_scenario
-    from repro.core.voip_study import run_voip_cell, median_mos
+    from repro.core.voip_study import run_voip_cell
 
     scenario = access_scenario("long-many", "up")   # upload congestion
-    scores = run_voip_cell(scenario, buffer_packets=256, calls=1)
-    print(median_mos(scores["talks"]))              # bufferbloat: ~1.x
+    cell = run_voip_cell(scenario, buffer_packets=256, calls=1)
+    print(cell["talks"], cell["delay"]["talks"])    # bufferbloat: MOS ~1.x
 """
 
 __version__ = "1.0.0"

@@ -56,9 +56,14 @@ def apply_overrides(spec, scale=None, workloads=None, buffers=None,
     ``(down, up)`` pairs); ``duration``/``warmup`` are literal simulated
     seconds (a duration override bypasses scale stretching);
     ``disciplines`` replaces the queue-discipline axis.  Unknown
-    workload labels or disciplines raise ValueError.  Overridden runs
-    use different cache keys than the registered grid, by design.
+    workload labels or disciplines, repeated buffers or disciplines, and
+    a duration for a web sweep (it runs a fixed fetch count, with no
+    measurement window) raise ValueError.  Overridden runs use different
+    cache keys than the registered grid, by design.
     """
+    if duration is not None and spec.kind == "web":
+        raise ValueError("sweep %r is a web sweep: it runs a fixed fetch "
+                         "count and has no duration to override" % spec.name)
     scale = resolve_scale() if scale is None else scale
     scenarios = spec.scenario_axis(scale)
     buffer_axis = spec.buffer_axis(scale)

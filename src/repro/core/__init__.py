@@ -8,10 +8,12 @@ into the paper's experiment grid:
 * :mod:`repro.core.scenarios` — Table 1's workload catalog for both
   testbeds, with calibrated Harpoon parameters.
 * :mod:`repro.core.workloads` — applies a scenario to a built network.
-* :mod:`repro.core.experiment` — the QoS cell runner and the shared
-  network/settling helpers; :mod:`repro.core.voip_study`,
-  :mod:`repro.core.video_study` and :mod:`repro.core.web_study` run
-  one per-application QoE cell each.
+* :mod:`repro.core.experiment` — the warm-up prefix every cell starts
+  with (:func:`repro.core.experiment.warm_up`: build the network for a
+  discipline name, apply the workload, run to the measurement start),
+  the settle rule and the QoS cell; :mod:`repro.core.voip_study`,
+  :mod:`repro.core.video_study` and :mod:`repro.core.web_study` each
+  hold one per-application QoE cell function that returns its payload.
 * :mod:`repro.core.registry` — the declarative sweep catalog: every
   grid of the paper, run through :func:`repro.api.run_sweep` and drawn
   by :mod:`repro.report.figures`.

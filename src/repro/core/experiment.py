@@ -1,10 +1,13 @@
 """Single-cell experiment runners.
 
 A "cell" is one (scenario, buffer size) combination — one cell of the
-paper's heatmaps.  :func:`run_qos_cell` measures the background traffic
-itself (Section 6 / Table 1 / Figures 4-5); the per-application QoE
-runners live next to their applications and reuse the same build/warm-up
-machinery via :func:`build_network`, and the end-of-run settle rule via
+paper's heatmaps.  Every cell runs the same lifecycle: :func:`warm_up`
+builds the testbed, applies the Table 1 workload and runs it to the
+measurement start; then the cell's probe is measured on top of it.
+:func:`run_qos_cell` measures the background traffic itself (Section 6
+/ Table 1 / Figures 4-5); the per-application QoE cells live next to
+their applications, reach their measurement start through the same
+:func:`warm_up`, and end through the settle rule of
 :func:`run_until_settled`.
 """
 
@@ -16,44 +19,50 @@ from repro.sim.packet import Packet
 from repro.sim.stats import UtilizationSampler
 from repro.sim.topology import AccessNetwork, BackboneNetwork
 
-#: Default measurement windows (seconds, simulated).  The paper measures
-#: for two hours; shapes stabilize within tens of seconds in simulation.
-DEFAULT_WARMUP = 5.0
-DEFAULT_DURATION = 30.0
-
 #: Simulated seconds between checks whether finished media have settled.
 SETTLE_STEP = 0.05
 
 
-def build_network(scenario, buffer_packets, sim=None, queue_factory=None):
-    """Build the testbed network a scenario calls for.
+def build_network(scenario, buffer_packets, discipline="droptail"):
+    """Build the testbed network a scenario calls for, on a new simulator.
 
     ``buffer_packets`` is either a single size applied to both bottleneck
     directions (the paper's sweeps) or a ``(down, up)`` tuple — Table 1's
     QoS baseline uses per-direction BDP buffers (64 down, 8 up).
+    ``discipline`` names both bottleneck queues' discipline
+    (:data:`repro.sim.topology.BOTTLENECKS`).  Returns ``(sim, network)``.
     """
-    if sim is None:
-        sim = Simulator()
+    sim = Simulator()
     if isinstance(buffer_packets, tuple):
         down_packets, up_packets = buffer_packets
     else:
         down_packets = up_packets = buffer_packets
+    links = dict(discipline=discipline, down_loss=scenario.down_loss,
+                 up_loss=scenario.up_loss)
     if scenario.testbed == "access":
-        network = AccessNetwork(
-            sim,
-            down_buffer_packets=down_packets,
-            up_buffer_packets=up_packets,
-            queue_factory=queue_factory,
-            down_loss=scenario.down_loss,
-            up_loss=scenario.up_loss,
-        )
+        network = AccessNetwork(sim, down_buffer_packets=down_packets,
+                                up_buffer_packets=up_packets, **links)
     elif scenario.testbed == "backbone":
-        network = BackboneNetwork(
-            sim, buffer_packets=down_packets, queue_factory=queue_factory,
-            down_loss=scenario.down_loss, up_loss=scenario.up_loss)
+        network = BackboneNetwork(sim, buffer_packets=down_packets, **links)
     else:
         raise ValueError("unknown testbed %r" % (scenario.testbed,))
     return sim, network
+
+
+def warm_up(scenario, buffer_packets, warmup, seed=0, discipline="droptail"):
+    """The shared prefix of every cell: build, load, run to ``warmup``.
+
+    Builds the network (:func:`build_network`), applies the scenario's
+    background workload with ``seed`` and runs the simulation to
+    ``warmup`` simulated seconds, the start of the measurement window.
+    Returns ``(sim, network, workload)``.  The state reached depends only
+    on these arguments, so a probe created afterwards measures the same
+    thing whichever cell kind creates it.
+    """
+    sim, network = build_network(scenario, buffer_packets, discipline)
+    workload = apply_workload(sim, network, scenario, seed=seed)
+    sim.run(until=warmup)
+    return sim, network, workload
 
 
 def settled(legs, interfaces):
@@ -127,19 +136,18 @@ class QosReport:
     up_utilization_samples: list = field(default_factory=list)
 
 
-def run_qos_cell(scenario, buffer_packets, warmup=DEFAULT_WARMUP,
-                 duration=DEFAULT_DURATION, seed=0, queue_factory=None):
+def run_qos_cell(scenario, buffer_packets, warmup=5.0, duration=30.0,
+                 seed=0, discipline="droptail"):
     """Run background traffic alone and measure the bottleneck QoS.
 
-    Returns a :class:`QosReport` with utilization (mean and per-second
-    samples), loss and queueing delay for both bottleneck directions.
+    ``warmup``/``duration`` are simulated seconds.  Returns a
+    :class:`QosReport` with utilization (mean and per-second samples),
+    loss and queueing delay for both bottleneck directions.
     """
     import numpy as np
 
-    sim, network = build_network(scenario, buffer_packets,
-                                 queue_factory=queue_factory)
-    workload = apply_workload(sim, network, scenario, seed=seed)
-    sim.run(until=warmup)
+    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed,
+                                     discipline)
     network.reset_measurements()
     workload.reset_measurements()
     down_sampler = UtilizationSampler(sim, network.down_bottleneck, 1.0)

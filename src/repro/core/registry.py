@@ -196,6 +196,15 @@ class SweepSpec:
                 raise ValueError(
                     "sweep %r has duplicate scenario labels %s — set "
                     "ScenarioSpec.label to disambiguate" % (self.name, labels))
+        # A repeated value makes two tasks with one content hash and one
+        # cell key, so one of the two results would silently vanish.
+        for what, axis in (("buffer size", self.buffers),
+                           ("buffer size", self.buffers_small or ()),
+                           ("discipline", self.disciplines)):
+            for index, value in enumerate(axis):
+                if value in axis[:index]:
+                    raise ValueError("sweep %r repeats %s %s in %s"
+                                     % (self.name, what, value, list(axis)))
 
     # -- axis resolution ------------------------------------------------
     def scenario_axis(self, scale=None):

@@ -1,8 +1,10 @@
 """Video QoE cells: Figure 9 (access 9a, backbone 9b)."""
 
 from repro.apps.video import VideoStream, clip_frames
-from repro.core.experiment import build_network, run_until_settled
-from repro.core.workloads import apply_workload
+from repro.core.experiment import run_until_settled, warm_up
+# Unused here (warm_up builds); kept so tracers wrapping them here resolve.
+from repro.core.experiment import build_network  # noqa: F401
+from repro.core.workloads import apply_workload  # noqa: F401
 from repro.media.codec import decode
 from repro.qoe.psnr import psnr_sequence
 from repro.qoe.ssim import ssim_sequence
@@ -13,7 +15,7 @@ VIDEO_PORT = 6200
 
 def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
                    duration=8.0, warmup=5.0, seed=0, arq=False,
-                   queue_factory=None):
+                   discipline="droptail"):
     """Stream one clip through a loaded cell and score it.
 
     ``warmup``/``duration`` are simulated seconds.  Returns a dict with
@@ -27,10 +29,8 @@ def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
     at the latest ``end_time + 1.0`` after the start, with the same
     payload as a run to that late bound.
     """
-    sim, network = build_network(scenario, buffer_packets,
-                                 queue_factory=queue_factory)
-    workload = apply_workload(sim, network, scenario, seed=seed)
-    sim.run(until=warmup)
+    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed,
+                                     discipline)
     stream = VideoStream(sim, network.media_server, network.media_client,
                          port=VIDEO_PORT, clip=clip, resolution=resolution,
                          duration=duration, arq=arq)

@@ -13,9 +13,11 @@ unidirectional audio server -> client.
 
 import numpy as np
 
-from repro.core.experiment import build_network, run_until_settled
-from repro.core.workloads import apply_workload
+from repro.core.experiment import run_until_settled, warm_up
 from repro.apps.voip import VoipCall
+# Unused here (warm_up builds); kept so tracers wrapping them here resolve.
+from repro.core.experiment import build_network  # noqa: F401
+from repro.core.workloads import apply_workload  # noqa: F401
 from repro.qoe.voip import score_call
 
 #: Gap between the end of one call and the start of the next.
@@ -28,9 +30,28 @@ TALK_PORT = 6000
 LISTEN_PORT = 6002
 
 
-def run_voip_cell(scenario, buffer_packets, calls=2, warmup=5.0, seed=0,
-                  duration=8.0, directions=("talks", "listens"),
-                  queue_factory=None):
+def run_voip_cell(scenario, buffer_packets, **kwargs):
+    """One VoIP cell's payload: :func:`run_calls`' scores, summarized.
+
+    Takes :func:`run_calls`' arguments.  Returns the median combined MOS
+    per direction and, under ``"delay"``, the median mouth-to-ear delay
+    (seconds) per direction: the AQM and bufferbloat sweeps assert on
+    the standing queue, not just MOS.
+    """
+    scores = run_calls(scenario, buffer_packets, **kwargs)
+    payload = {direction: median_mos(score_list)
+               for direction, score_list in scores.items()}
+    payload["delay"] = {
+        direction: (float(np.median([score.mouth_to_ear_delay
+                                     for score in score_list]))
+                    if score_list else 0.0)
+        for direction, score_list in scores.items()}
+    return payload
+
+
+def run_calls(scenario, buffer_packets, calls=2, warmup=5.0, seed=0,
+              duration=8.0, directions=("talks", "listens"),
+              discipline="droptail"):
     """Run ``calls`` sequential calls per direction through one cell.
 
     ``warmup`` and ``duration`` (per call) are simulated seconds;
@@ -43,10 +64,8 @@ def run_voip_cell(scenario, buffer_packets, calls=2, warmup=5.0, seed=0,
     settled (:func:`repro.core.experiment.run_until_settled`), at the
     latest at that bound, with the same scores as a run to the bound.
     """
-    sim, network = build_network(scenario, buffer_packets,
-                                 queue_factory=queue_factory)
-    workload = apply_workload(sim, network, scenario, seed=seed)
-    sim.run(until=warmup)
+    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed,
+                                     discipline)
 
     scores = {direction: [] for direction in directions}
     for call_index in range(calls):

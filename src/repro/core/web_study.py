@@ -3,8 +3,10 @@
 import numpy as np
 
 from repro.apps.web import PageFetch, WebServer
-from repro.core.experiment import SETTLE_STEP, build_network
-from repro.core.workloads import apply_workload
+from repro.core.experiment import SETTLE_STEP, warm_up
+# Unused here (warm_up builds); kept so tracers wrapping them here resolve.
+from repro.core.experiment import build_network  # noqa: F401
+from repro.core.workloads import apply_workload  # noqa: F401
 from repro.qoe.web import g1030_mos, min_plt_for
 
 #: Think time between consecutive page fetches.
@@ -18,7 +20,7 @@ FETCH_TIMEOUT = 30.0
 
 
 def run_web_cell(scenario, buffer_packets, fetches=10, warmup=5.0, seed=0,
-                 queue_factory=None):
+                 discipline="droptail"):
     """Fetch the page repeatedly through one cell.
 
     ``warmup`` is simulated seconds.  Returns a dict with the PLT list
@@ -33,11 +35,9 @@ def run_web_cell(scenario, buffer_packets, fetches=10, warmup=5.0, seed=0,
     themselves are exact event times, so the last fetch is polled in
     ``SETTLE_STEP`` chunks and the cell ends without the trailing gap.
     """
-    sim, network = build_network(scenario, buffer_packets,
-                                 queue_factory=queue_factory)
-    workload = apply_workload(sim, network, scenario, seed=seed)
+    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed,
+                                     discipline)
     server = WebServer(sim, network.media_server, cc=scenario.cc)
-    sim.run(until=warmup)
 
     plts = []
     for index in range(fetches):

@@ -11,11 +11,14 @@ on-disk cache.  Nothing in this module may change that format — the
 golden-trace harness hashes it.
 """
 
+from dataclasses import asdict, is_dataclass
+
 
 def jsonify(value):
     """Convert a cell result payload to pure JSON types.
 
-    Numpy scalars become Python floats/ints and tuples become lists, so a
+    Dataclass instances (a qos cell's report) become dicts, numpy
+    scalars become Python floats/ints and tuples become lists, so a
     payload is bit-identical whether it comes straight from a worker or
     back out of the JSON cache.
     """
@@ -27,6 +30,8 @@ def jsonify(value):
         return {key: jsonify(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonify(item) for item in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        return jsonify(asdict(value))
     import numpy as np
 
     if isinstance(value, np.floating):

@@ -23,8 +23,8 @@ axes that produced it:
 ``record[name]`` reads the payload (``record["talks"]``,
 ``record["delay"]["talks"]``); ``record.value(name)`` looks up any
 column — axis, param or metric.  What a payload entry means is defined
-by the cell executors that build it and the figure catalog that reads
-it; the record only carries it.
+by the kind's cell function that builds it and the figure catalog that
+reads it; the record only carries it.
 """
 
 import json

@@ -12,15 +12,19 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
+from repro.runner.execute import CELLS
+from repro.sim.topology import BOTTLENECKS
+
 #: Bump when the meaning of a cached payload changes incompatibly.
 #: v2: voip payloads carry a per-direction "delay" entry (seconds).
 CACHE_SCHEMA_VERSION = 2
 
-#: Cell kinds understood by :mod:`repro.runner.execute`.
-KINDS = ("qos", "voip", "video", "web")
+#: Cell kinds, the kinds :mod:`repro.runner.execute` has a cell function for.
+KINDS = tuple(CELLS)
 
-#: Queue disciplines understood by :func:`repro.runner.execute.queue_factory_for`.
-DISCIPLINES = ("droptail", "red", "codel")
+#: Queue disciplines, the names the testbeds build bottlenecks from
+#: (:data:`repro.sim.topology.BOTTLENECKS`).
+DISCIPLINES = tuple(BOTTLENECKS)
 
 
 def _check_cell_values(kind, buffer_packets, warmup, duration):

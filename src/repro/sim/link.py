@@ -290,9 +290,9 @@ class DropTailLink:
     :attr:`stats`, :attr:`queue`, :attr:`wire_drops`, :meth:`stats_at`,
     :meth:`utilization`, :meth:`reset_stats`, :meth:`backlog` and the
     node's ``forwarded``.  Read them between runs (or, like the sampler,
-    through :meth:`stats_at`).  :attr:`queue` is the factory's
-    ``DropTailQueue``: it carries the capacity and the statistics, but
-    packets do not pass through it.  A waiting packet is held by the
+    through :meth:`stats_at`).  :attr:`queue` is the ``DropTailQueue``
+    the link was built with: it carries the capacity and the statistics,
+    but packets do not pass through it.  A waiting packet is held by the
     arrival event of its next hop.
     """
 

@@ -16,120 +16,95 @@ Servers live on the *left*, clients on the *right*, exactly as in
 Figure 3.  ``clients[0]``/``servers[0]`` are reserved for the application
 under test (the "multimedia hosts"); background traffic uses the rest.
 
-Each bottleneck direction is a closed-form
-:class:`repro.sim.link.DropTailLink` when its queue is a plain
-:class:`repro.sim.queues.DropTailQueue` (the paper's buffers), and an
-event-driven :class:`repro.sim.link.Interface` for any other queue
-(the RED and CoDel ablations).  The queue type alone picks the path;
-both give the same results for a drop-tail queue.  Host<->router links
-are closed-form :class:`repro.sim.link.EdgeLink` delay boxes.
+The queue discipline's name picks each bottleneck direction's link and
+queue through :data:`BOTTLENECKS`: a closed-form
+:class:`repro.sim.link.DropTailLink` for ``"droptail"`` (the paper's
+buffers), and an event-driven :class:`repro.sim.link.Interface` for
+``"red"`` and ``"codel"`` (the AQM ablations).  For a drop-tail queue
+both links give the same results.  Host<->router links are closed-form
+:class:`repro.sim.link.EdgeLink` delay boxes.
 """
 
 from repro.sim.link import DropTailLink, EdgeLink, Interface
 from repro.sim.node import Node
-from repro.sim.queues import DropTailQueue
+from repro.sim.queues import CoDelQueue, DropTailQueue, REDQueue
 from repro.util.units import GBPS, MBPS, ms
 
 #: Wire size of a full-sized data packet (MSS 1460 + 40 bytes of headers).
 FULL_PACKET_BYTES = 1500
 
-
-def _droptail_factory(capacity_packets):
-    return DropTailQueue(capacity_packets=capacity_packets)
-
-
-def _bottleneck(sim, name, rate, delay, queue, dst_node, loss_rate):
-    """A :class:`DropTailLink` for a plain drop-tail queue, else an
-    :class:`Interface`."""
-    link = DropTailLink if type(queue) is DropTailQueue else Interface
-    return link(sim, name, rate, delay, queue, dst_node, loss_rate=loss_rate)
+#: The one mapping from a queue discipline name to the bottleneck it
+#: builds: ``(link class, queue class)``.
+BOTTLENECKS = {
+    "droptail": (DropTailLink, DropTailQueue),
+    "red": (Interface, REDQueue),
+    "codel": (Interface, CoDelQueue),
+}
 
 
 class DumbbellNetwork:
     """Generic dumbbell: servers — left router — bottleneck — right router — clients.
 
+    A testbed subclass sets the class attributes: ``HOSTS`` per side,
+    ``EDGE_RATE``, ``SERVER_EDGE_DELAY`` and ``CLIENT_EDGE_DELAY`` of the
+    access links between hosts and their router (the paper's hardware
+    delay boxes live here), the bottleneck rates toward the clients
+    (``DOWN_RATE``) and toward the servers (``UP_RATE``), and the
+    bottleneck's one-way ``BOTTLENECK_DELAY``.
+
     Parameters
     ----------
     sim:
         Driving simulator.
-    n_servers, n_clients:
-        Host counts on each side.
-    edge_rate, server_edge_delay, client_edge_delay:
-        Rate/one-way delays of the access links between hosts and their
-        router (the paper's hardware delay boxes live here).
-    down_rate, up_rate:
-        Bottleneck rates toward the clients ("down") and toward the
-        servers ("up").
-    bottleneck_delay:
-        One-way propagation delay of the bottleneck link.
     down_buffer_packets, up_buffer_packets:
         Capacities of the buffers under study, in packets.
-    queue_factory:
-        Callable ``capacity_packets -> Queue`` used for the two
-        bottleneck queues; defaults to drop-tail like the paper.
+    discipline:
+        Queue discipline of both bottleneck queues, a key of
+        :data:`BOTTLENECKS`; ``"droptail"`` like the paper.
     down_loss, up_loss:
         Wire loss probability of each bottleneck direction, in
         ``[0, 1)`` (see :mod:`repro.sim.link`); 0.0 models the paper's
         clean wired testbeds, >0 a wireless-like lossy channel.
     """
 
-    def __init__(
-        self,
-        sim,
-        n_servers=3,
-        n_clients=3,
-        edge_rate=GBPS,
-        server_edge_delay=ms(20),
-        client_edge_delay=ms(5),
-        down_rate=16 * MBPS,
-        up_rate=1 * MBPS,
-        bottleneck_delay=0.0,
-        down_buffer_packets=64,
-        up_buffer_packets=8,
-        queue_factory=None,
-        down_loss=0.0,
-        up_loss=0.0,
-    ):
+    EDGE_RATE = GBPS
+
+    def __init__(self, sim, down_buffer_packets, up_buffer_packets,
+                 discipline="droptail", down_loss=0.0, up_loss=0.0):
+        if discipline not in BOTTLENECKS:
+            raise ValueError("unknown queue discipline %r (have %s)"
+                             % (discipline, ", ".join(BOTTLENECKS)))
+        link, queue = BOTTLENECKS[discipline]
         self.sim = sim
-        if queue_factory is None:
-            queue_factory = _droptail_factory
         self._next_addr = 1
 
         self.left_router = self._make_node("left-router")
         self.right_router = self._make_node("right-router")
         self.servers = [
-            self._make_node("server%d" % index) for index in range(n_servers)
+            self._make_node("server%d" % index) for index in range(self.HOSTS)
         ]
         self.clients = [
-            self._make_node("client%d" % index) for index in range(n_clients)
+            self._make_node("client%d" % index) for index in range(self.HOSTS)
         ]
 
         # Bottleneck link: left router <-> right router.
-        self.down_bottleneck = _bottleneck(
-            sim,
-            "bottleneck-down",
-            down_rate,
-            bottleneck_delay,
-            queue_factory(down_buffer_packets),
-            self.right_router,
-            down_loss,
-        )
-        self.up_bottleneck = _bottleneck(
-            sim,
-            "bottleneck-up",
-            up_rate,
-            bottleneck_delay,
-            queue_factory(up_buffer_packets),
-            self.left_router,
-            up_loss,
-        )
+        self.down_bottleneck = link(
+            sim, "bottleneck-down", self.DOWN_RATE, self.BOTTLENECK_DELAY,
+            queue(capacity_packets=down_buffer_packets), self.right_router,
+            loss_rate=down_loss)
+        self.up_bottleneck = link(
+            sim, "bottleneck-up", self.UP_RATE, self.BOTTLENECK_DELAY,
+            queue(capacity_packets=up_buffer_packets), self.left_router,
+            loss_rate=up_loss)
         self.left_router.set_default_route(self.down_bottleneck)
         self.right_router.set_default_route(self.up_bottleneck)
 
         for server in self.servers:
-            self._connect_edge(server, self.left_router, edge_rate, server_edge_delay)
+            self._connect_edge(server, self.left_router,
+                               self.SERVER_EDGE_DELAY)
         for client in self.clients:
-            self._connect_edge(client, self.right_router, edge_rate, client_edge_delay)
+            self._connect_edge(client, self.right_router,
+                               self.CLIENT_EDGE_DELAY)
 
     # ------------------------------------------------------------------
     def _make_node(self, name):
@@ -137,7 +112,7 @@ class DumbbellNetwork:
         self._next_addr += 1
         return node
 
-    def _connect_edge(self, host, router, rate, delay):
+    def _connect_edge(self, host, router, delay):
         """Full-duplex host<->router link that never drops.
 
         Each direction is an :class:`EdgeLink` with exactly one feeder:
@@ -147,9 +122,9 @@ class DumbbellNetwork:
         bottleneck queues.
         """
         to_router = EdgeLink(self.sim, "%s->%s" % (host.name, router.name),
-                             rate, delay, router)
+                             self.EDGE_RATE, delay, router)
         to_host = EdgeLink(self.sim, "%s->%s" % (router.name, host.name),
-                           rate, delay, host)
+                           self.EDGE_RATE, delay, host)
         host.set_default_route(to_router)
         router.add_route(host.addr, to_host)
 
@@ -193,36 +168,17 @@ class AccessNetwork(DumbbellNetwork):
     (``up_buffer_packets``), both in packets, 8–256 in the paper.
     """
 
+    HOSTS = 3
+    SERVER_EDGE_DELAY = ms(20)
+    CLIENT_EDGE_DELAY = ms(5)
     DOWN_RATE = 16 * MBPS
     UP_RATE = 1 * MBPS
+    BOTTLENECK_DELAY = 0.0
 
-    def __init__(
-        self,
-        sim,
-        down_buffer_packets=64,
-        up_buffer_packets=8,
-        n_servers=3,
-        n_clients=3,
-        queue_factory=None,
-        down_loss=0.0,
-        up_loss=0.0,
-    ):
-        super().__init__(
-            sim,
-            n_servers=n_servers,
-            n_clients=n_clients,
-            edge_rate=GBPS,
-            server_edge_delay=ms(20),
-            client_edge_delay=ms(5),
-            down_rate=self.DOWN_RATE,
-            up_rate=self.UP_RATE,
-            bottleneck_delay=0.0,
-            down_buffer_packets=down_buffer_packets,
-            up_buffer_packets=up_buffer_packets,
-            queue_factory=queue_factory,
-            down_loss=down_loss,
-            up_loss=up_loss,
-        )
+    def __init__(self, sim, down_buffer_packets=64, up_buffer_packets=8,
+                 discipline="droptail", down_loss=0.0, up_loss=0.0):
+        super().__init__(sim, down_buffer_packets, up_buffer_packets,
+                         discipline, down_loss, up_loss)
 
 
 class BackboneNetwork(DumbbellNetwork):
@@ -234,32 +190,14 @@ class BackboneNetwork(DumbbellNetwork):
     negligible 0.1 ms delay.
     """
 
+    HOSTS = 4
+    SERVER_EDGE_DELAY = CLIENT_EDGE_DELAY = ms(0.1)
     #: OC-3 payload rate; yields the paper's 749-packet BDP at 60 ms RTT.
     RATE = 149.76 * MBPS
+    DOWN_RATE = UP_RATE = RATE
+    BOTTLENECK_DELAY = ms(30)
 
-    def __init__(
-        self,
-        sim,
-        buffer_packets=749,
-        n_servers=4,
-        n_clients=4,
-        queue_factory=None,
-        down_loss=0.0,
-        up_loss=0.0,
-    ):
-        super().__init__(
-            sim,
-            n_servers=n_servers,
-            n_clients=n_clients,
-            edge_rate=GBPS,
-            server_edge_delay=ms(0.1),
-            client_edge_delay=ms(0.1),
-            down_rate=self.RATE,
-            up_rate=self.RATE,
-            bottleneck_delay=ms(30),
-            down_buffer_packets=buffer_packets,
-            up_buffer_packets=buffer_packets,
-            queue_factory=queue_factory,
-            down_loss=down_loss,
-            up_loss=up_loss,
-        )
+    def __init__(self, sim, buffer_packets=749, discipline="droptail",
+                 down_loss=0.0, up_loss=0.0):
+        super().__init__(sim, buffer_packets, buffer_packets, discipline,
+                         down_loss, up_loss)

@@ -1,12 +1,20 @@
 """Tests for the stable facade (repro.api) and streaming grid runs."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import api
+from repro.core import registry
 from repro.core.registry import access, adhoc_sweep
 from repro.results import ResultSet
 from repro.runner import GridRunner, ResultCache
 from repro.runner.execute import execute_task
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def tiny_spec(buffers=(8, 16), duration=2.0):
@@ -45,6 +53,33 @@ class TestRunSweep:
     def test_duration_override_is_literal_above_scale_one(self):
         spec = api.apply_overrides(tiny_spec(), scale=4.0, duration=2.0)
         assert spec.resolved_duration(scale=4.0) == 2.0
+
+    def test_duration_override_on_a_web_sweep_raises(self):
+        # A web cell runs a fixed fetch count; dropping the window
+        # silently would run something other than what was asked for.
+        with pytest.raises(ValueError, match="fig10b.*fetch count"):
+            api.apply_overrides(registry.get("fig10b"), scale=1.0,
+                                duration=99.0)
+        spec = api.apply_overrides(registry.get("fig10b"), scale=1.0,
+                                   warmup=2.0)
+        assert spec.warmup == 2.0
+
+    def test_web_tasks_still_normalize_the_default_window(self):
+        spec = adhoc_sweep("t", "web", [access("noBG")], [8], duration=5.0)
+        (task,) = spec.tasks(scale=1.0)
+        assert task.duration == 0.0
+
+
+def test_importing_the_api_loads_no_cell_module():
+    # Worker and CLI start-up pay for this import; the cell modules
+    # and scipy load only when a cell of their kind runs.
+    code = ("import sys, repro.api; print(sorted(name for name in ("
+            "'scipy', 'repro.core.voip_study', 'repro.core.video_study', "
+            "'repro.core.web_study') if name in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestStreaming:

@@ -135,6 +135,24 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "fig5", "--buffers", "8x"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fig7a", "--workloads", "noBG", "--buffers", "8,8"],
+         "repeats buffer size 8"),
+        (["fig7a", "--workloads", "noBG", "--buffers", "8",
+          "--discipline", "red,red"], "repeats discipline red"),
+        (["fig10b", "--workloads", "noBG", "--buffers", "8", "--duration",
+          "99"], "fixed fetch count"),
+    ])
+    def test_ambiguous_overrides_rejected_before_any_work(self, argv,
+                                                          message, capsys,
+                                                          tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run"] + argv)
+        code = exit_info.value.code
+        assert isinstance(code, str) and message in code
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "cache").exists()
+
     def test_duration_override_is_literal_under_scale(self, capsys,
                                                       monkeypatch):
         # --duration must mean simulated seconds, not seconds*REPRO_SCALE.

@@ -117,6 +117,32 @@ class TestSweepSpecValidation:
                       scenarios=(access("noBG", "down"),
                                  access("noBG", "up")))
 
+    @pytest.mark.parametrize("axes, message", [
+        ({"buffers": (8, 64, 8)}, "repeats buffer size 8"),
+        ({"buffers": ((64, 8), (64, 8))}, r"repeats buffer size \(64, 8\)"),
+        ({"buffers_small": (8, 8)}, "repeats buffer size 8"),
+        ({"disciplines": ("red", "red")}, "repeats discipline red"),
+    ])
+    def test_repeated_axis_values(self, axes, message):
+        # Two equal cells share one content hash and one key: a result
+        # would silently vanish.
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(name="x", kind="qos", title="", provenance="", **axes)
+
+    def test_repeated_axis_values_through_every_constructor(self):
+        with pytest.raises(ValueError, match="repeats buffer size"):
+            adhoc_sweep("t", "qos", [access("noBG")], [8, 8])
+        with pytest.raises(ValueError, match="repeats buffer size"):
+            api.apply_overrides(get("fig7a"), scale=1.0, buffers=(8, 8))
+        with pytest.raises(ValueError, match="repeats discipline"):
+            api.apply_overrides(get("fig7a"), scale=1.0,
+                                disciplines=("red", "red"))
+
+    def test_per_direction_pairs_are_not_repeats(self):
+        spec = SweepSpec(name="x", kind="qos", title="", provenance="",
+                         buffers=((64, 8), (8, 64), 64))
+        assert len(spec.buffers) == 3
+
 
 class TestScaleResolution:
     def test_duration_floor(self):

@@ -1,17 +1,16 @@
 """Tests for the parallel grid runner and its result cache."""
 
-from dataclasses import asdict
-
 import pytest
 
 from repro import api
-from repro.core.experiment import run_qos_cell
+from repro.core.experiment import build_network, run_qos_cell
 from repro.core.registry import access, adhoc_sweep
-from repro.core.scenarios import access_scenario
+from repro.core.scenarios import access_scenario, backbone_scenario
 from repro.results import ResultSet
 from repro.runner import CellTask, GridRunner, ResultCache, resolve_workers
-from repro.runner.execute import execute_task, jsonify, queue_factory_for
-from repro.sim.queues import CoDelQueue, REDQueue
+from repro.runner.execute import execute_task, jsonify
+from repro.sim.link import DropTailLink, Interface
+from repro.sim.queues import CoDelQueue, DropTailQueue, REDQueue
 
 
 def _flaky_execute(task):
@@ -108,13 +107,20 @@ class TestCellTask:
             CellTask.make(kind, access_scenario("noBG"), buffer_packets,
                           warmup=warmup, duration=duration)
 
-    def test_queue_factory_mapping(self):
-        assert queue_factory_for("droptail") is None
-        assert queue_factory_for(None) is None
-        assert isinstance(queue_factory_for("red")(16), REDQueue)
-        assert isinstance(queue_factory_for("codel")(16), CoDelQueue)
-        with pytest.raises(ValueError):
-            queue_factory_for("madmax")
+    def test_discipline_names_the_bottlenecks(self):
+        expected = {"droptail": (DropTailLink, DropTailQueue),
+                    "red": (Interface, REDQueue),
+                    "codel": (Interface, CoDelQueue)}
+        for discipline, (link, queue) in expected.items():
+            for scenario in (access_scenario("noBG"),
+                             backbone_scenario("noBG")):
+                __, network = build_network(scenario, 16, discipline)
+                for bottleneck in network.bottlenecks():
+                    assert type(bottleneck) is link
+                    assert type(bottleneck.queue) is queue
+                    assert bottleneck.queue.capacity_packets == 16
+        with pytest.raises(ValueError, match="'madmax'"):
+            build_network(access_scenario("noBG"), 16, "madmax")
 
     def test_jsonify_numpy_and_tuples(self):
         import numpy as np
@@ -207,9 +213,9 @@ class TestGridRunner:
         serial = run_payloads(fresh_runner(tmp_path / "a", workers=1), tasks)
         parallel = run_payloads(fresh_runner(tmp_path / "b", workers=2),
                                 tasks)
-        direct = [jsonify(asdict(run_qos_cell(
+        direct = [jsonify(run_qos_cell(
             access_scenario("long-few", "down"), packets, warmup=1.0,
-            duration=2.0, seed=1))) for packets in (16, 32)]
+            duration=2.0, seed=1)) for packets in (16, 32)]
         assert serial == parallel
         assert parallel == direct
 
@@ -297,16 +303,15 @@ class TestGridRunner:
         assert any("eta" in line for line in lines)
 
     def test_voip_cell_payload_matches_direct_run(self, tmp_path):
-        from repro.core.voip_study import median_mos, run_voip_cell
+        from repro.core.voip_study import median_mos, run_calls
 
         scenario = access_scenario("noBG")
         task = CellTask.make("voip", scenario, 64, seed=0, warmup=0.5,
                              duration=2.0, calls=1,
                              directions=("listens",))
         (result,) = run_payloads(fresh_runner(tmp_path, workers=1), [task])
-        scores = run_voip_cell(scenario, 64, calls=1, warmup=0.5,
-                               duration=2.0, seed=0,
-                               directions=("listens",))
+        scores = run_calls(scenario, 64, calls=1, warmup=0.5, duration=2.0,
+                           seed=0, directions=("listens",))
         assert result["listens"] == median_mos(scores["listens"])
         assert result["delay"]["listens"] == pytest.approx(
             scores["listens"][0].mouth_to_ear_delay)

@@ -9,7 +9,7 @@ from repro.core.scenarios import access_scenario, backbone_scenario
 from repro.apps.video import VideoStream, clip_frames
 from repro.apps.voip import VoipCall
 from repro.apps.web import PageFetch, WebServer
-from repro.core.experiment import SETTLE_STEP, build_network, settled
+from repro.core.experiment import SETTLE_STEP, settled, warm_up
 from repro.core.video_study import VIDEO_PORT, run_video_cell
 from repro.core.voip_study import (
     CALL_GAP,
@@ -17,6 +17,7 @@ from repro.core.voip_study import (
     LISTEN_PORT,
     TALK_PORT,
     median_mos,
+    run_calls,
     run_voip_cell,
 )
 from repro.core.web_study import (
@@ -25,7 +26,6 @@ from repro.core.web_study import (
     POLL_STEP,
     run_web_cell,
 )
-from repro.core.workloads import apply_workload
 from repro.media.codec import decode
 from repro.qoe.psnr import psnr_sequence
 from repro.qoe.ssim import ssim_sequence
@@ -35,7 +35,6 @@ from repro.qoe.web import g1030_mos, min_plt_for
 from repro.report.figures import REPORT_FIGURES
 from repro.runner import GridRunner
 from repro.sim.packet import Packet
-from repro.sim.queues import CoDelQueue
 
 
 def run_qos_grid(scenarios, buffers, **timing):
@@ -83,23 +82,23 @@ class TestQosStudies:
 
 class TestVoipCells:
     def test_nobg_cell_excellent(self):
-        scores = run_voip_cell(access_scenario("noBG"), 64, calls=1,
-                               warmup=1, duration=2.0)
-        assert median_mos(scores["talks"]) > 4.0
-        assert median_mos(scores["listens"]) > 4.0
+        cell = run_voip_cell(access_scenario("noBG"), 64, calls=1,
+                             warmup=1, duration=2.0)
+        assert cell["talks"] > 4.0
+        assert cell["listens"] > 4.0
 
     def test_single_direction(self):
-        scores = run_voip_cell(backbone_scenario("noBG"), 749, calls=1,
-                               warmup=1, duration=2.0,
-                               directions=("listens",))
-        assert set(scores) == {"listens"}
-        assert median_mos(scores["listens"]) > 4.0
+        cell = run_voip_cell(backbone_scenario("noBG"), 749, calls=1,
+                             warmup=1, duration=2.0,
+                             directions=("listens",))
+        assert set(cell) == {"listens", "delay"}
+        assert set(cell["delay"]) == {"listens"}
+        assert cell["listens"] > 4.0
 
-    def test_queue_factory_plumbs_through(self):
-        scores = run_voip_cell(
-            access_scenario("noBG"), 64, calls=1, warmup=1, duration=2.0,
-            queue_factory=lambda p: CoDelQueue(capacity_packets=p))
-        assert median_mos(scores["talks"]) > 4.0
+    def test_discipline_plumbs_through(self):
+        cell = run_voip_cell(access_scenario("noBG"), 64, calls=1, warmup=1,
+                             duration=2.0, discipline="codel")
+        assert cell["talks"] > 4.0
 
     def test_median_mos_empty(self):
         assert median_mos([]) == 0.0
@@ -119,16 +118,9 @@ class TestVideoCells:
         assert cell["ssim"] == pytest.approx(1.0, abs=1e-6)
 
 
-def _cell_after_warmup(scenario, buffer_packets, warmup):
-    sim, network = build_network(scenario, buffer_packets)
-    workload = apply_workload(sim, network, scenario, seed=0)
-    sim.run(until=warmup)
-    return sim, network, workload
-
-
 def _stream_after_warmup(scenario, buffer_packets, resolution, warmup,
                          duration, arq):
-    sim, network, __ = _cell_after_warmup(scenario, buffer_packets, warmup)
+    sim, network, __ = warm_up(scenario, buffer_packets, warmup)
     stream = VideoStream(sim, network.media_server, network.media_client,
                          port=VIDEO_PORT, resolution=resolution,
                          duration=duration, arq=arq)
@@ -260,10 +252,9 @@ def _voip_legs(sim, network, call_index, duration):
 
 def _voip_cell_to_late_bound(scenario, buffer_packets, calls, warmup,
                              duration):
-    """run_voip_cell as it was before the settle rule: every call runs
+    """run_calls as it was before the settle rule: every call runs
     ``duration + CALL_SLACK``, then ``CALL_GAP``."""
-    sim, network, workload = _cell_after_warmup(scenario, buffer_packets,
-                                                warmup)
+    sim, network, workload = warm_up(scenario, buffer_packets, warmup)
     scores = {"talks": [], "listens": []}
     for call_index in range(calls):
         live = _voip_legs(sim, network, call_index, duration)
@@ -285,12 +276,12 @@ class TestVoipEarlyEnd:
     @pytest.mark.parametrize("scenario,packets", MEDIA_EARLY_END_CELLS)
     def test_payload_equals_run_to_late_bound(self, scenario, packets):
         kwargs = dict(calls=2, warmup=1.0, duration=1.0)
-        assert (run_voip_cell(scenario, packets, **kwargs)
+        assert (run_calls(scenario, packets, **kwargs)
                 == _voip_cell_to_late_bound(scenario, packets, **kwargs))
 
     @pytest.mark.parametrize("scenario,packets", MEDIA_EARLY_END_CELLS)
     def test_no_arrival_after_settling(self, scenario, packets):
-        sim, network, __ = _cell_after_warmup(scenario, packets, 1.0)
+        sim, network, __ = warm_up(scenario, packets, 1.0)
         legs = list(_voip_legs(sim, network, 0, 1.0).values())
         end = sim.now + 1.0 + CALL_SLACK
         until = sim.now + 1.0
@@ -305,13 +296,12 @@ class TestVoipEarlyEnd:
 
     def test_lossy_cell_loses_frames(self):
         # A lossless cell would make the equality checks above weak.
-        scores = run_voip_cell(access_scenario("long-many"), 8, calls=1,
-                               warmup=1.0, duration=1.0)
+        scores = run_calls(access_scenario("long-many"), 8, calls=1,
+                           warmup=1.0, duration=1.0)
         assert scores["listens"][0].effective_loss > 0.0
 
     def test_either_pending_leg_blocks_settling(self):
-        sim, network, __ = _cell_after_warmup(access_scenario("noBG"), 64,
-                                              1.0)
+        sim, network, __ = warm_up(access_scenario("noBG"), 64, 1.0)
         legs = list(_voip_legs(sim, network, 0, 1.0).values())
         sim.run(until=sim.now + 2.0)
         assert settled(legs, network.bottlenecks())
@@ -325,8 +315,7 @@ class TestVoipEarlyEnd:
 def _web_cell_to_late_bound(scenario, buffer_packets, fetches, warmup):
     """run_web_cell as it was before the early end: every fetch is
     polled every ``POLL_STEP`` and followed by ``FETCH_GAP``."""
-    sim, network, workload = _cell_after_warmup(scenario, buffer_packets,
-                                                warmup)
+    sim, network, workload = warm_up(scenario, buffer_packets, warmup)
     server = WebServer(sim, network.media_server, cc=scenario.cc)
     plts = []
     for __ in range(fetches):
@@ -360,7 +349,7 @@ class TestWebEarlyEnd:
 
     @pytest.mark.parametrize("scenario,packets", MEDIA_EARLY_END_CELLS)
     def test_nothing_changes_after_the_early_end(self, scenario, packets):
-        sim, network, __ = _cell_after_warmup(scenario, packets, 1.0)
+        sim, network, __ = warm_up(scenario, packets, 1.0)
         WebServer(sim, network.media_server, cc=scenario.cc)
         fetch = PageFetch(sim, network.media_client,
                           network.media_server.addr, cc=scenario.cc)
