@@ -17,7 +17,7 @@ here without entropy coding:
 
 import numpy as np
 
-from repro.media.video_source import BITRATES, FPS
+from repro.media.video_source import BITRATES, FPS, roll_into
 
 SLICES_PER_FRAME = 32
 GOP_SIZE = 12  # ~1 s at 12.5 fps
@@ -98,13 +98,16 @@ def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
     A fully received I frame, or a fully received P frame whose
     predecessor decoded to exactly its reference, is the clipped
     reference frame (its spread error is all zero), so it is copied
-    without the per-slice work.
+    without the per-slice work.  Every other frame is decoded in place:
+    the spread error of a damaged P frame is computed in one scratch
+    buffer, allocated on the first one.
     """
     n_frames, height, __ = reference.shape
     types = frame_types(n_frames, gop)
     ring = np.full((2,) + reference.shape[1:], 0.5, dtype=reference.dtype)
     previous = ring[1]  # decoder start-up grey
     clean = False  # previous is exactly reference[f - 1]
+    scratch = None
     for f in range(n_frames):
         current = ring[f % 2]
         if np.all(received[f]) and (clean or types[f] == "I"):
@@ -121,26 +124,54 @@ def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
             # (motion vectors drag bad pixels in, they don't average
             # them away).  This is what makes percent-level slice loss
             # saturate SSIM near 0.4-0.5 within a GOP, as in Figure 9.
-            error = previous - reference[f - 1]
-            up = np.roll(error, motion_reach, axis=0)
-            down = np.roll(error, -motion_reach, axis=0)
-            spread_error = np.where(np.abs(up) > np.abs(error), up, error)
-            spread_error = np.where(np.abs(down) > np.abs(spread_error),
-                                    down, spread_error)
+            if scratch is None:
+                scratch = (tuple(np.empty_like(current) for __ in range(4))
+                           + (np.empty(current.shape, dtype=bool),))
+            spread_error = _spread_error(previous, reference[f - 1],
+                                         motion_reach, scratch)
         else:
             spread_error = None
         for s in range(SLICES_PER_FRAME):
             start, stop = slice_rows(height, s)
-            if received[f][s]:
-                if spread_error is None:
-                    current[start:stop] = reference[f][start:stop]
-                else:
-                    current[start:stop] = (
-                        reference[f][start:stop]
-                        + propagation * spread_error[start:stop])
+            rows = current[start:stop]
+            if not received[f][s]:
+                roll_into(rows, previous[start:stop], conceal_shift, axis=1)
+                np.add(rows, conceal_dc, out=rows)
+            elif spread_error is None:
+                rows[...] = reference[f][start:stop]
             else:
-                patch = np.roll(previous[start:stop], conceal_shift, axis=1)
-                current[start:stop] = patch + conceal_dc
+                np.multiply(propagation, spread_error[start:stop], out=rows)
+                np.add(reference[f][start:stop], rows, out=rows)
         np.clip(current, 0.0, 1.0, out=current)
         previous = current
         yield current
+
+
+def _spread_error(previous, reference, reach, scratch):
+    """The reference error dilated by ``reach`` rows each way.
+
+    The floats of ``error = previous - reference``,
+    ``spread = np.where(|up| > |error|, up, error)`` then
+    ``spread = np.where(|down| > |spread|, down, spread)``, where
+    ``up``/``down`` are ``error`` rolled by ``reach``/``-reach`` rows.
+    They are computed in ``scratch`` (four planes like ``reference``
+    and a bool mask): ``|error|`` is taken once, and each roll is read
+    as its two row-slice views instead of being copied.  Returns the
+    spread plane, valid until the next call.
+    """
+    error, magnitude, spread, spread_magnitude, mask = scratch
+    np.subtract(previous, reference, out=error)
+    np.abs(error, out=magnitude)
+    np.copyto(spread, error)
+    np.copyto(spread_magnitude, magnitude)
+    rows = len(error)
+    for shift in (reach % rows, -reach % rows):
+        # np.roll's two pieces: rows [shift:] read [:-shift], rows
+        # [:shift] read the last ``shift`` rows.
+        for into, source in ((slice(shift, rows), slice(0, rows - shift)),
+                             (slice(0, shift), slice(rows - shift, rows))):
+            wins = mask[into]
+            np.greater(magnitude[source], spread_magnitude[into], out=wins)
+            np.copyto(spread[into], error[source], where=wins)
+            np.copyto(spread_magnitude[into], magnitude[source], where=wins)
+    return spread

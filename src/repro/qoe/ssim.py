@@ -17,59 +17,61 @@ WINDOW = 8
 
 
 class Workspace:
-    """Float64 frames to score frame pairs of one shape in.
+    """Five float64 planes to score frame pairs of one shape in.
 
-    Allocated once and reused for every frame of a clip: the filters
-    write into it (``uniform_filter(..., output=)``) and the arithmetic
-    runs in place (ufunc ``out=``).  The operations and their order are
-    those of the textbook formula, so the scores are the same floats.
+    Allocated once and reused for every frame of a clip.  The loaded
+    frames are read where they are, in their own dtype: the filters read
+    them directly (``uniform_filter(..., output=)``), the products and
+    the difference are taken in float64 (ufunc ``dtype=``), and the
+    filtered products are filtered in place.  The operations and
+    operands are those of the textbook formula, so the scores are the
+    floats a float64 copy of the frames gives.
     """
 
-    __slots__ = ("reference", "degraded", "scratch", "mu_x", "mu_y",
-                 "mu_xx", "mu_yy", "mu_xy", "sigma_xy")
+    __slots__ = ("reference", "degraded", "planes")
 
     def __init__(self, shape):
-        for name in self.__slots__:
-            setattr(self, name, np.empty(shape))
+        self.reference = self.degraded = None
+        self.planes = tuple(np.empty(shape) for __ in range(5))
 
     def load(self, reference, degraded):
-        """Copy one frame pair in as float64."""
-        shape = self.reference.shape
+        """Point the workspace at one frame pair (no copy is made).
+
+        The frames must stay unchanged until they are scored.
+        """
+        shape = self.planes[0].shape
         if np.shape(reference) != shape or np.shape(degraded) != shape:
             raise ValueError("shape mismatch %s vs %s"
                              % (np.shape(reference), np.shape(degraded)))
-        np.copyto(self.reference, reference)
-        np.copyto(self.degraded, degraded)
+        self.reference = np.asarray(reference)
+        self.degraded = np.asarray(degraded)
 
     def ssim(self):
         """Mean SSIM of the loaded pair."""
-        x, y, product = self.reference, self.degraded, self.scratch
-        mu_x, mu_y = self.mu_x, self.mu_y
-        mu_xx, mu_yy, mu_xy = self.mu_xx, self.mu_yy, self.mu_xy
+        x, y = self.reference, self.degraded
+        mu_x, mu_y, sigma, numerator, sigma_yy = self.planes
         uniform_filter(x, size=WINDOW, output=mu_x)
         uniform_filter(y, size=WINDOW, output=mu_y)
-        np.multiply(mu_x, mu_x, out=mu_xx)
-        np.multiply(mu_y, mu_y, out=mu_yy)
-        np.multiply(mu_x, mu_y, out=mu_xy)
-        # The means are spent: their frames take sigma_xx and sigma_yy.
-        sigma_xx, sigma_yy, sigma_xy = mu_x, mu_y, self.sigma_xy
-        for a, b, sigma, mu in ((x, x, sigma_xx, mu_xx),
-                                (y, y, sigma_yy, mu_yy),
-                                (x, y, sigma_xy, mu_xy)):
-            np.multiply(a, b, out=product)
-            uniform_filter(product, size=WINDOW, output=sigma)
-            np.subtract(sigma, mu, out=sigma)
-        # numerator = (2 mu_xy + C1) (2 sigma_xy + C2), in mu_xy
-        numerator = mu_xy
-        np.multiply(2.0, mu_xy, out=numerator)
+        # numerator = (2 mu_x mu_y + C1) (2 sigma_xy + C2)
+        sigma_xy = _filtered_product(x, y, sigma)
+        np.multiply(mu_x, mu_y, out=numerator)
+        np.subtract(sigma_xy, numerator, out=sigma_xy)
+        np.multiply(2.0, numerator, out=numerator)
         np.add(numerator, C1, out=numerator)
         np.multiply(2.0, sigma_xy, out=sigma_xy)
         np.add(sigma_xy, C2, out=sigma_xy)
         np.multiply(numerator, sigma_xy, out=numerator)
-        # denominator = (mu_xx + mu_yy + C1) (sigma_xx + sigma_yy + C2),
-        # in mu_xx
-        denominator = mu_xx
-        np.add(mu_xx, mu_yy, out=denominator)
+        # sigma_xy is spent: its plane takes sigma_xx.  The means square
+        # in place.
+        sigma_xx = _filtered_product(x, x, sigma)
+        np.multiply(mu_x, mu_x, out=mu_x)
+        np.subtract(sigma_xx, mu_x, out=sigma_xx)
+        _filtered_product(y, y, sigma_yy)
+        np.multiply(mu_y, mu_y, out=mu_y)
+        np.subtract(sigma_yy, mu_y, out=sigma_yy)
+        # denominator = (mu_x^2 + mu_y^2 + C1) (sigma_xx + sigma_yy + C2)
+        denominator = mu_x
+        np.add(mu_x, mu_y, out=denominator)
         np.add(denominator, C1, out=denominator)
         np.add(sigma_xx, sigma_yy, out=sigma_xx)
         np.add(sigma_xx, C2, out=sigma_xx)
@@ -79,10 +81,18 @@ class Workspace:
 
     def mse(self):
         """Mean squared error of the loaded pair."""
-        error = self.scratch
-        np.subtract(self.reference, self.degraded, out=error)
+        error = self.planes[0]
+        np.subtract(self.reference, self.degraded, out=error,
+                     dtype=np.float64)
         np.square(error, out=error)
         return np.mean(error)
+
+
+def _filtered_product(a, b, out):
+    """``uniform_filter(a * b)`` in float64, computed in ``out``."""
+    np.multiply(a, b, out=out, dtype=np.float64)
+    uniform_filter(out, size=WINDOW, output=out)
+    return out
 
 
 def ssim(reference, degraded):
@@ -113,7 +123,7 @@ def ssim_sequence(reference_frames, degraded_frames, frame_mse=None):
     :func:`repro.media.codec.decode` yields: each frame is scored as it
     arrives, in one :class:`Workspace`.  When ``frame_mse`` is a list,
     each frame's mean squared error is appended to it, from the same
-    float64 frames, for :func:`repro.qoe.psnr.psnr_sequence`.
+    loaded pair, for :func:`repro.qoe.psnr.psnr_sequence`.
 
     A frame equal to its reference scores 1.0 and MSE 0.0 without
     filtering: there the numerator and denominator of the SSIM formula

@@ -27,7 +27,7 @@ KINDS = tuple(CELLS)
 DISCIPLINES = tuple(BOTTLENECKS)
 
 
-def _check_cell_values(kind, buffer_packets, warmup, duration):
+def _check_cell_values(kind, scenario, buffer_packets, warmup, duration):
     """Raise ``ValueError`` for a cell no simulation can give meaning to."""
     buffers = (buffer_packets if isinstance(buffer_packets, tuple)
                else (buffer_packets,))
@@ -35,6 +35,10 @@ def _check_cell_values(kind, buffer_packets, warmup, duration):
             type(packets) is int and packets >= 1 for packets in buffers):
         raise ValueError("buffer size must be a packet count of at least 1, "
                          "or a (down, up) pair of them; got %r"
+                         % (buffer_packets,))
+    if len(buffers) == 2 and scenario.testbed == "backbone":
+        raise ValueError("the backbone testbed has one buffer size for both "
+                         "directions; got the (down, up) pair %r"
                          % (buffer_packets,))
     if not (math.isfinite(warmup) and warmup >= 0):
         raise ValueError("warmup must be a finite number of seconds >= 0, "
@@ -84,7 +88,7 @@ class CellTask:
                              % (discipline, DISCIPLINES))
         if isinstance(buffer_packets, list):
             buffer_packets = tuple(buffer_packets)
-        _check_cell_values(kind, buffer_packets, warmup, duration)
+        _check_cell_values(kind, scenario, buffer_packets, warmup, duration)
         if kind == "web":
             # Web cells run a fixed fetch count, not a measurement window;
             # normalize the unused knob so semantically identical cells

@@ -116,6 +116,8 @@ class TestRun:
         (["fig5", "--buffers", "8", "--warmup", "-3"], "warmup"),
         (["fig9a", "--workloads", "noBG", "--buffers", "8", "--duration",
           "0"], "duration"),
+        (["fig8", "--workloads", "noBG", "--buffers", "749:28"],
+         "backbone testbed has one buffer size for both directions"),
     ])
     def test_out_of_range_cell_values_rejected(self, argv, message):
         with pytest.raises(SystemExit, match=message):

@@ -143,3 +143,24 @@ def test_committed_baseline_is_wellformed():
         assert workload["sim_seconds"] > 0
         assert workload["events_per_sec"] > 0
     assert document["reference"]["events_per_sec"]["fig5"] > 0
+
+
+def test_pinned_perfbench_digests_cover_the_benchmark():
+    """CI compares each perfbench workload's digest with a pinned one."""
+    from pathlib import Path
+
+    import perfbench_digest
+
+    root = Path(__file__).resolve().parent.parent
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    pinned = json.loads(Path(perfbench_digest.PINNED).read_text())
+    assert pinned["seed"] == 1
+    assert (set(pinned["payload_sha256"])
+            == {workload["name"] for workload in declared["workloads"]})
+    digest = pinned["payload_sha256"]["video-access"]
+    output = ["  payload_sha256 %s" % digest, '{"correct": true}']
+    assert perfbench_digest.problems("video-access", output) == []
+    assert perfbench_digest.problems("access-bulk", output) != []
+    assert perfbench_digest.problems(
+        "video-access", [output[0], '{"correct": false}']) != []
+    assert perfbench_digest.problems("video-access", output[:1]) != []

@@ -4,7 +4,7 @@ import pytest
 
 from repro import api
 from repro.core.experiment import build_network, run_qos_cell
-from repro.core.registry import access, adhoc_sweep
+from repro.core.registry import REGISTRY, access, adhoc_sweep
 from repro.core.scenarios import access_scenario, backbone_scenario
 from repro.results import ResultSet
 from repro.runner import CellTask, GridRunner, ResultCache, resolve_workers
@@ -106,6 +106,23 @@ class TestCellTask:
         with pytest.raises(ValueError, match=match):
             CellTask.make(kind, access_scenario("noBG"), buffer_packets,
                           warmup=warmup, duration=duration)
+
+    def test_backbone_rejects_a_buffer_pair(self):
+        # The backbone builds one buffer size for both directions, so a
+        # (down, up) pair would silently become (down, down).
+        for pair in ((749, 28), (64, 64)):
+            with pytest.raises(ValueError, match="backbone testbed has one "
+                               "buffer size for both directions"):
+                CellTask.make("qos", backbone_scenario("noBG"), pair)
+        task = CellTask.make("qos", access_scenario("noBG"), (749, 28))
+        assert task.buffer_packets == (749, 28)
+
+    def test_no_registry_sweep_pairs_backbone_buffers(self):
+        for spec in REGISTRY.values():
+            for scale in (0.25, spec.full_scale):
+                for task in spec.tasks(scale=scale):
+                    assert not (task.scenario.testbed == "backbone"
+                                and isinstance(task.buffer_packets, tuple))
 
     def test_discipline_names_the_bottlenecks(self):
         expected = {"droptail": (DropTailLink, DropTailQueue),

@@ -27,7 +27,7 @@ from repro.media.mpegts import (
 )
 from repro.media.video_source import BITRATES, RESOLUTIONS, generate_clip
 from repro.qoe.psnr import psnr, psnr_sequence
-from repro.qoe.ssim import C1, C2, ssim, ssim_sequence
+from repro.qoe.ssim import C1, C2, Workspace, ssim, ssim_sequence
 from repro.qoe.video import ssim_to_mos
 
 
@@ -232,22 +232,46 @@ class TestIdenticalFrameShortcuts:
 _LONG_CLIP = generate_clip("B", "SD", n_frames=64)
 
 
-def _peak_scoring_bytes(n_frames):
-    """Peak bytes traced while a cell's scoring decodes and scores a clip."""
-    reference = _LONG_CLIP[:n_frames]
-    received = np.ones((n_frames, SLICES_PER_FRAME), dtype=bool)
-    received[1:, ::5] = False  # every frame after the first is damaged
+def _traced_peak(function, *args):
+    """``(function(*args), peak bytes traced while it ran)``."""
     tracemalloc.start()
     try:
-        _scores(reference, decode(reference, received))
-        return tracemalloc.get_traced_memory()[1]
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _peak_scoring_bytes(n_frames, reference=_LONG_CLIP, received=None):
+    """Peak bytes traced while a cell's scoring decodes and scores a clip."""
+    reference = reference[:n_frames]
+    if received is None:
+        received = np.ones((n_frames, SLICES_PER_FRAME), dtype=bool)
+        received[1:, ::5] = False  # every frame after the first is damaged
+    return _traced_peak(lambda: _scores(reference, decode(reference,
+                                                          received)))[1]
 
 
 def test_scoring_memory_does_not_grow_with_the_clip():
     frame_bytes = _LONG_CLIP[0].size * np.dtype(np.float64).itemsize
     assert _peak_scoring_bytes(64) <= _peak_scoring_bytes(8) + frame_bytes
+
+
+def test_hd_memory_bounds():
+    # A 19-frame HD clip C with about 3% of its slices lost.  Scoring
+    # holds the five-plane SSIM workspace (10 float32 frames), decode's
+    # ring (2) and spread scratch (4 and a mask); generation holds the
+    # two textures (4) and two compositing planes (4) beyond the clip,
+    # or, for a clip of one frame, a texture's FFT.
+    n_frames = 19
+    for length in (1, n_frames):
+        clip, peak = _traced_peak(generate_clip, "C", "HD", length)
+        frame = clip[0].nbytes
+        assert peak - clip.nbytes <= 11 * frame, length
+    received = (np.random.default_rng(3).random((n_frames, SLICES_PER_FRAME))
+                >= 0.03)
+    assert not received.all()
+    assert _peak_scoring_bytes(n_frames, clip, received) <= 17 * frame
 
 
 class TestMpegTs:
@@ -318,6 +342,29 @@ class TestSsimPsnr:
     def test_sequence_means(self):
         frames = generate_clip("A", "SD", n_frames=4)
         assert _scores(frames, frames) == (1.0, 60.0)  # PSNR capped
+
+    @given(st.integers(1, 24), st.integers(1, 24),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_property_scores_are_the_formulas(self, height, width, seed):
+        # Frames smaller than, as large as and larger than the 8x8
+        # window, scored bit for bit as the textbook formulas score them;
+        # one workspace is reused across pairs, as a clip reuses it.
+        rng = np.random.default_rng(seed)
+        workspace = Workspace((height, width))
+        for noise in (0.3, 0.02, 0.0):
+            reference = rng.random((height, width), dtype=np.float32)
+            degraded = np.clip(
+                reference + noise * rng.standard_normal((height, width)),
+                0.0, 1.0).astype(np.float32)
+            expected = _ssim_formula(reference, degraded)
+            assert ssim(reference, degraded) == expected
+            assert psnr(reference, degraded) == _psnr_formula(reference,
+                                                              degraded)
+            workspace.load(reference, degraded)
+            assert workspace.ssim() == expected
+            assert workspace.mse() == np.mean(
+                (reference.astype(np.float64) - degraded) ** 2)
 
     def test_mappings_monotone(self):
         ssim_values = [0.3, 0.6, 0.88, 0.95, 1.0]
