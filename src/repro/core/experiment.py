@@ -37,13 +37,10 @@ def build_network(scenario, buffer_packets, discipline="droptail"):
         down_packets, up_packets = buffer_packets
     else:
         down_packets = up_packets = buffer_packets
-    links = dict(discipline=discipline, down_loss=scenario.down_loss,
-                 up_loss=scenario.up_loss)
     if scenario.testbed == "access":
-        network = AccessNetwork(sim, down_buffer_packets=down_packets,
-                                up_buffer_packets=up_packets, **links)
+        network = AccessNetwork(sim, down_packets, up_packets, discipline)
     elif scenario.testbed == "backbone":
-        network = BackboneNetwork(sim, buffer_packets=down_packets, **links)
+        network = BackboneNetwork(sim, down_packets, discipline)
     else:
         raise ValueError("unknown testbed %r" % (scenario.testbed,))
     return sim, network

@@ -35,11 +35,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 
-from repro.core.scenarios import (
-    access_scenario,
-    backbone_scenario,
-    with_loss,
-)
+from repro.core.scenarios import access_scenario, backbone_scenario
 from repro.runner import CellTask
 from repro.runner.task import DISCIPLINES, KINDS
 
@@ -89,10 +85,6 @@ class ScenarioSpec:
     direction:
         Congestion direction for access scenarios: ``"down"``, ``"up"``
         or ``"bidir"`` (ignored for ``noBG`` and the backbone).
-    loss:
-        Wire loss probability in ``[0, 1)`` applied to both bottleneck
-        directions — the wireless-like extension variant; 0.0 is the
-        paper's clean testbed.
     label:
         Cell-key label used in sweep results; defaults to ``workload``.
         Must be unique within a sweep.
@@ -101,14 +93,11 @@ class ScenarioSpec:
     testbed: str
     workload: str
     direction: str = "down"
-    loss: float = 0.0
     label: str = ""
 
     def __post_init__(self):
         if self.testbed not in ("access", "backbone"):
             raise ValueError("unknown testbed %r" % (self.testbed,))
-        if not 0.0 <= self.loss < 1.0:
-            raise ValueError("loss must be in [0, 1), got %r" % (self.loss,))
 
     @property
     def key(self):
@@ -118,13 +107,8 @@ class ScenarioSpec:
     def build(self):
         """Materialize the :class:`repro.core.scenarios.Scenario`."""
         if self.testbed == "access":
-            scenario = access_scenario(self.workload, self.direction)
-        else:
-            scenario = backbone_scenario(self.workload)
-        if self.loss > 0.0:
-            scenario = with_loss(scenario, down_loss=self.loss,
-                                 up_loss=self.loss)
-        return scenario
+            return access_scenario(self.workload, self.direction)
+        return backbone_scenario(self.workload)
 
     def to_json(self):
         """Plain-JSON dict representation (tuple-free)."""
@@ -135,14 +119,14 @@ class ScenarioSpec:
         return cls(**data)
 
 
-def access(workload, direction="down", loss=0.0, label=""):
+def access(workload, direction="down", label=""):
     """Shorthand for an access-testbed :class:`ScenarioSpec`."""
-    return ScenarioSpec("access", workload, direction, loss, label)
+    return ScenarioSpec("access", workload, direction, label)
 
 
-def backbone(workload, loss=0.0, label=""):
+def backbone(workload, label=""):
     """Shorthand for a backbone-testbed :class:`ScenarioSpec`."""
-    return ScenarioSpec("backbone", workload, "down", loss, label)
+    return ScenarioSpec("backbone", workload, "down", label)
 
 
 # ---------------------------------------------------------------------------
@@ -644,38 +628,6 @@ register(SweepSpec(
     seed=5, warmup=8.0, duration=0.0, duration_min=0.0,
     counts=(("fetches", 6, 3),),
     disciplines=("droptail", "red", "codel")))
-
-register(SweepSpec(
-    name="wireless-voip",
-    kind="voip",
-    title="Lossy-link sweep: VoIP over a wireless-like access link",
-    provenance="extension",
-    description="The access VoIP grid with 1% and 3% random wire loss on "
-                "both bottleneck directions — does buffer sizing still "
-                "matter when the channel itself drops packets?",
-    scenarios=(access("noBG", "up", label="noBG"),
-               access("noBG", "up", loss=0.01, label="noBG+loss1%"),
-               access("noBG", "up", loss=0.03, label="noBG+loss3%"),
-               access("long-few", "up", label="long-few"),
-               access("long-few", "up", loss=0.01, label="long-few+loss1%"),
-               access("long-few", "up", loss=0.03, label="long-few+loss3%")),
-    buffers=(8, 64, 256),
-    seed=3, warmup=10.0, duration=8.0, duration_min=5.0,
-    params=(("calls", 1), ("directions", ("talks", "listens")))))
-
-register(SweepSpec(
-    name="wireless-qos",
-    kind="qos",
-    title="Lossy-link sweep: background QoS over a wireless-like link",
-    provenance="extension",
-    description="Table-1-style utilization/loss of the long-few download "
-                "workload as wire loss grows: random loss starves TCP and "
-                "empties the buffer the sweep is meant to size.",
-    scenarios=(access("long-few", "down", label="long-few"),
-               access("long-few", "down", loss=0.01, label="long-few+loss1%"),
-               access("long-few", "down", loss=0.03, label="long-few+loss3%")),
-    buffers=(8, 64, 256),
-    seed=1, warmup=6.0, duration=12.0, duration_min=8.0))
 
 register(SweepSpec(
     name="bufferbloat-mixed",

@@ -26,7 +26,7 @@ Congestion control follows §5.2: TCP Reno for the backbone background
 traffic, CUBIC (BIC available) for the access testbed.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Calibrated effective inter-arrival means (see module docstring).
 ACCESS_DOWN_INTERARRIVAL = 0.45
@@ -46,10 +46,7 @@ class Scenario:
     ``*_sessions`` are Harpoon session counts ("short" workloads);
     ``*_flows`` are long-lived flow counts ("long" workloads).  A
     scenario may combine both directions (the bidirectional access
-    rows).  ``*_interarrival`` are mean inter-transfer times in seconds;
-    ``down_loss``/``up_loss`` are wire loss probabilities of the
-    bottleneck directions (0.0 = the paper's clean wired testbeds; >0
-    models a wireless-like lossy channel, see :func:`with_loss`).
+    rows).  ``*_interarrival`` are mean inter-transfer times in seconds.
     """
 
     name: str
@@ -65,8 +62,6 @@ class Scenario:
     down_session_cap: int = ACCESS_DOWN_CAP
     up_session_cap: int = ACCESS_UP_CAP
     cc: str = "cubic"
-    down_loss: float = 0.0
-    up_loss: float = 0.0
 
     @property
     def label(self):
@@ -75,25 +70,8 @@ class Scenario:
             return "noBG"
         return self.name
 
-    @property
-    def is_lossy(self):
-        return self.down_loss > 0.0 or self.up_loss > 0.0
-
     def __str__(self):
-        base = "%s/%s[%s]" % (self.testbed, self.name, self.direction)
-        if self.is_lossy:
-            base += "+loss(%g/%g)" % (self.down_loss, self.up_loss)
-        return base
-
-
-def with_loss(scenario, down_loss=0.0, up_loss=0.0):
-    """Copy ``scenario`` with wireless-like wire loss on the bottleneck.
-
-    ``down_loss``/``up_loss`` are per-packet loss probabilities in
-    ``[0, 1)`` applied after serialization on each bottleneck direction
-    (the "wireless-like" access variant of the extension sweeps).
-    """
-    return replace(scenario, down_loss=down_loss, up_loss=up_loss)
+        return "%s/%s[%s]" % (self.testbed, self.name, self.direction)
 
 
 # ---------------------------------------------------------------------------

@@ -21,42 +21,13 @@ An :class:`EdgeLink` models one direction of a host<->router edge link,
 which never drops and whose counters nothing reads: it computes its
 FIFO serializer in closed form and costs one event per packet (the
 arrival).
-
-A bottleneck may additionally model a lossy channel (``loss_rate``):
-each successfully serialized packet is then dropped *on the wire* with
-that probability, independently of the queue.  This approximates a
-wireless-like access link where corruption loss is unrelated to
-congestion.  The loss process is driven by a private generator seeded
-from the link name, so results stay bit-identical across runs and
-worker processes.
 """
 
-import hashlib
-import random
 from heapq import heappush
 
 from repro.sim.queues import DropTailQueue
 
 _INF = float("inf")
-
-
-def _stable_seed(name):
-    """Process-independent integer seed derived from an interface name."""
-    digest = hashlib.sha256(name.encode("utf-8")).hexdigest()
-    return int(digest[:16], 16)
-
-
-def _wire_loss(name, loss_rate):
-    """``(loss_rate, rng)`` of one bottleneck direction, validated.
-
-    ``rng`` is None on a clean wire.  Raises ``ValueError`` unless
-    ``loss_rate`` is in ``[0, 1)`` (nan included).
-    """
-    loss_rate = float(loss_rate)
-    if not 0.0 <= loss_rate < 1.0:
-        raise ValueError("loss_rate must be in [0, 1), got %r" % (loss_rate,))
-    rng = random.Random(_stable_seed(name)) if loss_rate > 0.0 else None
-    return loss_rate, rng
 
 
 class InterfaceStats:
@@ -107,31 +78,19 @@ class Interface:
         capacity.
     dst_node:
         Receiving :class:`repro.sim.node.Node`.
-    loss_rate:
-        Probability in ``[0, 1)`` that a serialized packet is lost on
-        the wire (wireless-like corruption loss); 0.0 models a clean
-        wire.  Lost packets still consume serialization time and count
-        as transmitted in the interface statistics — they vanish between
-        the sender and the receiver, as on a real radio link — and are
-        tallied in :attr:`wire_drops`.
     """
 
     __slots__ = ("sim", "name", "rate_bps", "prop_delay", "queue",
-                 "dst_node", "loss_rate", "wire_drops", "_loss_rng",
-                 "stats", "_busy", "_tx_started", "_tx_done_cb",
+                 "dst_node", "stats", "_busy", "_tx_started", "_tx_done_cb",
                  "_deliver_cb", "_q_push", "_q_pop")
 
-    def __init__(self, sim, name, rate_bps, prop_delay, queue, dst_node,
-                 loss_rate=0.0):
+    def __init__(self, sim, name, rate_bps, prop_delay, queue, dst_node):
         self.sim = sim
         self.name = name
         self.rate_bps = float(rate_bps)
         self.prop_delay = float(prop_delay)
         self.queue = queue
         self.dst_node = dst_node
-        self.loss_rate, self._loss_rng = _wire_loss(name, loss_rate)
-        #: Packets lost on the wire (corruption, not queue overflow).
-        self.wire_drops = 0
         self.stats = InterfaceStats()
         self._busy = False
         self._tx_started = 0.0
@@ -186,23 +145,19 @@ class Interface:
         else:
             stats.tx_bytes += packet.size
         stats.busy_time += now - started
-        if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
-            self.wire_drops += 1
+        node = self.dst_node
+        edge = node.routes.get(packet.dst)
+        if edge.__class__ is EdgeLink:
+            # Egress cut-through: the packet would only be forwarded onto
+            # the edge link on arrival, so it enters it now, at its
+            # arrival time.
+            node._forwarded += 1
+            edge.send_at(packet, now + self.prop_delay)
         else:
-            node = self.dst_node
-            edge = node.routes.get(packet.dst)
-            if edge.__class__ is EdgeLink:
-                # Egress cut-through: the packet would only be forwarded
-                # onto the edge link on arrival, so it enters it now, at
-                # its arrival time.
-                node._forwarded += 1
-                edge.send_at(packet, now + self.prop_delay)
-            else:
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._heap,
-                         [now + self.prop_delay, seq, self._deliver_cb,
-                          packet])
-                sim._live += 1
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap,
+                     [now + self.prop_delay, seq, self._deliver_cb, packet])
+            sim._live += 1
         # Start serializing the next queued packet (inline _start_next:
         # this tail runs once per transmitted packet).
         packet = self._q_pop(now)
@@ -246,10 +201,6 @@ class Interface:
 #: replays their counters; bounds its log to ``capacity + 256`` records.
 _REPLAY_BATCH = 256
 
-# What became of a packet a DropTailLink accepted: decided on acceptance,
-# counted when its serialization completes.
-_DELIVERED, _FORWARDED, _LOST = 0, 1, 2
-
 
 class DropTailLink:
     """One direction of a drop-tail bottleneck, in closed form.
@@ -266,9 +217,7 @@ class DropTailLink:
     3. Otherwise it starts at ``max(now, free)`` and finishes
        ``size * 8.0 / rate`` later, where ``free`` is when the previous
        packet finishes.
-    4. The wire-loss draw is made in acceptance order, which is
-       completion order, so the generator yields the same sequence.
-    5. A surviving packet enters its next hop: the egress
+    4. The packet enters its next hop: the egress
        :class:`EdgeLink` at ``finish + prop_delay`` (finishes rise in
        FIFO order, so entries stay in time order), or else the receiving
        node's ``receive`` event at that time.
@@ -284,10 +233,10 @@ class DropTailLink:
 
     **Counters replayed on read.**  Accept and drop counts are kept at
     once; dequeues, sojourn times, transmit counters (with the warm-up
-    proration of :meth:`Interface._tx_done`), :attr:`wire_drops` and the
-    egress node's ``forwarded`` count are logged per accepted packet and
-    replayed, in FIFO order, up to the current time before every reader:
-    :attr:`stats`, :attr:`queue`, :attr:`wire_drops`, :meth:`stats_at`,
+    proration of :meth:`Interface._tx_done`) and the egress node's
+    ``forwarded`` count are logged per accepted packet and replayed, in
+    FIFO order, up to the current time before every reader:
+    :attr:`stats`, :attr:`queue`, :meth:`stats_at`,
     :meth:`utilization`, :meth:`reset_stats`, :meth:`backlog` and the
     node's ``forwarded``.  Read them between runs (or, like the sampler,
     through :meth:`stats_at`).  :attr:`queue` is the ``DropTailQueue``
@@ -297,12 +246,10 @@ class DropTailLink:
     """
 
     __slots__ = ("sim", "name", "rate_bps", "prop_delay", "dst_node",
-                 "loss_rate", "_loss_rng", "_wire_drops", "_queue",
-                 "_capacity", "_stats", "_deliver_cb", "_free", "_log",
-                 "_head", "_dequeued", "_done")
+                 "_queue", "_capacity", "_stats", "_deliver_cb", "_free",
+                 "_log", "_head", "_dequeued", "_done")
 
-    def __init__(self, sim, name, rate_bps, prop_delay, queue, dst_node,
-                 loss_rate=0.0):
+    def __init__(self, sim, name, rate_bps, prop_delay, queue, dst_node):
         if type(queue) is not DropTailQueue:
             raise TypeError("DropTailLink needs a DropTailQueue, got %r"
                             % (queue,))
@@ -311,15 +258,13 @@ class DropTailLink:
         self.rate_bps = float(rate_bps)
         self.prop_delay = float(prop_delay)
         self.dst_node = dst_node
-        self.loss_rate, self._loss_rng = _wire_loss(name, loss_rate)
-        self._wire_drops = 0
         self._queue = queue
         self._capacity = queue.capacity_packets
         self._stats = InterfaceStats()
         self._deliver_cb = dst_node.receive
         dst_node._lazy_links.append(self)  # its forwarded count reads ours
         self._free = 0.0  # when the last accepted packet finishes
-        # One (start, finish, size, sojourn, outcome) record per accepted
+        # One (start, finish, size, sojourn, to_edge) record per accepted
         # packet, in FIFO order.  Cursors: records before _head have
         # started, before _dequeued have had their dequeue counted, and
         # before _done their completion; _done <= _dequeued <= _head.
@@ -379,21 +324,16 @@ class DropTailLink:
         if now > start:
             start = now
         self._free = finish = start + (size * 8.0) / self.rate_bps
-        if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
-            outcome = _LOST
+        edge = self.dst_node.routes.get(packet.dst)
+        to_edge = edge.__class__ is EdgeLink
+        if to_edge:
+            edge.send_at(packet, finish + self.prop_delay)
         else:
-            node = self.dst_node
-            edge = node.routes.get(packet.dst)
-            if edge.__class__ is EdgeLink:
-                edge.send_at(packet, finish + self.prop_delay)
-                outcome = _FORWARDED
-            else:
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._heap, [finish + self.prop_delay, seq,
-                                     self._deliver_cb, packet])
-                sim._live += 1
-                outcome = _DELIVERED
-        log.append((start, finish, size, start - now, outcome))
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, [finish + self.prop_delay, seq,
+                                 self._deliver_cb, packet])
+            sim._live += 1
+        log.append((start, finish, size, start - now, to_edge))
         if head - self._done >= _REPLAY_BATCH:
             self.replay(packet.scheduled_at)
         return True
@@ -434,9 +374,9 @@ class DropTailLink:
         window_start = stats.window_start
         tx_bytes = stats.tx_bytes
         busy_time = stats.busy_time
-        forwarded = lost = 0
+        forwarded = 0
         while index < head:
-            start, finish, size, __, outcome = log[index]
+            start, finish, size, __, to_edge = log[index]
             if finish >= now and (finish > now or start > sched):
                 break
             # Interface._tx_done's proration of a packet in flight across
@@ -449,16 +389,13 @@ class DropTailLink:
             else:
                 tx_bytes += size
             busy_time += finish - start
-            if outcome == _FORWARDED:
+            if to_edge:
                 forwarded += 1
-            elif outcome == _LOST:
-                lost += 1
             index += 1
         stats.tx_packets += index - done
         stats.tx_bytes = tx_bytes
         stats.busy_time = busy_time
         self.dst_node._forwarded += forwarded
-        self._wire_drops += lost
         self._done = index
         if index > _REPLAY_BATCH:
             # Keep the last completed record: the tie rule reads the
@@ -487,12 +424,6 @@ class DropTailLink:
         """The ``DropTailQueue`` (capacity and statistics), replayed up to now."""
         self.replay()
         return self._queue
-
-    @property
-    def wire_drops(self):
-        """Packets lost on the wire (corruption, not queue overflow)."""
-        self.replay()
-        return self._wire_drops
 
     def reset_stats(self):
         """Zero both interface and queue measurement counters (post warm-up)."""

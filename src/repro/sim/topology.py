@@ -61,16 +61,12 @@ class DumbbellNetwork:
     discipline:
         Queue discipline of both bottleneck queues, a key of
         :data:`BOTTLENECKS`; ``"droptail"`` like the paper.
-    down_loss, up_loss:
-        Wire loss probability of each bottleneck direction, in
-        ``[0, 1)`` (see :mod:`repro.sim.link`); 0.0 models the paper's
-        clean wired testbeds, >0 a wireless-like lossy channel.
     """
 
     EDGE_RATE = GBPS
 
     def __init__(self, sim, down_buffer_packets, up_buffer_packets,
-                 discipline="droptail", down_loss=0.0, up_loss=0.0):
+                 discipline="droptail"):
         if discipline not in BOTTLENECKS:
             raise ValueError("unknown queue discipline %r (have %s)"
                              % (discipline, ", ".join(BOTTLENECKS)))
@@ -90,12 +86,10 @@ class DumbbellNetwork:
         # Bottleneck link: left router <-> right router.
         self.down_bottleneck = link(
             sim, "bottleneck-down", self.DOWN_RATE, self.BOTTLENECK_DELAY,
-            queue(capacity_packets=down_buffer_packets), self.right_router,
-            loss_rate=down_loss)
+            queue(capacity_packets=down_buffer_packets), self.right_router)
         self.up_bottleneck = link(
             sim, "bottleneck-up", self.UP_RATE, self.BOTTLENECK_DELAY,
-            queue(capacity_packets=up_buffer_packets), self.left_router,
-            loss_rate=up_loss)
+            queue(capacity_packets=up_buffer_packets), self.left_router)
         self.left_router.set_default_route(self.down_bottleneck)
         self.right_router.set_default_route(self.up_bottleneck)
 
@@ -176,9 +170,9 @@ class AccessNetwork(DumbbellNetwork):
     BOTTLENECK_DELAY = 0.0
 
     def __init__(self, sim, down_buffer_packets=64, up_buffer_packets=8,
-                 discipline="droptail", down_loss=0.0, up_loss=0.0):
+                 discipline="droptail"):
         super().__init__(sim, down_buffer_packets, up_buffer_packets,
-                         discipline, down_loss, up_loss)
+                         discipline)
 
 
 class BackboneNetwork(DumbbellNetwork):
@@ -197,7 +191,5 @@ class BackboneNetwork(DumbbellNetwork):
     DOWN_RATE = UP_RATE = RATE
     BOTTLENECK_DELAY = ms(30)
 
-    def __init__(self, sim, buffer_packets=749, discipline="droptail",
-                 down_loss=0.0, up_loss=0.0):
-        super().__init__(sim, buffer_packets, buffer_packets, discipline,
-                         down_loss, up_loss)
+    def __init__(self, sim, buffer_packets=749, discipline="droptail"):
+        super().__init__(sim, buffer_packets, buffer_packets, discipline)

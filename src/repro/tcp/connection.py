@@ -62,7 +62,8 @@ _marker_ids = _counter()
 
 class TcpStats:
     """Per-connection loss-recovery counters: fast retransmits, RTOs and
-    retransmitted segments."""
+    retransmitted segments (every data or FIN segment sent below the send
+    high-water mark, go-back-N resends after an RTO included)."""
 
     __slots__ = ("fast_retransmits", "timeouts", "retransmitted_segments")
 
@@ -88,9 +89,10 @@ class TcpConnection:
         "sim", "node", "peer_addr", "peer_port", "local_port", "cc", "mss",
         "delayed_ack", "rwnd", "state", "stats",
         "on_established", "on_data", "on_message", "on_peer_fin", "on_close",
-        "snd_una", "snd_nxt", "_app_bytes", "_infinite", "_fin_pending",
-        "_fin_sent", "_fin_acked", "_fin_seq", "_tx_marker_offsets",
-        "_tx_marker_meta", "_dupacks", "_in_recovery", "_recover",
+        "snd_una", "snd_nxt", "_snd_max", "_app_bytes", "_infinite",
+        "_fin_pending", "_fin_sent", "_fin_acked", "_fin_seq",
+        "_tx_marker_offsets", "_tx_marker_meta", "_dupacks", "_in_recovery",
+        "_recover",
         "_inflation", "_partial_acks", "_peer_rwnd", "srtt", "rttvar",
         "min_rtt", "rto", "_rto_timer", "_handshake_retries",
         "rcv_nxt", "_rx_holes", "_rx_marker_heap", "_rx_marker_seen",
@@ -132,6 +134,7 @@ class TcpConnection:
         # --- sender state -------------------------------------------------
         self.snd_una = 0
         self.snd_nxt = 0
+        self._snd_max = 0  # send high-water mark: highest seq sent + 1
         self._app_bytes = 0  # bytes queued by the application
         self._infinite = False
         self._fin_pending = False
@@ -262,8 +265,7 @@ class TcpConnection:
                 self.snd_nxt = snd_nxt + payload
             elif self._fin_pending and not self._fin_sent:
                 self._fin_seq = self.snd_nxt
-                self._send_control(FLAG_FIN | FLAG_ACK, seq=self.snd_nxt,
-                                   markers=self._all_markers())
+                self._send_fin(self.snd_nxt)
                 self._fin_sent = True
                 self.snd_nxt += 1
                 if self.state == ESTABLISHED:
@@ -317,7 +319,7 @@ class TcpConnection:
             )
         ]
 
-    def _send_segment(self, seq, payload_len, retransmission=False):
+    def _send_segment(self, seq, payload_len):
         now = self.sim.now
         markers = (self._markers_for(seq, payload_len)
                    if self._tx_marker_offsets else None)
@@ -336,8 +338,11 @@ class TcpConnection:
             self._ts_to_echo,
             markers,
         )
-        if retransmission:
+        snd_max = self._snd_max
+        if seq < snd_max:
             self.stats.retransmitted_segments += 1
+        if seq + payload_len > snd_max:
+            self._snd_max = seq + payload_len
         # Data segments piggyback the current ACK: cancel any pending one
         # (guarded inline — the timer is idle for almost every segment a
         # bulk sender pushes).
@@ -366,17 +371,24 @@ class TcpConnection:
         )
         self.node.send(packet)
 
+    def _send_fin(self, seq):
+        """Send the FIN at ``seq``, counted like :meth:`_send_segment`."""
+        if seq < self._snd_max:
+            self.stats.retransmitted_segments += 1
+        else:
+            self._snd_max = seq + 1
+        self._send_control(FLAG_FIN | FLAG_ACK, seq=seq,
+                           markers=self._all_markers())
+
     def _retransmit_head(self):
         """Retransmit the segment at ``snd_una`` (data or FIN)."""
         seq = self.snd_una
         data_end = self._data_end_seq()
         if seq < data_end:
             payload = int(min(self.mss, data_end - seq))
-            self._send_segment(seq, payload, retransmission=True)
+            self._send_segment(seq, payload)
         elif self._fin_sent and seq == self._fin_seq:
-            self.stats.retransmitted_segments += 1
-            self._send_control(FLAG_FIN | FLAG_ACK, seq=seq,
-                               markers=self._all_markers())
+            self._send_fin(seq)
 
     # ------------------------------------------------------------------
     # Packet ingress
@@ -545,7 +557,6 @@ class TcpConnection:
         # Go-back-N: rewind and slow-start from the hole (RFC 5681 §3.1).
         # The receiver discards duplicates and its cumulative ACKs jump
         # over whatever it already buffered.
-        self.stats.retransmitted_segments += 1
         self.snd_nxt = self.snd_una
         if self._fin_sent and self._fin_seq is not None \
                 and self._fin_seq >= self.snd_nxt:

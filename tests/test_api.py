@@ -33,7 +33,7 @@ def runner_for(tmp_path, workers=1):
 class TestRunSweep:
     def test_accepts_registry_names_and_overrides(self, tmp_path):
         results = api.run_sweep(
-            "wireless-qos", scale=1.0,
+            "fig4-up", scale=1.0,
             overrides={"workloads": ("long-few",), "buffers": (8,),
                        "duration": 2.0, "warmup": 1.0},
             runner=runner_for(tmp_path))
@@ -42,11 +42,11 @@ class TestRunSweep:
 
     def test_unknown_override_labels_raise(self, tmp_path):
         with pytest.raises(ValueError, match="mystery"):
-            api.run_sweep("wireless-qos", scale=1.0,
+            api.run_sweep("fig4-up", scale=1.0,
                           overrides={"workloads": ("mystery",)},
                           runner=runner_for(tmp_path))
         with pytest.raises(ValueError, match="fifo"):
-            api.run_sweep("wireless-qos", scale=1.0,
+            api.run_sweep("fig4-up", scale=1.0,
                           overrides={"disciplines": ("fifo",)},
                           runner=runner_for(tmp_path))
 

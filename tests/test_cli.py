@@ -80,7 +80,7 @@ class TestDescribe:
 
 class TestRun:
     def test_tiny_override_run(self, capsys):
-        code = main(["run", "wireless-qos", "--workloads", "long-few",
+        code = main(["run", "fig4-up", "--workloads", "long-few",
                      "--buffers", "8", "--duration", "2", "--warmup", "1",
                      "--no-cache"])
         assert code == 0
@@ -90,7 +90,7 @@ class TestRun:
 
     def test_json_run(self, capsys):
         # `run` prints the table only; a run's JSON comes from `export`.
-        argv = ["wireless-qos", "--workloads", "long-few", "--buffers", "8",
+        argv = ["fig4-up", "--workloads", "long-few", "--buffers", "8",
                 "--duration", "2", "--warmup", "1", "--no-cache"]
         for option in (["--json"], ["--format", "json"]):
             with pytest.raises(SystemExit):
@@ -159,7 +159,7 @@ class TestRun:
                                                       monkeypatch):
         # --duration must mean simulated seconds, not seconds*REPRO_SCALE.
         monkeypatch.setenv("REPRO_SCALE", "4")
-        code = main(["export", "wireless-qos", "--workloads", "long-few",
+        code = main(["export", "fig4-up", "--workloads", "long-few",
                      "--buffers", "8", "--duration", "2", "--warmup", "1",
                      "--no-cache", "--format", "json"])
         assert code == 0
@@ -167,7 +167,7 @@ class TestRun:
         assert record["payload"]["duration"] == 2.0
 
     def test_per_direction_buffer_override(self, capsys):
-        code = main(["run", "wireless-qos", "--workloads", "long-few",
+        code = main(["run", "fig4-up", "--workloads", "long-few",
                      "--buffers", "16:4", "--duration", "2", "--warmup",
                      "1", "--no-cache"])
         assert code == 0
@@ -175,7 +175,7 @@ class TestRun:
 
     def test_format_csv(self, capsys):
         # `run` has no --format; a run's CSV comes from `export`.
-        argv = ["wireless-qos", "--workloads", "long-few", "--buffers", "8",
+        argv = ["fig4-up", "--workloads", "long-few", "--buffers", "8",
                 "--duration", "2", "--warmup", "1"]
         with pytest.raises(SystemExit):
             main(["run"] + argv + ["--format", "csv"])
@@ -189,7 +189,7 @@ class TestRun:
 
 #: One tiny export per cell kind (the CI smoke runs the same quartet).
 EXPORT_CASES = {
-    "qos": ["export", "wireless-qos", "--workloads", "long-few",
+    "qos": ["export", "fig4-up", "--workloads", "long-few",
             "--buffers", "8", "--duration", "1", "--warmup", "0.5"],
     "voip": ["export", "fig7a", "--workloads", "noBG", "--buffers", "8",
              "--duration", "1", "--warmup", "0.5"],

@@ -46,7 +46,7 @@ ALLOWED = {
     "forwarded": "Node.forwarded, packets a router forwarded: the packet "
                  "conservation tests read it (docs/ARCHITECTURE.md)",
     # Needed by open ROADMAP work.
-    "fork": "RngRegistry.fork: per-flow seed jitter (ROADMAP item 1) needs it",
+    "fork": "RngRegistry.fork: per-flow seed jitter (ROADMAP item 2) needs it",
 }
 
 CONSTANT = re.compile(r"^_?[A-Z][A-Z0-9_]*$")

@@ -1,7 +1,6 @@
 """Unit tests for Interface transmit accounting, the EdgeLink and the
 closed-form DropTailLink."""
 
-import math
 import random
 
 import pytest
@@ -206,11 +205,11 @@ def _counters(link, node):
     stats = link.stats
     return ([getattr(queue, name) for name in QueueStats.__slots__],
             [getattr(stats, name) for name in InterfaceStats.__slots__],
-            link.wire_drops, node.forwarded, link.backlog())
+            node.forwarded, link.backlog())
 
 
-def _run_bottleneck(make_link, offers, rate, delay, capacity, loss,
-                    cut_through, reset_at, bin_seconds, end):
+def _run_bottleneck(make_link, offers, rate, delay, capacity, cut_through,
+                    reset_at, bin_seconds, end):
     """Run ``offers`` through one bottleneck; returns what it observed."""
     sim = Simulator()
     host = _Recorder(sim, 2)
@@ -221,8 +220,7 @@ def _run_bottleneck(make_link, offers, rate, delay, capacity, loss,
     else:  # straight into the host's receive event
         node = host
     link = make_link(sim, "bottleneck", rate, delay,
-                     DropTailQueue(capacity_packets=capacity), node,
-                     loss_rate=loss)
+                     DropTailQueue(capacity_packets=capacity), node)
     verdicts = []
     _offer_all(sim, link, offers, verdicts)
     sim.run(until=reset_at)
@@ -273,7 +271,6 @@ def test_property_drop_tail_link_matches_event_driven_interface(seed):
     bin_seconds = byte_time * (2 * rng.randrange(100, 3000) + 1) / 2
     kwargs = dict(rate=rate, delay=rng.choice((0.0, 1e-3, 0.03)),
                   capacity=rng.randint(1, 16),
-                  loss=rng.choice((0.0, 0.0, 0.1, 0.4)),
                   cut_through=rng.random() < 0.5, reset_at=reset_at,
                   bin_seconds=bin_seconds,
                   end=last + 20 * 1500 * byte_time)
@@ -290,7 +287,7 @@ def _tie_case(sched):
     offers = [(0.0, 0.0, 1000), (0.25, 0.5, 1000), (0.75, 1.5, 1000),
               (sched, 2.0, 1000)]
     results = [_run_bottleneck(make_link, offers, rate=8000.0, delay=0.0,
-                               capacity=1, loss=0.0, cut_through=True,
+                               capacity=1, cut_through=True,
                                reset_at=1.0, bin_seconds=1.0, end=10.0)
                for make_link in (Interface, DropTailLink)]
     assert results[1] == results[0]
@@ -317,7 +314,7 @@ def test_sampler_tick_sees_completions_by_the_tie_rule():
     # (at 3): it counts in the fourth bin.
     offers = [(0.0, 0.25, 750), (0.0, 2.5, 1500)]
     results = [_run_bottleneck(make_link, offers, rate=8000.0, delay=0.0,
-                               capacity=4, loss=0.0, cut_through=False,
+                               capacity=4, cut_through=False,
                                reset_at=0.0, bin_seconds=1.0, end=4.5)
                for make_link in (Interface, DropTailLink)]
     assert results[1] == results[0]
@@ -329,13 +326,3 @@ def test_drop_tail_link_needs_a_drop_tail_queue():
     with pytest.raises(TypeError, match="DropTailQueue"):
         DropTailLink(sim, "red", 1e6, 0.0, REDQueue(capacity_packets=8),
                      _Recorder(sim, 2))
-
-
-@pytest.mark.parametrize("make_link", [Interface, DropTailLink])
-@pytest.mark.parametrize("loss_rate", [1.0, -0.1, math.nan])
-def test_bottlenecks_reject_wire_loss_outside_unit_interval(make_link,
-                                                            loss_rate):
-    sim = Simulator()
-    with pytest.raises(ValueError, match=r"\[0, 1\)"):
-        make_link(sim, "lossy", 1e6, 0.0, DropTailQueue(capacity_packets=8),
-                  _Recorder(sim, 2), loss_rate=loss_rate)

@@ -3,11 +3,29 @@
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.link import Interface
+from repro.sim.queues import DropTailQueue
 from repro.sim.topology import AccessNetwork
 from repro.tcp import Bic, Cubic, Reno, TcpConnection, TcpListener
 from repro.util.units import MBPS, ms
 
 from tests.netutil import TransferRecorder, run_transfer, two_hosts
+
+
+class FirstSendDropQueue(DropTailQueue):
+    """Drop-tail queue that drops the first copy of each data segment
+    whose sequence number is in ``seqs``."""
+
+    def __init__(self, seqs):
+        super().__init__(capacity_packets=100)
+        self.seqs = set(seqs)
+
+    def push(self, packet, now):
+        if packet.payload_len and packet.seq in self.seqs:
+            self.seqs.discard(packet.seq)
+            self._reject(packet)
+            return False
+        return super().push(packet, now)
 
 
 class TestHandshakeAndTransfer:
@@ -128,6 +146,35 @@ class TestLossRecovery:
         sender = server_conns[0]
         assert sender.stats.retransmitted_segments > 0
         assert sender.stats.fast_retransmits > 0
+
+    @pytest.mark.parametrize("segments, dropped, timeouts, fast", [
+        (8, range(8), 1, 0),  # the whole flight: one RTO, go-back-N
+        (40, [2], 0, 1),      # one hole: dup ACKs, one fast retransmit
+    ], ids=["rto-go-back-n", "fast-retransmit"])
+    def test_every_resend_is_counted(self, segments, dropped, timeouts,
+                                     fast):
+        mss = 1460
+        sim, a, b = two_hosts()
+        b.set_default_route(Interface(sim, "b->a", 10 * MBPS, ms(10),
+                                      FirstSendDropQueue(
+                                          1 + index * mss
+                                          for index in dropped), a))
+        senders = []
+
+        def on_server_conn(conn):
+            senders.append(conn)
+            conn.send(segments * mss)
+
+        TcpListener(sim, b, 80, on_connection=on_server_conn,
+                    cc_factory=lambda: Reno(mss, initial_window_segments=8))
+        recorder = TransferRecorder()
+        recorder.attach(TcpConnection(sim, a, peer_addr=b.addr,
+                                      peer_port=80)).connect()
+        sim.run(until=30)
+        assert recorder.bytes == segments * mss
+        stats = senders[0].stats
+        assert (stats.timeouts, stats.fast_retransmits) == (timeouts, fast)
+        assert stats.retransmitted_segments == len(dropped)
 
     def test_delivery_is_exactly_once_despite_retransmissions(self):
         sim, recorder, client = run_transfer(
