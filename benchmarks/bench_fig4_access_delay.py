@@ -6,7 +6,7 @@ workload axis automatically.
 """
 
 from repro import api
-from repro.core.registry import get
+from repro.core.registry import get, resolve_scale
 from repro.qoe.scales import g114_class
 
 from benchmarks.common import print_figure
@@ -14,9 +14,10 @@ from benchmarks.common import print_figure
 
 def test_fig4_upstream():
     spec = get("fig4-up")
-    workloads = spec.workloads()
-    buffers = spec.buffer_axis()
-    results = api.run_sweep(spec)
+    scale = resolve_scale()
+    workloads = spec.workloads(scale)
+    buffers = spec.buffer_axis(scale)
+    results = api.run_sweep(spec, scale=scale)
     print_figure("fig4-up", results)
     # The bufferbloat staircase: delay grows with buffer size and crosses
     # the G.114 "bad" boundary at the oversized configurations.
@@ -29,10 +30,11 @@ def test_fig4_upstream():
 
 def test_fig4_downstream_only():
     spec = get("fig4-down")
-    results = api.run_sweep(spec)
+    scale = resolve_scale()
+    results = api.run_sweep(spec, scale=scale)
     # Figure 4a envelope: downlink mean delay < 200 ms at every size,
     # uplink (pure ACK traffic) near zero.
-    for packets in spec.buffer_axis():
+    for packets in spec.buffer_axis(scale):
         record = results[("long-many", packets)]
         assert record["down_mean_delay"] < 0.2
         assert record["up_mean_delay"] < 0.05

@@ -5,15 +5,16 @@ The grid is the registered ``fig8`` sweep (full workload/buffer axes at
 """
 
 from repro import api
-from repro.core.registry import get
+from repro.core.registry import get, resolve_scale
 
 from benchmarks.common import print_figure
 
 
 def test_fig8():
     spec = get("fig8")
-    buffers = spec.buffer_axis()
-    results = api.run_sweep(spec)
+    scale = resolve_scale()
+    buffers = spec.buffer_axis(scale)
+    results = api.run_sweep(spec, scale=scale)
     print_figure("fig8", results)
     # The paper's finding: workload, not buffer size, dominates — the
     # noBG and moderate rows are fine at every size; the sustained 'long'

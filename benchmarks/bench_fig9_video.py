@@ -5,15 +5,16 @@ Grids come from the registered ``fig9a`` (access) and ``fig9b``
 """
 
 from repro import api
-from repro.core.registry import get
+from repro.core.registry import get, resolve_scale
 
 from benchmarks.common import print_figure
 
 
 def test_fig9a_access():
     spec = get("fig9a")
-    buffers = spec.buffer_axis()
-    results = api.run_sweep(spec)
+    scale = resolve_scale()
+    buffers = spec.buffer_axis(scale)
+    results = api.run_sweep(spec, scale=scale)
     print_figure("fig9a", results)
     # Binary behaviour: clean without congestion at every buffer size,
     # bad whenever long flows congest the downlink — and largely
@@ -28,8 +29,9 @@ def test_fig9a_access():
 
 def test_fig9b_backbone():
     spec = get("fig9b")
-    buffers = spec.buffer_axis()
-    results = api.run_sweep(spec)
+    scale = resolve_scale()
+    buffers = spec.buffer_axis(scale)
+    results = api.run_sweep(spec, scale=scale)
     print_figure("fig9b", results)
     # noBG and light load stream cleanly; the sustained long workload
     # degrades the stream regardless of buffer size.

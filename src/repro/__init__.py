@@ -4,7 +4,7 @@ Hohlfeld, Pujol, Ciucu, Feldmann, Barford — ACM IMC 2014.
 
 The package builds the paper's entire experimental apparatus in Python:
 a packet-level discrete-event simulator with the paper's two dumbbell
-testbeds (:mod:`repro.sim`), a from-scratch TCP with Reno/BIC/CUBIC
+testbeds (:mod:`repro.sim`), a from-scratch TCP with Reno/CUBIC
 (:mod:`repro.tcp`), Harpoon-style workloads (:mod:`repro.apps`),
 signal-level media pipelines (:mod:`repro.media`), standardized QoE
 models (:mod:`repro.qoe`) and the sensitivity-study grids behind the

@@ -20,9 +20,9 @@ the CLI, the benchmarks, the examples and downstream analysis code::
 
 Sweeps are named registry entries (``python -m repro list``) or explicit
 :class:`repro.core.registry.SweepSpec` objects (e.g. from
-:func:`repro.core.registry.adhoc_sweep`).  ``overrides`` narrows or
-retunes a sweep's axes without editing the registry — the same knobs the
-``run``/``export`` CLI flags expose.  Results come back as
+:func:`repro.core.registry.adhoc_sweep`).  :func:`apply_overrides`
+narrows or retunes a sweep's axes without editing the registry — the
+same knobs the ``run``/``export`` CLI flags expose.  Results come back as
 :class:`repro.results.record.CellResult` records in a
 :class:`repro.results.set.ResultSet`; the payload wire format and
 cache schema underneath are exactly the runner's, so facade runs share
@@ -99,15 +99,7 @@ def apply_overrides(spec, scale=None, workloads=None, buffers=None,
     return replace(spec, **changes)
 
 
-def _prepare(name_or_spec, scale, overrides):
-    spec = resolve_spec(name_or_spec)
-    scale = resolve_scale() if scale is None else scale
-    if overrides:
-        spec = apply_overrides(spec, scale=scale, **overrides)
-    return spec, scale
-
-
-def iter_sweep(name_or_spec, *, scale=None, overrides=None, runner=None):
+def iter_sweep(name_or_spec, *, scale=None, runner=None):
     """Stream one sweep's records as cells complete.
 
     Yields :class:`repro.results.record.CellResult` records (cache hits
@@ -116,7 +108,8 @@ def iter_sweep(name_or_spec, *, scale=None, overrides=None, runner=None):
     at a time, or feed it to
     :meth:`repro.results.set.ResultSet.from_stream` to collect.
     """
-    spec, scale = _prepare(name_or_spec, scale, overrides)
+    spec = resolve_spec(name_or_spec)
+    scale = resolve_scale() if scale is None else scale
     runner = runner or GridRunner()
     tasks = spec.tasks(scale)
     keys = spec.cells(scale)
@@ -124,7 +117,7 @@ def iter_sweep(name_or_spec, *, scale=None, overrides=None, runner=None):
         yield record
 
 
-def run_sweep(name_or_spec, *, scale=None, overrides=None, runner=None):
+def run_sweep(name_or_spec, *, scale=None, runner=None):
     """Execute one sweep; returns a :class:`ResultSet` in task order.
 
     ``runner`` defaults to a fresh env-driven
@@ -133,20 +126,18 @@ def run_sweep(name_or_spec, *, scale=None, overrides=None, runner=None):
     spelling.
     """
     return ResultSet.from_stream(
-        iter_sweep(name_or_spec, scale=scale, overrides=overrides,
-                   runner=runner))
+        iter_sweep(name_or_spec, scale=scale, runner=runner))
 
 
-def load_sweep(name_or_spec, *, scale=None, overrides=None, cache=None,
-               strict=False):
+def load_sweep(name_or_spec, *, scale=None, cache=None):
     """Build a :class:`ResultSet` from cached cells only — no simulation.
 
-    Cells missing from the cache are skipped (``strict=False``), or
-    raise KeyError naming the first missing cell (``strict=True``).
-    Useful for re-analyzing or exporting finished grids without paying
-    for a runner, e.g. on a machine that only holds the cache.
+    Cells missing from the cache are skipped.  Useful for re-analyzing
+    or exporting finished grids without paying for a runner, e.g. on a
+    machine that only holds the cache.
     """
-    spec, scale = _prepare(name_or_spec, scale, overrides)
+    spec = resolve_spec(name_or_spec)
+    scale = resolve_scale() if scale is None else scale
     cache = cache or ResultCache()
     records = []
     from repro.results.record import record_from_payload
@@ -155,9 +146,6 @@ def load_sweep(name_or_spec, *, scale=None, overrides=None, cache=None,
                                             spec.cells(scale))):
         payload = cache.get(task)
         if payload is None:
-            if strict:
-                raise KeyError("cell %s of sweep %r is not cached"
-                               % ("/".join(str(p) for p in key), spec.name))
             continue
         records.append(record_from_payload(task, payload, key=key,
                                            index=index))

@@ -29,7 +29,7 @@ class BulkTraffic:
     direction:
         ``"down"`` (server sends) or ``"up"`` (client sends).
     cc:
-        Congestion-control name (``"reno"``, ``"bic"``, ``"cubic"``).
+        Congestion-control name (``"reno"`` or ``"cubic"``).
     port:
         Listener port on the servers (one listener per server).
     stagger:

@@ -27,17 +27,26 @@ WEIBULL_SCALE = 10039.0
 #: Size of the client's request message in the download direction.
 REQUEST_BYTES = 300
 
+#: Safety valve bounding one generator's simultaneously active
+#: transfers; reaching it counts transfers as ``skipped`` (never
+#: triggered in the paper-scale scenarios).
+MAX_ACTIVE = 20_000
+
+#: Simulated seconds between two samples of the active-transfer count.
+SAMPLE_INTERVAL = 0.25
+
 
 def weibull_mean(shape=WEIBULL_SHAPE, scale=WEIBULL_SCALE):
     """Analytic mean of the file-size distribution (~50 KB in the paper)."""
     return scale * math.gamma(1.0 + 1.0 / shape)
 
 
-def weibull_file_sizer(rng, shape=WEIBULL_SHAPE, scale=WEIBULL_SCALE, minimum=1):
-    """Return a zero-argument sampler of file sizes in bytes."""
+def weibull_file_sizer(rng):
+    """Return a zero-argument sampler of file sizes in bytes (at least 1)."""
+    shape, scale = WEIBULL_SHAPE, WEIBULL_SCALE
 
     def sample():
-        return max(minimum, int(rng.weibull(shape) * scale))
+        return max(1, int(rng.weibull(shape) * scale))
 
     return sample
 
@@ -89,7 +98,8 @@ class HarpoonGenerator:
     interarrival_mean:
         Mean of the exponential gap between transfer starts per session.
     rng:
-        numpy Generator for all randomness of this generator.
+        numpy Generator for all randomness of this generator, the
+        :func:`weibull_file_sizer` file sizes included.
     cc:
         Congestion control used by the transfer senders.
     session_cap:
@@ -98,16 +108,11 @@ class HarpoonGenerator:
         is what keeps Harpoon's 2-hour overload runs at a stable
         concurrency (the paper's short-overload levels off at ~2170
         concurrent flows for 768 sessions).
-    max_active:
-        Safety valve bounding simultaneously active transfers; reaching
-        it counts transfers as ``skipped`` (never triggered in the
-        paper-scale scenarios).
     """
 
     def __init__(self, sim, servers, clients, sessions, direction="down",
-                 interarrival_mean=2.0, rng=None, file_sizer=None,
-                 cc="cubic", port=8080, session_cap=8, max_active=20_000,
-                 sample_interval=0.25):
+                 interarrival_mean=2.0, rng=None, cc="cubic", port=8080,
+                 session_cap=8):
         if direction not in ("down", "up"):
             raise ValueError("direction must be 'down' or 'up', not %r" % direction)
         self.sim = sim
@@ -117,13 +122,10 @@ class HarpoonGenerator:
         self.direction = direction
         self.interarrival_mean = interarrival_mean
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.file_sizer = (file_sizer if file_sizer is not None
-                           else weibull_file_sizer(self.rng))
+        self.file_sizer = weibull_file_sizer(self.rng)
         self.cc_name = cc
         self.port = port
         self.session_cap = session_cap
-        self.max_active = max_active
-        self.sample_interval = sample_interval
         self.stats = HarpoonStats()
         self._session_active = [0] * sessions
         self._listeners = []
@@ -149,7 +151,7 @@ class HarpoonGenerator:
             (float(self.rng.uniform(0.0, self.interarrival_mean)),
              self._session_tick, (index,))
             for index in range(self.sessions))
-        self.sim.call_later(self.sample_interval, self._sample_active)
+        self.sim.call_later(SAMPLE_INTERVAL, self._sample_active)
 
     def stop(self):
         """Stop issuing transfers and abort all live ones."""
@@ -165,7 +167,7 @@ class HarpoonGenerator:
         if self._stopped:
             return
         self.stats.active_samples.append(self.stats.active)
-        self.sim.call_later(self.sample_interval, self._sample_active)
+        self.sim.call_later(SAMPLE_INTERVAL, self._sample_active)
 
     def _session_tick(self, index):
         if self._stopped:
@@ -194,7 +196,7 @@ class HarpoonGenerator:
 
     # ------------------------------------------------------------------
     def _start_transfer(self, index):
-        if (self.stats.active >= self.max_active
+        if (self.stats.active >= MAX_ACTIVE
                 or self._session_active[index] >= self.session_cap):
             self.stats.skipped += 1
             return

@@ -23,6 +23,13 @@ from repro.media.mpegts import packetize, slice_packet_map
 from repro.media.video_source import FPS, generate_clip
 from repro.udp.rtp import RtpReceiver, RtpSender
 
+#: Playout deadline relative to each packet's send time; later arrivals
+#: count as lost (IPTV set-top-boxes buffer well under two seconds).
+DEADLINE = 1.0
+
+#: Round-trip time the ARQ mode waits out (twice) before it resends.
+ARQ_RTT = 0.1
+
 
 @lru_cache(maxsize=16)
 def clip_frames(clip, resolution, n_frames):
@@ -30,9 +37,9 @@ def clip_frames(clip, resolution, n_frames):
     return generate_clip(clip, resolution, n_frames=n_frames)
 
 
-def build_packet_plan(resolution, n_frames, fps=FPS):
+def build_packet_plan(resolution, n_frames):
     """Slice sizes and packet layout for one stream."""
-    per_frame = frame_bytes(resolution, n_frames, fps)
+    per_frame = frame_bytes(resolution, n_frames)
     slice_sizes = []
     for frame_index, total in enumerate(per_frame):
         base = total // SLICES_PER_FRAME
@@ -55,31 +62,23 @@ class VideoStream:
         "HD" 8 Mbit/s).
     duration:
         Stream length in seconds (the paper's clips run 16 s).
-    deadline:
-        Playout deadline relative to each packet's send time; later
-        arrivals count as lost (IPTV set-top-boxes buffer well under two
-        seconds).
     arq:
         When True, retransmit each missing packet once (ablation A3).
     """
 
     def __init__(self, sim, src_node, dst_node, port, clip="C",
-                 resolution="SD", duration=8.0, fps=FPS, deadline=1.0,
-                 arq=False, arq_rtt=0.1):
+                 resolution="SD", duration=8.0, arq=False):
         self.sim = sim
         self.src_node = src_node
         self.dst_node = dst_node
         self.port = port
         self.clip = clip
         self.resolution = resolution
-        self.fps = fps
-        self.n_frames = max(1, int(duration * fps))
-        self.deadline = deadline
+        self.n_frames = max(1, int(duration * FPS))
         self.arq = arq
-        self.arq_rtt = arq_rtt
-        self.plans, self.slice_map = build_packet_plan(
-            resolution, self.n_frames, fps)
-        self.duration = self.n_frames / fps
+        self.plans, self.slice_map = build_packet_plan(resolution,
+                                                       self.n_frames)
+        self.duration = self.n_frames / FPS
         self.send_times = {}
         self.receiver = None
         self.sender = None
@@ -98,14 +97,14 @@ class VideoStream:
 
     @property
     def end_time(self):
-        return self.duration + self.deadline + 4 * self.arq_rtt
+        return self.duration + DEADLINE + 4 * ARQ_RTT
 
     def _send_plan(self, plan, retransmission=False):
         self.send_times.setdefault(plan.index, self.sim.now)
         self.sender.send(plan.payload_bytes, timestamp=self.sim.now,
                          media=plan.index)
         if self.arq and not retransmission:
-            self.sim.call_later(self.arq_rtt * 2.0, self._maybe_retransmit,
+            self.sim.call_later(ARQ_RTT * 2.0, self._maybe_retransmit,
                                 plan)
 
     def _maybe_retransmit(self, plan):
@@ -120,10 +119,11 @@ class VideoStream:
     def finish(self):
         """Close sockets; return the [frames, slices] reception matrix."""
         on_time = set()
+        deadline = DEADLINE
         for rtp, arrival in self.receiver.arrivals:
             packet_index = rtp.media
             sent = self.send_times.get(packet_index)
-            if sent is not None and arrival - sent <= self.deadline:
+            if sent is not None and arrival - sent <= deadline:
                 on_time.add(packet_index)
         received = np.zeros((self.n_frames, SLICES_PER_FRAME), dtype=bool)
         for (frame_index, slice_index), packets in self.slice_map.items():

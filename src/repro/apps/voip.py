@@ -22,6 +22,9 @@ FRAME_SECONDS = 0.020
 FRAME_SAMPLES = 160  # 20 ms at 8 kHz
 PAYLOAD_BYTES = 160  # one byte per sample with G.711
 
+#: Jitter-buffer depth at the receiver, in seconds.
+PLAYOUT_DELAY = 0.100
+
 
 @lru_cache(maxsize=64)
 def call_media(sample_seed, duration):
@@ -54,19 +57,17 @@ class VoipCall:
         Receiver UDP port (unique per concurrent call leg).
     sample_seed, duration:
         Which reference sample to stream and its length in seconds.
-    playout_delay:
-        Jitter-buffer depth at the receiver.
     """
 
     def __init__(self, sim, src_node, dst_node, port, sample_seed=1000,
-                 duration=8.0, playout_delay=0.100):
+                 duration=8.0):
         self.sim = sim
         self.src_node = src_node
         self.dst_node = dst_node
         self.port = port
         self.sample_seed = sample_seed
         self.duration = duration
-        self.playout = PlayoutBuffer(FRAME_SECONDS, playout_delay)
+        self.playout = PlayoutBuffer(FRAME_SECONDS, PLAYOUT_DELAY)
         self.frames, self.clean_signal = call_media(sample_seed, duration)
         self.n_frames = len(self.frames)
         self.send_times = {}

@@ -26,13 +26,12 @@ WEB_PORT = 80
 class WebServer:
     """Static HTTP server: replies to ``("GET", size)`` with ``size`` bytes."""
 
-    def __init__(self, sim, node, port=WEB_PORT, cc="reno"):
+    def __init__(self, sim, node, cc="reno"):
         self.sim = sim
         self.node = node
-        self.port = port
         self.requests_served = 0
         self.listener = TcpListener(
-            sim, node, port,
+            sim, node, WEB_PORT,
             on_connection=self._on_connection,
             cc_factory=lambda: make_cc(cc),
         )
@@ -64,11 +63,9 @@ class PageFetch:
     is constant and excluded, as with wget).
     """
 
-    def __init__(self, sim, node, server_addr, port=WEB_PORT,
-                 objects=PAGE_OBJECTS, cc="reno", on_complete=None):
+    def __init__(self, sim, node, server_addr, cc="reno", on_complete=None):
         self.sim = sim
         self.node = node
-        self.objects = list(objects)
         self.on_complete = on_complete
         self.started_at = None
         self.last_byte_at = None
@@ -76,7 +73,7 @@ class PageFetch:
         self.failed = False
         self._next_object = 0
         self.connection = TcpConnection(
-            sim, node, peer_addr=server_addr, peer_port=port,
+            sim, node, peer_addr=server_addr, peer_port=WEB_PORT,
             cc=make_cc(cc))
         self.connection.on_established = self._on_established
         self.connection.on_message = self._on_message
@@ -98,7 +95,7 @@ class PageFetch:
 
     # ------------------------------------------------------------------
     def _request_next(self):
-        size = self.objects[self._next_object]
+        size = PAGE_OBJECTS[self._next_object]
         self.connection.send(REQUEST_BYTES, meta=("GET", size))
 
     def _on_established(self, connection):
@@ -109,7 +106,7 @@ class PageFetch:
         if kind != "RESP":
             return
         self._next_object += 1
-        if self._next_object < len(self.objects):
+        if self._next_object < len(PAGE_OBJECTS):
             self._request_next()
         else:
             self.last_byte_at = self.sim.now

@@ -79,6 +79,20 @@ def _parse_scale(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _scale(args):
+    """``--scale`` if given, else ``REPRO_SCALE`` (1.0 when unset).
+
+    A bad ``REPRO_SCALE`` exits with its one-line message, as a bad
+    ``REPRO_WORKERS`` does in :func:`_runner_from`.
+    """
+    if args.scale is not None:
+        return args.scale
+    try:
+        return resolve_scale()
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+
+
 def _parse_positive_int(text):
     """argparse type of ``--workers``/``--repetitions``: an int >= 1."""
     try:
@@ -132,7 +146,7 @@ def _run_through_api(args, runner=None):
     result size.
     """
     spec = _get_spec(args.name)
-    scale = resolve_scale() if args.scale is None else args.scale
+    scale = _scale(args)
     try:
         spec = api.apply_overrides(spec, scale=scale,
                                    **_overrides_from(args))
@@ -165,7 +179,7 @@ def _get_spec(name):
 # Subcommands.
 # ---------------------------------------------------------------------------
 def cmd_list(args):
-    scale = resolve_scale() if args.scale is None else args.scale
+    scale = _scale(args)
     specs = list(REGISTRY.values())
     if args.json:
         print(json.dumps([spec.describe(scale) for spec in specs], indent=2))
@@ -189,7 +203,7 @@ def cmd_list(args):
 
 def cmd_describe(args):
     spec = _get_spec(args.name)
-    scale = resolve_scale() if args.scale is None else args.scale
+    scale = _scale(args)
     description = spec.describe(scale)
     if args.hashes:
         description["cell_hashes"] = {
@@ -269,7 +283,7 @@ def cmd_figures(args):
         names = validate_selection(args.names)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    scale = resolve_scale() if args.scale is None else args.scale
+    scale = _scale(args)
     runner = _runner_from(args)
     for name in names:
         figure = REPORT_FIGURES[name]
@@ -292,11 +306,13 @@ def cmd_report(args):
                            scale=args.scale)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    # The sample is pinned to scale 1.0 and reads no REPRO_SCALE.
+    scale = None if args.sample else _scale(args)
     runner = None if args.cached_only else _runner_from(args)
     summary = generate_report(
         args.names or None, args.output,
         cached_only=args.cached_only,
-        scale=args.scale, runner=runner, sample=args.sample)
+        scale=scale, runner=runner, sample=args.sample)
     tally = summary["verdicts"]
     # No trailing runner-stats line: GridRunner.last_stats only covers
     # the final sweep; the per-figure report lines above already carry

@@ -30,9 +30,10 @@ def stanford_packets(rate_bps, rtt_seconds, n_flows,
                       / math.sqrt(n_flows)))
 
 
-def max_queueing_delay(packets, rate_bps, packet_bytes=FULL_PACKET_BYTES):
-    """Worst-case queueing delay of a full buffer, in seconds."""
-    return (packets * packet_bytes * 8.0) / rate_bps
+def max_queueing_delay(packets, rate_bps):
+    """Worst-case queueing delay of a full buffer of full-sized packets,
+    in seconds."""
+    return (packets * FULL_PACKET_BYTES * 8.0) / rate_bps
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,9 @@ class BufferConfig:
     packets: int
     scheme: str = ""
 
-    def delay_at(self, rate_bps, packet_bytes=FULL_PACKET_BYTES):
+    def delay_at(self, rate_bps):
         """Maximum queueing delay this buffer can add at ``rate_bps``."""
-        return max_queueing_delay(self.packets, rate_bps, packet_bytes)
+        return max_queueing_delay(self.packets, rate_bps)
 
     def __str__(self):
         if self.scheme:

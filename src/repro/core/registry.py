@@ -29,6 +29,9 @@ seconds) and resolves ``max(duration_min, duration * scale)``; scaled
 integer knobs such as web fetch counts are declared in ``counts`` the
 same way.  Specs may also declare reduced axes (``scenarios_small``,
 ``buffers_small``) used below ``full_scale`` so quick runs stay quick.
+Every :class:`SweepSpec` method takes the scale as an argument; only the
+entry points (:mod:`repro.api`, the CLI, :mod:`repro.report.build` and the
+benchmarks) read ``REPRO_SCALE``, through :func:`resolve_scale`.
 """
 
 import math
@@ -56,15 +59,16 @@ def parse_scale(text, name="scale"):
     return scale
 
 
-def resolve_scale(default=1.0):
-    """Read the global fidelity knob (``REPRO_SCALE`` env var, float).
+def resolve_scale():
+    """Read the global fidelity knob (``REPRO_SCALE`` env var, float;
+    1.0 when unset or empty).
 
     Raises ``ValueError`` when ``REPRO_SCALE`` is set to anything
     :func:`parse_scale` rejects.
     """
     env = os.environ.get("REPRO_SCALE", "")
     if not env:
-        return default
+        return 1.0
     return parse_scale(env, "REPRO_SCALE")
 
 
@@ -124,9 +128,9 @@ def access(workload, direction="down", label=""):
     return ScenarioSpec("access", workload, direction, label)
 
 
-def backbone(workload, label=""):
+def backbone(workload):
     """Shorthand for a backbone-testbed :class:`ScenarioSpec`."""
-    return ScenarioSpec("backbone", workload, "down", label)
+    return ScenarioSpec("backbone", workload)
 
 
 # ---------------------------------------------------------------------------
@@ -191,32 +195,28 @@ class SweepSpec:
                                      % (self.name, what, value, list(axis)))
 
     # -- axis resolution ------------------------------------------------
-    def scenario_axis(self, scale=None):
-        """The scenario rows active at ``scale`` (REPRO_SCALE default)."""
-        scale = resolve_scale() if scale is None else scale
+    def scenario_axis(self, scale):
+        """The scenario rows active at ``scale``."""
         if self.scenarios_small is not None and scale < self.full_scale:
             return self.scenarios_small
         return self.scenarios
 
-    def buffer_axis(self, scale=None):
+    def buffer_axis(self, scale):
         """The buffer sizes (packets) active at ``scale``."""
-        scale = resolve_scale() if scale is None else scale
         if self.buffers_small is not None and scale < self.full_scale:
             return self.buffers_small
         return self.buffers
 
-    def workloads(self, scale=None):
+    def workloads(self, scale):
         """Cell-key labels of the active scenario rows."""
         return tuple(spec.key for spec in self.scenario_axis(scale))
 
-    def resolved_duration(self, scale=None):
+    def resolved_duration(self, scale):
         """Measurement window in simulated seconds at ``scale``."""
-        scale = resolve_scale() if scale is None else scale
         return max(self.duration_min, self.duration * scale)
 
-    def resolved_counts(self, scale=None):
+    def resolved_counts(self, scale):
         """Scale-dependent integer parameters, e.g. web fetch counts."""
-        scale = resolve_scale() if scale is None else scale
         return {name: max(minimum, int(round(base * scale)))
                 for name, base, minimum in self.counts}
 
@@ -229,7 +229,7 @@ class SweepSpec:
                       for key, params in combos for value in values]
         return combos
 
-    def cells(self, scale=None):
+    def cells(self, scale):
         """Cell keys, aligned one-to-one with :meth:`tasks`."""
         keys = []
         multi_discipline = len(self.disciplines) > 1
@@ -243,7 +243,7 @@ class SweepSpec:
                         keys.append(key)
         return keys
 
-    def tasks(self, scale=None):
+    def tasks(self, scale):
         """Lower the spec to :class:`repro.runner.task.CellTask` cells."""
         duration = self.resolved_duration(scale)
         params = dict(self.params)
@@ -261,7 +261,7 @@ class SweepSpec:
                             **dict(params, **axis_params)))
         return tasks
 
-    def cell_count(self, scale=None):
+    def cell_count(self, scale):
         """Number of grid cells at ``scale``."""
         axis_cells = 1
         for __, values in self.axes:
@@ -299,9 +299,8 @@ class SweepSpec:
                     for item in data[name])
         return cls(**data)
 
-    def describe(self, scale=None):
+    def describe(self, scale):
         """JSON-ready summary with scale-resolved axes and durations."""
-        scale = resolve_scale() if scale is None else scale
         return {
             "name": self.name,
             "kind": self.kind,
@@ -324,8 +323,7 @@ class SweepSpec:
 
 
 def adhoc_sweep(name, kind, scenarios, buffers, seed=0, warmup=5.0,
-                duration=8.0, disciplines=("droptail",), params=(),
-                axes=()):
+                duration=8.0, params=(), axes=()):
     """Build an unregistered spec with a *literal* (unscaled) duration.
 
     For scripts, examples and tests whose explicit ``duration=`` must
@@ -337,8 +335,7 @@ def adhoc_sweep(name, kind, scenarios, buffers, seed=0, warmup=5.0,
         name=name, kind=kind, title=name, provenance="ad-hoc",
         scenarios=tuple(scenarios), buffers=tuple(buffers), seed=seed,
         warmup=warmup, duration=duration, duration_min=duration,
-        params=tuple(params), axes=tuple(axes),
-        disciplines=tuple(disciplines))
+        params=tuple(params), axes=tuple(axes))
 
 
 # ---------------------------------------------------------------------------

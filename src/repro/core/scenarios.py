@@ -23,7 +23,7 @@ measured utilizations match Table 1:
   short-low/-medium/-high/-overload
 
 Congestion control follows §5.2: TCP Reno for the backbone background
-traffic, CUBIC (BIC available) for the access testbed.
+traffic, CUBIC for the access testbed.
 """
 
 from dataclasses import dataclass
@@ -37,6 +37,10 @@ BACKBONE_INTERARRIVAL = 0.5
 ACCESS_DOWN_CAP = 8
 ACCESS_UP_CAP = 35
 BACKBONE_CAP = 3
+
+#: Congestion control of every host on each testbed (§5.2).
+ACCESS_CC = "cubic"
+BACKBONE_CC = "reno"
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class Scenario:
     up_interarrival: float = ACCESS_UP_INTERARRIVAL
     down_session_cap: int = ACCESS_DOWN_CAP
     up_session_cap: int = ACCESS_UP_CAP
-    cc: str = "cubic"
+    cc: str = ACCESS_CC
 
     @property
     def label(self):
@@ -91,7 +95,7 @@ ACCESS_WORKLOAD_NAMES = ("noBG", "short-few", "short-many",
 ACCESS_DIRECTIONS = ("down", "up", "bidir")
 
 
-def access_scenario(name, direction="down", cc="cubic"):
+def access_scenario(name, direction="down"):
     """Build one access-testbed scenario row.
 
     ``direction`` selects which side of the base workload is active:
@@ -106,7 +110,7 @@ def access_scenario(name, direction="down", cc="cubic"):
     kind = base.pop("kind")
     if kind == "none":
         return Scenario(name=name, testbed="access", direction="none",
-                        kind="none", cc=cc)
+                        kind="none", cc=ACCESS_CC)
     if direction not in ACCESS_DIRECTIONS:
         raise ValueError("direction must be one of %s" % (ACCESS_DIRECTIONS,))
     if direction == "down":
@@ -116,7 +120,8 @@ def access_scenario(name, direction="down", cc="cubic"):
         base["down_sessions"] = 0
         base["down_flows"] = 0
     return Scenario(name=name, testbed="access", direction=direction,
-                    kind=kind, cc=cc, **{k: v for k, v in base.items()})
+                    kind=kind, cc=ACCESS_CC,
+                    **{k: v for k, v in base.items()})
 
 
 #: The full access catalog: noBG plus every (workload, direction) pair.
@@ -145,7 +150,7 @@ BACKBONE_WORKLOAD_NAMES = ("noBG", "short-low", "short-medium",
                            "short-high", "short-overload", "long")
 
 
-def backbone_scenario(name, cc="reno"):
+def backbone_scenario(name):
     """Build one backbone-testbed scenario row."""
     try:
         base = dict(_BACKBONE_BASE[name])
@@ -155,9 +160,10 @@ def backbone_scenario(name, cc="reno"):
     kind = base.pop("kind")
     if kind == "none":
         return Scenario(name=name, testbed="backbone", direction="none",
-                        kind="none", cc=cc)
+                        kind="none", cc=BACKBONE_CC)
     return Scenario(
-        name=name, testbed="backbone", direction="down", kind=kind, cc=cc,
+        name=name, testbed="backbone", direction="down", kind=kind,
+        cc=BACKBONE_CC,
         down_interarrival=BACKBONE_INTERARRIVAL,
         down_session_cap=BACKBONE_CAP,
         **{k: v for k, v in base.items()},

@@ -44,35 +44,33 @@ CONCEAL_SHIFT = 14
 CONCEAL_DC_SHIFT = 0.06
 
 
-def frame_types(n_frames, gop=GOP_SIZE):
+def frame_types(n_frames):
     """'I'/'P' type per frame."""
-    return ["I" if index % gop == 0 else "P" for index in range(n_frames)]
+    return ["I" if index % GOP_SIZE == 0 else "P" for index in range(n_frames)]
 
 
-def frame_bytes(resolution, n_frames, fps=FPS, gop=GOP_SIZE):
+def frame_bytes(resolution, n_frames):
     """Byte budget per frame meeting the profile's target bitrate.
 
     Within a GOP the I frame gets ``I_TO_P_RATIO`` times a P frame's
     bytes; totals match ``bitrate * duration``.
     """
     bitrate = BITRATES[resolution]
-    bytes_per_gop = bitrate / 8.0 * gop / fps
-    p_bytes = bytes_per_gop / (I_TO_P_RATIO + (gop - 1))
+    bytes_per_gop = bitrate / 8.0 * GOP_SIZE / FPS
+    p_bytes = bytes_per_gop / (I_TO_P_RATIO + (GOP_SIZE - 1))
     i_bytes = I_TO_P_RATIO * p_bytes
     return [int(i_bytes) if t == "I" else int(p_bytes)
-            for t in frame_types(n_frames, gop)]
+            for t in frame_types(n_frames)]
 
 
-def slice_rows(height, slice_index, n_slices=SLICES_PER_FRAME):
+def slice_rows(height, slice_index):
     """Row range (start, stop) of one horizontal slice."""
-    start = (height * slice_index) // n_slices
-    stop = (height * (slice_index + 1)) // n_slices
+    start = (height * slice_index) // SLICES_PER_FRAME
+    stop = (height * (slice_index + 1)) // SLICES_PER_FRAME
     return start, max(stop, start + 1)
 
 
-def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
-           conceal_shift=CONCEAL_SHIFT, conceal_dc=CONCEAL_DC_SHIFT,
-           motion_reach=MOTION_REACH):
+def decode(reference, received):
     """Decode a received stream with error concealment, frame by frame.
 
     Parameters
@@ -87,8 +85,8 @@ def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
     A lost slice is concealed with a *displaced* copy of the co-located
     region of the previous decoded frame (wrong motion vectors) plus a
     DC error; a received P slice whose reference region is corrupted
-    inherits the error attenuated by ``propagation`` until the next I
-    frame.
+    inherits the error attenuated by :data:`PROPAGATION` until the next
+    I frame.
 
     Yields the decoded frames in order.  They are decoded into a
     two-frame ring, so memory does not grow with the clip: a yielded
@@ -103,7 +101,10 @@ def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
     buffer, allocated on the first one.
     """
     n_frames, height, __ = reference.shape
-    types = frame_types(n_frames, gop)
+    types = frame_types(n_frames)
+    # Locals, not module globals, in the per-slice loop.
+    propagation, conceal_shift, conceal_dc = (PROPAGATION, CONCEAL_SHIFT,
+                                              CONCEAL_DC_SHIFT)
     ring = np.full((2,) + reference.shape[1:], 0.5, dtype=reference.dtype)
     previous = ring[1]  # decoder start-up grey
     clean = False  # previous is exactly reference[f - 1]
@@ -128,7 +129,7 @@ def decode(reference, received, gop=GOP_SIZE, propagation=PROPAGATION,
                 scratch = (tuple(np.empty_like(current) for __ in range(4))
                            + (np.empty(current.shape, dtype=bool),))
             spread_error = _spread_error(previous, reference[f - 1],
-                                         motion_reach, scratch)
+                                         MOTION_REACH, scratch)
         else:
             spread_error = None
         for s in range(SLICES_PER_FRAME):

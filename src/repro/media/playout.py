@@ -18,6 +18,12 @@ import numpy as np
 #: delay (G.711 frame assembly plus device processing).
 CODEC_DELAY = 0.025
 
+#: Concealment: each consecutive lost frame repeats the last good one
+#: attenuated by another factor of ``CONCEAL_DECAY``; after
+#: ``MUTE_AFTER`` repeats the output is muted.
+CONCEAL_DECAY = 0.5
+MUTE_AFTER = 3
+
 
 @dataclass
 class PlayoutResult:
@@ -102,14 +108,16 @@ class PlayoutBuffer:
         )
 
 
-def reconstruct_signal(reference_frames, statuses, decay=0.5, mute_after=3):
+def reconstruct_signal(reference_frames, statuses):
     """Rebuild the played signal applying concealment.
 
     ``reference_frames`` is the list of decoded (codec round-tripped)
     frames the sender emitted; frames whose status is not ``"ok"`` are
-    concealed by repeating the last good frame attenuated by ``decay``
-    per consecutive loss, muted after ``mute_after`` repeats.
+    concealed by repeating the last good frame attenuated by
+    :data:`CONCEAL_DECAY` per consecutive loss, muted after
+    :data:`MUTE_AFTER` repeats.
     """
+    decay, mute_after = CONCEAL_DECAY, MUTE_AFTER  # locals in the loop
     pieces = []
     last_good = None
     consecutive = 0

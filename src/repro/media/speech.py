@@ -19,6 +19,10 @@ SAMPLE_SECONDS = 8.0
 #: Speech band of interest (narrow-band telephony).
 _MIN_F0, _MAX_F0 = 90.0, 240.0
 
+#: Active-speech RMS level at int16 scale (~-22 dBov, typical for the
+#: ITU corpus).
+RMS_LEVEL = 2600.0
+
 
 def _voiced_segment(rng, n, f0_base, formants):
     """A vowel-ish harmonic stack with vibrato and a formant envelope."""
@@ -62,17 +66,14 @@ def _envelope(rng, n):
     return env
 
 
-def synthesize_speech(seed, duration=SAMPLE_SECONDS, rate=SAMPLE_RATE,
-                      rms_level=2600.0):
+def synthesize_speech(seed, duration=SAMPLE_SECONDS):
     """Synthesize one speech-like sample as float64 PCM at int16 scale.
 
-    ``seed`` selects the "speaker and sentence"; ``rms_level`` targets
-    the active-speech level (~-22 dBov, typical for the ITU corpus).
+    ``seed`` selects the "speaker and sentence"; the active speech is
+    scaled to :data:`RMS_LEVEL`.
     """
-    if rate != SAMPLE_RATE:
-        raise ValueError("speech synthesis is fixed at 8 kHz")
     rng = np.random.default_rng(seed)
-    total = int(duration * rate)
+    total = int(duration * SAMPLE_RATE)
     f0_base = rng.uniform(_MIN_F0, _MAX_F0)
     formants = [
         (rng.uniform(300, 900), rng.uniform(80, 200), rng.uniform(0.8, 1.2)),
@@ -84,7 +85,7 @@ def synthesize_speech(seed, duration=SAMPLE_SECONDS, rate=SAMPLE_RATE,
     while cursor < total:
         kind = rng.choice(["voiced", "unvoiced", "pause"],
                           p=[0.55, 0.25, 0.20])
-        seg_len = int(rng.uniform(0.08, 0.40) * rate)
+        seg_len = int(rng.uniform(0.08, 0.40) * SAMPLE_RATE)
         seg_len = min(seg_len, total - cursor)
         if seg_len <= 8:
             break
@@ -103,5 +104,5 @@ def synthesize_speech(seed, duration=SAMPLE_SECONDS, rate=SAMPLE_RATE,
     if active.size:
         rms = np.sqrt(np.mean(active ** 2))
         if rms > 0:
-            out *= rms_level / rms
+            out *= RMS_LEVEL / rms
     return np.clip(out, -32768, 32767)

@@ -77,7 +77,7 @@ def _backdrop(frame, texture, shift, axis, offset, gain):
     np.add(offset, frame, out=frame)
 
 
-def generate_clip(clip, resolution="SD", n_frames=None, fps=FPS):
+def generate_clip(clip, resolution="SD", n_frames=None):
     """Generate one clip as a float32 array [frames, height, width] in [0,1].
 
     ``clip`` is ``"A"`` (interview), ``"B"`` (soccer) or ``"C"`` (movie).
@@ -87,7 +87,7 @@ def generate_clip(clip, resolution="SD", n_frames=None, fps=FPS):
     """
     width, height = RESOLUTIONS[resolution]
     if n_frames is None:
-        n_frames = int(CLIP_SECONDS * fps)
+        n_frames = int(CLIP_SECONDS * FPS)
     rng = np.random.default_rng({"A": 11, "B": 22, "C": 33}[clip])
     background = _field_texture(rng, width, height)
     if clip == "C":
@@ -104,7 +104,7 @@ def generate_clip(clip, resolution="SD", n_frames=None, fps=FPS):
         # Interview: static backdrop, one slowly swaying head-and-shoulders
         # blob, tiny sensor noise.
         for f in range(n_frames):
-            t = f / fps
+            t = f / FPS
             _backdrop(frame, background, 0, 0, 0.35, 0.25)
             cx = width * (0.5 + 0.02 * np.sin(2 * np.pi * 0.2 * t))
             cy = height * (0.45 + 0.01 * np.sin(2 * np.pi * 0.13 * t))
@@ -119,7 +119,7 @@ def generate_clip(clip, resolution="SD", n_frames=None, fps=FPS):
                     rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2))
                    for __ in range(8)]
         for f in range(n_frames):
-            t = f / fps
+            t = f / FPS
             shift = int((t * 0.35 * width)) % width
             _backdrop(frame, background, shift, 1, 0.3, 0.4)
             for px, py, vx, vy in players:
@@ -134,7 +134,7 @@ def generate_clip(clip, resolution="SD", n_frames=None, fps=FPS):
     else:
         # Movie: medium pan, two drifting subjects, hard scene cut halfway.
         for f in range(n_frames):
-            t = f / fps
+            t = f / FPS
             if f < n_frames // 2:
                 shift = int(t * 0.08 * width)
                 _backdrop(frame, background, shift, 1, 0.3, 0.35)

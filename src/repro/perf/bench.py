@@ -81,10 +81,10 @@ class _SimRunTimer:
         original = engine.Simulator.run
         timer = self
 
-        def timed_run(sim, until=None):
+        def timed_run(sim, *args, **kwargs):
             t0 = time.process_time()
             try:
-                return original(sim, until=until)
+                return original(sim, *args, **kwargs)
             finally:
                 timer.seconds += time.process_time() - t0
 
@@ -199,9 +199,9 @@ def baseline_workloads(baseline, mode):
     return {}
 
 
-def check_regression(current, baseline, tolerance=0.30, out=sys.stderr):
+def check_regression(current, baseline, tolerance=0.30):
     """Fail (return False) if a workload's ``sim_seconds`` grew by more
-    than ``tolerance``.
+    than ``tolerance``; prints one line per workload on stderr.
 
     Compares the CPU seconds inside ``Simulator.run`` of each workload
     present in both documents, measured in the same mode (a quick run is
@@ -213,7 +213,7 @@ def check_regression(current, baseline, tolerance=0.30, out=sys.stderr):
     bases = baseline_workloads(baseline, current.get("mode"))
     if not bases:
         print("perf-check: the baseline has no %s-mode workloads"
-              % current.get("mode"), file=out)
+              % current.get("mode"), file=sys.stderr)
         return False
     ok = True
     for name, workload in current["workloads"].items():
@@ -226,7 +226,7 @@ def check_regression(current, baseline, tolerance=0.30, out=sys.stderr):
               "%.3f s (ceiling %.3f s); %d ev/s vs %d"
               % (name, status, workload["sim_seconds"], base["sim_seconds"],
                  ceiling, workload.get("events_per_sec", 0),
-                 base.get("events_per_sec", 0)), file=out)
+                 base.get("events_per_sec", 0)), file=sys.stderr)
         if status != "ok":
             ok = False
     return ok

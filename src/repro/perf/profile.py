@@ -23,12 +23,11 @@ import pstats
 SORT_KEYS = ("tottime", "cumulative", "ncalls")
 
 
-def profile_cell(sweep, cell=0, scale=1.0, top=25, sort="tottime",
-                 warm=True):
+def profile_cell(sweep, cell=0, scale=1.0, top=25, sort="tottime"):
     """Profile one registry cell; returns ``(report_text, task)``.
 
-    ``warm=True`` runs the cell once unprofiled first so process-lifetime
-    caches (speech synthesis, clip generation) don't pollute the profile.
+    The cell runs once unprofiled first so process-lifetime caches
+    (speech synthesis, clip generation) don't pollute the profile.
     """
     from repro.core.registry import get
     from repro.runner.execute import execute_task
@@ -40,8 +39,7 @@ def profile_cell(sweep, cell=0, scale=1.0, top=25, sort="tottime",
         raise IndexError("sweep %r has %d cells at scale %g; cell %d "
                          "out of range" % (sweep, len(tasks), scale, cell))
     task = tasks[cell]
-    if warm:
-        execute_task(task)
+    execute_task(task)
     profiler = cProfile.Profile()
     profiler.enable()
     execute_task(task)

@@ -15,20 +15,20 @@ ACCESS_MIN_PLT = 0.56
 BACKBONE_MIN_PLT = 0.85
 
 
-def g1030_mos(plt, min_plt=ACCESS_MIN_PLT, max_plt=MAX_PLT):
+def g1030_mos(plt, min_plt=ACCESS_MIN_PLT):
     """Map a page-load time (seconds) to MOS in [1, 5].
 
     Logarithmic interpolation between ``min_plt`` (MOS 5) and
-    ``max_plt`` (MOS 1), clipped outside.
+    :data:`MAX_PLT` (MOS 1), clipped outside.
     """
     if plt is None:
         return 1.0
     if plt <= min_plt:
         return 5.0
-    if plt >= max_plt:
+    if plt >= MAX_PLT:
         return 1.0
-    span = math.log(max_plt) - math.log(min_plt)
-    return 1.0 + 4.0 * (math.log(max_plt) - math.log(plt)) / span
+    span = math.log(MAX_PLT) - math.log(min_plt)
+    return 1.0 + 4.0 * (math.log(MAX_PLT) - math.log(plt)) / span
 
 
 def min_plt_for(testbed):

@@ -155,7 +155,7 @@ def _index_markdown(entries, scale):
 
 
 def generate_report(names=None, out_dir="report", *, cached_only=False,
-                    scale=None, runner=None, sample=False, quiet=False):
+                    scale=None, runner=None, sample=False):
     """Write ``index.md`` + per-figure SVGs + ``fidelity.json``.
 
     ``names`` selects figures (default: all of
@@ -163,7 +163,8 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
     ValueError.  ``sample`` switches to the pinned tiny sample
     (:data:`SAMPLE_FIGURES` at :data:`SAMPLE_OVERRIDES`, scale 1.0) that
     ``docs/sample_report/`` commits.  Returns a summary dict with the
-    per-figure entries and a verdict tally.
+    per-figure entries and a verdict tally, and prints one progress line
+    per figure on stderr.
     """
     from repro import api
     from repro.core import registry
@@ -213,15 +214,14 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
             "fidelity": fig_fidelity.to_json(),
         }
         entries.append(entry)
-        if not quiet:
-            detail = ""
-            stats = getattr(runner, "last_stats", None)
-            if figure.sweep is not None and not cached_only and stats:
-                detail = ", %d cached, %d computed" % (
-                    stats.get("cached", 0), stats.get("computed", 0))
-            print("report: %-16s %-4s (%d/%d cells%s)"
-                  % (name, fig_fidelity.verdict, present, expected,
-                     detail), file=sys.stderr)
+        detail = ""
+        stats = getattr(runner, "last_stats", None)
+        if figure.sweep is not None and not cached_only and stats:
+            detail = ", %d cached, %d computed" % (
+                stats.get("cached", 0), stats.get("computed", 0))
+        print("report: %-16s %-4s (%d/%d cells%s)"
+              % (name, fig_fidelity.verdict, present, expected, detail),
+              file=sys.stderr)
 
     # Deliberately no timestamps and no run-mode echoes (cached vs
     # computed): the files must be a pure function of the results so a

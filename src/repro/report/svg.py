@@ -73,18 +73,15 @@ class Svg:
             self._parts.append("<%s%s>%s</%s>"
                                % (name, rendered, escape(text), name))
 
-    def rect(self, x, y, width, height, fill, stroke=None, stroke_width=None,
-             rx=None):
+    def rect(self, x, y, width, height, fill, stroke=None, stroke_width=None):
         self._tag("rect", x=fmt_num(x), y=fmt_num(y), width=fmt_num(width),
                   height=fmt_num(height), fill=fill, stroke=stroke,
                   stroke_width=(fmt_num(stroke_width)
-                                if stroke_width is not None else None),
-                  rx=(fmt_num(rx) if rx is not None else None))
+                                if stroke_width is not None else None))
 
-    def line(self, x1, y1, x2, y2, stroke, width=1.0, dash=None):
+    def line(self, x1, y1, x2, y2, stroke, width=1.0):
         self._tag("line", x1=fmt_num(x1), y1=fmt_num(y1), x2=fmt_num(x2),
-                  y2=fmt_num(y2), stroke=stroke, stroke_width=fmt_num(width),
-                  stroke_dasharray=dash)
+                  y2=fmt_num(y2), stroke=stroke, stroke_width=fmt_num(width))
 
     def polyline(self, points, stroke, width=1.5):
         encoded = " ".join("%s,%s" % (fmt_num(x), fmt_num(y))
@@ -156,7 +153,7 @@ def _legend_extent():
     return x + 5.2 * len(_LEGEND_NOTE)
 
 
-def heatmap_panels(title, panels, legend=True):
+def heatmap_panels(title, panels):
     """Render one or more labelled heatmap panels as a single SVG.
 
     ``panels`` is a list of ``(panel title, row labels, col labels,
@@ -164,18 +161,17 @@ def heatmap_panels(title, panels, legend=True):
     ``(text, marker, subtext)`` triple — ``marker`` selects the
     traffic-light fill (:data:`repro.viz.heatmap.MARKER_COLORS`) and
     ``subtext`` (may be None) is drawn small and grey under the value,
-    which the report uses for the digitized paper value.
+    which the report uses for the digitized paper value.  A legend row
+    of the markers closes the figure.
     """
     width = (MARGIN * 2
              + max(LABEL_W + len(panel[2]) * CELL_W for panel in panels))
-    if legend:
-        # Narrow heatmaps must not clip the legend caption.
-        width = max(width, _legend_extent() + MARGIN)
+    # Narrow heatmaps must not clip the legend caption.
+    width = max(width, _legend_extent() + MARGIN)
     height = MARGIN * 2 + TITLE_H
     for panel in panels:
         height += HEADER_H + len(panel[1]) * CELL_H + PANEL_GAP + 20
-    if legend:
-        height += LEGEND_H
+    height += LEGEND_H
     svg = Svg(width, height)
     svg.rect(0, 0, width, height, fill="#ffffff")
     svg.text(MARGIN, MARGIN + 16, title, size=15, weight="bold")
@@ -215,16 +211,15 @@ def heatmap_panels(title, panels, legend=True):
                              subtext, size=9, anchor="middle",
                              fill=PAPER_COLOR)
         y += len(row_labels) * CELL_H + PANEL_GAP
-    if legend:
-        x = MARGIN
-        for marker in "+o!":
-            label, fill, text_color = MARKER_COLORS[marker]
-            svg.rect(x, y + 4, 14, 14, fill=fill, stroke=GRID_COLOR,
-                     stroke_width=1)
-            svg.text(x + 19, y + 15, label, size=11, fill=AXIS_COLOR)
-            x += 19 + 8 * len(label) + 18
-        svg.text(x, y + 15, _LEGEND_NOTE, size=10, fill=MUTED_COLOR,
-                 style="italic")
+    x = MARGIN
+    for marker in "+o!":
+        label, fill, text_color = MARKER_COLORS[marker]
+        svg.rect(x, y + 4, 14, 14, fill=fill, stroke=GRID_COLOR,
+                 stroke_width=1)
+        svg.text(x + 19, y + 15, label, size=11, fill=AXIS_COLOR)
+        x += 19 + 8 * len(label) + 18
+    svg.text(x, y + 15, _LEGEND_NOTE, size=10, fill=MUTED_COLOR,
+             style="italic")
     return svg.to_string()
 
 

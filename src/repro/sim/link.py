@@ -35,10 +35,10 @@ class InterfaceStats:
 
     __slots__ = ("tx_packets", "tx_bytes", "busy_time", "window_start")
 
-    def __init__(self, now=0.0):
-        self.reset(now)
+    def __init__(self):
+        self.reset(0.0)
 
-    def reset(self, now=0.0):
+    def reset(self, now):
         self.tx_packets = 0
         self.tx_bytes = 0
         self.busy_time = 0.0

@@ -1,4 +1,4 @@
-"""Congestion-control algorithms: Reno, BIC and CUBIC.
+"""Congestion-control algorithms: Reno and CUBIC.
 
 The algorithm object owns ``cwnd`` and ``ssthresh`` (bytes).  The
 connection calls:
@@ -9,12 +9,18 @@ connection calls:
 * :meth:`on_timeout` when the retransmission timer fires.
 
 Windows are floats in bytes; the connection rounds down to whole segments
-when deciding what to transmit.  BIC and CUBIC follow the published
-algorithms (Xu et al. 2004; Ha/Rhee/Xu 2008, RFC 8312) with windows
-expressed in segments internally.
+when deciding what to transmit.  CUBIC follows the published algorithm
+(Ha/Rhee/Xu 2008, RFC 8312) with windows expressed in segments
+internally.
 """
 
 INFINITE_SSTHRESH = float("inf")
+
+#: Maximum segment size (bytes) of every host in the testbeds.
+MSS = 1460
+
+#: Initial congestion window, in segments.
+INITIAL_WINDOW = 3
 
 
 class CongestionControl:
@@ -22,7 +28,7 @@ class CongestionControl:
 
     name = "base"
 
-    def __init__(self, mss=1460, initial_window_segments=3):
+    def __init__(self, mss=MSS, initial_window_segments=INITIAL_WINDOW):
         self.mss = mss
         self.cwnd = float(initial_window_segments * mss)
         self.ssthresh = INFINITE_SSTHRESH
@@ -39,7 +45,7 @@ class CongestionControl:
     def maybe_exit_slow_start(self, rtt_sample, min_rtt):
         """HyStart-style delay-based slow-start exit.
 
-        Linux has shipped HyStart with CUBIC/BIC since 2.6.29: once RTT
+        Linux has shipped HyStart with CUBIC since 2.6.29: once RTT
         samples exceed the path minimum by a threshold (min_rtt/8 clamped
         to [4 ms, 16 ms]), the queue is clearly building and slow start
         ends by setting ``ssthresh`` to the current window.  Without this,
@@ -98,58 +104,6 @@ class Reno(CongestionControl):
         return self.ssthresh
 
 
-class Bic(CongestionControl):
-    """Binary Increase Congestion control (Xu, Harfoush, Rhee 2004).
-
-    Above ``LOW_WINDOW`` segments, the window binary-searches toward the
-    pre-loss maximum (capped at ``S_MAX`` per RTT, floored at ``S_MIN``)
-    and probes additively beyond it.  Below ``LOW_WINDOW`` it behaves
-    like Reno.
-    """
-
-    name = "bic"
-
-    LOW_WINDOW = 14.0  # segments
-    S_MAX = 16.0  # max increment, segments per RTT (Linux BICTCP_MAX_INCREMENT)
-    S_MIN = 0.01  # min increment, segments per RTT
-    BETA = 0.8  # multiplicative decrease (BIC uses 0.8/0.875 variants)
-
-    def __init__(self, mss=1460, initial_window_segments=3):
-        super().__init__(mss, initial_window_segments)
-        self.w_max = 0.0  # segments
-
-    def _segments(self):
-        return self.cwnd / self.mss
-
-    def on_ack(self, acked_bytes, now, srtt):
-        if self.in_slow_start:
-            self._slow_start_increase(acked_bytes)
-            return
-        w = self._segments()
-        if w < self.LOW_WINDOW or self.w_max <= 0.0:
-            increment = 1.0  # Reno-like regime
-        elif w < self.w_max:
-            distance = (self.w_max - w) / 2.0  # binary search step
-            increment = min(max(distance, self.S_MIN), self.S_MAX)
-        else:
-            # Max probing: slow start-like departure from w_max.
-            distance = w - self.w_max
-            increment = min(max(distance, self.S_MIN), self.S_MAX)
-        # Spread the per-RTT increment over one window of ACKs.
-        self.cwnd += self.mss * increment / max(w, 1.0)
-
-    def on_loss(self, flight_bytes, now):
-        w = flight_bytes / self.mss
-        if w < self.w_max:
-            # Fast convergence: release bandwidth for newer flows.
-            self.w_max = w * (1.0 + self.BETA) / 2.0
-        else:
-            self.w_max = w
-        self.ssthresh = max(flight_bytes * self.BETA, 2.0 * self.mss)
-        self.cwnd = self.ssthresh
-        return self.ssthresh
-
-
 class Cubic(CongestionControl):
     """CUBIC (RFC 8312): cubic window growth in real time + TCP friendliness."""
 
@@ -158,7 +112,7 @@ class Cubic(CongestionControl):
     C = 0.4  # scaling constant (segments / s^3)
     BETA = 0.7  # multiplicative decrease
 
-    def __init__(self, mss=1460, initial_window_segments=3):
+    def __init__(self, mss=MSS, initial_window_segments=INITIAL_WINDOW):
         super().__init__(mss, initial_window_segments)
         self.w_max = 0.0  # segments
         self.epoch_start = None
@@ -214,10 +168,10 @@ class Cubic(CongestionControl):
         self.epoch_start = None
 
 
-_CC_BY_NAME = {"reno": Reno, "bic": Bic, "cubic": Cubic}
+_CC_BY_NAME = {"reno": Reno, "cubic": Cubic}
 
 
-def make_cc(name, mss=1460, initial_window_segments=3):
+def make_cc(name):
     """Instantiate a congestion-control algorithm by name."""
     try:
         cls = _CC_BY_NAME[name]
@@ -225,4 +179,4 @@ def make_cc(name, mss=1460, initial_window_segments=3):
         raise ValueError(
             "unknown congestion control %r (have %s)" % (name, sorted(_CC_BY_NAME))
         ) from None
-    return cls(mss=mss, initial_window_segments=initial_window_segments)
+    return cls()

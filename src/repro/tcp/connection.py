@@ -36,7 +36,7 @@ from repro.sim.packet import (
     TCP_HEADER,
     Packet,
 )
-from repro.tcp.cc import Reno
+from repro.tcp.cc import MSS, Reno
 
 # Connection states (strings keep debugging output readable).
 CLOSED = "closed"
@@ -53,6 +53,9 @@ MAX_RTO = 60.0
 DELACK_TIMEOUT = 0.040
 DUPACK_THRESHOLD = 3
 MAX_HANDSHAKE_RETRIES = 6
+
+#: Receive window (bytes) the peer advertises: large enough never to bind.
+RWND = 1 << 30
 
 #: Sentinel stream length for send_forever() sources.
 _INFINITE_BYTES = 1 << 62
@@ -87,13 +90,13 @@ class TcpConnection:
 
     __slots__ = (
         "sim", "node", "peer_addr", "peer_port", "local_port", "cc", "mss",
-        "delayed_ack", "rwnd", "state", "stats",
+        "delayed_ack", "state", "stats",
         "on_established", "on_data", "on_message", "on_peer_fin", "on_close",
         "snd_una", "snd_nxt", "_snd_max", "_app_bytes", "_infinite",
         "_fin_pending", "_fin_sent", "_fin_acked", "_fin_seq",
         "_tx_marker_offsets", "_tx_marker_meta", "_dupacks", "_in_recovery",
         "_recover",
-        "_inflation", "_partial_acks", "_peer_rwnd", "srtt", "rttvar",
+        "_inflation", "_partial_acks", "srtt", "rttvar",
         "min_rtt", "rto", "_rto_timer", "_handshake_retries",
         "rcv_nxt", "_rx_holes", "_rx_marker_heap", "_rx_marker_seen",
         "_peer_fin_seq", "_peer_fin_consumed", "_delack_timer",
@@ -108,19 +111,16 @@ class TcpConnection:
         peer_port,
         local_port=None,
         cc=None,
-        mss=1460,
         delayed_ack=True,
-        rwnd=1 << 30,
     ):
         self.sim = sim
         self.node = node
         self.peer_addr = peer_addr
         self.peer_port = peer_port
         self.local_port = node.allocate_port() if local_port is None else local_port
-        self.cc = cc if cc is not None else Reno(mss)
-        self.mss = mss
+        self.cc = cc if cc is not None else Reno()
+        self.mss = MSS
         self.delayed_ack = delayed_ack
-        self.rwnd = rwnd
         self.state = CLOSED
         self.stats = TcpStats()
 
@@ -148,7 +148,6 @@ class TcpConnection:
         self._recover = 0
         self._inflation = 0.0
         self._partial_acks = 0
-        self._peer_rwnd = rwnd  # symmetric default; never advertised smaller
         self.srtt = None
         self.rttvar = None
         self.min_rtt = None  # minimum raw RTT sample (HyStart baseline)
@@ -245,7 +244,7 @@ class TcpConnection:
             return
         data_end = self._data_end_seq()
         mss = self.mss
-        peer_rwnd = self._peer_rwnd
+        peer_rwnd = RWND
         cc = self.cc
         while True:
             # Usable window: min(cwnd + inflation, peer rwnd).  cwnd may
@@ -352,7 +351,8 @@ class TcpConnection:
         self._pending_ack_segments = 0
         self.node.send(packet)
 
-    def _send_control(self, flags, seq, payload_len=0, markers=None):
+    def _send_control(self, flags, seq, markers=None):
+        """Send a segment without payload (SYN, SYN-ACK or FIN)."""
         now = self.sim.now
         packet = Packet(
             self.node.addr,          # src
@@ -360,11 +360,11 @@ class TcpConnection:
             self.local_port,         # sport
             self.peer_port,          # dport
             "tcp",
-            IPV4_HEADER + TCP_HEADER + payload_len,
+            IPV4_HEADER + TCP_HEADER,
             seq,
             self.rcv_nxt if (flags & FLAG_ACK) else 0,  # ack_no
             flags,
-            payload_len,
+            0,                       # payload_len
             now,                     # ts
             self._ts_to_echo,
             markers,

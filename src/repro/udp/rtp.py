@@ -17,40 +17,35 @@ class RtpPacket:
     for video.
     """
 
-    __slots__ = ("seq", "timestamp", "marker", "media", "sent_at")
+    __slots__ = ("seq", "timestamp", "media", "sent_at")
 
-    def __init__(self, seq, timestamp, marker=False, media=None, sent_at=0.0):
+    def __init__(self, seq, timestamp, media, sent_at):
         self.seq = seq
         self.timestamp = timestamp
-        self.marker = marker
         self.media = media
         self.sent_at = sent_at
 
     def __repr__(self):
-        return "RtpPacket(seq=%d, ts=%.4f, marker=%s)" % (
-            self.seq,
-            self.timestamp,
-            self.marker,
-        )
+        return "RtpPacket(seq=%d, ts=%.4f)" % (self.seq, self.timestamp)
 
 
 class RtpSender:
     """Sequencing/timestamping wrapper around a UDP socket."""
 
-    def __init__(self, sim, node, dst_addr, dst_port, local_port=None):
+    def __init__(self, sim, node, dst_addr, dst_port):
         from repro.udp.socket import UdpSocket
 
         self.sim = sim
-        self.socket = UdpSocket(sim, node, port=local_port)
+        self.socket = UdpSocket(sim, node)
         self.dst_addr = dst_addr
         self.dst_port = dst_port
         self.next_seq = 0
 
-    def send(self, payload_bytes, timestamp, media=None, marker=False):
+    def send(self, payload_bytes, timestamp, media=None):
         """Send one RTP packet; returns (packet, accepted)."""
         seq = self.next_seq
         self.next_seq = seq + 1
-        rtp = RtpPacket(seq, timestamp, marker, media, self.sim.now)
+        rtp = RtpPacket(seq, timestamp, media, self.sim.now)
         accepted = self.socket.sendto(
             RTP_HEADER + payload_bytes, self.dst_addr, self.dst_port, rtp
         )
@@ -71,12 +66,11 @@ class RtpReceiver:
         RFC 3550 interarrival jitter estimate (seconds).
     """
 
-    def __init__(self, sim, node, port, on_packet=None):
+    def __init__(self, sim, node, port):
         from repro.udp.socket import UdpSocket
 
         self.sim = sim
         self.socket = UdpSocket(sim, node, port=port, on_datagram=self._on_datagram)
-        self.on_packet = on_packet
         self.arrivals = []
         self.received = 0
         self.highest_seq = -1
@@ -97,8 +91,6 @@ class RtpReceiver:
             self.jitter += (deviation - self.jitter) / 16.0  # RFC 3550
         self._last_transit = transit
         self.arrivals.append((rtp, now))
-        if self.on_packet is not None:
-            self.on_packet(rtp, now)
 
     @property
     def expected(self):

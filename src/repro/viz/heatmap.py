@@ -21,9 +21,8 @@ MARKER_COLORS = {
 }
 
 
-def render_grid(title, row_labels, col_labels, cell_fn, col_header="",
-                cell_width=None):
-    """Render a labelled grid.
+def render_grid(title, row_labels, col_labels, cell_fn, col_header=""):
+    """Render a labelled grid, each column as wide as the widest cell.
 
     ``cell_fn(row_label, col_label)`` returns the cell text (may include
     a marker suffix) or None for an empty cell.
@@ -33,9 +32,8 @@ def render_grid(title, row_labels, col_labels, cell_fn, col_header="",
         for col in col_labels:
             text = cell_fn(row, col)
             cells[(row, col)] = "" if text is None else str(text)
-    if cell_width is None:
-        texts = list(cells.values()) + [str(c) for c in col_labels]
-        cell_width = max(len(t) for t in texts) + 2
+    texts = list(cells.values()) + [str(c) for c in col_labels]
+    cell_width = max(len(t) for t in texts) + 2
     label_width = max(len(str(r)) for r in row_labels + [col_header]) + 2
 
     lines = [title]

@@ -32,23 +32,19 @@ def runner_for(tmp_path, workers=1):
 
 class TestRunSweep:
     def test_accepts_registry_names_and_overrides(self, tmp_path):
-        results = api.run_sweep(
-            "fig4-up", scale=1.0,
-            overrides={"workloads": ("long-few",), "buffers": (8,),
-                       "duration": 2.0, "warmup": 1.0},
-            runner=runner_for(tmp_path))
+        spec = api.apply_overrides(
+            registry.get("fig4-up"), scale=1.0, workloads=("long-few",),
+            buffers=(8,), duration=2.0, warmup=1.0)
+        results = api.run_sweep(spec, scale=1.0, runner=runner_for(tmp_path))
         assert results.keys() == [("long-few", 8)]
         assert results[("long-few", 8)].payload["duration"] == 2.0
 
-    def test_unknown_override_labels_raise(self, tmp_path):
+    def test_unknown_override_labels_raise(self):
+        spec = registry.get("fig4-up")
         with pytest.raises(ValueError, match="mystery"):
-            api.run_sweep("fig4-up", scale=1.0,
-                          overrides={"workloads": ("mystery",)},
-                          runner=runner_for(tmp_path))
+            api.apply_overrides(spec, scale=1.0, workloads=("mystery",))
         with pytest.raises(ValueError, match="fifo"):
-            api.run_sweep("fig4-up", scale=1.0,
-                          overrides={"disciplines": ("fifo",)},
-                          runner=runner_for(tmp_path))
+            api.apply_overrides(spec, scale=1.0, disciplines=("fifo",))
 
     def test_duration_override_is_literal_above_scale_one(self):
         spec = api.apply_overrides(tiny_spec(), scale=4.0, duration=2.0)
@@ -163,12 +159,10 @@ class TestLoadSweep:
         ran = api.run_sweep(spec, scale=1.0,
                             runner=GridRunner(workers=1, cache=cache,
                                               progress=False))
-        loaded = api.load_sweep(spec, scale=1.0, cache=cache, strict=True)
+        loaded = api.load_sweep(spec, scale=1.0, cache=cache)
         assert loaded == ran
 
     def test_misses_skip_or_raise(self, tmp_path):
         spec = tiny_spec()
         cache = ResultCache(directory=str(tmp_path / "empty"), enabled=True)
         assert len(api.load_sweep(spec, scale=1.0, cache=cache)) == 0
-        with pytest.raises(KeyError, match="not cached"):
-            api.load_sweep(spec, scale=1.0, cache=cache, strict=True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tcp.cc import Bic, CongestionControl, Cubic, Reno, make_cc
+from repro.tcp.cc import CongestionControl, Cubic, Reno, make_cc
 
 MSS = 1460
 
@@ -51,42 +51,6 @@ class TestReno:
         cc.on_timeout(flight_bytes=100 * MSS, now=1.0)
         assert cc.cwnd == MSS
         assert cc.ssthresh == pytest.approx(50 * MSS)
-
-
-class TestBic:
-    def test_binary_search_approaches_wmax(self):
-        cc = Bic(mss=MSS)
-        cc.ssthresh = 10 * MSS
-        cc.cwnd = 40 * MSS
-        cc.w_max = 100.0
-        # Many ACKs: window should move toward w_max but not wildly past.
-        for __ in range(2000):
-            cc.on_ack(MSS, now=1.0, srtt=0.1)
-            if cc.cwnd / MSS >= cc.w_max:
-                break
-        assert cc.cwnd / MSS >= 95.0
-
-    def test_increment_capped_by_smax(self):
-        cc = Bic(mss=MSS)
-        cc.ssthresh = MSS  # force congestion avoidance
-        cc.cwnd = 20 * MSS
-        cc.w_max = 10_000.0
-        before = cc.cwnd / MSS
-        cc.on_ack(MSS, now=1.0, srtt=0.1)
-        delta = cc.cwnd / MSS - before
-        assert delta <= Bic.S_MAX / before * 1.01
-
-    def test_fast_convergence_reduces_wmax(self):
-        cc = Bic(mss=MSS)
-        cc.w_max = 100.0
-        cc.on_loss(flight_bytes=50 * MSS, now=1.0)
-        assert cc.w_max == pytest.approx(50 * (1 + Bic.BETA) / 2)
-
-    def test_loss_uses_beta(self):
-        cc = Bic(mss=MSS)
-        cc.on_loss(flight_bytes=100 * MSS, now=1.0)
-        assert cc.ssthresh == pytest.approx(100 * MSS * Bic.BETA)
-        assert cc.cwnd == pytest.approx(cc.ssthresh)
 
 
 class TestCubic:
@@ -183,7 +147,7 @@ class TestSlowStartExit:
 class TestTimeoutCollapse:
     """RTO during/after recovery: exact window collapse per algorithm."""
 
-    @pytest.mark.parametrize("cls", [Reno, Bic, Cubic])
+    @pytest.mark.parametrize("cls", [Reno, Cubic])
     def test_timeout_exact_values(self, cls):
         cc = cls(mss=MSS)
         cc.cwnd = 80.0 * MSS
@@ -192,7 +156,7 @@ class TestTimeoutCollapse:
         assert cc.cwnd == float(MSS)  # exactly one segment
         assert cc.ssthresh == 30.0 * MSS  # flight/2
 
-    @pytest.mark.parametrize("cls", [Reno, Bic, Cubic])
+    @pytest.mark.parametrize("cls", [Reno, Cubic])
     def test_timeout_ssthresh_floor_two_segments(self, cls):
         cc = cls(mss=MSS)
         cc.on_timeout(flight_bytes=MSS, now=3.0)
@@ -236,14 +200,14 @@ class TestTimeoutCollapse:
 class TestByteCountingCap:
     """Appropriate byte counting: slow start grows by min(acked, MSS)."""
 
-    @pytest.mark.parametrize("cls", [Reno, Bic, Cubic])
+    @pytest.mark.parametrize("cls", [Reno, Cubic])
     def test_stretch_ack_capped_at_one_mss(self, cls):
         cc = cls(mss=MSS)
         before = cc.cwnd
         cc.on_ack(4 * MSS, now=1.0, srtt=0.05)  # stretch ACK
         assert cc.cwnd == before + MSS  # capped exactly at one MSS
 
-    @pytest.mark.parametrize("cls", [Reno, Bic, Cubic])
+    @pytest.mark.parametrize("cls", [Reno, Cubic])
     def test_partial_ack_counts_bytes(self, cls):
         cc = cls(mss=MSS)
         before = cc.cwnd
@@ -254,7 +218,6 @@ class TestByteCountingCap:
 class TestFactory:
     def test_make_cc_by_name(self):
         assert isinstance(make_cc("reno"), Reno)
-        assert isinstance(make_cc("bic"), Bic)
         assert isinstance(make_cc("cubic"), Cubic)
 
     def test_make_cc_unknown(self):

@@ -69,7 +69,7 @@ class TestDescribe:
         assert main(["describe", "fig5", "--json", "--hashes"]) == 0
         description = json.loads(capsys.readouterr().out)
         spec = get("fig5")
-        expected = {task.content_hash() for task in spec.tasks()}
+        expected = {task.content_hash() for task in spec.tasks(1.0)}
         assert set(description["cell_hashes"].values()) == expected
 
     def test_scale_override(self, capsys):
@@ -132,6 +132,22 @@ class TestRun:
         monkeypatch.setenv("REPRO_WORKERS", "0")
         with pytest.raises(SystemExit, match="REPRO_WORKERS must be at least"):
             main(["run", "fig5", "--buffers", "8"])
+
+    def test_bad_env_scale_exits_with_its_message(self, monkeypatch,
+                                                  tmp_path):
+        # Every command that reads REPRO_SCALE exits with the one-line
+        # message of the --scale check, before any work, not a traceback.
+        monkeypatch.setenv("REPRO_SCALE", "abc")
+        for command in (["list"], ["describe", "fig5"], ["run", "fig5"],
+                        ["export", "fig5"], ["figures", "table2"],
+                        ["report", "table2", "-o", str(tmp_path / "out")]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(command)
+            assert exit_info.value.code == ("REPRO_SCALE must be a finite "
+                                            "number above 0, got 'abc'"), \
+                command
+        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_buffers_rejected(self):
         with pytest.raises(SystemExit):

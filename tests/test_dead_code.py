@@ -13,11 +13,17 @@ methods that only call each other, still count as dead.  Definitions,
 imports and ``__all__`` entries are not reads, so
 a name that is only re-exported, or only exercised by ``tests/``, counts
 as dead.  Delete it, or add it to ``ALLOWED`` with the reason it stays.
+
+The dead-option guard scans the same readers for calls: a parameter with
+a default value must be set by some call, or be a constant.  See
+:func:`options` and :func:`calls` for what counts as setting one.
 """
 
 import ast
 import os
 import re
+
+from repro.runner.execute import CELLS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "repro")
@@ -181,3 +187,201 @@ def test_a_read_inside_a_same_named_function_is_not_a_read():
     assert read(recursive) == {"Inner", "data", "child", "node"}
     called = recursive + "def run(spec):\n    return walk(spec)\n"
     assert "walk" in read(called) and "from_json" not in read(called)
+
+
+# ---------------------------------------------------------------------------
+# Dead options: every defaulted parameter is set by some call.
+# ---------------------------------------------------------------------------
+_TESTS_SET = "mechanism parameter the tests set to reach an edge case"
+_EMODEL = "G.107 input of the E-model oracle, at the standard's default"
+_WEIBULL = ("paper's file-size parameter of the oracle the tests check the "
+            "Harpoon sampler's mean against")
+
+#: Defaulted parameters no call in the readers sets, keyed
+#: ``Class(param)`` (constructor), ``Class.method(param)`` or
+#: ``function(param)``, with the reason each stays a parameter.
+ALLOWED_OPTIONS = {
+    "REDQueue(min_th)": _TESTS_SET,
+    "REDQueue(max_th)": _TESTS_SET,
+    "REDQueue(max_p)": _TESTS_SET,
+    "REDQueue(weight)": _TESTS_SET,
+    "REDQueue(rng)": "tests seed it; per-seed RED drops (ROADMAP item 2) "
+                     "need the sweep seed to reach it",
+    "CoDelQueue(target)": _TESTS_SET,
+    "CoDelQueue(interval)": _TESTS_SET,
+    "Cubic(mss)": "the base class's signature: tests build every "
+                  "algorithm as cls(mss=...)",
+    "Cubic(initial_window_segments)": "the base class's signature, whose "
+                                      "initial window tests set",
+    "BulkTraffic(stagger)": "ROADMAP item 2 replaces the fixed "
+                            "index * stagger starts with seeded jitter",
+    "TcpListener(delayed_ack)": "the ROADMAP's one-Reno-flow theory "
+                                "oracle runs with delayed ACKs off",
+    "EModel(r0)": _EMODEL,
+    "EModel(ie)": _EMODEL,
+    "EModel(bpl)": _EMODEL,
+    "EModel(burst_ratio)": _EMODEL,
+    "EModel(advantage)": _EMODEL,
+    "EModel.score(loss_rate)": "tests score the E-model oracle at a loss "
+                               "rate",
+    "weibull_mean(shape)": _WEIBULL,
+    "weibull_mean(scale)": _WEIBULL,
+    "stanford_packets(packet_bytes)": "input of Table 2's BDP/sqrt(n) "
+                                      "rule, which tests check",
+    "GridRunner(log)": "test seam: tests capture the run log",
+    "ResultCache(fingerprint)": "test seam: tests pin the source "
+                                "fingerprint",
+    "load_sweep(cache)": "test seam: tests load from a private cache",
+    "PageFetch(on_complete)": "test seam: tests observe the fetch's end",
+    "IntervalSet(intervals)": "test seam: the property tests build sets "
+                              "from intervals",
+    "ResultSet.to_csv(path)": "public export API: writes a file",
+    "ResultSet.to_json(path)": "public export API: writes a file",
+}
+
+#: Calls the name scan cannot follow, as ``{callee: names it calls}``:
+#: ``execute_task`` calls each kind's cell function in :data:`CELLS`
+#: as ``cell(...)``.
+DISPATCH = {"cell": tuple(name for __, name in CELLS.values())}
+
+
+def options(tree):
+    """(key, callee, param, line, position) for every defaulted parameter
+    in the module.  ``key`` is ``Class(param)`` for a constructor,
+    ``Class.method(param)`` or ``function(param)``; ``callee`` is the
+    name a call uses: the class for a constructor, else the function or
+    method name; ``position`` is the index of the positional argument a
+    call passes for the parameter (``None`` for a keyword-only one)."""
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                callee = owner if node.name == "__init__" else node.name
+                name = callee if callee == owner or owner is None \
+                    else "%s.%s" % (owner, callee)
+                first = len(positional) - len(args.defaults)
+                params = [(arg.arg, index - bound) for index, arg
+                          in enumerate(positional[first:], first)]
+                params += [(arg.arg, None) for arg, default
+                           in zip(args.kwonlyargs, args.kw_defaults)
+                           if default is not None]
+                for param, position in params:
+                    yield ("%s(%s)" % (name, param), callee, param,
+                           node.lineno, position)
+                yield from visit(node.body, None)
+
+    yield from visit(tree.body, None)
+
+
+def calls(tree):
+    """``{callee: [(positional count, keywords, unpacks), ...]}`` for
+    every call in the module.  The callee is the called name or
+    attribute; ``super().__init__(...)`` calls the enclosing class's
+    bases and a :data:`DISPATCH` name calls its targets.  ``unpacks``
+    marks a ``*args`` or ``**kwargs`` argument, which may set any
+    parameter."""
+    found = {}
+
+    def visit(node, bases):
+        if isinstance(node, ast.ClassDef):
+            bases = tuple(base.id if isinstance(base, ast.Name) else base.attr
+                          for base in node.bases)
+        if isinstance(node, ast.Call):
+            func = node.func
+            names = ()
+            if isinstance(func, ast.Name):
+                names = DISPATCH.get(func.id, (func.id,))
+            elif isinstance(func, ast.Attribute):
+                value = func.value
+                if (func.attr == "__init__" and isinstance(value, ast.Call)
+                        and isinstance(value.func, ast.Name)
+                        and value.func.id == "super"):
+                    names = bases
+                else:
+                    names = (func.attr,)
+            positional = [arg for arg in node.args
+                          if not isinstance(arg, ast.Starred)]
+            unpacks = (len(positional) < len(node.args)
+                       or any(k.arg is None for k in node.keywords))
+            call = (len(positional), {k.arg for k in node.keywords}, unpacks)
+            for name in names:
+                found.setdefault(name, []).append(call)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bases)
+
+    visit(tree, ())
+    return found
+
+
+def unset(trees, readers):
+    """Keys of the defaulted parameters in ``trees`` (``{path: tree}``)
+    that no call in ``readers`` (trees) sets."""
+    made = {}
+    for tree in readers:
+        for name, found in calls(tree).items():
+            made.setdefault(name, []).extend(found)
+    keys = {}
+    for path, tree in trees.items():
+        for key, callee, param, line, position in options(tree):
+            if not any(unpacks or param in keywords
+                       or (position is not None and count > position)
+                       for count, keywords, unpacks in made.get(callee, ())):
+                keys[key] = "%s:%d" % (path, line)
+    return keys
+
+
+def unset_options():
+    """``{key: "path:line"}`` for every defaulted parameter under
+    ``src/repro`` that no call in the readers sets."""
+    readers = [parse(path) for top in READERS
+               for path in python_files(os.path.join(ROOT, top))]
+    trees = {os.path.relpath(path, ROOT): parse(path)
+             for path in python_files(PACKAGE)}
+    return unset(trees, readers)
+
+
+def test_every_option_is_set_by_a_call():
+    dead = ["%s %s" % (where, key)
+            for key, where in sorted(unset_options().items())
+            if key not in ALLOWED_OPTIONS]
+    assert not dead, ("defaulted parameters no call in %s sets (make them "
+                      "constants or allowlist them with a reason):\n  %s"
+                      % ("/".join(READERS), "\n  ".join(dead)))
+
+
+def test_option_allowlist_names_only_unset_parameters():
+    unset = unset_options()
+    stale = sorted(key for key in ALLOWED_OPTIONS if key not in unset)
+    assert not stale, ("allowlisted parameters that are gone or now set: %s"
+                       % stale)
+
+
+def test_the_option_scan_follows_positions_keywords_and_super():
+    tree = ast.parse("class Base:\n"
+                     "    def __init__(self, a=1, b=2, *, c=3):\n"
+                     "        pass\n"
+                     "class Child(Base):\n"
+                     "    def __init__(self, d=4):\n"
+                     "        super().__init__(0)\n"
+                     "    def run(self, e=5):\n"
+                     "        pass\n"
+                     "def go(f=6, g=7):\n"
+                     "    Child().run(c=0)\n"
+                     "    Base(**{})\n"
+                     "    cell(f=0)\n")
+    assert [(key, callee, position)
+            for key, callee, __, __, position in options(tree)] == [
+        ("Base(a)", "Base", 0), ("Base(b)", "Base", 1),
+        ("Base(c)", "Base", None), ("Child(d)", "Child", 0),
+        ("Child.run(e)", "run", 0), ("go(f)", "go", 0), ("go(g)", "go", 1)]
+    # super().__init__(0) sets Base's ``a``, Base(**{}) may set anything,
+    # and cell(...) is a call of every CELLS function, not of ``go``.
+    assert set(unset({"m": tree}, [tree])) == {
+        "Child(d)", "Child.run(e)", "go(f)", "go(g)"}

@@ -13,7 +13,7 @@ from repro.sim import Simulator
 from repro.sim.link import Interface
 from repro.sim.node import Node
 from repro.sim.queues import DropTailQueue
-from repro.tcp import Bic, Cubic, Reno, TcpConnection, TcpListener
+from repro.tcp import Cubic, Reno, TcpConnection, TcpListener
 from repro.util.units import MBPS, ms
 
 
@@ -47,7 +47,7 @@ def lossy_pair(p, seed, rate_bps=8 * MBPS, delay=ms(10)):
 
 
 @pytest.mark.parametrize("p", [0.01, 0.05, 0.10])
-@pytest.mark.parametrize("cc_cls", [Reno, Cubic, Bic])
+@pytest.mark.parametrize("cc_cls", [Reno, Cubic])
 def test_exact_delivery_under_random_loss(p, cc_cls):
     sim, a, b = lossy_pair(p, seed=int(p * 1000) + 1)
     got = {"bytes": 0, "messages": []}

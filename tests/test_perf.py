@@ -1,6 +1,5 @@
 """Tests for the repro.perf benchmark/profiler subsystem."""
 
-import io
 import json
 
 import pytest
@@ -108,11 +107,10 @@ class TestRegressionCheck:
         assert bench.check_regression(self._doc(1.2, "quick"), baseline)
         assert not bench.check_regression(self._doc(2.0, "quick"), baseline)
 
-    def test_baseline_without_the_mode_fails(self):
-        out = io.StringIO()
+    def test_baseline_without_the_mode_fails(self, capsys):
         assert not bench.check_regression(self._doc(1.0, "quick"),
-                                          self._doc(1.0), out=out)
-        assert "no quick-mode workloads" in out.getvalue()
+                                          self._doc(1.0))
+        assert "no quick-mode workloads" in capsys.readouterr().err
 
 
 class TestProfileHarness:

@@ -157,7 +157,7 @@ class TestScaleResolution:
     def test_env_scale_used_by_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "4")
         assert registry.resolve_scale() == 4.0
-        assert len(get("fig7b").scenario_axis()) == 5
+        assert len(get("fig7b").scenario_axis(registry.resolve_scale())) == 5
 
     def test_bad_env_scale_raises(self, monkeypatch):
         for bad in ("banana", "nan", "inf", "0", "-3"):
@@ -165,7 +165,7 @@ class TestScaleResolution:
             with pytest.raises(ValueError, match="REPRO_SCALE"):
                 registry.resolve_scale()
         monkeypatch.setenv("REPRO_SCALE", "")
-        assert registry.resolve_scale(default=2.0) == 2.0
+        assert registry.resolve_scale() == 1.0
 
     def test_describe_is_jsonable(self):
         for spec in REGISTRY.values():

@@ -296,8 +296,7 @@ class TestSchemaValidator:
 class TestGenerateReport:
     def test_sample_report_end_to_end(self, tmp_path):
         out = tmp_path / "report"
-        summary = build.generate_report(sample=True, out_dir=str(out),
-                                        quiet=True)
+        summary = build.generate_report(sample=True, out_dir=str(out))
         assert sorted(entry["figure"] for entry in summary["figures"]) \
             == sorted(build.SAMPLE_FIGURES)
         for name in build.SAMPLE_FIGURES:
@@ -316,7 +315,7 @@ class TestGenerateReport:
         # verdicts and honest 0/N coverage — and must not simulate.
         out = tmp_path / "report"
         summary = build.generate_report(["fig7a"], str(out),
-                                        cached_only=True, quiet=True)
+                                        cached_only=True)
         entry = summary["figures"][0]
         assert entry["verdict"] == SKIP
         assert entry["cells_present"] == 0
@@ -326,26 +325,25 @@ class TestGenerateReport:
     def test_cached_only_after_run_matches_bytes(self, tmp_path):
         first = tmp_path / "first"
         second = tmp_path / "second"
-        build.generate_report(sample=True, out_dir=str(first), quiet=True)
+        build.generate_report(sample=True, out_dir=str(first))
         # Second pass: cache-only, zero simulations, identical bytes.
         build.generate_report(sample=True, out_dir=str(second),
-                              cached_only=True, quiet=True)
+                              cached_only=True)
         for name in os.listdir(first):
             assert (first / name).read_bytes() \
                 == (second / name).read_bytes(), name
 
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="fig99"):
-            build.generate_report(["fig99"], str(tmp_path), quiet=True)
+            build.generate_report(["fig99"], str(tmp_path))
 
     def test_sample_conflicts_are_rejected(self, tmp_path):
         # --sample must not silently override explicit names or scale.
         with pytest.raises(ValueError, match="figure names"):
-            build.generate_report(["fig8"], str(tmp_path), sample=True,
-                                  quiet=True)
+            build.generate_report(["fig8"], str(tmp_path), sample=True)
         with pytest.raises(ValueError, match="scale"):
             build.generate_report(None, str(tmp_path), sample=True,
-                                  scale=2.0, quiet=True)
+                                  scale=2.0)
 
     def test_trend_uses_highlighted_buffers(self):
         # A non-highlighted extreme (16) must not anchor the trend when
@@ -364,7 +362,7 @@ class TestGenerateReport:
 
     def test_table2_needs_no_results(self, tmp_path):
         summary = build.generate_report(["table2"], str(tmp_path),
-                                        cached_only=True, quiet=True)
+                                        cached_only=True)
         assert summary["figures"][0]["verdict"] == PASS
 
     def test_rescoped_run_removes_stale_figure_svgs(self, tmp_path):
@@ -372,10 +370,10 @@ class TestGenerateReport:
         # index.md/fidelity.json no longer reference; unrelated files
         # are untouched.
         build.generate_report(["table2", "fig7a"], str(tmp_path),
-                              cached_only=True, quiet=True)
+                              cached_only=True)
         (tmp_path / "notes.txt").write_text("keep me")
         build.generate_report(["table2"], str(tmp_path),
-                              cached_only=True, quiet=True)
+                              cached_only=True)
         assert not (tmp_path / "fig7a.svg").exists()
         assert (tmp_path / "table2.svg").exists()
         assert (tmp_path / "notes.txt").read_text() == "keep me"
@@ -552,7 +550,7 @@ class TestCommittedSample:
     def test_sample_report_regenerates_byte_identically(self, tmp_path):
         committed = os.path.join(ROOT, "docs", "sample_report")
         out = tmp_path / "regenerated"
-        build.generate_report(sample=True, out_dir=str(out), quiet=True)
+        build.generate_report(sample=True, out_dir=str(out))
         generated = sorted(os.listdir(out))
         assert sorted(os.listdir(committed)) == generated
         for name in generated:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.media.playout import CODEC_DELAY, PlayoutBuffer, reconstruct_signal
+from repro.media.playout import (
+    CODEC_DELAY,
+    CONCEAL_DECAY,
+    MUTE_AFTER,
+    PlayoutBuffer,
+    reconstruct_signal,
+)
 from repro.media.speech import SAMPLE_RATE, synthesize_speech
 
 
@@ -36,7 +42,8 @@ class TestSpeech:
         assert (frame_rms < 50).any()
 
     def test_wrong_rate_rejected(self):
-        with pytest.raises(ValueError):
+        # The rate is fixed at SAMPLE_RATE: there is no knob to get wrong.
+        with pytest.raises(TypeError):
             synthesize_speech(seed=1, rate=16000)
 
 
@@ -95,14 +102,14 @@ class TestReconstruction:
 
     def test_concealment_repeats_with_decay(self):
         frames = [np.ones(160), np.ones(160) * 2.0]
-        out = reconstruct_signal(frames, ["ok", "lost"], decay=0.5)
-        assert np.allclose(out[160:], 0.5)  # repeat of frame 0 decayed
+        out = reconstruct_signal(frames, ["ok", "lost"])
+        assert np.allclose(out[160:], CONCEAL_DECAY)  # frame 0 decayed
 
     def test_mute_after_long_burst(self):
         frames = [np.ones(160)] * 6
         statuses = ["ok"] + ["lost"] * 5
-        out = reconstruct_signal(frames, statuses, decay=0.5, mute_after=3)
-        assert np.allclose(out[4 * 160:], 0.0)  # muted tail
+        out = reconstruct_signal(frames, statuses)
+        assert np.allclose(out[(MUTE_AFTER + 1) * 160:], 0.0)  # muted tail
 
     def test_leading_loss_is_silence(self):
         frames = [np.ones(160)] * 3

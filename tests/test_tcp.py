@@ -6,7 +6,7 @@ from repro.sim import Simulator
 from repro.sim.link import Interface
 from repro.sim.queues import DropTailQueue
 from repro.sim.topology import AccessNetwork
-from repro.tcp import Bic, Cubic, Reno, TcpConnection, TcpListener
+from repro.tcp import Cubic, Reno, TcpConnection, TcpListener
 from repro.util.units import MBPS, ms
 
 from tests.netutil import TransferRecorder, run_transfer, two_hosts
@@ -266,7 +266,7 @@ class TestApiGuards:
 
 
 class TestCongestionControlIntegration:
-    @pytest.mark.parametrize("cc_cls", [Reno, Bic, Cubic])
+    @pytest.mark.parametrize("cc_cls", [Reno, Cubic])
     def test_transfer_completes_with_each_algorithm(self, cc_cls):
         sim, recorder, client = run_transfer(
             400_000, rate_bps=5 * MBPS, queue_packets=20,
@@ -274,10 +274,10 @@ class TestCongestionControlIntegration:
         assert recorder.bytes == 400_000
 
     # Single-flow utilization differs by algorithm: Reno's AIMD matches a
-    # BDP-sized buffer well; BIC's beta=0.8 sawtooth plus its burstier probing
-    # costs more on a single flow (multi-flow aggregates recover, see below).
+    # BDP-sized buffer well; CUBIC's probing costs more on a single flow
+    # (multi-flow aggregates recover, see below).
     @pytest.mark.parametrize(
-        "cc_cls,min_util", [(Reno, 0.9), (Bic, 0.55), (Cubic, 0.8)])
+        "cc_cls,min_util", [(Reno, 0.9), (Cubic, 0.8)])
     def test_long_flow_on_access_network(self, cc_cls, min_util):
         sim = Simulator()
         net = AccessNetwork(sim, down_buffer_packets=64, up_buffer_packets=8)
@@ -293,7 +293,7 @@ class TestCongestionControlIntegration:
         sim.run(until=15)
         assert net.down_bottleneck.utilization() > min_util
 
-    @pytest.mark.parametrize("cc_cls", [Reno, Bic, Cubic])
+    @pytest.mark.parametrize("cc_cls", [Reno, Cubic])
     def test_eight_long_flows_fill_access_downlink(self, cc_cls):
         sim = Simulator()
         net = AccessNetwork(sim, down_buffer_packets=64, up_buffer_packets=8)

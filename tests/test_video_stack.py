@@ -26,15 +26,14 @@ from repro.media.mpegts import (
     slice_packet_map,
 )
 from repro.media.video_source import BITRATES, RESOLUTIONS, generate_clip
-from repro.qoe.psnr import psnr, psnr_sequence
+from repro.qoe.psnr import CAP_DB, psnr, psnr_sequence
 from repro.qoe.ssim import C1, C2, Workspace, ssim, ssim_sequence
 from repro.qoe.video import ssim_to_mos
 
 
-def _decoded(reference, received, **knobs):
+def _decoded(reference, received):
     """decode()'s stream as one array (each ring frame copied out)."""
-    return np.array([frame.copy()
-                     for frame in decode(reference, received, **knobs)])
+    return np.array([frame.copy() for frame in decode(reference, received)])
 
 
 def _scores(reference, degraded_frames):
@@ -76,7 +75,7 @@ class TestVideoSource:
 
 class TestCodecModel:
     def test_gop_structure(self):
-        types = frame_types(25, gop=12)
+        types = frame_types(25)
         assert types[0] == "I"
         assert types[12] == "I"
         assert types[1] == "P"
@@ -109,7 +108,7 @@ class TestCodecModel:
         reference = generate_clip("C", "SD", n_frames=25)
         received = np.ones((25, SLICES_PER_FRAME), dtype=bool)
         received[2][5] = False  # one lost slice early in the first GOP
-        decoded = _decoded(reference, received, gop=12)
+        decoded = _decoded(reference, received)
         assert not np.allclose(decoded[2], reference[2])
         # After the next I frame (index 12) everything is clean again.
         assert np.allclose(decoded[12], reference[12])
@@ -124,11 +123,11 @@ class TestCodecModel:
         assert q_light > q_heavy
 
 
-def _decode_per_slice(reference, received, gop=12):
+def _decode_per_slice(reference, received):
     """decode() without its identical-frame shortcut: every frame goes
     through the per-slice concealment and error-spread arithmetic."""
     height = reference.shape[1]
-    types = frame_types(len(reference), gop)
+    types = frame_types(len(reference))
     decoded = np.empty_like(reference)
     previous = np.full_like(reference[0], 0.5)
     for f in range(len(reference)):
@@ -226,7 +225,7 @@ class TestIdenticalFrameShortcuts:
         assert _ssim_formula(frame, frame) == 1.0
         frame_mse = []
         assert ssim_sequence(_CLIP, _CLIP.copy(), frame_mse) == 1.0
-        assert psnr_sequence(frame_mse, cap=42.0) == 42.0
+        assert psnr_sequence(frame_mse) == CAP_DB
 
 
 _LONG_CLIP = generate_clip("B", "SD", n_frames=64)
