@@ -1,1 +1,1 @@
-"""Benchmark harness package (one module per table/figure)."""
+"""Benchmark harness package: the catalog figures and the ablations."""

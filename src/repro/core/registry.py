@@ -381,10 +381,9 @@ def extension_sweeps():
 
 # -- paper grids (provenance = figure/table) --------------------------------
 #
-# The parameters below are exactly the ones the benchmarks under
-# benchmarks/ historically used, so warm caches stay warm: at scale 1
-# the *_small axes and duration floors reproduce the quick benchmark
-# grids; at REPRO_SCALE >= full_scale the full paper grids run.
+# At scale 1 the *_small axes and duration floors give the quick grids
+# that the benchmarks, `figures` and `report` run by default; at
+# REPRO_SCALE >= full_scale the full paper grids run.
 
 ACCESS_BUFFER_SIZES = (8, 16, 32, 64, 128, 256)
 BACKBONE_BUFFER_SIZES = (8, 28, 749, 7490)
@@ -625,17 +624,3 @@ register(SweepSpec(
     seed=5, warmup=8.0, duration=0.0, duration_min=0.0,
     counts=(("fetches", 6, 3),),
     disciplines=("droptail", "red", "codel")))
-
-register(SweepSpec(
-    name="bufferbloat-mixed",
-    kind="voip",
-    title="Mixed VoIP + bulk bufferbloat sweep (bidirectional)",
-    provenance="extension",
-    description="A call sharing the access link with bidirectional bulk "
-                "uploads and downloads (long-many bidir) across the full "
-                "buffer range — the §7.2 bufferbloat discussion as a grid.",
-    scenarios=(access("long-few", "bidir"), access("long-many", "bidir")),
-    buffers=ACCESS_BUFFER_SIZES,
-    buffers_small=(8, 32, 64, 256),
-    seed=3, warmup=10.0, duration=8.0, duration_min=5.0,
-    params=(("calls", 1), ("directions", ("talks", "listens")))))

@@ -25,10 +25,11 @@ import json
 import os
 import sys
 
-from repro.report.figures import REPORT_FIGURES, figure_names
+from repro.report.figures import (CLAIM_STATES, REPORT_FIGURES, claim_tally,
+                                  figure_names)
 
 #: fidelity.json schema version (see docs/fidelity.schema.json).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Figures included in the committed tiny sample report
 #: (``--sample`` / docs/sample_report/).
@@ -142,6 +143,14 @@ def _index_markdown(entries, scale):
                     gate_name, _fmt_metric(gate["value"]),
                     _fmt_metric(gate["pass"]), _fmt_metric(gate["warn"]),
                     gate["level"]))
+        claims = fig_fidelity["claims"]
+        if claims:
+            lines.append("")
+            lines.append("Claims: %s" % claim_tally(claims))
+            lines.append("")
+            lines.extend("- %s — %s" % (CLAIM_STATES[claim["holds"]],
+                                        claim["claim"])
+                         for claim in claims)
         if fig_fidelity["worst"]:
             lines.append("")
             lines.append("Largest deviations (cell: paper → reproduced): "

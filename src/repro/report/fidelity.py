@@ -190,6 +190,10 @@ class FigureFidelity:
     series: list = field(default_factory=list)
     worst: list = field(default_factory=list)
     notes: str = ""
+    #: ``{"claim": statement, "holds": True/False/None}`` per claim of
+    #: the figure, filled by ``ReportFigure.score``; reported, never
+    #: graded.
+    claims: list = field(default_factory=list)
 
     def to_json(self):
         """Plain-JSON dict (the ``fidelity.json`` per-figure shape)."""
@@ -203,6 +207,7 @@ class FigureFidelity:
             "series": [dict(entry) for entry in self.series],
             "worst": [list(entry) for entry in self.worst],
             "notes": self.notes,
+            "claims": [dict(claim) for claim in self.claims],
         }
 
 

@@ -27,12 +27,19 @@ with the paper value under the reproduced one.
 Models tolerate partial results (``--cached-only`` on a cold cache):
 cells absent from the set come out blank, so a figure is always
 producible and visibly honest about its coverage.
+
+Each entry also states the paper's qualitative findings for its figure
+as ``claims``: ``(statement, predicate)`` pairs whose predicate reads
+the figure's ``ResultSet`` and returns True or False.  A claim whose
+cells are not in the set scores None (see :func:`_holds`), so a partial
+grid leaves it unevaluated rather than vacuously true.
 """
 
 from dataclasses import dataclass
 
 from repro.core import paper_data
-from repro.qoe.scales import heat_marker_from_delay, heat_marker_from_mos
+from repro.qoe.scales import (g114_class, heat_marker_from_delay,
+                              heat_marker_from_mos)
 from repro.report import fidelity, svg
 from repro.report.fidelity import (FigureCheck, MonotoneSpec, SeriesSpec,
                                    Thresholds)
@@ -130,14 +137,35 @@ class Table:
         return text + "\n" + self.note if self.note else text
 
 
+#: How text and ``index.md`` name a claim's ``holds`` value.
+CLAIM_STATES = {True: "holds", False: "broken", None: "unevaluated"}
+
+
+def claim_tally(claims):
+    """``"k of n hold"`` over a scored ``claims`` list."""
+    return "%d of %d hold" % (
+        sum(claim["holds"] is True for claim in claims), len(claims))
+
+
+def _holds(predicate, results):
+    """A claim's value: True or False, or None when a cell it reads is
+    not in ``results`` (the predicate raised KeyError)."""
+    try:
+        return bool(predicate(results))
+    except KeyError:
+        return None
+
+
 @dataclass(frozen=True)
 class ReportFigure:
-    """One figure: its feeding sweep, its drawing and its check.
+    """One figure: its feeding sweep, its drawing, its check and claims.
 
     ``draw(results, spec, scale, check)`` builds the model and takes the
-    paper values it shows from ``check``.  The report heads a figure
-    with its sweep's title; only the sweepless Table 2 has a ``title``
-    of its own.
+    paper values it shows from ``check``.  ``claims`` holds the paper's
+    findings as ``(statement, predicate)`` pairs, scored by
+    :meth:`score` but never part of the verdict.  The report heads a
+    figure with its sweep's title; only the sweepless Table 2 has a
+    ``title`` of its own.
     """
 
     name: str
@@ -145,34 +173,49 @@ class ReportFigure:
     draw: callable  # -> Heatmaps/Boxplots/Table
     check: FigureCheck = None  # None: no paper data, the verdict is SKIP
     title: str = None
+    claims: tuple = ()  # ((statement, predicate(results) -> bool), ...)
 
     def model(self, results, spec, scale):
         """The figure's model over ``results`` of ``spec`` at ``scale``."""
         return self.draw(results, spec, scale, self.check)
 
     def text(self, results, spec, scale):
-        """The model's text and a ``fidelity NAME: VERDICT (gates)`` line.
+        """The model's text, a ``fidelity NAME: VERDICT (gates)`` line
+        and a ``claims NAME: k of n hold`` line naming every claim that
+        is broken or unevaluated.
 
         What ``python -m repro figures`` and the benchmarks print; the
-        verdict is :meth:`score`'s, the one the report writes.
+        verdict and claims are :meth:`score`'s, the ones the report
+        writes.
         """
         scored = self.score(results)
         gates = ", ".join("%s %.3g" % (gate_name, gate["value"])
                           for gate_name, gate in scored.gates.items())
-        return "%s\nfidelity %s: %s%s" % (
-            self.model(results, spec, scale).text(), self.name,
-            scored.verdict, " (%s)" % gates if gates else "")
+        lines = [self.model(results, spec, scale).text(),
+                 "fidelity %s: %s%s" % (self.name, scored.verdict,
+                                        " (%s)" % gates if gates else ""),
+                 "claims %s: %s" % (self.name, claim_tally(scored.claims))]
+        lines.extend("  %s: %s" % (CLAIM_STATES[claim["holds"]],
+                                   claim["claim"])
+                     for claim in scored.claims if claim["holds"] is not True)
+        return "\n".join(lines)
 
     def score(self, results):
-        """The figure's :class:`repro.report.fidelity.FigureFidelity`."""
+        """The figure's :class:`repro.report.fidelity.FigureFidelity`,
+        with every claim evaluated over ``results``."""
         if self.name == "table2":
-            return fidelity.table2_fidelity()
-        if self.check is None:
-            return fidelity.skip(self.name)
-        if results is None or len(results) == 0:
-            return fidelity.skip(
+            scored = fidelity.table2_fidelity()
+        elif self.check is None:
+            scored = fidelity.skip(self.name)
+        elif results is None or len(results) == 0:
+            scored = fidelity.skip(
                 self.name, "no reproduced cells available (cold cache?)")
-        return fidelity.evaluate(self.check, results, figure=self.name)
+        else:
+            scored = fidelity.evaluate(self.check, results, figure=self.name)
+        scored.claims = [{"claim": statement,
+                          "holds": _holds(predicate, results)}
+                         for statement, predicate in self.claims]
+        return scored
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +251,56 @@ def _axes(results, spec, scale):
         rows = sorted({row for row, __ in keys})
         cols = sorted({col for __, col in keys})
     return rows, cols
+
+
+# ---------------------------------------------------------------------------
+# Claim helpers.  A claim reads named cells by key, so a missing cell
+# raises KeyError; an "every cell" claim with no cell present raises it
+# too.  Either way the claim scores None.
+# ---------------------------------------------------------------------------
+def _present(values):
+    """``values`` as a list; KeyError when there is none."""
+    values = list(values)
+    if not values:
+        raise KeyError("none of the claim's cells is in the set")
+    return values
+
+
+def _cells(results, column, workload=None, **filters):
+    """The present values of ``column``, in one ``workload`` row when
+    given, axes pinned by ``filters``."""
+    return _present(value for key, value in
+                    results.value_map(column, **filters).items()
+                    if workload is None or key[0] == workload)
+
+
+def _staircase(results):
+    """``(smallest, largest)`` buffer's mean uplink delay of every row
+    with at least two buffers present."""
+    rows = {}
+    for key, delay in results.value_map("up_mean_delay").items():
+        rows.setdefault(key[0], {})[key[1]] = delay
+    return _present((row[min(row)], row[max(row)])
+                    for row in rows.values() if len(row) > 1)
+
+
+def _median_utilizations(results, side):
+    """Every cell's median per-second utilization of one link side."""
+    return _present(
+        five_number_summary(record["%s_utilization_samples" % side])[2]
+        for record in results)
+
+
+def _table2_within(side, bound):
+    """Whether every access buffer's analytic ``side`` (0 up, 1 down)
+    maximum delay is within ``bound`` (relative) of the paper's."""
+    from repro.core.buffers import access_buffer_delays
+
+    for packets, *delays in access_buffer_delays():
+        paper = paper_data.TABLE2_ACCESS[packets][side]
+        if abs(delays[side] * 1000.0 - paper) / paper >= bound:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +406,11 @@ def _table1_series(paper, paper_key, columns):
         for label, index, column in columns)
 
 
-def _table1(title, headers):
+def _table1(title, headers, flows=None):
     """A Table 1 half: one row per present cell, one ``reproduced /
-    paper`` percent cell per series of the figure's check."""
+    paper`` percent cell per series of the figure's check.  ``flows``,
+    when given, maps a row label to the paper's concurrent flow count,
+    shown in a last ``reproduced / paper`` column that is not scored."""
     def draw(results, spec, scale, check):
         rows = []
         for label in spec.workloads(scale):
@@ -328,7 +423,10 @@ def _table1(title, headers):
                         record.value(series.column) * series.factor,
                         _paper_text(series.paper.get(series.map_key(key)),
                                     "%.1f"))
-                    for series in check.series))
+                    for series in check.series) + (
+                    ("%.0f / %s" % (record["concurrent_flows"],
+                                    _paper_text(flows.get(label))),)
+                    if flows else ()))
         return Table(title, headers, rows,
                      note="each cell: reproduced value / paper value")
     return draw
@@ -400,7 +498,16 @@ _register(ReportFigure(
             trend_pass=0.99, trend_warn=0.5,
             flat_epsilon=50.0),
         notes="the bufferbloat staircase: ordering and growth trend are "
-              "the signal, absolute ms deviations are secondary")))
+              "the signal, absolute ms deviations are secondary"),
+    claims=(
+        ("in every row, the mean uplink delay at the largest buffer is "
+         "more than 4x the delay at the smallest",
+         lambda rs: all(high > low * 4 for low, high in _staircase(rs))),
+        ("in every row, the smallest buffer's delay is G.114 acceptable "
+         "and the largest buffer's is G.114 bad",
+         lambda rs: all(g114_class(low) == "acceptable"
+                        and g114_class(high) == "bad"
+                        for low, high in _staircase(rs))))))
 _register(ReportFigure(
     "fig4-down", "fig4-down", _fig4("down"), FigureCheck(
         units="ms",
@@ -409,7 +516,14 @@ _register(ReportFigure(
         envelope_factor=1000.0,
         notes="Figure 4a digitizes ambiguously; the paper's qualitative "
               "envelope (mean downlink delay < 200 ms everywhere) is "
-              "checked instead")))
+              "checked instead"),
+    claims=(
+        ("mean downlink delay below 200 ms at every buffer",
+         lambda rs: all(delay < 0.2
+                        for delay in _cells(rs, "down_mean_delay"))),
+        ("mean uplink delay (ACKs only) below 50 ms at every buffer",
+         lambda rs: all(delay < 0.05
+                        for delay in _cells(rs, "up_mean_delay"))))))
 _register(ReportFigure(
     "fig5", "fig5", _fig5, FigureCheck(
         units="pp",
@@ -424,7 +538,17 @@ _register(ReportFigure(
             rank_pass=0.8, rank_warn=0.5),
         notes="Figure 5's boxplots are not digitized; the check anchors "
               "on Table 1's long-many/bidir utilizations at the 64-packet "
-              "BDP buffer plus the figure's monotone downlink trend")))
+              "BDP buffer plus the figure's monotone downlink trend"),
+    claims=(
+        ("the uplink's median utilization is above 80% at every buffer",
+         lambda rs: min(_median_utilizations(rs, "up")) > 0.8),
+        ("the downlink's median utilization is above 55% at its best "
+         "buffer",
+         lambda rs: max(_median_utilizations(rs, "down")) > 0.55),
+        ("the downlink's median utilization is lower at its worst buffer "
+         "than at its best",
+         lambda rs: (min(_median_utilizations(rs, "down"))
+                     < max(_median_utilizations(rs, "down")))))))
 _register(ReportFigure(
     "table1-access", "table1-access",
     _table1("Table 1 (access): measured / paper at the BDP buffers (64/8)",
@@ -444,11 +568,17 @@ _register(ReportFigure(
             rank_pass=0.6, rank_warn=0.3),
         notes="Harpoon session behaviour is calibrated, not specified "
               "(see docs/SCENARIOS.md), so utilization/loss columns "
-              "carry wide tolerances")))
+              "carry wide tolerances"),
+    claims=(
+        ("short-few/up at the 64/8 buffers: uplink utilization above 90%",
+         lambda rs: rs[("short-few/up", (64, 8))]["up_utilization"] > 0.9),
+    )))
 _register(ReportFigure(
     "table1-backbone", "table1-backbone",
     _table1("Table 1 (backbone): measured / paper at the 749-packet BDP "
-            "buffer", ("workload", "down util %", "loss %")),
+            "buffer", ("workload", "down util %", "loss %", "flows"),
+            flows={label: row[3]
+                   for label, row in paper_data.TABLE1_BACKBONE.items()}),
     FigureCheck(
         units="pp",
         series=_table1_series(
@@ -457,7 +587,15 @@ _register(ReportFigure(
              ("loss", 2, "down_loss"))),
         thresholds=Thresholds(
             max_deviation_pass=25.0, max_deviation_warn=40.0,
-            rank_pass=0.6, rank_warn=0.3))))
+            rank_pass=0.6, rank_warn=0.3)),
+    claims=(
+        ("downlink utilization orders short-low < short-medium < "
+         "short-high",
+         lambda rs: (rs[("short-low", 749)]["down_utilization"]
+                     < rs[("short-medium", 749)]["down_utilization"]
+                     < rs[("short-high", 749)]["down_utilization"])),
+        ("short-high: downlink utilization above 90%",
+         lambda rs: rs[("short-high", 749)]["down_utilization"] > 0.9))))
 _register(ReportFigure(
     "fig7a", "fig7a", _voip, FigureCheck(
         units="MOS",
@@ -471,7 +609,13 @@ _register(ReportFigure(
             # activity barely moves MOS): every row's range is < 0.8
             # MOS, so per-row buffer ordering is noise and the pooled
             # rank correlation carries the gate instead.
-            flat_epsilon=0.8))))
+            flat_epsilon=0.8)),
+    claims=(
+        ("long-many at 64 packets: talks MOS above 3.5",
+         lambda rs: rs[("long-many", 64)]["talks"] > 3.5),
+        ("long-many at 64 packets: listens MOS below noBG's",
+         lambda rs: rs[("long-many", 64)]["listens"]
+         < rs[("noBG", 64)]["listens"]))))
 _register(ReportFigure(
     "fig7b", "fig7b", _voip, FigureCheck(
         units="MOS",
@@ -479,12 +623,30 @@ _register(ReportFigure(
                 SeriesSpec("talks", paper_data.FIG7B_TALKS, "talks")),
         thresholds=_MOS_THRESHOLDS,
         notes="the headline bufferbloat collapse: MOS must fall with the "
-              "uplink buffer in both call directions")))
+              "uplink buffer in both call directions"),
+    claims=(
+        ("noBG at 64 packets: talks MOS above 3.9",
+         lambda rs: rs[("noBG", 64)]["talks"] > 3.9),
+        ("long-many at 256 packets: talks MOS below 1.8",
+         lambda rs: rs[("long-many", 256)]["talks"] < 1.8),
+        ("long-many at 256 packets: listens MOS below 3.3",
+         lambda rs: rs[("long-many", 256)]["listens"] < 3.3),
+        ("long-many: talks MOS is higher at 8 packets than at 256",
+         lambda rs: rs[("long-many", 8)]["talks"]
+         > rs[("long-many", 256)]["talks"]))))
 _register(ReportFigure(
     "fig8", "fig8", _voip, FigureCheck(
         units="MOS",
         series=(SeriesSpec("listens", paper_data.FIG8, "listens"),),
-        thresholds=_MOS_THRESHOLDS)))
+        thresholds=_MOS_THRESHOLDS),
+    claims=(
+        ("noBG: listens MOS above 4.0 at every buffer",
+         lambda rs: all(mos > 4.0 for mos in _cells(rs, "listens", "noBG"))),
+        ("long at 7490 packets: listens MOS below 3.0",
+         lambda rs: rs[("long", 7490)]["listens"] < 3.0),
+        ("long: listens MOS is lower at 7490 packets than at 749",
+         lambda rs: rs[("long", 7490)]["listens"]
+         < rs[("long", 749)]["listens"]))))
 _register(ReportFigure(
     "fig9a", "fig9a", _video, FigureCheck(
         units="SSIM",
@@ -496,7 +658,17 @@ _register(ReportFigure(
             max_deviation_pass=0.35, max_deviation_warn=0.6,
             rank_pass=0.5, rank_warn=0.2, flat_epsilon=0.1),
         notes="our stream recovers at large buffers under short-few "
-              "where the paper's stays degraded — expect WARN")))
+              "where the paper's stays degraded — expect WARN"),
+    claims=(
+        ("noBG: SD SSIM above 0.99 at every buffer",
+         lambda rs: all(ssim > 0.99 for ssim in
+                        _cells(rs, "ssim", "noBG", resolution="SD"))),
+        ("long-many: SD SSIM below 0.75 at every buffer",
+         lambda rs: all(ssim < 0.75 for ssim in
+                        _cells(rs, "ssim", "long-many", resolution="SD"))),
+        ("long-few at 64 packets: HD SSIM at least SD SSIM - 0.05",
+         lambda rs: rs[("long-few", 64, "HD")]["ssim"]
+         >= rs[("long-few", 64, "SD")]["ssim"] - 0.05))))
 _register(ReportFigure(
     "fig9b", "fig9b", _video, FigureCheck(
         units="SSIM",
@@ -506,31 +678,66 @@ _register(ReportFigure(
                            filters=(("resolution", "HD"),))),
         thresholds=Thresholds(
             max_deviation_pass=0.45, max_deviation_warn=0.6,
-            rank_pass=0.5, rank_warn=0.2, flat_epsilon=0.1))))
+            rank_pass=0.5, rank_warn=0.2, flat_epsilon=0.1)),
+    claims=(
+        ("noBG: SD SSIM above 0.99 at every buffer",
+         lambda rs: all(ssim > 0.99 for ssim in
+                        _cells(rs, "ssim", "noBG", resolution="SD"))),
+        ("long at 749 packets: SD SSIM below noBG's",
+         lambda rs: rs[("long", 749, "SD")]["ssim"]
+         < rs[("noBG", 749, "SD")]["ssim"]))))
 _register(ReportFigure(
     "fig10a", "fig10a", _web, FigureCheck(
         units="s",
         series=(SeriesSpec("median PLT", paper_data.FIG10A, "median_plt"),),
         thresholds=Thresholds(
             max_deviation_pass=4.0, max_deviation_warn=8.0,
-            rank_pass=0.4, rank_warn=0.0, flat_epsilon=1.0))))
+            rank_pass=0.4, rank_warn=0.0, flat_epsilon=1.0)),
+    claims=(
+        ("noBG at 64 packets: median PLT below 1 s",
+         lambda rs: rs[("noBG", 64)]["median_plt"] < 1.0),
+        ("long-many at 64 packets: median PLT above 2 s",
+         lambda rs: rs[("long-many", 64)]["median_plt"] > 2.0),
+        ("long-few: median PLT is longer at 256 packets than at 8",
+         lambda rs: rs[("long-few", 256)]["median_plt"]
+         > rs[("long-few", 8)]["median_plt"]))))
 _register(ReportFigure(
     "fig10b", "fig10b", _web, FigureCheck(
         units="s",
         series=(SeriesSpec("median PLT", paper_data.FIG10B, "median_plt"),),
         thresholds=Thresholds(
             max_deviation_pass=12.0, max_deviation_warn=20.0,
-            rank_pass=0.5, rank_warn=0.2, flat_epsilon=1.0))))
+            rank_pass=0.5, rank_warn=0.2, flat_epsilon=1.0)),
+    claims=(
+        ("long-few at 8 packets: median PLT below 3 s",
+         lambda rs: rs[("long-few", 8)]["median_plt"] < 3.0),
+        ("long-few at 256 packets: median PLT above 4 s",
+         lambda rs: rs[("long-few", 256)]["median_plt"] > 4.0),
+        ("short-many at 64 packets: median PLT above 4 s",
+         lambda rs: rs[("short-many", 64)]["median_plt"] > 4.0))))
 _register(ReportFigure(
     "fig11", "fig11", _web, FigureCheck(
         units="s",
         series=(SeriesSpec("median PLT", paper_data.FIG11, "median_plt"),),
         thresholds=Thresholds(
             max_deviation_pass=5.0, max_deviation_warn=10.0,
-            rank_pass=0.4, rank_warn=0.0, flat_epsilon=1.0))))
+            rank_pass=0.4, rank_warn=0.0, flat_epsilon=1.0)),
+    claims=(
+        ("noBG at 749 packets: median PLT below 1.2 s",
+         lambda rs: rs[("noBG", 749)]["median_plt"] < 1.2),
+        ("short-medium at 749 packets: median PLT below 1.5 s",
+         lambda rs: rs[("short-medium", 749)]["median_plt"] < 1.5),
+        ("long at 7490 packets: median PLT above noBG's",
+         lambda rs: rs[("long", 7490)]["median_plt"]
+         > rs[("noBG", 7490)]["median_plt"]))))
 _register(ReportFigure(
     "table2", None, _table2,
-    title="Table 2: buffer sizes and maximum queueing delay"))
+    title="Table 2: buffer sizes and maximum queueing delay",
+    claims=(
+        ("every access buffer's analytic uplink delay is within 15% of "
+         "the paper's", lambda rs: _table2_within(0, 0.15)),
+        ("every access buffer's analytic downlink delay is within 25% of "
+         "the paper's", lambda rs: _table2_within(1, 0.25)))))
 
 
 def figure_names():

@@ -54,9 +54,6 @@ DELACK_TIMEOUT = 0.040
 DUPACK_THRESHOLD = 3
 MAX_HANDSHAKE_RETRIES = 6
 
-#: Receive window (bytes) the peer advertises: large enough never to bind.
-RWND = 1 << 30
-
 #: Sentinel stream length for send_forever() sources.
 _INFINITE_BYTES = 1 << 62
 
@@ -244,15 +241,11 @@ class TcpConnection:
             return
         data_end = self._data_end_seq()
         mss = self.mss
-        peer_rwnd = RWND
         cc = self.cc
         while True:
-            # Usable window: min(cwnd + inflation, peer rwnd).  cwnd may
-            # move inside the loop (never does today), so re-read it.
-            window = cc.cwnd + self._inflation
-            if peer_rwnd < window:
-                window = peer_rwnd
-            limit = self.snd_una + window
+            # Usable window: cwnd + inflation.  cwnd may move inside the
+            # loop (never does today), so re-read it.
+            limit = self.snd_una + (cc.cwnd + self._inflation)
             snd_nxt = self.snd_nxt
             if snd_nxt >= limit:
                 break

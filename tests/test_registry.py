@@ -21,7 +21,7 @@ from repro.runner import CellTask, GridRunner, ResultCache
 PAPER_NAMES = ("fig4-up", "fig4-down", "fig5", "table1-access",
                "table1-backbone", "fig7a", "fig7b", "fig8", "fig9a",
                "fig9b", "fig10a", "fig10b", "fig11")
-EXTENSION_NAMES = ("aqm-voip", "aqm-video", "aqm-web", "bufferbloat-mixed")
+EXTENSION_NAMES = ("aqm-voip", "aqm-video", "aqm-web")
 
 
 def runner_for(tmp_path):

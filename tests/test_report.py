@@ -6,6 +6,7 @@ the fidelity.json schema validator, report generation end to end, and
 byte-identical regeneration of the committed ``docs/sample_report/``.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -309,6 +310,13 @@ class TestGenerateReport:
         index = (out / "index.md").read_text()
         for name in build.SAMPLE_FIGURES:
             assert "%s.svg" % name in index
+        # Schema v2 carries every figure's claims; the sample's fig7a
+        # grid lacks the long-many cells its claims read, so they are
+        # unevaluated, not true.
+        assert document["schema_version"] == build.SCHEMA_VERSION == 2
+        fig7a = document["figures"]["fig7a"]["fidelity"]["claims"]
+        assert [claim["holds"] for claim in fig7a] == [None, None]
+        assert "Claims: 0 of 2 hold" in index
 
     def test_cached_only_cold_cache_is_graceful(self, tmp_path):
         # Nothing cached: the report must still be produced, with SKIP
@@ -409,6 +417,12 @@ class TestFigureModels:
             assert isinstance(model, Table) and model.rows == []
         else:  # closed-form Table 2 needs no results
             assert "7490" in text
+        # Every figure states its claims once each; with no cells they
+        # are unevaluated, except Table 2's, which read no results.
+        statements = [statement for statement, __ in figure.claims]
+        assert statements and len(set(statements)) == len(statements)
+        holds = [claim["holds"] for claim in figure.score(results).claims]
+        assert holds == [figure.sweep is None or None] * len(statements)
 
     def test_sample_results_render_both_backends(self):
         committed = os.path.join(ROOT, "docs", "sample_report")
@@ -448,7 +462,7 @@ class TestFigureModels:
 #: hold 0.0 wherever no paper series sets a value.
 KIND_COLUMNS = {
     "qos": ("up_mean_delay", "down_mean_delay", "up_utilization",
-            "down_utilization", "up_loss", "down_loss"),
+            "down_utilization", "up_loss", "down_loss", "concurrent_flows"),
     "voip": ("talks", "listens"),
     "video": ("ssim", "mos"),
     "web": ("median_plt", "mos"),
@@ -544,6 +558,22 @@ class TestProductionPairing:
             # Figure 5 anchors on Table 1's utilizations, which its
             # boxplots do not draw.
             assert isinstance(model, Boxplots)
+
+
+    def test_one_record_mutation_flips_its_claim(self):
+        figure = REPORT_FIGURES["fig7b"]
+        spec = registry.get(figure.sweep)
+        results, __ = paper_results(figure, spec, spec.full_scale)
+        mutated = ResultSet(
+            dataclasses.replace(record,
+                                payload=dict(record.payload, talks=3.0))
+            if record.key == ("noBG", 64) else record
+            for record in results)
+        before = figure.score(results).claims
+        after = figure.score(mutated).claims
+        assert [(old["claim"], old["holds"], new["holds"])
+                for old, new in zip(before, after) if old != new] == [
+            ("noBG at 64 packets: talks MOS above 3.9", True, False)]
 
 
 class TestCommittedSample:
