@@ -28,8 +28,8 @@ WEIBULL_SCALE = 10039.0
 REQUEST_BYTES = 300
 
 #: Safety valve bounding one generator's simultaneously active
-#: transfers; reaching it counts transfers as ``skipped`` (never
-#: triggered in the paper-scale scenarios).
+#: transfers; arrivals beyond it are skipped (never triggered in the
+#: paper-scale scenarios).
 MAX_ACTIVE = 20_000
 
 #: Simulated seconds between two samples of the active-transfer count.
@@ -55,12 +55,7 @@ class HarpoonStats:
     """Aggregate statistics across all transfers of one generator."""
 
     def __init__(self):
-        self.started = 0
         self.completed = 0
-        self.failed = 0
-        self.skipped = 0
-        self.bytes_completed = 0
-        self.flow_completion_times = []
         self.active = 0
         self.active_samples = []
 
@@ -74,10 +69,7 @@ class HarpoonStats:
     def reset_measurements(self):
         """Clear windowed measurements (keep live transfer accounting)."""
         self.active_samples = []
-        self.flow_completion_times = []
         self.completed = 0
-        self.failed = 0
-        self.bytes_completed = 0
 
 
 class HarpoonGenerator:
@@ -198,7 +190,6 @@ class HarpoonGenerator:
     def _start_transfer(self, index):
         if (self.stats.active >= MAX_ACTIVE
                 or self._session_active[index] >= self.session_cap):
-            self.stats.skipped += 1
             return
         server = self.servers[index % len(self.servers)]
         client = self.clients[index % len(self.clients)]
@@ -208,24 +199,19 @@ class HarpoonGenerator:
             cc=make_cc(self.cc_name),
         )
         self._connections.add(connection)
-        self.stats.started += 1
         self.stats.active += 1
         self._session_active[index] += 1
-        state = {"t0": self.sim.now, "bytes": nbytes, "done": False}
+        done = False
 
         def finish(success):
-            if state["done"]:
+            nonlocal done
+            if done:
                 return
-            state["done"] = True
+            done = True
             self.stats.active -= 1
             self._session_active[index] -= 1
             if success:
                 self.stats.completed += 1
-                self.stats.bytes_completed += state["bytes"]
-                self.stats.flow_completion_times.append(
-                    self.sim.now - state["t0"])
-            else:
-                self.stats.failed += 1
 
         if self.direction == "down":
             connection.on_established = (

@@ -21,7 +21,8 @@ import numpy as np
 from repro.media.codec import SLICES_PER_FRAME, frame_bytes
 from repro.media.mpegts import packetize, slice_packet_map
 from repro.media.video_source import FPS, generate_clip
-from repro.udp.rtp import RtpReceiver, RtpSender
+from repro.sim.packet import RTP_HEADER
+from repro.udp import RtpReceiver, UdpSocket
 
 #: Playout deadline relative to each packet's send time; later arrivals
 #: count as lost (IPTV set-top-boxes buffer well under two seconds).
@@ -87,8 +88,7 @@ class VideoStream:
     def start(self):
         """Begin pacing packets at the stream bitrate."""
         self.receiver = RtpReceiver(self.sim, self.dst_node, self.port)
-        self.sender = RtpSender(self.sim, self.src_node, self.dst_node.addr,
-                                self.port)
+        self.sender = UdpSocket(self.sim, self.src_node)
         interval = self.duration / len(self.plans)
         self.sim.schedule_many(
             (index * interval, self._send_plan, (plan,))
@@ -101,8 +101,8 @@ class VideoStream:
 
     def _send_plan(self, plan, retransmission=False):
         self.send_times.setdefault(plan.index, self.sim.now)
-        self.sender.send(plan.payload_bytes, timestamp=self.sim.now,
-                         media=plan.index)
+        self.sender.sendto(RTP_HEADER + plan.payload_bytes,
+                           self.dst_node.addr, self.port, plan.index)
         if self.arq and not retransmission:
             self.sim.call_later(ARQ_RTT * 2.0, self._maybe_retransmit,
                                 plan)
@@ -110,8 +110,8 @@ class VideoStream:
     def _maybe_retransmit(self, plan):
         if plan.index in self._retransmitted:
             return
-        arrived = any(rtp.media == plan.index
-                      for rtp, __ in self.receiver.arrivals)
+        arrived = any(media == plan.index
+                      for media, __ in self.receiver.arrivals)
         if not arrived:
             self._retransmitted.add(plan.index)
             self._send_plan(plan, retransmission=True)
@@ -120,8 +120,7 @@ class VideoStream:
         """Close sockets; return the [frames, slices] reception matrix."""
         on_time = set()
         deadline = DEADLINE
-        for rtp, arrival in self.receiver.arrivals:
-            packet_index = rtp.media
+        for packet_index, arrival in self.receiver.arrivals:
             sent = self.send_times.get(packet_index)
             if sent is not None and arrival - sent <= deadline:
                 on_time.add(packet_index)
@@ -138,5 +137,5 @@ class VideoStream:
         """Wire-level loss of the stream (for Figure 9's discussion)."""
         if self.receiver is None or not self.plans:
             return 0.0
-        got = len({rtp.media for rtp, __ in self.receiver.arrivals})
+        got = len({media for media, __ in self.receiver.arrivals})
         return max(0.0, 1.0 - got / len(self.plans))

@@ -16,7 +16,8 @@ import numpy as np
 from repro.media.g711 import codec_round_trip
 from repro.media.playout import PlayoutBuffer, reconstruct_signal
 from repro.media.speech import synthesize_speech
-from repro.udp.rtp import RtpReceiver, RtpSender
+from repro.sim.packet import RTP_HEADER
+from repro.udp import RtpReceiver, UdpSocket
 
 FRAME_SECONDS = 0.020
 FRAME_SAMPLES = 160  # 20 ms at 8 kHz
@@ -79,8 +80,7 @@ class VoipCall:
     def start(self):
         """Begin streaming now; frames go out every 20 ms."""
         self.receiver = RtpReceiver(self.sim, self.dst_node, self.port)
-        self.sender = RtpSender(self.sim, self.src_node, self.dst_node.addr,
-                                self.port)
+        self.sender = UdpSocket(self.sim, self.src_node)
         self._send_frame(0)
         return self
 
@@ -93,7 +93,8 @@ class VoipCall:
         if index >= self.n_frames:
             return
         self.send_times[index] = self.sim.now
-        self.sender.send(PAYLOAD_BYTES, index * FRAME_SECONDS, index)
+        self.sender.sendto(RTP_HEADER + PAYLOAD_BYTES, self.dst_node.addr,
+                           self.port, index)
         self._sent += 1
         self.sim.call_later(FRAME_SECONDS, self._send_frame_cb, index + 1)
 
@@ -103,8 +104,8 @@ class VoipCall:
         Returns ``(playout_result, degraded_signal)``.
         """
         arrivals = {}
-        for rtp, arrival_time in self.receiver.arrivals:
-            arrivals.setdefault(rtp.media, arrival_time)
+        for media, arrival_time in self.receiver.arrivals:
+            arrivals.setdefault(media, arrival_time)
         result = self.playout.schedule(arrivals, self.n_frames,
                                        self.send_times)
         degraded = reconstruct_signal(list(self.frames), result.statuses)

@@ -29,7 +29,6 @@ class WebServer:
     def __init__(self, sim, node, cc="reno"):
         self.sim = sim
         self.node = node
-        self.requests_served = 0
         self.listener = TcpListener(
             sim, node, WEB_PORT,
             on_connection=self._on_connection,
@@ -43,7 +42,6 @@ class WebServer:
     def _on_message(self, connection, meta):
         kind, size = meta
         if kind == "GET":
-            self.requests_served += 1
             connection.send(size, meta=("RESP", size))
 
     def _on_peer_fin(self, connection):

@@ -53,7 +53,7 @@ from repro.core import registry
 from repro.core.registry import REGISTRY, parse_scale, resolve_scale
 from repro.perf.profile import SORT_KEYS
 from repro.results import key_str
-from repro.runner import GridRunner
+from repro.runner import GridRunner, ResultCache
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,8 @@ def _overrides_from(args):
 def _runner_from(args):
     try:
         return GridRunner(workers=getattr(args, "workers", None),
-                          use_cache=not getattr(args, "no_cache", False),
+                          cache=ResultCache(enabled=False)
+                          if getattr(args, "no_cache", False) else None,
                           progress=True if getattr(args, "progress", False)
                           else None)
     except ValueError as exc:  # a bad REPRO_WORKERS

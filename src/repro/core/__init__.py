@@ -22,9 +22,8 @@ into the paper's experiment grid:
 """
 
 from repro.core.buffers import (
-    ACCESS_BUFFERS,
-    BACKBONE_BUFFERS,
-    BufferConfig,
+    ACCESS_BUFFER_SIZES,
+    BACKBONE_BUFFER_SIZES,
     bdp_packets,
     max_queueing_delay,
     stanford_packets,
@@ -40,9 +39,8 @@ from repro.core.experiment import QosReport, run_qos_cell
 from repro.core.workloads import apply_workload
 
 __all__ = [
-    "ACCESS_BUFFERS",
-    "BACKBONE_BUFFERS",
-    "BufferConfig",
+    "ACCESS_BUFFER_SIZES",
+    "BACKBONE_BUFFER_SIZES",
     "bdp_packets",
     "max_queueing_delay",
     "stanford_packets",

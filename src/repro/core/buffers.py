@@ -11,7 +11,6 @@ The paper configures the bottleneck buffers in *packets*:
 """
 
 import math
-from dataclasses import dataclass
 
 from repro.sim.topology import FULL_PACKET_BYTES, AccessNetwork, BackboneNetwork
 
@@ -36,62 +35,28 @@ def max_queueing_delay(packets, rate_bps):
     return (packets * FULL_PACKET_BYTES * 8.0) / rate_bps
 
 
-@dataclass(frozen=True)
-class BufferConfig:
-    """One buffer configuration of the study.
+#: Access testbed buffer sizes in packets (applied to uplink and
+#: downlink alike, mirroring the paper which sweeps one size across both
+#: directions): 8 ~ uplink BDP, 64 ~ downlink BDP, 256 the maximum.
+ACCESS_BUFFER_SIZES = (8, 16, 32, 64, 128, 256)
 
-    ``scheme`` is the paper's label for the sizing rule the size
-    corresponds to ("~BDP", "Stanford", "TinyBuf", "10xBDP", ...).
-    """
-
-    packets: int
-    scheme: str = ""
-
-    def delay_at(self, rate_bps):
-        """Maximum queueing delay this buffer can add at ``rate_bps``."""
-        return max_queueing_delay(self.packets, rate_bps)
-
-    def __str__(self):
-        if self.scheme:
-            return "%d pkts (%s)" % (self.packets, self.scheme)
-        return "%d pkts" % self.packets
-
-
-#: Access testbed buffer sizes (applied to uplink and downlink alike,
-#: mirroring the paper which sweeps one size across both directions).
-ACCESS_BUFFERS = (
-    BufferConfig(8, "~BDP up / min down"),
-    BufferConfig(16, ""),
-    BufferConfig(32, ""),
-    BufferConfig(64, "~BDP down"),
-    BufferConfig(128, ""),
-    BufferConfig(256, "max"),
-)
-
-#: Backbone testbed buffer sizes.
-BACKBONE_BUFFERS = (
-    BufferConfig(8, "~TinyBuf"),
-    BufferConfig(28, "Stanford"),
-    BufferConfig(749, "BDP"),
-    BufferConfig(7490, "10xBDP"),
-)
+#: Backbone testbed buffer sizes in packets: tiny buffers, Stanford,
+#: BDP and 10x BDP.
+BACKBONE_BUFFER_SIZES = (8, 28, 749, 7490)
 
 
 def access_buffer_delays():
     """(size, uplink delay, downlink delay) rows of Table 2's access half."""
-    rows = []
-    for config in ACCESS_BUFFERS:
-        rows.append((
-            config.packets,
-            config.delay_at(AccessNetwork.UP_RATE),
-            config.delay_at(AccessNetwork.DOWN_RATE),
-        ))
-    return rows
+    return [
+        (packets, max_queueing_delay(packets, AccessNetwork.UP_RATE),
+         max_queueing_delay(packets, AccessNetwork.DOWN_RATE))
+        for packets in ACCESS_BUFFER_SIZES
+    ]
 
 
 def backbone_buffer_delays():
     """(size, delay) rows of Table 2's backbone half."""
     return [
-        (config.packets, config.delay_at(BackboneNetwork.RATE))
-        for config in BACKBONE_BUFFERS
+        (packets, max_queueing_delay(packets, BackboneNetwork.RATE))
+        for packets in BACKBONE_BUFFER_SIZES
     ]

@@ -75,7 +75,7 @@ def settled(legs, interfaces):
     receivers get no further arrival, so every leg's outcome is final.
     The queue scan is for event-driven interfaces (AQM): a packet
     accepted by a closed-form ``DropTailLink`` is already held by its
-    next hop's arrival event, unless the wire will lose it.
+    next hop's arrival event.
     """
     owners = {id(leg) for leg in legs}
     endpoints = {(leg.dst_node.addr, leg.port) for leg in legs}

@@ -14,8 +14,7 @@ Transcription notes
   column-by-column as printed.
 """
 
-ACCESS_BUFFER_SIZES = (8, 16, 32, 64, 128, 256)
-BACKBONE_BUFFER_SIZES = (8, 28, 749, 7490)
+from repro.core.buffers import ACCESS_BUFFER_SIZES, BACKBONE_BUFFER_SIZES
 
 ACCESS_WORKLOAD_ROWS = ("noBG", "long-few", "long-many", "short-few",
                         "short-many")

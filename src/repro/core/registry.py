@@ -38,6 +38,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 
+from repro.core.buffers import ACCESS_BUFFER_SIZES, BACKBONE_BUFFER_SIZES
 from repro.core.scenarios import access_scenario, backbone_scenario
 from repro.runner import CellTask
 from repro.runner.task import DISCIPLINES, KINDS
@@ -384,9 +385,6 @@ def extension_sweeps():
 # At scale 1 the *_small axes and duration floors give the quick grids
 # that the benchmarks, `figures` and `report` run by default; at
 # REPRO_SCALE >= full_scale the full paper grids run.
-
-ACCESS_BUFFER_SIZES = (8, 16, 32, 64, 128, 256)
-BACKBONE_BUFFER_SIZES = (8, 28, 749, 7490)
 
 register(SweepSpec(
     name="fig4-up",

@@ -49,6 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core import paper_data
+from repro.core.buffers import access_buffer_delays, backbone_buffer_delays
 
 PASS, WARN, FAIL, SKIP = "PASS", "WARN", "FAIL", "SKIP"
 
@@ -428,43 +429,40 @@ def evaluate(check, results, figure=""):
     return fidelity
 
 
+def table2_rows():
+    """``(label, side, computed ms, printed ms)`` for every delay of
+    Table 2: each access buffer's ``"up"`` and ``"down"`` delay, then
+    each backbone buffer's single one (side None).  ``computed`` is
+    :mod:`repro.core.buffers`'s analytic maximum queueing delay,
+    ``printed`` the paper's."""
+    for packets, up_delay, down_delay in access_buffer_delays():
+        label = "access %d" % packets
+        up_printed, down_printed = paper_data.TABLE2_ACCESS[packets]
+        yield label, "up", up_delay * 1000.0, up_printed
+        yield label, "down", down_delay * 1000.0, down_printed
+    for packets, delay in backbone_buffer_delays():
+        yield ("backbone %d" % packets, None, delay * 1000.0,
+               paper_data.TABLE2_BACKBONE[packets])
+
+
 def table2_fidelity():
     """Score the closed-form Table 2 (no sweep results involved).
 
-    Compares :mod:`repro.core.buffers`'s analytic maximum queueing
-    delays against the paper's printed values; the paper rounds to
-    whole (access) / tenth (backbone) milliseconds, so a 10% relative
+    Compares :func:`table2_rows`'s analytic maximum queueing delays
+    against the paper's printed values; the paper rounds to whole
+    (access) / tenth (backbone) milliseconds, so a 10% relative
     deviation gate is generous while still catching any topology-rate
     regression.
     """
-    from repro.core.buffers import (access_buffer_delays,
-                                    backbone_buffer_delays)
-
-    deviations = []
-    for packets, up_delay, down_delay in access_buffer_delays():
-        paper = paper_data.TABLE2_ACCESS.get(packets)
-        if paper is None:
-            continue
-        for computed, printed, side in ((up_delay * 1000.0, paper[0], "up"),
-                                        (down_delay * 1000.0, paper[1],
-                                         "down")):
-            deviations.append((abs(computed - printed) / max(printed, 1.0),
-                               "access %d %s" % (packets, side),
-                               printed, computed))
-    for packets, delay in backbone_buffer_delays():
-        printed = paper_data.TABLE2_BACKBONE.get(packets)
-        if printed is None:
-            continue
-        computed = delay * 1000.0
-        deviations.append((abs(computed - printed) / max(printed, 0.1),
-                           "backbone %d" % packets, printed, computed))
+    deviations = [(abs(computed - printed) / printed,
+                   label if side is None else "%s %s" % (label, side),
+                   printed, computed)
+                  for label, side, computed, printed in table2_rows()]
     fidelity = FigureFidelity(figure="table2", verdict=SKIP,
                               units="relative",
                               notes="closed-form check: analytic max "
                                     "queueing delays vs the printed "
                                     "Table 2")
-    if not deviations:
-        return fidelity
     worst = max(d for d, *__ in deviations)
     fidelity.compared = len(deviations)
     fidelity.metrics = {

@@ -203,7 +203,7 @@ class ReportFigure:
     def score(self, results):
         """The figure's :class:`repro.report.fidelity.FigureFidelity`,
         with every claim evaluated over ``results``."""
-        if self.name == "table2":
+        if self.sweep is None:
             scored = fidelity.table2_fidelity()
         elif self.check is None:
             scored = fidelity.skip(self.name)
@@ -292,15 +292,12 @@ def _median_utilizations(results, side):
 
 
 def _table2_within(side, bound):
-    """Whether every access buffer's analytic ``side`` (0 up, 1 down)
-    maximum delay is within ``bound`` (relative) of the paper's."""
-    from repro.core.buffers import access_buffer_delays
-
-    for packets, *delays in access_buffer_delays():
-        paper = paper_data.TABLE2_ACCESS[packets][side]
-        if abs(delays[side] * 1000.0 - paper) / paper >= bound:
-            return False
-    return True
+    """Whether every access buffer's analytic ``side`` (``"up"`` or
+    ``"down"``) maximum delay is within ``bound`` (relative) of the
+    paper's."""
+    return all(abs(computed - printed) / printed < bound
+               for __, row_side, computed, printed in fidelity.table2_rows()
+               if row_side == side)
 
 
 # ---------------------------------------------------------------------------
@@ -433,22 +430,13 @@ def _table1(title, headers, flows=None):
 
 
 def _table2(results, spec, scale, check):
-    from repro.core.buffers import (access_buffer_delays,
-                                    backbone_buffer_delays)
-
-    rows = []
-    for packets, up_delay, down_delay in access_buffer_delays():
-        paper = paper_data.TABLE2_ACCESS.get(packets, (None, None))
-        rows.append(("access %d" % packets,
-                     "%.0f / %s" % (up_delay * 1000.0,
-                                    _paper_text(paper[0])),
-                     "%.0f / %s" % (down_delay * 1000.0,
-                                    _paper_text(paper[1]))))
-    for packets, delay in backbone_buffer_delays():
-        rows.append(("backbone %d" % packets,
-                     "%.1f / %s" % (delay * 1000.0, _paper_text(
-                         paper_data.TABLE2_BACKBONE.get(packets))),
-                     ""))
+    cells = {}
+    for label, side, computed, printed in fidelity.table2_rows():
+        cells.setdefault(label, []).append(
+            ("%.0f / %s" if side else "%.1f / %s")
+            % (computed, _paper_text(printed)))
+    # A backbone row has one direction: its downlink cell stays empty.
+    rows = [(label, *texts, "")[:3] for label, texts in cells.items()]
     return Table(
         "Table 2: maximum queueing delay per buffer size [ms]",
         ("buffer", "uplink / paper", "downlink / paper"), rows,
@@ -735,9 +723,9 @@ _register(ReportFigure(
     title="Table 2: buffer sizes and maximum queueing delay",
     claims=(
         ("every access buffer's analytic uplink delay is within 15% of "
-         "the paper's", lambda rs: _table2_within(0, 0.15)),
+         "the paper's", lambda rs: _table2_within("up", 0.15)),
         ("every access buffer's analytic downlink delay is within 25% of "
-         "the paper's", lambda rs: _table2_within(1, 0.25)))))
+         "the paper's", lambda rs: _table2_within("down", 0.25)))))
 
 
 def figure_names():

@@ -64,15 +64,15 @@ class GridRunner:
         pool), which keeps tracebacks and debuggers usable.
     cache:
         A :class:`repro.runner.cache.ResultCache`; None builds the
-        default one.  Pass ``use_cache=False`` to disable caching.
+        default one.  Pass ``ResultCache(enabled=False)`` to disable
+        caching.
     progress:
         Emit per-cell progress/ETA lines; None reads ``REPRO_PROGRESS``.
     """
 
-    def __init__(self, workers=None, cache=None, use_cache=True,
-                 progress=None, log=None):
+    def __init__(self, workers=None, cache=None, progress=None, log=None):
         self.workers = resolve_workers(workers)
-        self.cache = (cache or ResultCache()) if use_cache else None
+        self.cache = cache or ResultCache()
         self.progress = (_progress_enabled_by_env() if progress is None
                          else progress)
         self._log = log or (lambda message: print(
@@ -131,7 +131,7 @@ class GridRunner:
 
         try:
             for index, task in enumerate(tasks):
-                payload = self.cache.get(task) if self._caching else None
+                payload = self.cache.get(task) if self.cache.enabled else None
                 if payload is None:
                     pending.append(index)
                 else:
@@ -194,12 +194,8 @@ class GridRunner:
         stats()
 
     # ------------------------------------------------------------------
-    @property
-    def _caching(self):
-        return self.cache is not None and self.cache.enabled
-
     def _finish(self, task, payload, done, total, started):
-        if self._caching:
+        if self.cache.enabled:
             self.cache.put(task, payload)
         if done and total:
             elapsed = time.monotonic() - started

@@ -59,7 +59,6 @@ class Simulator:
         self._heap = []
         self._seq = 0
         self._live = 0  # non-cancelled entries still in the heap
-        self.events_executed = 0  # cumulative, across run() calls
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -147,7 +146,6 @@ class Simulator:
             executed += 1
         if until is not None and until > self.now:
             self.now = until
-        self.events_executed += executed
         _total_events += executed
         return executed
 

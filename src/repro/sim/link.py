@@ -33,7 +33,7 @@ _INF = float("inf")
 class InterfaceStats:
     """Resettable transmit counters for one interface."""
 
-    __slots__ = ("tx_packets", "tx_bytes", "busy_time", "window_start")
+    __slots__ = ("tx_packets", "tx_bytes", "window_start")
 
     def __init__(self):
         self.reset(0.0)
@@ -41,7 +41,6 @@ class InterfaceStats:
     def reset(self, now):
         self.tx_packets = 0
         self.tx_bytes = 0
-        self.busy_time = 0.0
         self.window_start = now
 
     def utilization(self, rate_bps, now):
@@ -144,7 +143,6 @@ class Interface:
             stats.tx_bytes += packet.size * (now - started) / tx_time
         else:
             stats.tx_bytes += packet.size
-        stats.busy_time += now - started
         node = self.dst_node
         edge = node.routes.get(packet.dst)
         if edge.__class__ is EdgeLink:
@@ -373,7 +371,6 @@ class DropTailLink:
         stats = self._stats
         window_start = stats.window_start
         tx_bytes = stats.tx_bytes
-        busy_time = stats.busy_time
         forwarded = 0
         while index < head:
             start, finish, size, __, to_edge = log[index]
@@ -388,13 +385,11 @@ class DropTailLink:
                 tx_bytes += size * (finish - start) / tx_time
             else:
                 tx_bytes += size
-            busy_time += finish - start
             if to_edge:
                 forwarded += 1
             index += 1
         stats.tx_packets += index - done
         stats.tx_bytes = tx_bytes
-        stats.busy_time = busy_time
         self.dst_node._forwarded += forwarded
         self._done = index
         if index > _REPLAY_BATCH:

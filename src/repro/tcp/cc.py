@@ -117,7 +117,6 @@ class Cubic(CongestionControl):
         self.w_max = 0.0  # segments
         self.epoch_start = None
         self.k = 0.0
-        self.ack_count = 0
         self.w_est = 0.0
 
     def _reset_epoch(self, now):
@@ -127,7 +126,6 @@ class Cubic(CongestionControl):
             self.k = ((self.w_max - w) / self.C) ** (1.0 / 3.0)
         else:
             self.k = 0.0
-        self.ack_count = 0
         self.w_est = w
 
     def on_ack(self, acked_bytes, now, srtt):

@@ -25,7 +25,6 @@ but delivery ordering, retransmission and flow dynamics are real.
 
 import heapq
 from bisect import bisect_right
-from itertools import count as _counter
 
 from repro.sim.engine import Timer
 from repro.sim.packet import (
@@ -56,8 +55,6 @@ MAX_HANDSHAKE_RETRIES = 6
 
 #: Sentinel stream length for send_forever() sources.
 _INFINITE_BYTES = 1 << 62
-
-_marker_ids = _counter()
 
 
 class TcpStats:

@@ -1,6 +1,6 @@
-"""UDP sockets and RTP framing for the media applications."""
+"""UDP sockets and the RTP receiver for the media applications."""
 
-from repro.udp.rtp import RtpPacket, RtpReceiver, RtpSender
+from repro.udp.rtp import RtpReceiver
 from repro.udp.socket import UdpSocket
 
-__all__ = ["UdpSocket", "RtpPacket", "RtpSender", "RtpReceiver"]
+__all__ = ["UdpSocket", "RtpReceiver"]

@@ -18,19 +18,13 @@ class UdpSocket:
         ``fn(socket, packet)`` callback for received datagrams.
     """
 
-    __slots__ = ("sim", "node", "port", "on_datagram", "sent_datagrams",
-                 "sent_bytes", "received_datagrams", "received_bytes",
-                 "_closed")
+    __slots__ = ("sim", "node", "port", "on_datagram", "_closed")
 
     def __init__(self, sim, node, port=None, on_datagram=None):
         self.sim = sim
         self.node = node
         self.port = node.allocate_port() if port is None else port
         self.on_datagram = on_datagram
-        self.sent_datagrams = 0
-        self.sent_bytes = 0
-        self.received_datagrams = 0
-        self.received_bytes = 0
         self._closed = False
         node.register_udp(self.port, self)
 
@@ -57,14 +51,10 @@ class UdpSocket:
             -1.0,                    # ts_echo
             payload,
         )
-        self.sent_datagrams += 1
-        self.sent_bytes += payload_len
         return node.send(packet)
 
     def handle_packet(self, packet):
         """Entry point from the node's UDP demultiplexer."""
-        self.received_datagrams += 1
-        self.received_bytes += packet.payload_len
         if self.on_datagram is not None:
             self.on_datagram(self, packet)
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.buffers import (
-    ACCESS_BUFFERS,
-    BACKBONE_BUFFERS,
-    BufferConfig,
+    ACCESS_BUFFER_SIZES,
+    BACKBONE_BUFFER_SIZES,
     bdp_packets,
     max_queueing_delay,
     stanford_packets,
@@ -45,14 +44,12 @@ class TestBufferCatalog:
             stanford_packets(BackboneNetwork.RATE, 0.060, 0)
 
     def test_catalog_sizes(self):
-        assert [b.packets for b in ACCESS_BUFFERS] == [8, 16, 32, 64, 128, 256]
-        assert [b.packets for b in BACKBONE_BUFFERS] == [8, 28, 749, 7490]
+        assert ACCESS_BUFFER_SIZES == (8, 16, 32, 64, 128, 256)
+        assert BACKBONE_BUFFER_SIZES == (8, 28, 749, 7490)
 
     def test_delay_formula(self):
         assert max_queueing_delay(8, 1 * MBPS) == pytest.approx(0.096)
-        config = BufferConfig(64, "~BDP")
-        assert config.delay_at(16 * MBPS) == pytest.approx(0.048)
-        assert "BDP" in str(config)
+        assert max_queueing_delay(64, 16 * MBPS) == pytest.approx(0.048)
 
 
 class TestScenarioCatalog:

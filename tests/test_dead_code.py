@@ -14,6 +14,15 @@ imports and ``__all__`` entries are not reads, so
 a name that is only re-exported, or only exercised by ``tests/``, counts
 as dead.  Delete it, or add it to ``ALLOWED`` with the reason it stays.
 
+The dead-state guard holds stored values to the same rule: every
+attribute ``src/repro`` stores (``x.a = ...``, ``x.a += ...``) and every
+lowercase module-level name must be read somewhere in the same readers,
+or be allowlisted in ``ALLOWED_STATE``.  A load inside a statement that
+stores the same name is no read, so a counter that only updates itself
+(``self.n += 1``, or through a local: ``n = s.n``, ``n += 1``,
+``s.n = n``) counts as dead.  A name in ``__slots__`` is no read either;
+a dataclass field is one, since ``asdict`` reads it.
+
 The dead-option guard scans the same readers for calls: a parameter with
 a default value must be set by some call, or be a constant.  See
 :func:`options` and :func:`calls` for what counts as setting one.
@@ -95,9 +104,31 @@ def definitions(tree):
                     yield target.id, node.lineno, False
 
 
+def targets(node):
+    """The attributes and names an assignment statement stores to
+    (``x.a = ...``, ``a += ...``, ``x.a: T = ...``; none for any other
+    node)."""
+    if isinstance(node, ast.Assign):
+        assigned = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        assigned = [node.target]
+    else:
+        return []
+    return [child for target in assigned for child in ast.walk(target)
+            if isinstance(child, (ast.Attribute, ast.Name))
+            and isinstance(child.ctx, ast.Store)]
+
+
+def stores(node):
+    """Identifiers of what ``node`` stores to (see :func:`targets`)."""
+    return frozenset(target.attr if isinstance(target, ast.Attribute)
+                     else target.id for target in targets(node))
+
+
 def scoped(node, enclosing=frozenset()):
-    """(descendant, names of the functions whose body holds it) for every
-    node under ``node``."""
+    """(descendant, names it cannot read) for every node under ``node``:
+    the names of the functions whose body holds it and of what the
+    assignment statements holding it store."""
     for field, value in ast.iter_fields(node):
         inner = enclosing
         if field == "body" and isinstance(
@@ -105,28 +136,39 @@ def scoped(node, enclosing=frozenset()):
             inner = enclosing | {node.name}
         for child in value if isinstance(value, list) else [value]:
             if isinstance(child, ast.AST):
-                yield child, inner
-                yield from scoped(child, inner)
+                within = inner | stores(child)
+                yield child, within
+                yield from scoped(child, within)
 
 
 def reads(tree):
     """(identifier, is_bare_name) for every read in the module, excluding
-    ``__all__`` entries and reads inside a function of the same name;
-    ``is_bare_name`` marks a loaded identifier, as opposed to an
-    attribute access or a string literal."""
-    exported = set()
-    for node in tree.body:
+    ``__all__`` and ``__slots__`` entries, reads inside a function of the
+    same name and reads inside a statement that stores the same name (a
+    self-update such as ``self.n += 1`` or ``self.n = n``).  A field a
+    class declares with an annotation (a dataclass field) is a read:
+    ``asdict``, ``__eq__`` and ``__repr__`` read it.  ``is_bare_name``
+    marks a loaded identifier, as opposed to an attribute access or a
+    string literal."""
+    declared = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
+                isinstance(t, ast.Name) and t.id in ("__all__", "__slots__")
                 for t in node.targets):
-            exported.update(id(child) for child in ast.walk(node.value))
+            declared.update(id(child) for child in ast.walk(node.value))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield item.target.id, False
     for node, enclosing in scoped(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             name, bare = node.id, True
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute)
+              and not isinstance(node.ctx, ast.Store)):
             name, bare = node.attr, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and IDENTIFIER.match(node.value) and id(node) not in exported):
+              and IDENTIFIER.match(node.value) and id(node) not in declared):
             name, bare = node.value, False
         else:
             continue
@@ -175,6 +217,70 @@ def test_allowlist_names_only_unread_definitions():
     assert not stale, "allowlisted names that are gone or now read: %s" % stale
 
 
+# ---------------------------------------------------------------------------
+# Dead state: every value ``src/repro`` stores is read somewhere.
+# ---------------------------------------------------------------------------
+_CONSERVATION = ("QueueStats safety counter: the packet and byte "
+                 "conservation tests read it (enqueued = dequeued + "
+                 "backlog)")
+_RECOVERY = ("TcpStats loss-recovery counter: the loss-recovery tests read "
+             "it, and ROADMAP item 1's spurious-RTO test and item 6's "
+             "traces need it")
+
+#: Stored attributes and module-level names nothing in the readers
+#: loads, with the reason each stays.
+ALLOWED_STATE = {
+    "bytes_enqueued": _CONSERVATION,
+    "bytes_dropped": _CONSERVATION,
+    "dequeued": _CONSERVATION,
+    "bytes_dequeued": _CONSERVATION,
+    "fast_retransmits": _RECOVERY,
+    "timeouts": _RECOVERY,
+    "retransmitted_segments": _RECOVERY,
+}
+
+
+def state(tree):
+    """(name, line) for every attribute the module stores and every
+    lowercase module-level name it assigns."""
+    module = {id(node) for node in tree.body}
+    for node in ast.walk(tree):
+        for target in targets(node):
+            if isinstance(target, ast.Attribute):
+                yield target.attr, node.lineno
+            elif id(node) in module and not (
+                    CONSTANT.match(target.id) or is_dunder(target.id)):
+                yield target.id, node.lineno
+
+
+def unread_state():
+    """``{name: "path:line"}`` (the first store) for every stored name
+    under ``src/repro`` nothing in the readers loads."""
+    read = read_names()
+    unread = {}
+    for path in python_files(PACKAGE):
+        for name, line in state(parse(path)):
+            if name not in read:
+                unread.setdefault(name, "%s:%d" % (
+                    os.path.relpath(path, ROOT), line))
+    return unread
+
+
+def test_every_stored_value_is_read():
+    dead = ["%s %s" % (where, name)
+            for name, where in sorted(unread_state().items())
+            if name not in ALLOWED_STATE]
+    assert not dead, ("values stored that nothing in %s reads (delete them "
+                      "or allowlist them with a reason):\n  %s"
+                      % ("/".join(READERS), "\n  ".join(dead)))
+
+
+def test_state_allowlist_names_only_unread_state():
+    unread = unread_state()
+    stale = sorted(name for name in ALLOWED_STATE if name not in unread)
+    assert not stale, "allowlisted state that is gone or now read: %s" % stale
+
+
 def test_a_read_inside_a_same_named_function_is_not_a_read():
     def read(source):
         return {name for name, __ in reads(ast.parse(source))}
@@ -187,6 +293,26 @@ def test_a_read_inside_a_same_named_function_is_not_a_read():
     assert read(recursive) == {"Inner", "data", "child", "node"}
     called = recursive + "def run(spec):\n    return walk(spec)\n"
     assert "walk" in read(called) and "from_json" not in read(called)
+
+
+def test_a_self_update_or_a_slot_is_not_a_read():
+    tree = ast.parse("class Stats:\n"
+                     "    __slots__ = ('count', 'total')\n"
+                     "    def __init__(self, count):\n"
+                     "        self.count = count\n"
+                     "        self.total = 0\n"
+                     "    def add(self, n):\n"
+                     "        total = self.total\n"
+                     "        self.count += 1\n"
+                     "        self.total = total + n\n"
+                     "mark = 0\n")
+    assert sorted(state(tree)) == [
+        ("count", 4), ("count", 8), ("mark", 10), ("total", 5), ("total", 9)]
+    # Only ``n`` is read: ``count`` feeds only itself, and ``total`` only
+    # through a local that feeds it back.
+    assert {name for name, __ in reads(tree)} == {"self", "n"}
+    assert "count" in {name for name, __ in reads(ast.parse(
+        "def show(stats):\n    return getattr(stats, 'count')\n"))}
 
 
 # ---------------------------------------------------------------------------

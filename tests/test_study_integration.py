@@ -33,14 +33,15 @@ from repro.qoe.video import ssim_to_mos
 from repro.qoe.voip import score_call
 from repro.qoe.web import g1030_mos, min_plt_for
 from repro.report.figures import REPORT_FIGURES
-from repro.runner import GridRunner
+from repro.runner import GridRunner, ResultCache
 from repro.sim.packet import Packet
 
 
 def run_qos_grid(scenarios, buffers, **timing):
     """A qos sweep over ``scenarios`` x ``buffers``, run serially."""
     spec = adhoc_sweep("t", "qos", scenarios, buffers, **timing)
-    runner = GridRunner(workers=1, use_cache=False, progress=False)
+    runner = GridRunner(workers=1, cache=ResultCache(enabled=False),
+                        progress=False)
     return spec, api.run_sweep(spec, scale=1.0, runner=runner)
 
 
