@@ -36,7 +36,6 @@ from repro.core.registry import SweepSpec, resolve_scale
 from repro.results.set import ResultSet
 from repro.runner import GridRunner
 from repro.runner.cache import ResultCache
-from repro.runner.task import DISCIPLINES
 
 
 def resolve_spec(name_or_spec):
@@ -47,19 +46,17 @@ def resolve_spec(name_or_spec):
 
 
 def apply_overrides(spec, scale=None, workloads=None, buffers=None,
-                    duration=None, warmup=None, seed=None,
-                    disciplines=None):
+                    duration=None, warmup=None, seed=None):
     """Resolve ``spec``'s axes at ``scale`` and apply ad-hoc overrides.
 
     ``workloads`` restricts the scenario axis to the given cell-key
     labels; ``buffers`` replaces the buffer axis (packet counts or
     ``(down, up)`` pairs); ``duration``/``warmup`` are literal simulated
-    seconds (a duration override bypasses scale stretching);
-    ``disciplines`` replaces the queue-discipline axis.  Unknown
-    workload labels or disciplines, repeated buffers or disciplines, and
-    a duration for a web sweep (it runs a fixed fetch count, with no
-    measurement window) raise ValueError.  Overridden runs use different
-    cache keys than the registered grid, by design.
+    seconds (a duration override bypasses scale stretching).  Unknown
+    workload labels, repeated buffers and a duration for a web sweep (it
+    runs a fixed fetch count, with no measurement window) raise
+    ValueError.  Overridden runs use different cache keys than the
+    registered grid, by design.
     """
     if duration is not None and spec.kind == "web":
         raise ValueError("sweep %r is a web sweep: it runs a fixed fetch "
@@ -89,13 +86,6 @@ def apply_overrides(spec, scale=None, workloads=None, buffers=None,
         changes["warmup"] = warmup
     if seed is not None:
         changes["seed"] = seed
-    if disciplines:
-        disciplines = tuple(disciplines)
-        unknown = set(disciplines) - set(DISCIPLINES)
-        if unknown:
-            raise ValueError("unknown discipline(s) %s (have: %s)" % (
-                ", ".join(sorted(unknown)), ", ".join(DISCIPLINES)))
-        changes["disciplines"] = disciplines
     return replace(spec, **changes)
 
 

@@ -9,9 +9,8 @@ bitrate, the limit of that smoothing.
 
 The receiver records which RTP packets arrived within the playout
 deadline; a slice is decodable iff every packet carrying part of it
-made it.  An optional ARQ mode retransmits each lost packet once after
-an RTT (the proprietary IPTV set-top-box recovery of §8.1, used by the
-ablation benchmark; the paper's baseline has it off).
+made it.  There is no error recovery: the paper's §8.1 numbers are the
+baseline without the set-top-box's proprietary retransmissions.
 """
 
 from functools import lru_cache
@@ -27,9 +26,6 @@ from repro.udp import RtpReceiver, UdpSocket
 #: Playout deadline relative to each packet's send time; later arrivals
 #: count as lost (IPTV set-top-boxes buffer well under two seconds).
 DEADLINE = 1.0
-
-#: Round-trip time the ARQ mode waits out (twice) before it resends.
-ARQ_RTT = 0.1
 
 
 @lru_cache(maxsize=16)
@@ -63,12 +59,10 @@ class VideoStream:
         "HD" 8 Mbit/s).
     duration:
         Stream length in seconds (the paper's clips run 16 s).
-    arq:
-        When True, retransmit each missing packet once (ablation A3).
     """
 
     def __init__(self, sim, src_node, dst_node, port, clip="C",
-                 resolution="SD", duration=8.0, arq=False):
+                 resolution="SD", duration=8.0):
         self.sim = sim
         self.src_node = src_node
         self.dst_node = dst_node
@@ -76,14 +70,12 @@ class VideoStream:
         self.clip = clip
         self.resolution = resolution
         self.n_frames = max(1, int(duration * FPS))
-        self.arq = arq
         self.plans, self.slice_map = build_packet_plan(resolution,
                                                        self.n_frames)
         self.duration = self.n_frames / FPS
         self.send_times = {}
         self.receiver = None
         self.sender = None
-        self._retransmitted = set()
 
     def start(self):
         """Begin pacing packets at the stream bitrate."""
@@ -97,24 +89,12 @@ class VideoStream:
 
     @property
     def end_time(self):
-        return self.duration + DEADLINE + 4 * ARQ_RTT
+        return self.duration + DEADLINE
 
-    def _send_plan(self, plan, retransmission=False):
-        self.send_times.setdefault(plan.index, self.sim.now)
+    def _send_plan(self, plan):
+        self.send_times[plan.index] = self.sim.now
         self.sender.sendto(RTP_HEADER + plan.payload_bytes,
                            self.dst_node.addr, self.port, plan.index)
-        if self.arq and not retransmission:
-            self.sim.call_later(ARQ_RTT * 2.0, self._maybe_retransmit,
-                                plan)
-
-    def _maybe_retransmit(self, plan):
-        if plan.index in self._retransmitted:
-            return
-        arrived = any(media == plan.index
-                      for media, __ in self.receiver.arrivals)
-        if not arrived:
-            self._retransmitted.add(plan.index)
-            self._send_plan(plan, retransmission=True)
 
     def finish(self):
         """Close sockets; return the [frames, slices] reception matrix."""

@@ -27,8 +27,6 @@ class WebServer:
     """Static HTTP server: replies to ``("GET", size)`` with ``size`` bytes."""
 
     def __init__(self, sim, node, cc="reno"):
-        self.sim = sim
-        self.node = node
         self.listener = TcpListener(
             sim, node, WEB_PORT,
             on_connection=self._on_connection,

@@ -11,7 +11,7 @@ Subcommands
     Execute a sweep through :func:`repro.api.run_sweep` and print one
     summary line per cell (``export`` writes the full results).
     ``--workers/--no-cache/--progress`` map to the runner knobs;
-    ``--workloads/--buffers/--discipline/--duration/--warmup/--seed``
+    ``--workloads/--buffers/--duration/--warmup/--seed``
     override the spec's axes for ad-hoc runs (overridden runs use
     different cache keys than the registered grid, by design).
 ``export NAME``
@@ -123,8 +123,6 @@ def _overrides_from(args):
         overrides["warmup"] = args.warmup
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "discipline", None):
-        overrides["disciplines"] = _parse_csv(args.discipline)
     return overrides
 
 
@@ -196,9 +194,7 @@ def cmd_list(args):
         if index == 0:
             print("-" * (sum(widths) + 8 + len(rows[0][4])))
     print()
-    print("%d sweeps (%d paper, %d extension) at REPRO_SCALE=%g" % (
-        len(specs), len(registry.paper_sweeps()),
-        len(registry.extension_sweeps()), scale))
+    print("%d sweeps at REPRO_SCALE=%g" % (len(specs), scale))
     return 0
 
 
@@ -223,9 +219,6 @@ def cmd_describe(args):
     print("%-12s %s" % ("workloads:", ", ".join(description["workloads"])))
     print("%-12s %s" % ("buffers:", ", ".join(
         str(b) for b in description["buffers"])))
-    if len(description["disciplines"]) > 1:
-        print("%-12s %s" % ("disciplines:",
-                            ", ".join(description["disciplines"])))
     for param, values in description["axes"]:
         print("%-12s %s = %s" % ("axis:", param, ", ".join(map(str, values))))
     if description["counts"]:
@@ -392,9 +385,6 @@ def _add_override_arguments(parser):
                                             "(subset of the sweep's axis)")
     parser.add_argument("--buffers", help="comma-separated buffer sizes in "
                                           "packets; DOWN:UP pairs allowed")
-    parser.add_argument("--discipline", help="comma-separated queue "
-                                             "disciplines "
-                                             "(droptail/red/codel)")
     parser.add_argument("--duration", type=float, default=None,
                         help="measurement window override, simulated seconds")
     parser.add_argument("--warmup", type=float, default=None,
@@ -405,8 +395,8 @@ def _add_override_arguments(parser):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Run the paper's experiment grids (and extensions) "
-                    "from the declarative sweep registry.")
+        description="Run the paper's experiment grids from the "
+                    "declarative sweep registry.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     list_parser = sub.add_parser(

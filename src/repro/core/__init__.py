@@ -9,8 +9,8 @@ into the paper's experiment grid:
   testbeds, with calibrated Harpoon parameters.
 * :mod:`repro.core.workloads` — applies a scenario to a built network.
 * :mod:`repro.core.experiment` — the warm-up prefix every cell starts
-  with (:func:`repro.core.experiment.warm_up`: build the network for a
-  discipline name, apply the workload, run to the measurement start),
+  with (:func:`repro.core.experiment.warm_up`: build the network, apply
+  the workload, run to the measurement start),
   the settle rule and the QoS cell; :mod:`repro.core.voip_study`,
   :mod:`repro.core.video_study` and :mod:`repro.core.web_study` each
   hold one per-application QoE cell function that returns its payload.

@@ -23,14 +23,13 @@ from repro.sim.topology import AccessNetwork, BackboneNetwork
 SETTLE_STEP = 0.05
 
 
-def build_network(scenario, buffer_packets, discipline="droptail"):
+def build_network(scenario, buffer_packets):
     """Build the testbed network a scenario calls for, on a new simulator.
 
     ``buffer_packets`` is either a single size applied to both bottleneck
     directions (the paper's sweeps) or a ``(down, up)`` tuple — Table 1's
-    QoS baseline uses per-direction BDP buffers (64 down, 8 up).
-    ``discipline`` names both bottleneck queues' discipline
-    (:data:`repro.sim.topology.BOTTLENECKS`).  Returns ``(sim, network)``.
+    QoS baseline uses per-direction BDP buffers (64 down, 8 up).  Both
+    bottlenecks are drop-tail FIFOs.  Returns ``(sim, network)``.
     """
     sim = Simulator()
     if isinstance(buffer_packets, tuple):
@@ -38,15 +37,15 @@ def build_network(scenario, buffer_packets, discipline="droptail"):
     else:
         down_packets = up_packets = buffer_packets
     if scenario.testbed == "access":
-        network = AccessNetwork(sim, down_packets, up_packets, discipline)
+        network = AccessNetwork(sim, down_packets, up_packets)
     elif scenario.testbed == "backbone":
-        network = BackboneNetwork(sim, down_packets, discipline)
+        network = BackboneNetwork(sim, down_packets)
     else:
         raise ValueError("unknown testbed %r" % (scenario.testbed,))
     return sim, network
 
 
-def warm_up(scenario, buffer_packets, warmup, seed=0, discipline="droptail"):
+def warm_up(scenario, buffer_packets, warmup, seed=0):
     """The shared prefix of every cell: build, load, run to ``warmup``.
 
     Builds the network (:func:`build_network`), applies the scenario's
@@ -56,26 +55,24 @@ def warm_up(scenario, buffer_packets, warmup, seed=0, discipline="droptail"):
     on these arguments, so a probe created afterwards measures the same
     thing whichever cell kind creates it.
     """
-    sim, network = build_network(scenario, buffer_packets, discipline)
+    sim, network = build_network(scenario, buffer_packets)
     workload = apply_workload(sim, network, scenario, seed=seed)
     sim.run(until=warmup)
     return sim, network, workload
 
 
-def settled(legs, interfaces):
+def settled(legs):
     """True once nothing pending can still reach a receiver of ``legs``.
 
     A leg is a media stream or call leg with ``sim``, ``dst_node`` and
     ``port`` (:class:`repro.apps.video.VideoStream`,
     :class:`repro.apps.voip.VoipCall`).  Settled means: no live event is
-    a bound method of a leg (a pending send or ARQ check), and no packet
-    addressed to a receiver's (address, port) waits in the queue of one
-    of ``interfaces`` or in an event (serializing, propagating, or on an
-    edge link, where only the arrival event holds it).  From then on the
-    receivers get no further arrival, so every leg's outcome is final.
-    The queue scan is for event-driven interfaces (AQM): a packet
-    accepted by a closed-form ``DropTailLink`` is already held by its
-    next hop's arrival event.
+    a bound method of a leg (a pending send), and no packet addressed to
+    a receiver's (address, port) is held by an event.  Every packet in
+    flight is held by one: the closed-form links hand an accepted packet
+    straight to its next hop's arrival event, so no queue holds it.
+    From then on the receivers get no further arrival, so every leg's
+    outcome is final.
     """
     owners = {id(leg) for leg in legs}
     endpoints = {(leg.dst_node.addr, leg.port) for leg in legs}
@@ -88,11 +85,10 @@ def settled(legs, interfaces):
             return False
         if any(map(to_receiver, args if type(args) is tuple else (args,))):
             return False
-    return not any(to_receiver(packet) for interface in interfaces
-                   for packet in interface.queue)
+    return True
 
 
-def run_until_settled(legs, interfaces, until, end):
+def run_until_settled(legs, until, end):
     """Run to ``until``, then on until ``legs`` have :func:`settled`.
 
     After ``until`` the run advances in ``SETTLE_STEP`` chunks and stops
@@ -105,7 +101,7 @@ def run_until_settled(legs, interfaces, until, end):
     sim = legs[0].sim
     until = min(until, end)
     sim.run(until=until)
-    while until < end and not settled(legs, interfaces):
+    while until < end and not settled(legs):
         until = min(until + SETTLE_STEP, end)
         sim.run(until=until)
 
@@ -134,7 +130,7 @@ class QosReport:
 
 
 def run_qos_cell(scenario, buffer_packets, warmup=5.0, duration=30.0,
-                 seed=0, discipline="droptail"):
+                 seed=0):
     """Run background traffic alone and measure the bottleneck QoS.
 
     ``warmup``/``duration`` are simulated seconds.  Returns a
@@ -143,8 +139,7 @@ def run_qos_cell(scenario, buffer_packets, warmup=5.0, duration=30.0,
     """
     import numpy as np
 
-    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed,
-                                     discipline)
+    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed)
     network.reset_measurements()
     workload.reset_measurements()
     down_sampler = UtilizationSampler(sim, network.down_bottleneck, 1.0)

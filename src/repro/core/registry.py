@@ -1,10 +1,10 @@
 """Declarative scenario/sweep registry — the single source of truth for
 every experiment grid.
 
-The paper's artifacts (and our extensions) are all grids of independent
-(scenario x buffer size x extra axes) cells.  This module declares each
-grid once, as a named :class:`SweepSpec`, and everything else consumes
-that declaration:
+The paper's artifacts are all grids of independent (scenario x buffer
+size x extra axes) cells.  This module declares each grid once, as a
+named :class:`SweepSpec`, and everything else consumes that
+declaration:
 
 * :func:`repro.api.run_sweep` runs a spec (by name or object) and
   returns a :class:`repro.results.set.ResultSet`;
@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 from repro.core.buffers import ACCESS_BUFFER_SIZES, BACKBONE_BUFFER_SIZES
 from repro.core.scenarios import access_scenario, backbone_scenario
 from repro.runner import CellTask
-from repro.runner.task import DISCIPLINES, KINDS
+from repro.runner.task import KINDS
 
 
 def parse_scale(text, name="scale"):
@@ -139,23 +139,22 @@ def backbone(workload):
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepSpec:
-    """One named experiment grid (a paper artifact or an extension).
+    """One named experiment grid (a paper artifact).
 
-    The cell cross-product is ``scenarios x buffers x axes x
-    disciplines``; each cell lowers to one
-    :class:`repro.runner.task.CellTask`.  Every duration/warmup field is
-    in simulated seconds; buffer sizes are in packets (an entry may be a
-    ``(down, up)`` pair for per-direction buffers).
+    The cell cross-product is ``scenarios x buffers x axes``; each cell
+    lowers to one :class:`repro.runner.task.CellTask`.  Every
+    duration/warmup field is in simulated seconds; buffer sizes are in
+    packets (an entry may be a ``(down, up)`` pair for per-direction
+    buffers).
 
     Cell keys in :meth:`run` results are ``(scenario.key, buffer)``
-    extended by one value per entry of ``axes`` (in declaration order)
-    and, when more than one discipline is swept, the discipline name.
+    extended by one value per entry of ``axes`` (in declaration order).
     """
 
     name: str
     kind: str  # "qos" | "voip" | "video" | "web"
     title: str
-    provenance: str  # e.g. "Figure 5" / "Table 1 (access)" / "extension"
+    provenance: str  # e.g. "Figure 5" / "Table 1 (access)" / "ad-hoc"
     description: str = ""
     scenarios: tuple = ()  # ScenarioSpec rows (full-scale axis)
     scenarios_small: tuple = None  # reduced axis below full_scale
@@ -169,16 +168,11 @@ class SweepSpec:
     counts: tuple = ()  # ((param, base, minimum), ...) scale-resolved ints
     params: tuple = ()  # ((param, value), ...) static cell parameters
     axes: tuple = ()  # ((param, (value, ...)), ...) extra cell axes
-    disciplines: tuple = ("droptail",)  # queue disciplines to sweep
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown sweep kind %r (have %s)"
                              % (self.kind, KINDS))
-        for discipline in self.disciplines:
-            if discipline not in DISCIPLINES:
-                raise ValueError("unknown discipline %r (have %s)"
-                                 % (discipline, DISCIPLINES))
         for axis in (self.scenarios, self.scenarios_small or ()):
             labels = [spec.key for spec in axis]
             if len(set(labels)) != len(labels):
@@ -187,13 +181,11 @@ class SweepSpec:
                     "ScenarioSpec.label to disambiguate" % (self.name, labels))
         # A repeated value makes two tasks with one content hash and one
         # cell key, so one of the two results would silently vanish.
-        for what, axis in (("buffer size", self.buffers),
-                           ("buffer size", self.buffers_small or ()),
-                           ("discipline", self.disciplines)):
+        for axis in (self.buffers, self.buffers_small or ()):
             for index, value in enumerate(axis):
                 if value in axis[:index]:
-                    raise ValueError("sweep %r repeats %s %s in %s"
-                                     % (self.name, what, value, list(axis)))
+                    raise ValueError("sweep %r repeats buffer size %s in %s"
+                                     % (self.name, value, list(axis)))
 
     # -- axis resolution ------------------------------------------------
     def scenario_axis(self, scale):
@@ -232,17 +224,10 @@ class SweepSpec:
 
     def cells(self, scale):
         """Cell keys, aligned one-to-one with :meth:`tasks`."""
-        keys = []
-        multi_discipline = len(self.disciplines) > 1
-        for scenario in self.scenario_axis(scale):
-            for buffer_packets in self.buffer_axis(scale):
-                for axis_key, __ in self._axis_product():
-                    for discipline in self.disciplines:
-                        key = (scenario.key, buffer_packets) + axis_key
-                        if multi_discipline:
-                            key += (discipline,)
-                        keys.append(key)
-        return keys
+        return [(scenario.key, buffer_packets) + axis_key
+                for scenario in self.scenario_axis(scale)
+                for buffer_packets in self.buffer_axis(scale)
+                for axis_key, __ in self._axis_product()]
 
     def tasks(self, scale):
         """Lower the spec to :class:`repro.runner.task.CellTask` cells."""
@@ -254,12 +239,10 @@ class SweepSpec:
             scenario = scenario_spec.build()
             for buffer_packets in self.buffer_axis(scale):
                 for __, axis_params in self._axis_product():
-                    for discipline in self.disciplines:
-                        tasks.append(CellTask.make(
-                            self.kind, scenario, buffer_packets,
-                            seed=self.seed, warmup=self.warmup,
-                            duration=duration, discipline=discipline,
-                            **dict(params, **axis_params)))
+                    tasks.append(CellTask.make(
+                        self.kind, scenario, buffer_packets,
+                        seed=self.seed, warmup=self.warmup,
+                        duration=duration, **dict(params, **axis_params)))
         return tasks
 
     def cell_count(self, scale):
@@ -268,7 +251,7 @@ class SweepSpec:
         for __, values in self.axes:
             axis_cells *= len(values)
         return (len(self.scenario_axis(scale)) * len(self.buffer_axis(scale))
-                * axis_cells * len(self.disciplines))
+                * axis_cells)
 
     # -- serialization --------------------------------------------------
     def to_json(self):
@@ -291,7 +274,7 @@ class SweepSpec:
             if data.get(axis) is not None:
                 data[axis] = tuple(tuple(b) if isinstance(b, list) else b
                                    for b in data[axis])
-        for name in ("counts", "params", "axes", "disciplines"):
+        for name in ("counts", "params", "axes"):
             if data.get(name) is not None:
                 data[name] = tuple(
                     tuple(tuple(part) if isinstance(part, list) else part
@@ -312,7 +295,6 @@ class SweepSpec:
             "workloads": list(self.workloads(scale)),
             "buffers": [list(b) if isinstance(b, tuple) else b
                         for b in self.buffer_axis(scale)],
-            "disciplines": list(self.disciplines),
             "axes": [[param, list(values)] for param, values in self.axes],
             "seed": self.seed,
             "warmup_s": self.warmup,
@@ -366,18 +348,6 @@ def get(name):
 def names():
     """Registered sweep names in catalog (registration) order."""
     return list(REGISTRY)
-
-
-def paper_sweeps():
-    """Registered sweeps that reproduce a paper artifact."""
-    return [spec for spec in REGISTRY.values()
-            if spec.provenance != "extension"]
-
-
-def extension_sweeps():
-    """Registered sweeps that extend beyond the paper."""
-    return [spec for spec in REGISTRY.values()
-            if spec.provenance == "extension"]
 
 
 # -- paper grids (provenance = figure/table) --------------------------------
@@ -579,46 +549,3 @@ register(SweepSpec(
     full_scale=2.0,
     seed=5, warmup=15.0, duration=0.0, duration_min=0.0,
     counts=(("fetches", 5, 3),)))
-
-# -- extension families (provenance = "extension") --------------------------
-
-register(SweepSpec(
-    name="aqm-voip",
-    kind="voip",
-    title="AQM sweep: VoIP under upload congestion",
-    provenance="extension",
-    description="DropTail vs RED vs CoDel on the bloated uplink of the "
-                "paper's worst VoIP cell; AQM should recover most of the "
-                "MOS that standing queues cost.",
-    scenarios=(access("long-few", "up"),),
-    buffers=(64, 256),
-    seed=3, warmup=12.0, duration=8.0, duration_min=5.0,
-    params=(("calls", 1), ("directions", ("talks", "listens"))),
-    disciplines=("droptail", "red", "codel")))
-
-register(SweepSpec(
-    name="aqm-video",
-    kind="video",
-    title="AQM sweep: IPTV under download congestion",
-    provenance="extension",
-    description="Queue disciplines trade queueing delay for loss; video "
-                "QoE is loss-bound, so AQM helps far less than for VoIP.",
-    scenarios=(access("long-few", "down"),),
-    buffers=(64, 256),
-    seed=4, warmup=6.0, duration=6.0, duration_min=4.0,
-    params=(("clip", "C"), ("resolution", "SD")),
-    disciplines=("droptail", "red", "codel")))
-
-register(SweepSpec(
-    name="aqm-web",
-    kind="web",
-    title="AQM sweep: WebQoE under heavy download congestion",
-    provenance="extension",
-    description="Page loads under long-many download congestion per "
-                "discipline; CoDel bounds the RTT inflation that makes "
-                "large drop-tail buffers lose.",
-    scenarios=(access("long-many", "down"),),
-    buffers=(8, 64, 256),
-    seed=5, warmup=8.0, duration=0.0, duration_min=0.0,
-    counts=(("fetches", 6, 3),),
-    disciplines=("droptail", "red", "codel")))

@@ -14,8 +14,7 @@ VIDEO_PORT = 6200
 
 
 def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
-                   duration=8.0, warmup=5.0, seed=0, arq=False,
-                   discipline="droptail"):
+                   duration=8.0, warmup=5.0, seed=0):
     """Stream one clip through a loaded cell and score it.
 
     ``warmup``/``duration`` are simulated seconds.  Returns a dict with
@@ -29,15 +28,14 @@ def run_video_cell(scenario, buffer_packets, resolution="SD", clip="C",
     at the latest ``end_time + 1.0`` after the start, with the same
     payload as a run to that late bound.
     """
-    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed,
-                                     discipline)
+    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed)
     stream = VideoStream(sim, network.media_server, network.media_client,
                          port=VIDEO_PORT, clip=clip, resolution=resolution,
-                         duration=duration, arq=arq)
+                         duration=duration)
     end = sim.now + stream.end_time + 1.0
     until = sim.now + stream.duration  # after the last send
     stream.start()
-    run_until_settled([stream], network.bottlenecks(), until, end)
+    run_until_settled([stream], until, end)
     received = stream.finish()
     workload.stop()
 

@@ -35,8 +35,7 @@ def run_voip_cell(scenario, buffer_packets, **kwargs):
 
     Takes :func:`run_calls`' arguments.  Returns the median combined MOS
     per direction and, under ``"delay"``, the median mouth-to-ear delay
-    (seconds) per direction: the AQM and bufferbloat sweeps assert on
-    the standing queue, not just MOS.
+    (seconds) per direction.
     """
     scores = run_calls(scenario, buffer_packets, **kwargs)
     payload = {direction: median_mos(score_list)
@@ -50,8 +49,7 @@ def run_voip_cell(scenario, buffer_packets, **kwargs):
 
 
 def run_calls(scenario, buffer_packets, calls=2, warmup=5.0, seed=0,
-              duration=8.0, directions=("talks", "listens"),
-              discipline="droptail"):
+              duration=8.0, directions=("talks", "listens")):
     """Run ``calls`` sequential calls per direction through one cell.
 
     ``warmup`` and ``duration`` (per call) are simulated seconds;
@@ -64,8 +62,7 @@ def run_calls(scenario, buffer_packets, calls=2, warmup=5.0, seed=0,
     settled (:func:`repro.core.experiment.run_until_settled`), at the
     latest at that bound, with the same scores as a run to the bound.
     """
-    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed,
-                                     discipline)
+    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed)
 
     scores = {direction: [] for direction in directions}
     for call_index in range(calls):
@@ -88,8 +85,7 @@ def run_calls(scenario, buffer_packets, calls=2, warmup=5.0, seed=0,
         end = sim.now + duration + CALL_SLACK
         last = call_index == calls - 1
         if last:
-            run_until_settled(list(live.values()), network.bottlenecks(),
-                              sim.now + duration, end)
+            run_until_settled(list(live.values()), sim.now + duration, end)
         else:
             sim.run(until=end)
         finished = {direction: call.finish()

@@ -19,8 +19,7 @@ POLL_STEP = 0.25
 FETCH_TIMEOUT = 30.0
 
 
-def run_web_cell(scenario, buffer_packets, fetches=10, warmup=5.0, seed=0,
-                 discipline="droptail"):
+def run_web_cell(scenario, buffer_packets, fetches=10, warmup=5.0, seed=0):
     """Fetch the page repeatedly through one cell.
 
     ``warmup`` is simulated seconds.  Returns a dict with the PLT list
@@ -35,8 +34,7 @@ def run_web_cell(scenario, buffer_packets, fetches=10, warmup=5.0, seed=0,
     themselves are exact event times, so the last fetch is polled in
     ``SETTLE_STEP`` chunks and the cell ends without the trailing gap.
     """
-    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed,
-                                     discipline)
+    sim, network, workload = warm_up(scenario, buffer_packets, warmup, seed)
     server = WebServer(sim, network.media_server, cc=scenario.cc)
 
     plts = []

@@ -10,8 +10,8 @@ R = 93.2.  The paper uses the *delay impairment* ``Id`` — dominated by
 and the G.107 Annex B polynomial to map R scores to MOS.
 
 ``Ie,eff`` (packet-loss impairment) is implemented as well: the full
-E-model is exposed for the AQM ablations and for tests, even though the
-paper's combination builds its loss sensitivity into z1 (PESQ) instead.
+E-model is exposed for tests, even though the paper's combination builds
+its loss sensitivity into z1 (PESQ) instead.
 """
 
 import math

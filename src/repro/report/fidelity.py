@@ -139,7 +139,7 @@ class MonotoneSpec:
     size (``direction`` +1 rising / -1 falling) for every workload row.
     Used where the paper shows a trend but no digitizable per-cell
     numbers (Figure 5's utilization boxplots).  On sweeps with extra
-    cell axes (resolution, discipline), ``filters`` must pin them to a
+    cell axes (resolution), ``filters`` must pin them to a
     single variant — mixed variants in one row raise rather than
     silently corrupting the per-row statistic."""
 

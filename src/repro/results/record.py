@@ -11,7 +11,7 @@ axes that produced it:
     The scenario label (``str(task.scenario)``).
 ``.buffer_packets``
     Packet count, or a ``(down, up)`` tuple for per-direction buffers.
-``.seed`` / ``.discipline`` / ``.params``
+``.seed`` / ``.params``
     The remaining task axes.
 ``.key`` / ``.index``
     The sweep cell key and task position, when the record was built by a
@@ -60,8 +60,7 @@ SUMMARIES = {
         payload["median_plt"], payload["mos"]),
 }
 
-_AXES = ("kind", "scenario", "buffer_packets", "seed", "discipline", "key",
-         "index")
+_AXES = ("kind", "scenario", "buffer_packets", "seed", "key", "index")
 
 
 @dataclass(frozen=True)
@@ -72,10 +71,9 @@ class CellResult:
     scenario: str
     buffer_packets: object  # packets: int, or a (down, up) tuple
     seed: int
-    discipline: str
     params: tuple  # kind-specific parameters as a sorted item tuple
     payload: object  # the JSON wire-format payload (never mutated)
-    key: tuple = None  # sweep cell key, e.g. ("long-few", 64, "codel")
+    key: tuple = None  # sweep cell key, e.g. ("long-few", 64, "HD")
     index: int = None  # position within the sweep's task list
 
     @property
@@ -114,7 +112,7 @@ class CellResult:
     def to_row(self):
         """Flat ``{column: scalar}`` dict for tabular export.
 
-        Axis columns first (kind/scenario/buffer/seed/discipline, plus
+        Axis columns first (kind/scenario/buffer/seed, plus
         the cell key when set), then params, then every metric.  Floats
         pass through unformatted — ``str()`` round-trips them exactly.
         """
@@ -123,7 +121,6 @@ class CellResult:
             "scenario": self.scenario,
             "buffer": format_buffer(self.buffer_packets),
             "seed": self.seed,
-            "discipline": self.discipline,
         }
         if self.key is not None:
             row["key"] = "/".join(str(part) for part in self.key)
@@ -150,5 +147,5 @@ def record_from_payload(task, payload, key=None, index=None):
                          % (task.kind, sorted(SUMMARIES)))
     return CellResult(kind=task.kind, scenario=str(task.scenario),
                       buffer_packets=task.buffer_packets, seed=task.seed,
-                      discipline=task.discipline, params=task.params,
-                      payload=payload, key=key, index=index)
+                      params=task.params, payload=payload, key=key,
+                      index=index)

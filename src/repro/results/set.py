@@ -137,7 +137,6 @@ class ResultSet:
                                if isinstance(record.buffer_packets, tuple)
                                else record.buffer_packets),
             "seed": record.seed,
-            "discipline": record.discipline,
             "params": {name: (list(value) if isinstance(value, tuple)
                               else value)
                        for name, value in record.params},

@@ -4,12 +4,12 @@
 returns a JSON-ready payload (:mod:`repro.results.record` wraps it in a
 :class:`repro.results.record.CellResult`).  It makes one generic call:
 the kind's cell function (:data:`CELLS`) gets the task's scenario,
-buffer, windows, seed, discipline and params as keywords, and the
-payload is what it returns, shaped in its own module.  Everything here
-is module-level and picklable so the grid runner can ship tasks to
-worker processes.  The cell function is looked up at call time, so
-``repro.runner`` stays import-light and cycle-free, and a replaced
-module attribute is the one that runs.
+buffer, windows, seed and params as keywords, and the payload is what
+it returns, shaped in its own module.  Everything here is module-level
+and picklable so the grid runner can ship tasks to worker processes.
+The cell function is looked up at call time, so ``repro.runner`` stays
+import-light and cycle-free, and a replaced module attribute is the one
+that runs.
 
 Cells run with the cyclic garbage collector paused: the sim core is
 careful about reference cycles (packets and events are plain objects
@@ -48,8 +48,7 @@ def execute_task(task):
         gc.disable()
     try:
         return jsonify(cell(task.scenario, task.buffer_packets,
-                            warmup=task.warmup, seed=task.seed,
-                            discipline=task.discipline, **window,
+                            warmup=task.warmup, seed=task.seed, **window,
                             **task.params_dict))
     finally:
         if was_enabled:

@@ -1,10 +1,10 @@
 """Cell task descriptions for the grid runner.
 
 A :class:`CellTask` is the declarative unit of work of every paper grid:
-one (scenario, buffer size, seed) cell plus the measurement windows and
-queue discipline that fully determine its result.  Tasks are frozen,
-picklable (so they can cross a process-pool boundary) and carry a stable
-content hash that keys the on-disk result cache.
+one (scenario, buffer size, seed) cell plus the measurement windows that
+fully determine its result.  Tasks are frozen, picklable (so they can
+cross a process-pool boundary) and carry a stable content hash that keys
+the on-disk result cache.
 """
 
 import hashlib
@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass
 
 from repro.runner.execute import CELLS
-from repro.sim.topology import BOTTLENECKS
 
 #: Bump when the meaning of a cached payload changes incompatibly.
 #: v2: voip payloads carry a per-direction "delay" entry (seconds).
@@ -21,10 +20,6 @@ CACHE_SCHEMA_VERSION = 2
 
 #: Cell kinds, the kinds :mod:`repro.runner.execute` has a cell function for.
 KINDS = tuple(CELLS)
-
-#: Queue disciplines, the names the testbeds build bottlenecks from
-#: (:data:`repro.sim.topology.BOTTLENECKS`).
-DISCIPLINES = tuple(BOTTLENECKS)
 
 
 def _check_cell_values(kind, scenario, buffer_packets, warmup, duration):
@@ -75,17 +70,13 @@ class CellTask:
     seed: int = 0
     warmup: float = 5.0  # seconds (simulated) before measurement
     duration: float = 20.0  # measurement window, seconds (simulated)
-    discipline: str = "droptail"
     params: tuple = ()
 
     @classmethod
     def make(cls, kind, scenario, buffer_packets, seed=0, warmup=5.0,
-             duration=20.0, discipline="droptail", **params):
+             duration=20.0, **params):
         if kind not in KINDS:
             raise ValueError("unknown cell kind %r (have %s)" % (kind, KINDS))
-        if discipline not in DISCIPLINES:
-            raise ValueError("unknown discipline %r (have %s)"
-                             % (discipline, DISCIPLINES))
         if isinstance(buffer_packets, list):
             buffer_packets = tuple(buffer_packets)
         _check_cell_values(kind, scenario, buffer_packets, warmup, duration)
@@ -96,8 +87,7 @@ class CellTask:
             duration = 0.0
         return cls(kind=kind, scenario=scenario,
                    buffer_packets=buffer_packets, seed=seed, warmup=warmup,
-                   duration=duration, discipline=discipline,
-                   params=tuple(sorted(params.items())))
+                   duration=duration, params=tuple(sorted(params.items())))
 
     @property
     def params_dict(self):
@@ -119,7 +109,6 @@ class CellTask:
             "seed": self.seed,
             "warmup": self.warmup,
             "duration": self.duration,
-            "discipline": self.discipline,
             "params": _jsonable(self.params_dict),
         }
 

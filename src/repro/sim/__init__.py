@@ -2,11 +2,12 @@
 
 This package is the "testbed hardware" substrate of the reproduction:
 an event engine (:mod:`repro.sim.engine`), packets
-(:mod:`repro.sim.packet`), queue disciplines including drop-tail, RED and
-CoDel (:mod:`repro.sim.queues`), store-and-forward bottleneck links
-(closed-form for drop-tail, event-driven for AQM) and closed-form edge links
-(:mod:`repro.sim.link`), hosts/routers (:mod:`repro.sim.node`) and the two
-dumbbell topologies used by the paper (:mod:`repro.sim.topology`).
+(:mod:`repro.sim.packet`), the drop-tail bottleneck queue
+(:mod:`repro.sim.queues`), store-and-forward bottleneck links (closed-form
+on the testbeds, event-driven as the tests' reference) and closed-form
+edge links (:mod:`repro.sim.link`), hosts/routers (:mod:`repro.sim.node`)
+and the two dumbbell topologies used by the paper
+(:mod:`repro.sim.topology`).
 
 One clock drives it all.  Callbacks are scheduled with
 ``Simulator.call_later`` (or ``schedule_many``); a ``Timer`` is the only
@@ -17,7 +18,7 @@ from repro.sim.engine import SimTimeError, Simulator, Timer
 from repro.sim.link import DropTailLink, EdgeLink, Interface
 from repro.sim.node import Node
 from repro.sim.packet import FLAG_ACK, FLAG_FIN, FLAG_SYN, Packet
-from repro.sim.queues import CoDelQueue, DropTailQueue, Queue, QueueStats, REDQueue
+from repro.sim.queues import DropTailQueue, Queue, QueueStats
 from repro.sim.topology import (
     AccessNetwork,
     BackboneNetwork,
@@ -39,8 +40,6 @@ __all__ = [
     "Queue",
     "QueueStats",
     "DropTailQueue",
-    "REDQueue",
-    "CoDelQueue",
     "AccessNetwork",
     "BackboneNetwork",
     "DumbbellNetwork",

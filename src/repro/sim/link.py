@@ -13,9 +13,9 @@ it, with the same counters and the same floats:
   to its next hop, so the bottleneck adds no event of its own.  Its
   counters are replayed lazily, in FIFO order, before every read.
 * :class:`Interface` is event-driven (one event per serialized packet)
-  and takes any :class:`repro.sim.queues.Queue`.  AQM queues need it:
-  CoDel drops at dequeue and RED reads the backlog and idle time.  It is
-  also the reference the tests compare :class:`DropTailLink` against.
+  and takes any :class:`repro.sim.queues.Queue`.  No testbed builds
+  one: it is the reference the tests compare :class:`DropTailLink`
+  against, and the link the tests build around their own queues.
 
 An :class:`EdgeLink` models one direction of a host<->router edge link,
 which never drops and whose counters nothing reads: it computes its

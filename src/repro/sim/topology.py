@@ -16,30 +16,19 @@ Servers live on the *left*, clients on the *right*, exactly as in
 Figure 3.  ``clients[0]``/``servers[0]`` are reserved for the application
 under test (the "multimedia hosts"); background traffic uses the rest.
 
-The queue discipline's name picks each bottleneck direction's link and
-queue through :data:`BOTTLENECKS`: a closed-form
-:class:`repro.sim.link.DropTailLink` for ``"droptail"`` (the paper's
-buffers), and an event-driven :class:`repro.sim.link.Interface` for
-``"red"`` and ``"codel"`` (the AQM ablations).  For a drop-tail queue
-both links give the same results.  Host<->router links are closed-form
-:class:`repro.sim.link.EdgeLink` delay boxes.
+Each bottleneck direction is a drop-tail FIFO counted in packets, the
+paper's buffer, served in closed form by
+:class:`repro.sim.link.DropTailLink`.  Host<->router links are
+closed-form :class:`repro.sim.link.EdgeLink` delay boxes.
 """
 
-from repro.sim.link import DropTailLink, EdgeLink, Interface
+from repro.sim.link import DropTailLink, EdgeLink
 from repro.sim.node import Node
-from repro.sim.queues import CoDelQueue, DropTailQueue, REDQueue
+from repro.sim.queues import DropTailQueue
 from repro.util.units import GBPS, MBPS, ms
 
 #: Wire size of a full-sized data packet (MSS 1460 + 40 bytes of headers).
 FULL_PACKET_BYTES = 1500
-
-#: The one mapping from a queue discipline name to the bottleneck it
-#: builds: ``(link class, queue class)``.
-BOTTLENECKS = {
-    "droptail": (DropTailLink, DropTailQueue),
-    "red": (Interface, REDQueue),
-    "codel": (Interface, CoDelQueue),
-}
 
 
 class DumbbellNetwork:
@@ -57,20 +46,12 @@ class DumbbellNetwork:
     sim:
         Driving simulator.
     down_buffer_packets, up_buffer_packets:
-        Capacities of the buffers under study, in packets.
-    discipline:
-        Queue discipline of both bottleneck queues, a key of
-        :data:`BOTTLENECKS`; ``"droptail"`` like the paper.
+        Capacities of the drop-tail buffers under study, in packets.
     """
 
     EDGE_RATE = GBPS
 
-    def __init__(self, sim, down_buffer_packets, up_buffer_packets,
-                 discipline="droptail"):
-        if discipline not in BOTTLENECKS:
-            raise ValueError("unknown queue discipline %r (have %s)"
-                             % (discipline, ", ".join(BOTTLENECKS)))
-        link, queue = BOTTLENECKS[discipline]
+    def __init__(self, sim, down_buffer_packets, up_buffer_packets):
         self.sim = sim
         self._next_addr = 1
 
@@ -84,12 +65,14 @@ class DumbbellNetwork:
         ]
 
         # Bottleneck link: left router <-> right router.
-        self.down_bottleneck = link(
+        self.down_bottleneck = DropTailLink(
             sim, "bottleneck-down", self.DOWN_RATE, self.BOTTLENECK_DELAY,
-            queue(capacity_packets=down_buffer_packets), self.right_router)
-        self.up_bottleneck = link(
+            DropTailQueue(capacity_packets=down_buffer_packets),
+            self.right_router)
+        self.up_bottleneck = DropTailLink(
             sim, "bottleneck-up", self.UP_RATE, self.BOTTLENECK_DELAY,
-            queue(capacity_packets=up_buffer_packets), self.left_router)
+            DropTailQueue(capacity_packets=up_buffer_packets),
+            self.left_router)
         self.left_router.set_default_route(self.down_bottleneck)
         self.right_router.set_default_route(self.up_bottleneck)
 
@@ -169,10 +152,8 @@ class AccessNetwork(DumbbellNetwork):
     UP_RATE = 1 * MBPS
     BOTTLENECK_DELAY = 0.0
 
-    def __init__(self, sim, down_buffer_packets=64, up_buffer_packets=8,
-                 discipline="droptail"):
-        super().__init__(sim, down_buffer_packets, up_buffer_packets,
-                         discipline)
+    def __init__(self, sim, down_buffer_packets=64, up_buffer_packets=8):
+        super().__init__(sim, down_buffer_packets, up_buffer_packets)
 
 
 class BackboneNetwork(DumbbellNetwork):
@@ -191,5 +172,5 @@ class BackboneNetwork(DumbbellNetwork):
     DOWN_RATE = UP_RATE = RATE
     BOTTLENECK_DELAY = ms(30)
 
-    def __init__(self, sim, buffer_packets=749, discipline="droptail"):
-        super().__init__(sim, buffer_packets, buffer_packets, discipline)
+    def __init__(self, sim, buffer_packets=749):
+        super().__init__(sim, buffer_packets, buffer_packets)

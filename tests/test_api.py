@@ -43,8 +43,6 @@ class TestRunSweep:
         spec = registry.get("fig4-up")
         with pytest.raises(ValueError, match="mystery"):
             api.apply_overrides(spec, scale=1.0, workloads=("mystery",))
-        with pytest.raises(ValueError, match="fifo"):
-            api.apply_overrides(spec, scale=1.0, disciplines=("fifo",))
 
     def test_duration_override_is_literal_above_scale_one(self):
         spec = api.apply_overrides(tiny_spec(), scale=4.0, duration=2.0)

@@ -105,10 +105,6 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "fig5", "--workloads", "mystery"])
 
-    def test_unknown_discipline_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["run", "fig5", "--discipline", "fifo"])
-
     @pytest.mark.parametrize("argv, message", [
         (["fig7a", "--workloads", "noBG", "--buffers", "0"], "buffer size"),
         (["fig7a", "--workloads", "noBG", "--buffers=-4"], "buffer size"),
@@ -156,8 +152,6 @@ class TestRun:
     @pytest.mark.parametrize("argv, message", [
         (["fig7a", "--workloads", "noBG", "--buffers", "8,8"],
          "repeats buffer size 8"),
-        (["fig7a", "--workloads", "noBG", "--buffers", "8",
-          "--discipline", "red,red"], "repeats discipline red"),
         (["fig10b", "--workloads", "noBG", "--buffers", "8", "--duration",
           "99"], "fixed fetch count"),
     ])

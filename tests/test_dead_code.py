@@ -46,6 +46,9 @@ ALLOWED = {
               "anchor points through it",
     "stanford_packets": "Table 2's BDP/sqrt(n) rule: tests check it yields "
                         "the 28-packet backbone buffer",
+    "Interface": "event-driven link: tests check DropTailLink against it "
+                 "float for float, and build links around their own "
+                 "queues with it",
     # Paper data and catalogs kept for the paper, not for a caller.
     "FIG4_BIDIR_DOWNLINK": "digitized paper data (Figure 4, bidir panel)",
     "FIG4_BIDIR_UPLINK": "digitized paper data (Figure 4, bidir panel)",
@@ -318,7 +321,6 @@ def test_a_self_update_or_a_slot_is_not_a_read():
 # ---------------------------------------------------------------------------
 # Dead options: every defaulted parameter is set by some call.
 # ---------------------------------------------------------------------------
-_TESTS_SET = "mechanism parameter the tests set to reach an edge case"
 _EMODEL = "G.107 input of the E-model oracle, at the standard's default"
 _WEIBULL = ("paper's file-size parameter of the oracle the tests check the "
             "Harpoon sampler's mean against")
@@ -327,14 +329,9 @@ _WEIBULL = ("paper's file-size parameter of the oracle the tests check the "
 #: ``Class(param)`` (constructor), ``Class.method(param)`` or
 #: ``function(param)``, with the reason each stays a parameter.
 ALLOWED_OPTIONS = {
-    "REDQueue(min_th)": _TESTS_SET,
-    "REDQueue(max_th)": _TESTS_SET,
-    "REDQueue(max_p)": _TESTS_SET,
-    "REDQueue(weight)": _TESTS_SET,
-    "REDQueue(rng)": "tests seed it; per-seed RED drops (ROADMAP item 2) "
-                     "need the sweep seed to reach it",
-    "CoDelQueue(target)": _TESTS_SET,
-    "CoDelQueue(interval)": _TESTS_SET,
+    "Queue(capacity_packets)": "a queue built without a capacity is "
+                               "rejected loudly: tests check the "
+                               "ValueError",
     "Cubic(mss)": "the base class's signature: tests build every "
                   "algorithm as cls(mss=...)",
     "Cubic(initial_window_segments)": "the base class's signature, whose "

@@ -84,8 +84,6 @@ def test_catalog_cell_counts_and_axes_match_registry():
                                 len(spec.buffer_axis(scale)))]
         for param, values in spec.axes:
             parts.append("x %d %s" % (len(values), param))
-        if len(spec.disciplines) > 1:
-            parts.append("x %d disciplines" % len(spec.disciplines))
         return " ".join(parts)
 
     for name, spec in REGISTRY.items():

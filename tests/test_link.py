@@ -10,7 +10,7 @@ from repro.sim.engine import Simulator
 from repro.sim.link import DropTailLink, EdgeLink, Interface, InterfaceStats
 from repro.sim.node import Node
 from repro.sim.packet import Packet
-from repro.sim.queues import DropTailQueue, QueueStats, REDQueue
+from repro.sim.queues import DropTailQueue, Queue, QueueStats
 from repro.sim.stats import UtilizationSampler
 
 
@@ -317,8 +317,14 @@ def test_sampler_tick_sees_completions_by_the_tie_rule():
     assert results[1]["samples"] == [0.0, 0.75, 0.0, 1.0]
 
 
+class _OtherQueue(Queue):
+    """A queue with some other drop policy; only its type matters here."""
+
+    __slots__ = ()
+
+
 def test_drop_tail_link_needs_a_drop_tail_queue():
     sim = Simulator()
     with pytest.raises(TypeError, match="DropTailQueue"):
-        DropTailLink(sim, "red", 1e6, 0.0, REDQueue(capacity_packets=8),
+        DropTailLink(sim, "other", 1e6, 0.0, _OtherQueue(capacity_packets=8),
                      _Recorder(sim, 2))

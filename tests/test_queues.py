@@ -1,19 +1,14 @@
-"""Tests for drop-tail, RED and CoDel queue disciplines."""
+"""Tests for the drop-tail queue."""
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proputil import seeded_property
 from repro.sim.packet import Packet
-from repro.sim.queues import (
-    CoDelQueue,
-    DropTailQueue,
-    REDQueue,
-)
+from repro.sim.queues import DropTailQueue
 
 
 def make_packet(size=1500):
@@ -66,127 +61,6 @@ class TestDropTail:
         assert len(queue) == 1
 
 
-class TestRed:
-    def test_no_drops_below_min_threshold(self):
-        rng = np.random.default_rng(1)
-        queue = REDQueue(capacity_packets=100, min_th=20, max_th=60, rng=rng)
-        for __ in range(10):
-            assert queue.push(make_packet(), 0.0)
-        assert queue.stats.dropped == 0
-
-    def test_probabilistic_drops_between_thresholds(self):
-        rng = np.random.default_rng(2)
-        queue = REDQueue(capacity_packets=1000, min_th=5, max_th=15,
-                         max_p=0.5, weight=0.5, rng=rng)
-        drops = 0
-        now = 0.0
-        for __ in range(500):
-            if not queue.push(make_packet(), now):
-                drops += 1
-            now += 0.001
-        assert drops > 0
-        assert drops < 500
-
-    def test_forced_drop_above_gentle_region(self):
-        queue = REDQueue(capacity_packets=1000, min_th=1, max_th=2,
-                         max_p=0.1, weight=1.0)
-        # Fill until the EWMA is far above 2*max_th: every push must drop.
-        for __ in range(20):
-            queue.push(make_packet(), 0.0)
-        assert not queue.push(make_packet(), 0.0)
-
-    def test_average_decays_when_idle(self):
-        queue = REDQueue(capacity_packets=100, min_th=5, max_th=20, weight=0.5)
-        for __ in range(10):
-            queue.push(make_packet(), 0.0)
-        while queue.pop(1.0) is not None:
-            pass
-        high = queue.avg
-        queue.push(make_packet(), 10.0)  # long idle period decays the EWMA
-        assert queue.avg < high
-
-
-class TestCoDel:
-    def test_behaves_like_fifo_at_low_delay(self):
-        queue = CoDelQueue(capacity_packets=100)
-        now = 0.0
-        dropped = 0
-        for step in range(200):
-            if not queue.push(make_packet(), now):
-                dropped += 1
-            packet = queue.pop(now + 0.001)  # 1 ms sojourn << 5 ms target
-            assert packet is not None
-            now += 0.002
-        assert dropped == 0
-        assert queue.stats.dropped == 0
-
-    def test_drops_under_sustained_delay(self):
-        queue = CoDelQueue(capacity_packets=10_000, target=0.005, interval=0.1)
-        # Arrivals at 2x the drain rate: sojourn times build far above target.
-        now = 0.0
-        for __ in range(2000):
-            queue.push(make_packet(), now)
-            now += 0.001
-            if int(now * 1000) % 2 == 0:
-                queue.pop(now)
-        assert queue.stats.dropped > 0
-
-    def test_capacity_still_enforced(self):
-        queue = CoDelQueue(capacity_packets=3)
-        for __ in range(5):
-            queue.push(make_packet(), 0.0)
-        assert len(queue) == 3
-
-    def test_dropping_state_reentry_fast_restart(self):
-        """Re-entering the dropping state shortly after leaving it resumes
-        the control law near the old rate (drop_count = prev - 2) instead
-        of restarting from 1."""
-        queue = CoDelQueue(capacity_packets=100, target=0.005, interval=0.1)
-        for __ in range(30):
-            queue.push(make_packet(), 0.0)
-        assert queue.pop(1.0) is not None   # arms first_above_time
-        assert queue.pop(1.2) is not None   # enters dropping, count = 1
-        assert queue.dropping
-        assert queue.drop_count == 1
-        queue.pop(1.35)                     # control-law drops build count
-        queue.pop(1.45)
-        # Drain to a small backlog so the sojourn test passes and the
-        # queue leaves the dropping state.
-        while len(queue) > 4:
-            queue.pop(1.5)
-        assert not queue.dropping
-        prev = queue.drop_count
-        assert prev > 2                     # precondition of the fast path
-        # Congest again within 8*interval of drop_next.
-        for __ in range(10):
-            queue.push(make_packet(), 1.5)
-        assert queue.pop(1.7) is not None   # re-arms first_above_time
-        assert queue.pop(1.81) is not None  # re-enters the dropping state
-        assert queue.dropping
-        assert queue.drop_count == prev - 2
-
-    def test_dropping_state_reentry_cold_after_long_gap(self):
-        """Well beyond 8*interval after the last drop, re-entry restarts
-        the control law from drop_count = 1."""
-        queue = CoDelQueue(capacity_packets=100, target=0.005, interval=0.1)
-        for __ in range(30):
-            queue.push(make_packet(), 0.0)
-        queue.pop(1.0)
-        queue.pop(1.2)
-        queue.pop(1.35)
-        queue.pop(1.45)
-        while len(queue) > 4:
-            queue.pop(1.5)
-        assert not queue.dropping
-        assert queue.drop_count > 2
-        for __ in range(10):
-            queue.push(make_packet(), 10.0)
-        queue.pop(11.0)                     # sojourn 1 s: arms first_above
-        assert queue.pop(11.11) is not None
-        assert queue.dropping
-        assert queue.drop_count == 1
-
-
 @given(
     st.lists(
         st.tuples(st.sampled_from(["push", "pop"]), st.integers(40, 1500)),
@@ -233,88 +107,68 @@ def test_property_conservation(sizes):
 
 
 # ---------------------------------------------------------------------------
-# Conservation property across every discipline: whatever the drop
-# policy does, packets and bytes must balance exactly.
+# Random push/pop schedules: packets and bytes balance exactly, and the
+# queue delivers what it accepted in order.
 # ---------------------------------------------------------------------------
-def _discipline_queues(rng):
-    capacity = rng.randint(1, 24)
-    return [
-        DropTailQueue(capacity_packets=capacity),
-        REDQueue(capacity_packets=max(capacity, 4),
-                 rng=random.Random(rng.randrange(2 ** 31))),
-        # Tight CoDel knobs so pop-time drops actually trigger within a
-        # short random schedule.
-        CoDelQueue(capacity_packets=max(capacity, 4), target=0.001,
-                   interval=0.005),
-    ]
+def _random_queue(rng):
+    return DropTailQueue(capacity_packets=rng.randint(1, 24))
 
 
 @seeded_property()
-def test_property_conservation_all_disciplines(seed):
+def test_property_conservation_random_schedule(seed):
     rng = random.Random(seed)
-    for queue in _discipline_queues(rng):
-        accepted = rejected = returned = 0
-        bytes_accepted = bytes_returned = 0
-        now = 0.0
-        for __ in range(rng.randint(1, 250)):
-            now += rng.random() * 0.01
-            if rng.random() < 0.6:
-                size = rng.randint(40, 1500)
-                if queue.push(make_packet(size), now):
-                    accepted += 1
-                    bytes_accepted += size
-                else:
-                    rejected += 1
+    queue = _random_queue(rng)
+    accepted = rejected = returned = 0
+    bytes_accepted = bytes_rejected = bytes_returned = 0
+    now = 0.0
+    for __ in range(rng.randint(1, 250)):
+        now += rng.random() * 0.01
+        if rng.random() < 0.6:
+            size = rng.randint(40, 1500)
+            if queue.push(make_packet(size), now):
+                accepted += 1
+                bytes_accepted += size
             else:
-                packet = queue.pop(now)
-                if packet is not None:
-                    returned += 1
-                    bytes_returned += packet.size
+                rejected += 1
+                bytes_rejected += size
+        else:
+            packet = queue.pop(now)
+            if packet is not None:
+                returned += 1
+                bytes_returned += packet.size
 
-        stats = queue.stats
-        # Universal invariants: counters never negative, rates bounded.
-        for field in ("enqueued", "dropped", "dequeued", "bytes_enqueued",
-                      "bytes_dropped", "bytes_dequeued", "delay_samples"):
-            assert getattr(stats, field) >= 0, field
-        assert 0.0 <= stats.loss_rate <= 1.0
-        assert stats.delay_max >= 0.0
-        assert stats.delay_sum >= 0.0
-        assert queue.byte_length >= 0
-        assert len(queue) >= 0
-
-        # Exact packet and byte conservation.
-        assert stats.enqueued == accepted
-        assert len(queue) == stats.enqueued - stats.dequeued
-        assert queue.byte_length == stats.bytes_enqueued - stats.bytes_dequeued
-        # CoDel drops at dequeue: those packets count in BOTH dequeued
-        # and dropped; everything the caller got back plus pop-drops
-        # equals the dequeue count.
-        pop_drops = stats.dropped - rejected
-        assert pop_drops >= 0
-        assert stats.dequeued == returned + pop_drops
-        assert stats.bytes_dequeued >= bytes_returned
-        assert stats.delay_samples == stats.dequeued
-        assert stats.enqueued + rejected == accepted + rejected
+    stats = queue.stats
+    assert 0.0 <= stats.loss_rate <= 1.0
+    assert stats.delay_max >= 0.0
+    assert stats.delay_sum >= 0.0
+    # Exact packet and byte conservation.  Drop-tail drops only
+    # arrivals, so every dequeue reaches the caller.
+    assert stats.enqueued == accepted
+    assert stats.bytes_enqueued == bytes_accepted
+    assert stats.dropped == rejected
+    assert stats.bytes_dropped == bytes_rejected
+    assert stats.dequeued == returned
+    assert stats.bytes_dequeued == bytes_returned
+    assert stats.delay_samples == stats.dequeued
+    assert len(queue) == stats.enqueued - stats.dequeued
+    assert queue.byte_length == stats.bytes_enqueued - stats.bytes_dequeued
 
 
 @seeded_property(max_examples=40)
 def test_property_fifo_order_preserved(seed):
-    """No discipline reorders the packets it actually delivers."""
+    """The queue delivers the packets it accepted, in order."""
     rng = random.Random(seed)
-    for queue in _discipline_queues(rng):
-        pushed, popped = [], []
-        now = 0.0
-        for index in range(rng.randint(1, 150)):
-            now += rng.random() * 0.01
-            if rng.random() < 0.6:
-                packet = make_packet(rng.randint(40, 1500))
-                if queue.push(packet, now):
-                    pushed.append(packet)
-            else:
-                packet = queue.pop(now)
-                if packet is not None:
-                    popped.append(packet)
-        # Delivered packets are a subsequence of accepted ones, in order
-        # (``in`` compares packets by identity).
-        iterator = iter(pushed)
-        assert all(packet in iterator for packet in popped)
+    queue = _random_queue(rng)
+    pushed, popped = [], []
+    now = 0.0
+    for __ in range(rng.randint(1, 150)):
+        now += rng.random() * 0.01
+        if rng.random() < 0.6:
+            packet = make_packet(rng.randint(40, 1500))
+            if queue.push(packet, now):
+                pushed.append(packet)
+        else:
+            packet = queue.pop(now)
+            if packet is not None:
+                popped.append(packet)
+    assert popped == pushed[:len(popped)]

@@ -21,7 +21,6 @@ from repro.runner import CellTask, GridRunner, ResultCache
 PAPER_NAMES = ("fig4-up", "fig4-down", "fig5", "table1-access",
                "table1-backbone", "fig7a", "fig7b", "fig8", "fig9a",
                "fig9b", "fig10a", "fig10b", "fig11")
-EXTENSION_NAMES = ("aqm-voip", "aqm-video", "aqm-web")
 
 
 def runner_for(tmp_path):
@@ -55,14 +54,9 @@ class TestScenarioSpec:
 
 class TestRegistryCatalog:
     def test_all_paper_grids_registered(self):
+        assert set(REGISTRY) == set(PAPER_NAMES)
         for name in PAPER_NAMES:
-            assert get(name).provenance != "extension"
-
-    def test_extension_families_registered(self):
-        for name in EXTENSION_NAMES:
-            assert get(name).provenance == "extension"
-        assert ({spec.name for spec in registry.extension_sweeps()}
-                == set(EXTENSION_NAMES))
+            assert get(name).provenance.startswith(("Figure", "Table"))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
@@ -70,8 +64,6 @@ class TestRegistryCatalog:
 
     def test_names_cover_registry(self):
         assert set(registry.names()) == set(REGISTRY)
-        assert (len(registry.paper_sweeps())
-                + len(registry.extension_sweeps())) == len(REGISTRY)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
@@ -96,11 +88,6 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(name="x", kind="quantum", title="", provenance="")
 
-    def test_unknown_discipline(self):
-        with pytest.raises(ValueError):
-            SweepSpec(name="x", kind="qos", title="", provenance="",
-                      disciplines=("madmax",))
-
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):
             SweepSpec(name="x", kind="qos", title="", provenance="",
@@ -111,7 +98,6 @@ class TestSweepSpecValidation:
         ({"buffers": (8, 64, 8)}, "repeats buffer size 8"),
         ({"buffers": ((64, 8), (64, 8))}, r"repeats buffer size \(64, 8\)"),
         ({"buffers_small": (8, 8)}, "repeats buffer size 8"),
-        ({"disciplines": ("red", "red")}, "repeats discipline red"),
     ])
     def test_repeated_axis_values(self, axes, message):
         # Two equal cells share one content hash and one key: a result
@@ -124,9 +110,6 @@ class TestSweepSpecValidation:
             adhoc_sweep("t", "qos", [access("noBG")], [8, 8])
         with pytest.raises(ValueError, match="repeats buffer size"):
             api.apply_overrides(get("fig7a"), scale=1.0, buffers=(8, 8))
-        with pytest.raises(ValueError, match="repeats discipline"):
-            api.apply_overrides(get("fig7a"), scale=1.0,
-                                disciplines=("red", "red"))
 
     def test_per_direction_pairs_are_not_repeats(self):
         spec = SweepSpec(name="x", kind="qos", title="", provenance="",
@@ -183,14 +166,6 @@ class TestTaskEquivalence:
         ]
         assert ([task.content_hash() for task in spec.tasks(scale=1.0)]
                 == [task.content_hash() for task in expected])
-
-    def test_aqm_axis_multiplies_disciplines(self):
-        spec = get("aqm-voip")
-        tasks = spec.tasks(scale=1.0)
-        assert {task.discipline for task in tasks} == {"droptail", "red",
-                                                       "codel"}
-        keys = spec.cells(scale=1.0)
-        assert ("long-few", 256, "codel") in keys
 
 
 class TestAdhocSweep:

@@ -88,8 +88,7 @@ def voip_set(talks_by_cell):
     for index, (key, talks) in enumerate(sorted(talks_by_cell.items())):
         records.append(CellResult(
             kind="voip", scenario=key[0], buffer_packets=key[1], seed=0,
-            discipline="droptail", params=(),
-            payload={"talks": talks, "delay": {"talks": 0.15}},
+            params=(), payload={"talks": talks, "delay": {"talks": 0.15}},
             key=key, index=index))
     return ResultSet(records)
 
@@ -178,9 +177,9 @@ class TestEvaluate:
         assert scored.verdict == SKIP
 
     def test_unknown_figure_skips(self):
-        unchecked = ReportFigure("aqm-voip", "aqm-voip", draw=None)
+        unchecked = ReportFigure("unchecked", "fig7b", draw=None)
         assert unchecked.score(voip_set(PAPER)).verdict == SKIP
-        assert fidelity.skip("aqm-voip").verdict == SKIP
+        assert fidelity.skip("unchecked").verdict == SKIP
 
     def test_monotone_expectation(self):
         check = FigureCheck(
@@ -492,8 +491,7 @@ def paper_results(figure, spec, scale):
                 on_axes[series.label][series.map_key(key)] = paper
         records.append(CellResult(
             kind=spec.kind, scenario=key[0], buffer_packets=key[1], seed=0,
-            discipline="droptail", params=params, payload=payload,
-            key=key, index=index))
+            params=params, payload=payload, key=key, index=index))
     return ResultSet(records), on_axes
 
 

@@ -146,21 +146,20 @@ SUMMARY_PAYLOADS = {
 def test_summary_text_is_pinned_per_kind(kind):
     payload, text = SUMMARY_PAYLOADS[kind]
     record = CellResult(kind=kind, scenario="s", buffer_packets=8, seed=0,
-                        discipline="droptail", params=(), payload=payload)
+                        params=(), payload=payload)
     assert record.summary() == text
 
 
 # ---------------------------------------------------------------------------
 # Sim-free ResultSet verbs on synthetic records.
 # ---------------------------------------------------------------------------
-def voip_record(scenario, packets, talks, listens, discipline="droptail",
-                index=None):
+def voip_record(scenario, packets, talks, listens, index=None):
     return CellResult(
         kind="voip", scenario=scenario, buffer_packets=packets, seed=3,
-        discipline=discipline, params=(("calls", 1),),
+        params=(("calls", 1),),
         payload={"talks": talks, "listens": listens,
                  "delay": {"talks": 0.1, "listens": 0.2}},
-        key=(scenario, packets, discipline), index=index)
+        key=(scenario, packets), index=index)
 
 
 @pytest.fixture()
@@ -178,12 +177,12 @@ class TestResultSet:
         assert len(synthetic) == 4
         assert [r.buffer_packets for r in synthetic] == [8, 256, 8, 256]
         assert synthetic[0].scenario == "noBG"
-        assert synthetic[("long-few", 256, "droptail")].value("talks") == 1.2
-        assert ("noBG", 8, "droptail") in synthetic
-        assert ("ghost", 8, "droptail") not in synthetic
+        assert synthetic[("long-few", 256)].value("talks") == 1.2
+        assert ("noBG", 8) in synthetic
+        assert ("ghost", 8) not in synthetic
 
     def test_column_and_value_lookup(self, synthetic):
-        record = synthetic[("long-few", 256, "droptail")]
+        record = synthetic[("long-few", 256)]
         assert record.value("talks") == 1.2  # metric
         assert record.value("buffer") == 256  # axis alias
         assert record.value("kind") == "voip"  # axis
@@ -203,11 +202,11 @@ class TestResultSet:
 
     def test_value_map_is_heatmap_shaped(self, synthetic):
         grid = synthetic.value_map("talks")
-        assert grid[("long-few", 256, "droptail")] == 1.2
-        assert grid[("noBG", 8, "droptail")] == 4.2
+        assert grid[("long-few", 256)] == 1.2
+        assert grid[("noBG", 8)] == 4.2
         assert len(grid) == 4
         assert synthetic.value_map("talks", scenario="noBG") == {
-            ("noBG", 8, "droptail"): 4.2, ("noBG", 256, "droptail"): 4.1}
+            ("noBG", 8): 4.2, ("noBG", 256): 4.1}
 
     def test_from_stream_restores_task_order(self, synthetic):
         shuffled = [synthetic[2], synthetic[0], synthetic[3], synthetic[1]]
@@ -217,17 +216,16 @@ class TestResultSet:
 
     def test_value_map_requires_keys(self, synthetic):
         grid = synthetic.value_map("talks")
-        assert grid[("noBG", 8, "droptail")] == synthetic[0]["talks"]
+        assert grid[("noBG", 8)] == synthetic[0]["talks"]
         keyless = ResultSet([CellResult(
-            kind="voip", scenario="s", buffer_packets=8, seed=0, discipline="droptail",
-            params=(), payload={"talks": 1.0})])
+            kind="voip", scenario="s", buffer_packets=8, seed=0, params=(),
+            payload={"talks": 1.0})])
         with pytest.raises(KeyError):
             keyless.value_map("talks")
 
     def test_csv_handles_heterogeneous_columns(self, synthetic):
         web = CellResult(
-            kind="web", scenario="w", buffer_packets=8, seed=0,
-            discipline="droptail", params=(),
+            kind="web", scenario="w", buffer_packets=8, seed=0, params=(),
             payload={"median_plt": 1.0, "mos": 4.0, "p80_plt": 1.2,
                      "plts": [1.0]},
             key=("w", 8))
@@ -240,7 +238,7 @@ class TestResultSet:
 
 class TestConvertHelpers:
     def test_key_str_and_format_buffer(self):
-        assert key_str(("long-few", 64, "codel")) == "long-few/64/codel"
+        assert key_str(("long-few", 64, "HD")) == "long-few/64/HD"
         assert format_buffer(64) == "64"
         assert format_buffer((64, 8)) == "64:8"
 
@@ -267,8 +265,7 @@ class TestConvertHelpers:
 
     def test_base_record_value_errors_name_unknown_columns(self):
         record = CellResult(kind="qos", scenario="s", buffer_packets=8,
-                            seed=0, discipline="droptail", params=(),
-                            payload={"x": 1.0})
+                            seed=0, params=(), payload={"x": 1.0})
         assert record.value("x") == 1.0
         with pytest.raises(KeyError):
             record.value("y")

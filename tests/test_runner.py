@@ -3,14 +3,12 @@
 import pytest
 
 from repro import api
-from repro.core.experiment import build_network, run_qos_cell
+from repro.core.experiment import run_qos_cell
 from repro.core.registry import REGISTRY, access, adhoc_sweep
 from repro.core.scenarios import access_scenario, backbone_scenario
 from repro.results import ResultSet
 from repro.runner import CellTask, GridRunner, ResultCache, resolve_workers
 from repro.runner.execute import execute_task, jsonify
-from repro.sim.link import DropTailLink, Interface
-from repro.sim.queues import CoDelQueue, DropTailQueue, REDQueue
 
 
 def _flaky_execute(task):
@@ -57,13 +55,10 @@ class TestCellTask:
             seed=1, warmup=1.0, duration=2.0)
         assert other_scenario.content_hash() != base.content_hash()
 
-    def test_hash_covers_params_and_discipline(self):
+    def test_hash_covers_params(self):
         scenario = access_scenario("noBG")
         web = CellTask.make("web", scenario, 16, fetches=5)
         assert (CellTask.make("web", scenario, 16, fetches=6).content_hash()
-                != web.content_hash())
-        assert (CellTask.make("web", scenario, 16, fetches=5,
-                              discipline="codel").content_hash()
                 != web.content_hash())
 
     def test_tuple_buffer_is_hashable_and_stable(self):
@@ -81,12 +76,9 @@ class TestCellTask:
         assert short == long
         assert short.content_hash() == long.content_hash()
 
-    def test_unknown_kind_and_discipline_rejected(self):
+    def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             CellTask.make("quantum", access_scenario("noBG"), 16)
-        with pytest.raises(ValueError):
-            CellTask.make("qos", access_scenario("noBG"), 16,
-                          discipline="madmax")
 
     @pytest.mark.parametrize("kind, buffer_packets, warmup, duration, match", [
         ("voip", 0, 1.0, 2.0, "buffer size"),
@@ -123,21 +115,6 @@ class TestCellTask:
                 for task in spec.tasks(scale=scale):
                     assert not (task.scenario.testbed == "backbone"
                                 and isinstance(task.buffer_packets, tuple))
-
-    def test_discipline_names_the_bottlenecks(self):
-        expected = {"droptail": (DropTailLink, DropTailQueue),
-                    "red": (Interface, REDQueue),
-                    "codel": (Interface, CoDelQueue)}
-        for discipline, (link, queue) in expected.items():
-            for scenario in (access_scenario("noBG"),
-                             backbone_scenario("noBG")):
-                __, network = build_network(scenario, 16, discipline)
-                for bottleneck in network.bottlenecks():
-                    assert type(bottleneck) is link
-                    assert type(bottleneck.queue) is queue
-                    assert bottleneck.queue.capacity_packets == 16
-        with pytest.raises(ValueError, match="'madmax'"):
-            build_network(access_scenario("noBG"), 16, "madmax")
 
     def test_jsonify_numpy_and_tuples(self):
         import numpy as np

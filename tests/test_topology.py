@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.core.experiment import build_network
 from repro.core.scenarios import access_scenario, backbone_scenario
 from repro.runner.execute import execute_task
 from repro.runner.task import CellTask
 from repro.sim import Simulator
-from repro.sim.link import DropTailLink, Interface
+from repro.sim.link import DropTailLink
 from repro.sim.packet import Packet
+from repro.sim.queues import DropTailQueue
 from repro.sim.topology import AccessNetwork, BackboneNetwork, DumbbellNetwork
 from repro.udp import UdpSocket
 
@@ -141,30 +143,37 @@ class TestNodeRouting:
         assert len(ports) == 100
 
 
-#: (kind, scenario, buffer, discipline, params): golden-scale cells of
-#: every kind on the access link, one backbone cell, and a RED cell (an
-#: event-driven Interface).
+@pytest.mark.parametrize("scenario", [access_scenario("noBG"),
+                                      backbone_scenario("noBG")],
+                         ids=["access", "backbone"])
+def test_testbeds_build_only_drop_tail_bottlenecks(scenario):
+    __, network = build_network(scenario, 16)
+    for link in network.bottlenecks():
+        assert type(link) is DropTailLink
+        assert type(link.queue) is DropTailQueue
+        assert link.queue.capacity_packets == 16
+
+
+#: (kind, scenario, buffer, params): golden-scale cells of every kind on
+#: the access link, and one backbone cell.
 CONSERVATION_CELLS = [
-    pytest.param("qos", access_scenario("long-many"), 8, "droptail", {},
+    pytest.param("qos", access_scenario("long-many"), 8, {},
                  id="qos-access"),
-    pytest.param("voip", access_scenario("long-many"), 64, "droptail",
-                 {"calls": 1}, id="voip-access"),
-    pytest.param("video", access_scenario("long-few"), 64, "droptail",
+    pytest.param("voip", access_scenario("long-many"), 64, {"calls": 1},
+                 id="voip-access"),
+    pytest.param("video", access_scenario("long-few"), 64,
                  {"resolution": "SD"}, id="video-access"),
-    pytest.param("web", access_scenario("long-many"), 64, "droptail",
-                 {"fetches": 2}, id="web-access"),
-    pytest.param("voip", backbone_scenario("short-medium"), 749, "droptail",
+    pytest.param("web", access_scenario("long-many"), 64, {"fetches": 2},
+                 id="web-access"),
+    pytest.param("voip", backbone_scenario("short-medium"), 749,
                  {"calls": 1, "directions": ("listens",)},
                  id="voip-backbone"),
-    pytest.param("voip", access_scenario("long-few"), 64, "red",
-                 {"calls": 1}, id="voip-access-red"),
 ]
 
 
-@pytest.mark.parametrize("kind,scenario,packets,discipline,params",
-                         CONSERVATION_CELLS)
+@pytest.mark.parametrize("kind,scenario,packets,params", CONSERVATION_CELLS)
 def test_bottleneck_packets_are_conserved(monkeypatch, kind, scenario,
-                                          packets, discipline, params):
+                                          packets, params):
     """Per bottleneck, since the last reset: every packet enqueued is
     dequeued or still waits, and every packet dequeued is transmitted
     or still serializing (counting the backlog at the reset)."""
@@ -184,12 +193,9 @@ def test_bottleneck_packets_are_conserved(monkeypatch, kind, scenario,
     monkeypatch.setattr(DumbbellNetwork, "reset_measurements",
                         recording_reset)
     execute_task(CellTask.make(kind, scenario, packets, warmup=1.0,
-                               duration=1.25, discipline=discipline,
-                               **params))
+                               duration=1.25, **params))
     (network,) = networks
     for link in network.bottlenecks():
-        assert type(link) is (Interface if discipline == "red"
-                              else DropTailLink)
         assert (id(link) in backlog_at_reset) == (kind == "qos")
         waiting_at_reset, in_service_at_reset = backlog_at_reset.get(
             id(link), (0, 0))
