@@ -1,7 +1,7 @@
 """Stable public facade: run sweeps, get keyed :class:`ResultSet`s.
 
 This module is the one entry point everything user-facing goes through —
-the CLI, the benchmarks, the examples and downstream analysis code::
+the CLI, the report, the examples and downstream analysis code::
 
     from repro import api
 
@@ -14,9 +14,6 @@ the CLI, the benchmarks, the examples and downstream analysis code::
         print(record.key, record.summary())
 
     cached = api.load_sweep("fig5")                  # cache-only, no sims
-
-    api.generate_report(out_dir="report")            # SVG figures +
-                                                     # fidelity verdicts
 
 Sweeps are named registry entries (``python -m repro list``) or explicit
 :class:`repro.core.registry.SweepSpec` objects (e.g. from
@@ -141,16 +138,3 @@ def load_sweep(name_or_spec, *, scale=None, cache=None):
                                            index=index))
     return ResultSet(records)
 
-
-def generate_report(names=None, out_dir="report", **kwargs):
-    """Build the SVG reproduction report (stable facade entry point).
-
-    Thin passthrough to :func:`repro.report.build.generate_report` —
-    ``index.md`` + one SVG per paper figure + ``fidelity.json`` with
-    PASS/WARN/FAIL verdicts against the digitized paper data; accepts
-    the same ``cached_only``/``scale``/``runner``/``sample`` keywords.
-    Imported lazily so ``repro.api`` stays cheap for runner workers.
-    """
-    from repro.report.build import generate_report as _generate
-
-    return _generate(names, out_dir, **kwargs)

@@ -66,7 +66,6 @@ class VoipCall:
         self.src_node = src_node
         self.dst_node = dst_node
         self.port = port
-        self.sample_seed = sample_seed
         self.duration = duration
         self.playout = PlayoutBuffer(FRAME_SECONDS, PLAYOUT_DELAY)
         self.frames, self.clean_signal = call_media(sample_seed, duration)

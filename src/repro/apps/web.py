@@ -61,7 +61,6 @@ class PageFetch:
 
     def __init__(self, sim, node, server_addr, cc="reno", on_complete=None):
         self.sim = sim
-        self.node = node
         self.on_complete = on_complete
         self.started_at = None
         self.last_byte_at = None

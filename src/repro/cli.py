@@ -19,20 +19,16 @@ Subcommands
     :class:`repro.results.set.ResultSet` as CSV or JSON — to stdout or
     ``--output FILE``.  Accepts the same runner knobs and axis
     overrides as ``run``.
-``figures``
-    Print the text version of the paper's figures/tables (all of them,
-    or the names given — the same names and models as ``report``, see
-    :mod:`repro.report.figures`), each followed by its fidelity verdict
-    line, running their registered sweeps through
-    :func:`repro.api.run_sweep`.  The sweeps land in the shared result
-    cache, so a later ``report`` re-simulates nothing.
 ``report``
     Build the SVG reproduction report (``index.md`` + one SVG per
     figure + ``fidelity.json`` with PASS/WARN/FAIL verdicts against the
     paper's digitized values) into ``--output DIR``.  ``--cached-only``
     renders from the result cache without ever simulating;
     ``--sample`` regenerates the pinned tiny sample committed under
-    ``docs/sample_report/``.  See ``docs/REPORTING.md``.
+    ``docs/sample_report/``.  ``--strict`` exits 1 when a figure's
+    verdict is FAIL or one of its claims is broken or unevaluated; the
+    per-figure stderr lines name each such claim.  See
+    ``docs/REPORTING.md``.
 ``perf``
     Sim-core performance tooling: run the sim-core benchmark and write
     ``BENCH_simcore.json`` (``--quick`` for the CI smoke mode,
@@ -269,29 +265,9 @@ def cmd_export(args):
     return 0
 
 
-def cmd_figures(args):
-    from repro.report.build import validate_selection
-    from repro.report.figures import REPORT_FIGURES
-
-    try:
-        names = validate_selection(args.names)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    scale = _scale(args)
-    runner = _runner_from(args)
-    for name in names:
-        figure = REPORT_FIGURES[name]
-        spec = results = None
-        if figure.sweep is not None:
-            spec = _get_spec(figure.sweep)
-            results = api.run_sweep(spec, scale=scale, runner=runner)
-        print(figure.text(results, spec, scale))
-        print()
-    return 0
-
-
 def cmd_report(args):
     from repro.report.build import generate_report, validate_selection
+    from repro.report.figures import claim_tally
 
     # Usage errors exit cleanly here; anything generate_report raises
     # beyond this point is a real bug and must keep its traceback.
@@ -308,15 +284,24 @@ def cmd_report(args):
         cached_only=args.cached_only,
         scale=scale, runner=runner, sample=args.sample)
     tally = summary["verdicts"]
+    claims = [claim for entry in summary["figures"]
+              for claim in entry["fidelity"]["claims"]]
     # No trailing runner-stats line: GridRunner.last_stats only covers
     # the final sweep; the per-figure report lines above already carry
     # cached/computed counts.
-    print("wrote %s (%d figures: %s)" % (
+    print("wrote %s (%d figures: %s; claims %s)" % (
         summary["out_dir"], len(summary["figures"]),
         ", ".join("%d %s" % (count, verdict)
-                  for verdict, count in sorted(tally.items()))),
-        file=sys.stderr)
-    if args.strict and tally.get("FAIL"):
+                  for verdict, count in sorted(tally.items())),
+        claim_tally(claims)), file=sys.stderr)
+    failed = [entry["figure"] for entry in summary["figures"]
+              if entry["verdict"] == "FAIL"
+              or any(claim["holds"] is not True
+                     for claim in entry["fidelity"]["claims"])]
+    if args.strict and failed:
+        print("report --strict: %s failed (a FAIL verdict, or a claim "
+              "that is broken or unevaluated)" % ", ".join(failed),
+              file=sys.stderr)
         return 1
     return 0
 
@@ -438,15 +423,6 @@ def build_parser():
                              "(repro.api.load_sweep)")
     export.set_defaults(fn=cmd_export)
 
-    figures = sub.add_parser(
-        "figures", help="print the paper's figures/tables as text "
-                        "(the same figures `report` draws as SVG, with "
-                        "fidelity verdicts)")
-    figures.add_argument("names", nargs="*",
-                         help="figures to print (default: all)")
-    _add_runner_arguments(figures)
-    figures.set_defaults(fn=cmd_figures)
-
     report = sub.add_parser(
         "report", help="build the SVG reproduction report: index.md + "
                        "per-figure SVGs + fidelity.json verdicts vs the "
@@ -465,7 +441,8 @@ def build_parser():
                              "(docs/sample_report/): fixed figures, "
                              "axes and durations, scale 1.0")
     report.add_argument("--strict", action="store_true",
-                        help="exit 1 if any figure verdict is FAIL")
+                        help="exit 1 if any figure verdict is FAIL or "
+                             "any claim is broken or unevaluated")
     _add_runner_arguments(report)
     report.set_defaults(fn=cmd_report)
 

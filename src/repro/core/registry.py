@@ -8,11 +8,10 @@ declaration:
 
 * :func:`repro.api.run_sweep` runs a spec (by name or object) and
   returns a :class:`repro.results.set.ResultSet`;
-* the benchmarks look their artifact up in :data:`REGISTRY` so the
-  benchmark grid and the CLI grid are the *same tasks* (bit-identical
-  cell hashes, shared result cache);
-* the figure catalog (:mod:`repro.report.figures`) takes its heatmap
-  axes from the spec behind each figure;
+* the figure catalog (:mod:`repro.report.figures`) looks each figure's
+  sweep up in :data:`REGISTRY`, so the report's grid and the CLI's are
+  the *same tasks* (bit-identical cell hashes, shared result cache),
+  and takes its heatmap axes from that spec;
 * ``python -m repro list/describe/run`` (see :mod:`repro.cli`) exposes
   the catalog on the command line.
 
@@ -30,8 +29,8 @@ integer knobs such as web fetch counts are declared in ``counts`` the
 same way.  Specs may also declare reduced axes (``scenarios_small``,
 ``buffers_small``) used below ``full_scale`` so quick runs stay quick.
 Every :class:`SweepSpec` method takes the scale as an argument; only the
-entry points (:mod:`repro.api`, the CLI, :mod:`repro.report.build` and the
-benchmarks) read ``REPRO_SCALE``, through :func:`resolve_scale`.
+entry points (:mod:`repro.api`, the CLI and :mod:`repro.report.build`)
+read ``REPRO_SCALE``, through :func:`resolve_scale`.
 """
 
 import math
@@ -353,7 +352,7 @@ def names():
 # -- paper grids (provenance = figure/table) --------------------------------
 #
 # At scale 1 the *_small axes and duration floors give the quick grids
-# that the benchmarks, `figures` and `report` run by default; at
+# that `report` runs by default; at
 # REPRO_SCALE >= full_scale the full paper grids run.
 
 register(SweepSpec(

@@ -67,13 +67,6 @@ class Scenario:
     up_session_cap: int = ACCESS_UP_CAP
     cc: str = ACCESS_CC
 
-    @property
-    def label(self):
-        """Row label as used in the paper's figures."""
-        if self.kind == "none":
-            return "noBG"
-        return self.name
-
     def __str__(self):
         return "%s/%s[%s]" % (self.testbed, self.name, self.direction)
 

@@ -70,8 +70,9 @@ def mos_class(mos):
     return _classify(mos, ACR_MOS_BANDS)
 
 
-#: Short markers used by the ASCII heatmaps, mirroring the paper's
-#: green/orange/red colouring: '+' fine, 'o' degraded, '!' bad.
+#: Quality markers of the report's heatmap cells, mirroring the paper's
+#: green/orange/red colouring: '+' fine, 'o' degraded, '!' bad
+#: (:data:`repro.report.svg.MARKER_COLORS` colours them).
 def heat_marker_from_mos(mos):
     """One-character quality marker for heatmap cells."""
     if mos >= 3.5:

@@ -173,7 +173,8 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
     (:data:`SAMPLE_FIGURES` at :data:`SAMPLE_OVERRIDES`, scale 1.0) that
     ``docs/sample_report/`` commits.  Returns a summary dict with the
     per-figure entries and a verdict tally, and prints one progress line
-    per figure on stderr.
+    per figure on stderr, ending in ``claims k of n hold`` and followed
+    by one line per claim that is broken or unevaluated.
     """
     from repro import api
     from repro.core import registry
@@ -228,9 +229,14 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
         if figure.sweep is not None and not cached_only and stats:
             detail = ", %d cached, %d computed" % (
                 stats.get("cached", 0), stats.get("computed", 0))
-        print("report: %-16s %-4s (%d/%d cells%s)"
-              % (name, fig_fidelity.verdict, present, expected, detail),
-              file=sys.stderr)
+        claims = fig_fidelity.claims
+        print("report: %-16s %-4s (%d/%d cells%s), claims %s"
+              % (name, fig_fidelity.verdict, present, expected, detail,
+                 claim_tally(claims)), file=sys.stderr)
+        for claim in claims:
+            if claim["holds"] is not True:
+                print("  %s: %s" % (CLAIM_STATES[claim["holds"]],
+                                    claim["claim"]), file=sys.stderr)
 
     # Deliberately no timestamps and no run-mode echoes (cached vs
     # computed): the files must be a pure function of the results so a

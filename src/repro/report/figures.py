@@ -16,13 +16,10 @@ its verdict scores cannot drift apart.  Models come in three shapes:
 * :class:`Table` — headers and rows of measured-vs-paper values
   (Tables 1 and 2).
 
-Every model has two backends: ``svg()`` draws it for the report
-(:mod:`repro.report.svg`) and ``text()`` prints it for ``python -m repro
-figures`` and the benchmarks (:mod:`repro.viz.heatmap`).  Text cells
-show the value plus its quality marker (``+``/``o``/``!``) and, where
-the paper has one, `` / `` and the paper value; the SVG shows the
-matching traffic-light fill of :data:`repro.viz.heatmap.MARKER_COLORS`
-with the paper value under the reproduced one.
+Every model draws itself with ``svg()`` (:mod:`repro.report.svg`): a
+heatmap cell shows the reproduced value in the traffic-light fill of its
+quality marker (:data:`repro.report.svg.MARKER_COLORS`) with the paper
+value under it.
 
 Models tolerate partial results (``--cached-only`` on a cold cache):
 cells absent from the set come out blank, so a figure is always
@@ -44,11 +41,10 @@ from repro.report import fidelity, svg
 from repro.report.fidelity import (FigureCheck, MonotoneSpec, SeriesSpec,
                                    Thresholds)
 from repro.sim.stats import five_number_summary
-from repro.viz.heatmap import render_grid, render_table
 
 
 # ---------------------------------------------------------------------------
-# Models and their two backends.
+# Models.
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Heatmaps:
@@ -65,20 +61,6 @@ class Heatmaps:
 
     def svg(self):
         return svg.heatmap_panels(self.title, self.panels)
-
-    def text(self):
-        blocks = [self.title]
-        for panel_title, rows, cols, cell_fn in self.panels:
-            def cell(row, col, cell_fn=cell_fn):
-                value = cell_fn(row, col)
-                if value is None:
-                    return None
-                text, marker, paper = value
-                return (text + (marker or "")
-                        + (" / " + paper if paper else ""))
-            blocks.append(render_grid(panel_title, rows, cols, cell,
-                                      col_header="workload\\buf"))
-        return "\n\n".join(blocks)
 
 
 @dataclass(frozen=True)
@@ -107,18 +89,6 @@ class Boxplots:
             y_label="utilization [%] (median, quartile band)",
             y_range=(0.0, 102.0), y_ticks=(0, 25, 50, 75, 100))
 
-    def text(self):
-        rows = []
-        for index, packets in enumerate(self.buffers):
-            for label, boxes in self.series:
-                box = boxes[index]
-                rows.append((packets, label) + (
-                    tuple("%.0f%%" % (value * 100) for value in box)
-                    if box else ("",) * 5))
-        return render_table(
-            self.title,
-            ("buffer", "link", "min", "q1", "median", "q3", "max"), rows)
-
 
 @dataclass(frozen=True)
 class Table:
@@ -132,12 +102,9 @@ class Table:
     def svg(self):
         return svg.table(self.title, self.headers, self.rows, note=self.note)
 
-    def text(self):
-        text = render_table(self.title, self.headers, self.rows)
-        return text + "\n" + self.note if self.note else text
 
-
-#: How text and ``index.md`` name a claim's ``holds`` value.
+#: How ``index.md`` and the report's stderr lines name a claim's
+#: ``holds`` value.
 CLAIM_STATES = {True: "holds", False: "broken", None: "unevaluated"}
 
 
@@ -163,7 +130,8 @@ class ReportFigure:
     ``draw(results, spec, scale, check)`` builds the model and takes the
     paper values it shows from ``check``.  ``claims`` holds the paper's
     findings as ``(statement, predicate)`` pairs, scored by
-    :meth:`score` but never part of the verdict.  The report heads a
+    :meth:`score` but never part of the verdict (``report --strict``
+    gates on both).  The report heads a
     figure with its sweep's title; only the sweepless Table 2 has a
     ``title`` of its own.
     """
@@ -178,27 +146,6 @@ class ReportFigure:
     def model(self, results, spec, scale):
         """The figure's model over ``results`` of ``spec`` at ``scale``."""
         return self.draw(results, spec, scale, self.check)
-
-    def text(self, results, spec, scale):
-        """The model's text, a ``fidelity NAME: VERDICT (gates)`` line
-        and a ``claims NAME: k of n hold`` line naming every claim that
-        is broken or unevaluated.
-
-        What ``python -m repro figures`` and the benchmarks print; the
-        verdict and claims are :meth:`score`'s, the ones the report
-        writes.
-        """
-        scored = self.score(results)
-        gates = ", ".join("%s %.3g" % (gate_name, gate["value"])
-                          for gate_name, gate in scored.gates.items())
-        lines = [self.model(results, spec, scale).text(),
-                 "fidelity %s: %s%s" % (self.name, scored.verdict,
-                                        " (%s)" % gates if gates else ""),
-                 "claims %s: %s" % (self.name, claim_tally(scored.claims))]
-        lines.extend("  %s: %s" % (CLAIM_STATES[claim["holds"]],
-                                   claim["claim"])
-                     for claim in scored.claims if claim["holds"] is not True)
-        return "\n".join(lines)
 
     def score(self, results):
         """The figure's :class:`repro.report.fidelity.FigureFidelity`,

@@ -15,13 +15,20 @@ through :func:`fmt_num` (``%g``-style, locale-free), element attributes
 are emitted in call order, and nothing reads the clock or any global
 state.
 
-Colour semantics come from :data:`repro.viz.heatmap.MARKER_COLORS` —
-the same ``+``/``o``/``!`` traffic-light mapping the text backend
-prints — so the SVG and text views of a figure always agree on which
-cells are good/degraded/bad.
+Colour semantics come from :data:`MARKER_COLORS`: the quality markers
+``+``/``o``/``!`` of :mod:`repro.qoe.scales` map to the paper's
+green/orange/red traffic lights.
 """
 
-from repro.viz.heatmap import MARKER_COLORS
+#: The paper's traffic-light semantics, keyed by quality marker:
+#: ``(label, fill colour, text colour)``.  Fill colours are the muted
+#: pastels of heatmap cells; text colours are the saturated variants
+#: used for overlays and legends.
+MARKER_COLORS = {
+    "+": ("good", "#c8e6c9", "#1b5e20"),
+    "o": ("degraded", "#ffe0b2", "#e65100"),
+    "!": ("bad", "#ffcdd2", "#b71c1c"),
+}
 
 #: Font stack used for every text element.
 FONT = "Helvetica, Arial, sans-serif"
@@ -159,7 +166,7 @@ def heatmap_panels(title, panels):
     ``panels`` is a list of ``(panel title, row labels, col labels,
     cell_fn)``; ``cell_fn(row, col)`` returns ``None`` (no data) or a
     ``(text, marker, subtext)`` triple — ``marker`` selects the
-    traffic-light fill (:data:`repro.viz.heatmap.MARKER_COLORS`) and
+    traffic-light fill (:data:`MARKER_COLORS`) and
     ``subtext`` (may be None) is drawn small and grey under the value,
     which the report uses for the digitized paper value.  A legend row
     of the markers closes the figure.

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from repro.cli import _parse_buffer, build_parser, main
+from repro.core import paper_data
 from repro.core.registry import REGISTRY, get
+from repro.report import figures
 
 
 @pytest.fixture(autouse=True)
@@ -27,6 +29,13 @@ class TestParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_figures_command_is_gone(self, capsys):
+        # `report` is the one figure front end.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figures"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'figures'" in capsys.readouterr().err
+
     def test_unknown_sweep_exits_cleanly(self):
         with pytest.raises(SystemExit):
             main(["describe", "fig99"])
@@ -34,7 +43,7 @@ class TestParsing:
     def test_bad_scale_is_a_usage_error(self, capsys, tmp_path):
         # Every --scale goes through the check REPRO_SCALE does.
         for command in (["list"], ["describe", "fig5"], ["run", "fig5"],
-                        ["figures"], ["report"], ["perf"]):
+                        ["report"], ["perf"]):
             for bad in ("nan", "inf", "0", "-3", "banana"):
                 with pytest.raises(SystemExit) as exit_info:
                     main(command + ["--scale=%s" % bad])
@@ -135,7 +144,7 @@ class TestRun:
         # message of the --scale check, before any work, not a traceback.
         monkeypatch.setenv("REPRO_SCALE", "abc")
         for command in (["list"], ["describe", "fig5"], ["run", "fig5"],
-                        ["export", "fig5"], ["figures", "table2"],
+                        ["export", "fig5"],
                         ["report", "table2", "-o", str(tmp_path / "out")]):
             with pytest.raises(SystemExit) as exit_info:
                 main(command)
@@ -267,27 +276,70 @@ class TestExport:
         assert len(captured.out.strip().splitlines()) == 2  # header + 1 row
 
 
-class TestFigures:
-    def test_closed_form_table_prints_without_simulating(self, capsys,
-                                                         tmp_path):
-        assert main(["figures", "table2"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("Table 2: maximum queueing delay")
-        assert "backbone 7490" in out
-        # The verdict line the benchmarks print, from the report's scorer.
-        assert "\nfidelity table2: PASS (max_abs_deviation " in out
+class TestReport:
+    """``report --strict`` exits 1 on a FAIL verdict and on any claim that
+    does not hold, and its stderr names each such claim."""
+
+    def report(self, tmp_path, *argv):
+        return main(["report", "-o", str(tmp_path / "out")] + list(argv))
+
+    def test_strict_closed_form_table_passes_without_simulating(
+            self, capsys, tmp_path):
+        assert self.report(tmp_path, "--strict", "table2") == 0
+        err = capsys.readouterr().err
+        assert ("report: table2           PASS (0/0 cells), claims 2 of 2 "
+                "hold\n") in err
+        assert "(1 figures: 1 PASS; claims 2 of 2 hold)" in err
+        assert (tmp_path / "out" / "table2.svg").exists()
         assert not (tmp_path / "cache").exists()
+
+    def test_strict_fails_on_a_broken_claim(self, capsys, monkeypatch,
+                                            tmp_path):
+        monkeypatch.setattr(figures, "_table2_within",
+                            lambda side, bound: False)
+        assert self.report(tmp_path, "table2") == 0
+        capsys.readouterr()
+        assert self.report(tmp_path, "--strict", "table2") == 1
+        err = capsys.readouterr().err
+        assert "table2           PASS (0/0 cells), claims 0 of 2 hold" in err
+        assert ("\n  broken: every access buffer's analytic uplink delay is "
+                "within 15% of the paper's\n") in err
+        assert "report --strict: table2 failed" in err
+
+    def test_strict_fails_on_an_unevaluated_claim(self, capsys, tmp_path):
+        # An empty cache leaves fig7a without cells: SKIP, and its claims
+        # are unevaluated, not vacuously true.
+        assert self.report(tmp_path, "--strict", "--cached-only",
+                           "fig7a") == 1
+        err = capsys.readouterr().err
+        assert "fig7a            SKIP (0/9 cells), claims 0 of 2 hold" in err
+        assert ("\n  unevaluated: long-many at 64 packets: talks MOS above "
+                "3.5\n") in err
+        assert "report --strict: fig7a failed" in err
+
+    def test_strict_fails_on_a_fail_verdict(self, capsys, monkeypatch,
+                                            tmp_path):
+        # Doubled printed backbone delays put Table 2 50% off the paper,
+        # a FAIL, while both its claims (access rows only) still hold.
+        for packets, printed in paper_data.TABLE2_BACKBONE.items():
+            monkeypatch.setitem(paper_data.TABLE2_BACKBONE, packets,
+                                printed * 2)
+        assert self.report(tmp_path, "--strict", "table2") == 1
+        err = capsys.readouterr().err
+        assert "table2           FAIL (0/0 cells), claims 2 of 2 hold" in err
+        assert "report --strict: table2 failed" in err
 
     @pytest.mark.parametrize("names", [["table2", "nosuch"],
                                        ["fig5", "nosuch"]])
     def test_unknown_name_rejected_before_any_work(self, names, capsys,
                                                    tmp_path):
         with pytest.raises(SystemExit) as exit_info:
-            main(["figures"] + names)
+            self.report(tmp_path, "--strict", *names)
         assert exit_info.value.code not in (0, None)
         assert "nosuch" in str(exit_info.value.code)
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestPerf:

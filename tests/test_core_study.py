@@ -1,4 +1,4 @@
-"""Tests for the core study layer: catalogs, cells, viz."""
+"""Tests for the core study layer: catalogs and cells."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from repro.core import paper_data
 from repro.sim.stats import five_number_summary
 from repro.sim.topology import BackboneNetwork
 from repro.util.units import MBPS
-from repro.viz.heatmap import render_grid, render_table
 
 
 class TestBufferCatalog:
@@ -115,25 +114,6 @@ class TestExperimentCell:
                        kind="short")
         with pytest.raises(ValueError):
             build_network(bad, 64)
-
-
-class TestViz:
-    def test_render_grid(self):
-        out = render_grid("T", ["r1", "r2"], [8, 64],
-                          lambda r, c: "%s-%d" % (r, c))
-        assert "T" in out
-        assert "r1-8" in out
-        assert "r2-64" in out
-
-    def test_render_grid_empty_cells(self):
-        out = render_grid("T", ["r"], [1], lambda r, c: None)
-        assert "T" in out
-
-    def test_render_table(self):
-        out = render_table("T", ("a", "bb"), [(1, 2), (3, 4)])
-        lines = out.splitlines()
-        assert lines[0] == "T"
-        assert "a" in lines[1] and "bb" in lines[1]
 
 
 class TestPaperData:

@@ -1,18 +1,22 @@
-"""Dead-name guard: every name ``src/repro`` defines must be read somewhere.
+"""Dead-name guard: every name ``src/repro`` or ``examples/`` defines
+must be read somewhere.
 
-The scan collects, from every module under ``src/repro``, the top-level
-functions, classes and UPPER_CASE constants plus every non-dunder method,
-then collects every name *read* by the code in ``src/``, ``benchmarks/``,
-``examples/`` and ``perfbench/``: loaded identifiers, attribute accesses,
-and string literals spelling an identifier (``getattr`` and registry
-lookups).  A method is read only through an attribute access or a string
-literal: a local variable that happens to share its name is not a read
-of it.  A read inside the body of a function of the same name is not a
-read either, so a method that only calls itself, or two same-named
-methods that only call each other, still count as dead.  Definitions,
-imports and ``__all__`` entries are not reads, so
-a name that is only re-exported, or only exercised by ``tests/``, counts
-as dead.  Delete it, or add it to ``ALLOWED`` with the reason it stays.
+The scan collects, from every module under ``src/repro`` and
+``examples/``, the top-level functions, classes and UPPER_CASE
+constants plus every non-dunder method, then collects every name *read*
+by the code in ``src/``, ``examples/`` and ``perfbench/``: loaded
+identifiers, attribute accesses, and string literals spelling an
+identifier (``getattr`` and registry lookups).  ``perfbench/`` is read
+but its definitions are not checked: its files belong to the benchmark
+and cannot be edited to fix a finding.  A method is read only through an
+attribute access or a string literal: a local variable that happens to
+share its name is not a read of it.  A read inside the body of a
+function of the same name is not a read either, so a method that only
+calls itself, or two same-named methods that only call each other,
+still count as dead.  Definitions, imports and ``__all__`` entries are
+not reads, so a name that is only re-exported, or only exercised by
+``tests/``, counts as dead.  Delete it, or add it to ``ALLOWED`` with
+the reason it stays.
 
 The dead-state guard holds stored values to the same rule: every
 attribute ``src/repro`` stores (``x.a = ...``, ``x.a += ...``) and every
@@ -21,7 +25,12 @@ or be allowlisted in ``ALLOWED_STATE``.  A load inside a statement that
 stores the same name is no read, so a counter that only updates itself
 (``self.n += 1``, or through a local: ``n = s.n``, ``n += 1``,
 ``s.n = n``) counts as dead.  A name in ``__slots__`` is no read either;
-a dataclass field is one, since ``asdict`` reads it.
+a dataclass field is one, since ``asdict`` reads it.  An attribute a
+class stores through ``self`` is read only through ``self`` in that
+class, a class it inherits from or a class inheriting from it, or
+through any other expression (``call.a``) or a string literal anywhere:
+a bare name (a parameter) or a ``self.a`` of an unrelated class sharing
+its name is no read of it.
 
 The dead-option guard scans the same readers for calls: a parameter with
 a default value must be set by some call, or be a constant.  See
@@ -36,7 +45,8 @@ from repro.runner.execute import CELLS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "repro")
-READERS = ("src", "benchmarks", "examples", "perfbench")
+DEFINERS = (PACKAGE, os.path.join(ROOT, "examples"))
+READERS = ("src", "examples", "perfbench")
 
 ALLOWED = {
     # Reference oracles the tests compare the models against.
@@ -144,16 +154,36 @@ def scoped(node, enclosing=frozenset()):
                 yield from scoped(child, within)
 
 
+def owners(tree):
+    """``{id(node): name of the innermost class whose body holds it}``."""
+    owner = {}
+    for node in ast.walk(tree):  # outer classes first, so inner ones win
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                owner.update((id(child), node.name)
+                             for child in ast.walk(item))
+    return owner
+
+
+def through_self(node):
+    """Whether ``node`` is an attribute of the name ``self``."""
+    return (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
 def reads(tree):
-    """(identifier, is_bare_name) for every read in the module, excluding
-    ``__all__`` and ``__slots__`` entries, reads inside a function of the
-    same name and reads inside a statement that stores the same name (a
-    self-update such as ``self.n += 1`` or ``self.n = n``).  A field a
-    class declares with an annotation (a dataclass field) is a read:
-    ``asdict``, ``__eq__`` and ``__repr__`` read it.  ``is_bare_name``
-    marks a loaded identifier, as opposed to an attribute access or a
-    string literal."""
+    """(identifier, is_bare_name, owner) for every read in the module,
+    excluding ``__all__`` and ``__slots__`` entries, reads inside a
+    function of the same name and reads inside a statement that stores
+    the same name (a self-update such as ``self.n += 1`` or
+    ``self.n = n``).  A field a class declares with an annotation (a
+    dataclass field) is a read: ``asdict``, ``__eq__`` and ``__repr__``
+    read it.  ``is_bare_name`` marks a loaded identifier, as opposed to
+    an attribute access or a string literal.  ``owner`` is the class
+    whose ``self.<identifier>`` the read loads (or whose field the
+    annotation declares), else None."""
     declared = set()
+    owner = owners(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id in ("__all__", "__slots__")
@@ -163,7 +193,7 @@ def reads(tree):
             for item in node.body:
                 if (isinstance(item, ast.AnnAssign)
                         and isinstance(item.target, ast.Name)):
-                    yield item.target.id, False
+                    yield item.target.id, False, node.name
     for node, enclosing in scoped(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             name, bare = node.id, True
@@ -176,24 +206,31 @@ def reads(tree):
         else:
             continue
         if name not in enclosing:
-            yield name, bare
+            yield name, bare, (owner.get(id(node)) if through_self(node)
+                               else None)
 
 
 def defined_names():
     """(path, line, name, is_method) for every definition under
-    ``src/repro``."""
-    for path in python_files(PACKAGE):
-        for name, line, is_method in definitions(parse(path)):
-            yield os.path.relpath(path, ROOT), line, name, is_method
+    :data:`DEFINERS`."""
+    for top in DEFINERS:
+        for path in python_files(top):
+            for name, line, is_method in definitions(parse(path)):
+                yield os.path.relpath(path, ROOT), line, name, is_method
+
+
+def reader_trees():
+    """The parsed module of every file under :data:`READERS`."""
+    return [parse(path) for top in READERS
+            for path in python_files(os.path.join(ROOT, top))]
 
 
 def read_names():
     """``{name: reached_only_as_a_bare_name}`` for every name read."""
     read = {}
-    for top in READERS:
-        for path in python_files(os.path.join(ROOT, top)):
-            for name, bare in reads(parse(path)):
-                read[name] = read.get(name, True) and bare
+    for tree in reader_trees():
+        for name, bare, __ in reads(tree):
+            read[name] = read.get(name, True) and bare
     return read
 
 
@@ -244,29 +281,80 @@ ALLOWED_STATE = {
 
 
 def state(tree):
-    """(name, line) for every attribute the module stores and every
-    lowercase module-level name it assigns."""
+    """(name, line, owner) for every attribute the module stores and
+    every lowercase module-level name it assigns; ``owner`` is the class
+    whose ``self.<name>`` the statement stores, else None."""
     module = {id(node) for node in tree.body}
+    owner = owners(tree)
     for node in ast.walk(tree):
         for target in targets(node):
             if isinstance(target, ast.Attribute):
-                yield target.attr, node.lineno
+                yield target.attr, node.lineno, (
+                    owner.get(id(target)) if through_self(target) else None)
             elif id(node) in module and not (
                     CONSTANT.match(target.id) or is_dunder(target.id)):
-                yield target.id, node.lineno
+                yield target.id, node.lineno, None
+
+
+def classes(tree):
+    """(name, names of its bases) for every class the module defines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield node.name, {base.id if isinstance(base, ast.Name)
+                              else base.attr for base in node.bases
+                              if isinstance(base, (ast.Name, ast.Attribute))}
+
+
+def kin(bases):
+    """``{class: itself, its ancestors and its descendants}`` over
+    ``bases`` (``{class: names of its bases}``)."""
+    def ancestors(name, seen):
+        for base in bases.get(name, ()):
+            if base not in seen:
+                seen.add(base)
+                ancestors(base, seen)
+        return seen
+
+    up = {name: ancestors(name, {name}) for name in bases}
+    return {name: up[name] | {other for other in up if name in up[other]}
+            for name in up}
+
+
+def unread(stored, readers):
+    """``{name: "path:line"}`` (the first unread store) for every name
+    the modules of ``stored`` (``{path: tree}``) store that no tree of
+    ``readers`` loads.  A store through ``self`` in class C needs a
+    ``self`` read in C's kin (:func:`kin`), or a read through another
+    expression or a string literal; any other store needs any read of
+    its name."""
+    anywhere, loose, through, bases = set(), set(), set(), {}
+    for tree in readers:
+        for name, bare, owner in reads(tree):
+            anywhere.add(name)
+            if owner is not None:
+                through.add((owner, name))
+            elif not bare:
+                loose.add(name)
+        for name, parents in classes(tree):
+            bases.setdefault(name, set()).update(parents)
+    related = kin(bases)
+    found = {}
+    for path, tree in stored.items():
+        for name, line, owner in state(tree):
+            if owner is None:
+                dead = name not in anywhere
+            else:
+                dead = name not in loose and not any(
+                    (cls, name) in through for cls in related[owner])
+            if dead:
+                found.setdefault(name, "%s:%d" % (path, line))
+    return found
 
 
 def unread_state():
-    """``{name: "path:line"}`` (the first store) for every stored name
-    under ``src/repro`` nothing in the readers loads."""
-    read = read_names()
-    unread = {}
-    for path in python_files(PACKAGE):
-        for name, line in state(parse(path)):
-            if name not in read:
-                unread.setdefault(name, "%s:%d" % (
-                    os.path.relpath(path, ROOT), line))
-    return unread
+    """:func:`unread` over ``src/repro`` and the readers."""
+    return unread({os.path.relpath(path, ROOT): parse(path)
+                   for path in python_files(PACKAGE)}, reader_trees())
 
 
 def test_every_stored_value_is_read():
@@ -286,7 +374,7 @@ def test_state_allowlist_names_only_unread_state():
 
 def test_a_read_inside_a_same_named_function_is_not_a_read():
     def read(source):
-        return {name for name, __ in reads(ast.parse(source))}
+        return {name for name, *__ in reads(ast.parse(source))}
 
     recursive = ("class Spec:\n"
                  "    def from_json(cls, data):\n"
@@ -310,12 +398,43 @@ def test_a_self_update_or_a_slot_is_not_a_read():
                      "        self.total = total + n\n"
                      "mark = 0\n")
     assert sorted(state(tree)) == [
-        ("count", 4), ("count", 8), ("mark", 10), ("total", 5), ("total", 9)]
+        ("count", 4, "Stats"), ("count", 8, "Stats"), ("mark", 10, None),
+        ("total", 5, "Stats"), ("total", 9, "Stats")]
     # Only ``n`` is read: ``count`` feeds only itself, and ``total`` only
     # through a local that feeds it back.
-    assert {name for name, __ in reads(tree)} == {"self", "n"}
-    assert "count" in {name for name, __ in reads(ast.parse(
+    assert {name for name, *__ in reads(tree)} == {"self", "n"}
+    assert "count" in {name for name, *__ in reads(ast.parse(
         "def show(stats):\n    return getattr(stats, 'count')\n"))}
+
+
+def test_a_self_store_is_read_only_by_its_kin_or_from_outside():
+    tree = ast.parse("class Base:\n"
+                     "    def peek(self):\n"
+                     "        return self.tag\n"
+                     "class Call(Base):\n"
+                     "    def __init__(self, seed, node):\n"
+                     "        self.seed = seed\n"
+                     "        check(seed)\n"
+                     "        self.node = node\n"
+                     "        self.tag = 1\n"
+                     "        self.port = 0\n"
+                     "        self.size = 0\n"
+                     "class Leg(Call):\n"
+                     "    def send(self):\n"
+                     "        return self.port\n"
+                     "class Socket:\n"
+                     "    def __init__(self, node):\n"
+                     "        self.node = node\n"
+                     "    def send(self):\n"
+                     "        return self.node\n"
+                     "def show(call):\n"
+                     "    return call.size\n")
+    # A base class reads ``tag`` and a subclass ``port`` through self;
+    # ``size`` is read from outside.  The bare parameter ``seed`` and the
+    # unrelated Socket's ``self.node`` are no reads of Call's values.
+    assert unread({"m": tree}, [tree]) == {"seed": "m:6", "node": "m:8"}
+    assert kin({"Base": set(), "Call": {"Base"}, "Leg": {"Call"},
+                "Socket": set()})["Call"] == {"Base", "Call", "Leg"}
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +582,9 @@ def unset(trees, readers):
 def unset_options():
     """``{key: "path:line"}`` for every defaulted parameter under
     ``src/repro`` that no call in the readers sets."""
-    readers = [parse(path) for top in READERS
-               for path in python_files(os.path.join(ROOT, top))]
     trees = {os.path.relpath(path, ROOT): parse(path)
              for path in python_files(PACKAGE)}
-    return unset(trees, readers)
+    return unset(trees, reader_trees())
 
 
 def test_every_option_is_set_by_a_call():

@@ -9,7 +9,6 @@ byte-identical regeneration of the committed ``docs/sample_report/``.
 import dataclasses
 import json
 import os
-import re
 import xml.etree.ElementTree as ElementTree
 
 import pytest
@@ -220,11 +219,9 @@ class TestSvg:
         assert root.tag.endswith("svg")
 
     def test_heatmap_uses_marker_colors(self):
-        from repro.viz.heatmap import MARKER_COLORS
-
         markup = svg.heatmap_panels(
             "t", [("p", ["r"], [1], lambda row, col: ("x", "!", None))])
-        assert MARKER_COLORS["!"][1] in markup
+        assert svg.MARKER_COLORS["!"][1] in markup
 
     def test_line_chart_well_formed(self):
         markup = svg.line_chart(
@@ -387,8 +384,7 @@ class TestGenerateReport:
 
 
 class TestFigureModels:
-    """Every catalog figure is one model, drawn by the text and SVG
-    backends alike."""
+    """Every catalog figure is one model, drawn as SVG."""
 
     @pytest.mark.parametrize("name", list(REPORT_FIGURES))
     def test_empty_results_render_blank(self, name):
@@ -398,24 +394,23 @@ class TestFigureModels:
             spec = registry.get(figure.sweep)
             results = ResultSet()
         model = figure.model(results, spec, 1.0)
-        ElementTree.fromstring(model.svg())
-        text = model.text()
-        lines = text.splitlines()
+        markup = model.svg()
+        ElementTree.fromstring(markup)
         if isinstance(model, Heatmaps):
             for __, rows, cols, cell_fn in model.panels:
                 assert rows and cols
                 assert all(cell_fn(row, col) is None
                            for row in rows for col in cols)
                 for row in rows:
-                    assert str(row) in [line.strip() for line in lines]
+                    assert ">%s</text>" % row in markup
         elif isinstance(model, Boxplots):
             assert all(box is None
                        for __, boxes in model.series for box in boxes)
-            assert "%" not in text
+            assert "<circle" not in markup and "<polygon" not in markup
         elif figure.sweep is not None:
             assert isinstance(model, Table) and model.rows == []
         else:  # closed-form Table 2 needs no results
-            assert "7490" in text
+            assert ">backbone 7490</text>" in markup
         # Every figure states its claims once each; with no cells they
         # are unevaluated, except Table 2's, which read no results.
         statements = [statement for statement, __ in figure.claims]
@@ -423,7 +418,7 @@ class TestFigureModels:
         holds = [claim["holds"] for claim in figure.score(results).claims]
         assert holds == [figure.sweep is None or None] * len(statements)
 
-    def test_sample_results_render_both_backends(self):
+    def test_sample_results_fill_the_model_and_its_svg(self):
         committed = os.path.join(ROOT, "docs", "sample_report")
         for name in build.SAMPLE_FIGURES:
             figure = REPORT_FIGURES[name]
@@ -432,29 +427,27 @@ class TestFigureModels:
                                        **build.SAMPLE_OVERRIDES[name])
             results = api.run_sweep(spec, scale=1.0)
             model = figure.model(results, spec, 1.0)
+            markup = model.svg()
             with open(os.path.join(committed, "%s.svg" % name),
                       encoding="utf-8") as handle:
-                assert model.svg() == handle.read()
-            text = model.text()
-            assert text.startswith(model.title)
-            for record in results:
-                if name == "fig7a":
-                    for direction in ("talks", "listens"):
+                assert markup == handle.read()
+            assert ">%s</text>" % model.title in markup
+            if name == "fig7a":
+                for title, __, __, cell_fn in model.panels:
+                    direction = title.split()[1]  # "user talks — ..."
+                    for record in results:
                         mos = record[direction]
-                        assert ("%.1f%s" % (mos, heat_marker_from_mos(mos))
-                                in text)
-                else:
-                    for side in ("down", "up"):
-                        box = five_number_summary(
-                            record["%s_utilization_samples" % side])
-                        row = [line.split() for line in text.splitlines()
-                               if line.split()[:2] == [
-                                   str(record.buffer_packets),
-                                   side + "link"]]
-                        assert row == [[str(record.buffer_packets),
-                                        side + "link"]
-                                       + ["%.0f%%" % (value * 100)
-                                          for value in box]]
+                        text, marker, __ = cell_fn(*record.key)
+                        assert text == "%.1f" % mos
+                        assert marker == heat_marker_from_mos(mos)
+                        assert ">%s</text>" % text in markup
+            else:
+                workload = spec.workloads(1.0)[0]
+                for side, (__, boxes) in zip(("down", "up"), model.series):
+                    assert boxes == [five_number_summary(
+                        results[(workload, packets)]
+                        ["%s_utilization_samples" % side])
+                        for packets in model.buffers]
 
 
 #: Every column a catalog figure reads, per cell kind; synthetic cells
@@ -501,19 +494,21 @@ def _tolerance(token):
     return 0.5 * 10 ** -decimals + 1e-9
 
 
-def _panel_shows(panel, block, markup, paper):
-    """Whether one heatmap panel (its text ``block`` and the figure's
-    SVG ``markup``) shows every value of the ``paper`` grid."""
-    __, rows, cols, __ = panel
-    lines = {line.split()[0]: line for line in block.splitlines()[3:]}
+def _panel_shows(panel, markup, paper):
+    """Whether one heatmap panel's ``cell_fn`` puts every value of the
+    ``paper`` grid, and only those, on its axes, and the figure's SVG
+    ``markup`` draws each."""
+    __, rows, cols, cell_fn = panel
     for row in rows:
-        expected = [paper[(row, col)] for col in cols if (row, col) in paper]
-        shown = re.findall(r" / (\S+)", lines[str(row)])
-        if len(shown) != len(expected):
-            return False
-        for token, value in zip(shown, expected):
-            if (abs(float(token) - value) > _tolerance(token)
-                    or ">%s</text>" % token not in markup):
+        for col in cols:
+            cell = cell_fn(row, col)
+            shown = cell[2] if cell else None
+            if (row, col) not in paper:
+                if shown is not None:
+                    return False
+            elif (shown is None
+                  or abs(float(shown) - paper[(row, col)]) > _tolerance(shown)
+                  or ">%s</text>" % shown not in markup):
                 return False
     return True
 
@@ -535,13 +530,11 @@ class TestProductionPairing:
         assert scored.metrics["max_abs_deviation"] <= 1e-9
 
         model = figure.model(results, spec, scale)
-        text, markup = model.text(), model.svg()
+        markup = model.svg()
         if isinstance(model, Heatmaps):
-            blocks = text.split("\n\n")[1:]
             for label, paper in on_axes.items():
-                assert any(_panel_shows(panel, block, markup, paper)
-                           for panel, block in zip(model.panels, blocks)), \
-                    label
+                assert any(_panel_shows(panel, markup, paper)
+                           for panel in model.panels), label
         elif isinstance(model, Table):
             for index, paper in enumerate(on_axes.values(), start=1):
                 shown = sorted(float(row[index].split(" / ")[1])
@@ -550,7 +543,6 @@ class TestProductionPairing:
                                               abs=0.05)
             for row in model.rows:
                 for cell in row:
-                    assert cell in text
                     assert ">%s</text>" % cell in markup
         else:
             # Figure 5 anchors on Table 1's utilizations, which its

@@ -45,8 +45,8 @@ def run_qos_grid(scenarios, buffers, **timing):
     return spec, api.run_sweep(spec, scale=1.0, runner=runner)
 
 
-def figure_text(name, results, spec):
-    return REPORT_FIGURES[name].model(results, spec, 1.0).text()
+def figure_svg(name, results, spec):
+    return REPORT_FIGURES[name].model(results, spec, 1.0).svg()
 
 
 class TestQosStudies:
@@ -57,14 +57,14 @@ class TestQosStudies:
         # Bigger buffer, bigger mean uplink delay.
         assert (results[("long-few", 64)]["up_mean_delay"]
                 > results[("long-few", 8)]["up_mean_delay"])
-        text = figure_text("fig4-up", results, spec)
-        assert "UPLINK" in text and "DOWNLINK" in text
+        markup = figure_svg("fig4-up", results, spec)
+        assert "UPLINK" in markup and "DOWNLINK" in markup
 
     def test_fig5_and_render(self):
         spec, results = run_qos_grid([access("long-many", "bidir")], [64],
                                      warmup=3, duration=5, seed=1)
         assert len(results[("long-many", 64)]["up_utilization_samples"]) >= 4
-        assert "utilization" in figure_text("fig5", results, spec)
+        assert "utilization" in figure_svg("fig5", results, spec)
 
     def test_table1_rows_and_render(self):
         spec, results = run_qos_grid(
@@ -72,13 +72,13 @@ class TestQosStudies:
                                    "short-high", "long")],
             [749], warmup=2, duration=4, seed=1)
         assert len(results) == 4
-        text = figure_text("table1-backbone", results, spec)
-        assert "short-low" in text
+        markup = figure_svg("table1-backbone", results, spec)
+        assert ">short-low</text>" in markup
 
     def test_table2_render(self):
-        text = figure_text("table2", None, None)
-        assert "96" in text  # 8-packet uplink delay
-        assert "7490" in text
+        markup = figure_svg("table2", None, None)
+        assert ">96 / 98</text>" in markup  # 8-packet uplink delay
+        assert ">backbone 7490</text>" in markup
 
 
 class TestVoipCells:
