@@ -23,12 +23,12 @@ Subcommands
     Build the SVG reproduction report (``index.md`` + one SVG per
     figure + ``fidelity.json`` with PASS/WARN/FAIL verdicts against the
     paper's digitized values) into ``--output DIR``.  ``--cached-only``
-    renders from the result cache without ever simulating;
-    ``--sample`` regenerates the pinned tiny sample committed under
-    ``docs/sample_report/``.  ``--strict`` exits 1 when a figure's
-    verdict is FAIL or one of its claims is broken or unevaluated; the
-    per-figure stderr lines name each such claim.  See
-    ``docs/REPORTING.md``.
+    renders from the result cache without ever simulating.
+    ``--strict`` exits 1 when a figure's verdict is FAIL or one of its
+    claims is broken or unevaluated; the per-figure stderr lines name
+    each such claim.  The committed ``docs/sample_report/`` is this
+    gate's output, ``report --strict table2 fig5 fig7a fig7b -o
+    docs/sample_report`` at scale 1.  See ``docs/REPORTING.md``.
 ``perf``
     Sim-core performance tooling: run the sim-core benchmark and write
     ``BENCH_simcore.json`` (``--quick`` for the CI smoke mode,
@@ -272,17 +272,14 @@ def cmd_report(args):
     # Usage errors exit cleanly here; anything generate_report raises
     # beyond this point is a real bug and must keep its traceback.
     try:
-        validate_selection(args.names, sample=args.sample,
-                           scale=args.scale)
+        validate_selection(args.names)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    # The sample is pinned to scale 1.0 and reads no REPRO_SCALE.
-    scale = None if args.sample else _scale(args)
+    scale = _scale(args)
     runner = None if args.cached_only else _runner_from(args)
     summary = generate_report(
         args.names or None, args.output,
-        cached_only=args.cached_only,
-        scale=scale, runner=runner, sample=args.sample)
+        cached_only=args.cached_only, scale=scale, runner=runner)
     tally = summary["verdicts"]
     claims = [claim for entry in summary["figures"]
               for claim in entry["fidelity"]["claims"]]
@@ -436,10 +433,6 @@ def build_parser():
                         help="render from cached cells only; never "
                              "simulate (partial grids are reported, "
                              "not fatal)")
-    report.add_argument("--sample", action="store_true",
-                        help="regenerate the pinned tiny sample "
-                             "(docs/sample_report/): fixed figures, "
-                             "axes and durations, scale 1.0")
     report.add_argument("--strict", action="store_true",
                         help="exit 1 if any figure verdict is FAIL or "
                              "any claim is broken or unevaluated")

@@ -17,8 +17,10 @@ results into ``<out>/index.md`` + one SVG per figure +
 Determinism: the emitted files are a pure function of the sweep results
 and this source tree — no timestamps, no environment echoes beyond the
 requested scale — so a report regenerated from the same cache is
-byte-identical (the committed ``docs/sample_report/`` is pinned by a
-test to exactly this property).
+byte-identical.  The committed ``docs/sample_report/`` is the plain
+output of the figure gate on the registered scale-1 grids,
+``python -m repro report --strict table2 fig5 fig7a fig7b -o
+docs/sample_report``, and a test pins it to exactly this property.
 """
 
 import json
@@ -31,40 +33,14 @@ from repro.report.figures import (CLAIM_STATES, REPORT_FIGURES, claim_tally,
 #: fidelity.json schema version (see docs/fidelity.schema.json).
 SCHEMA_VERSION = 2
 
-#: Figures included in the committed tiny sample report
-#: (``--sample`` / docs/sample_report/).
-SAMPLE_FIGURES = ("fig5", "fig7a")
 
-#: Axis/duration overrides pinning the sample to a few seconds of
-#: simulated time.  Literal durations (seconds) make the sample
-#: independent of ``REPRO_SCALE``; the axes keep one comparable paper
-#: cell per figure so the fidelity machinery still exercises end to end.
-SAMPLE_OVERRIDES = {
-    "fig5": {"buffers": (8, 64), "duration": 4.0, "warmup": 2.0},
-    "fig7a": {"workloads": ("noBG", "long-few"), "buffers": (8, 256),
-              "duration": 2.0, "warmup": 1.0},
-}
-
-
-def validate_selection(names, sample=False, scale=None):
+def validate_selection(names):
     """Resolve and validate a figure selection; ValueError on misuse.
 
-    The single home of the usage checks shared by the CLI (which turns
+    The single home of the usage check shared by the CLI (which turns
     the ValueError into a clean exit) and :func:`generate_report`:
-    unknown figure names, and ``sample`` conflicting with explicit
-    names or a scale override — the sample is fully pinned, and
-    silently overriding an explicit choice would lie about what was
-    built.  Returns the figure names to render.
+    unknown figure names.  Returns the figure names to render.
     """
-    if sample:
-        if names:
-            raise ValueError("--sample renders exactly %s — drop the "
-                             "explicit figure names"
-                             % (", ".join(SAMPLE_FIGURES)))
-        if scale is not None:
-            raise ValueError("--sample is pinned to scale 1.0 — drop "
-                             "the scale override")
-        return list(SAMPLE_FIGURES)
     names = list(names) if names else figure_names()
     unknown = [name for name in names if name not in REPORT_FIGURES]
     if unknown:
@@ -164,25 +140,21 @@ def _index_markdown(entries, scale):
 
 
 def generate_report(names=None, out_dir="report", *, cached_only=False,
-                    scale=None, runner=None, sample=False):
+                    scale=None, runner=None):
     """Write ``index.md`` + per-figure SVGs + ``fidelity.json``.
 
     ``names`` selects figures (default: all of
     :func:`repro.report.figures.figure_names`); unknown names raise
-    ValueError.  ``sample`` switches to the pinned tiny sample
-    (:data:`SAMPLE_FIGURES` at :data:`SAMPLE_OVERRIDES`, scale 1.0) that
-    ``docs/sample_report/`` commits.  Returns a summary dict with the
-    per-figure entries and a verdict tally, and prints one progress line
-    per figure on stderr, ending in ``claims k of n hold`` and followed
-    by one line per claim that is broken or unevaluated.
+    ValueError.  Returns a summary dict with the per-figure entries and
+    a verdict tally, and prints one progress line per figure on stderr,
+    ending in ``claims k of n hold`` and followed by one line per claim
+    that is broken or unevaluated.
     """
     from repro import api
     from repro.core import registry
     from repro.core.registry import resolve_scale
 
-    names = validate_selection(names, sample=sample, scale=scale)
-    if sample:
-        scale = 1.0
+    names = validate_selection(names)
     scale = resolve_scale() if scale is None else scale
 
     os.makedirs(out_dir, exist_ok=True)
@@ -200,9 +172,6 @@ def generate_report(names=None, out_dir="report", *, cached_only=False,
         expected = present = 0
         if figure.sweep is not None:
             spec = registry.get(figure.sweep)
-            if sample and name in SAMPLE_OVERRIDES:
-                spec = api.apply_overrides(spec, scale=scale,
-                                           **SAMPLE_OVERRIDES[name])
             results = (api.load_sweep(spec, scale=scale) if cached_only
                        else api.run_sweep(spec, scale=scale, runner=runner))
             expected = spec.cell_count(scale)

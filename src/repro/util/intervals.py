@@ -76,33 +76,6 @@ class IntervalSet:
         if ivals and ivals[0][0] < cutoff:
             ivals[0] = (cutoff, ivals[0][1])
 
-    def covers(self, start, end):
-        """Return True if ``[start, end)`` is fully contained."""
-        if end <= start:
-            return True
-        ivals = self._ivals
-        idx = bisect.bisect_right(ivals, (start, float("inf"))) - 1
-        if idx < 0:
-            return False
-        istart, iend = ivals[idx]
-        return istart <= start and end <= iend
-
-    def gaps(self, start, end):
-        """Yield the uncovered sub-intervals of ``[start, end)``."""
-        cursor = start
-        for istart, iend in self._ivals:
-            if iend <= cursor:
-                continue
-            if istart >= end:
-                break
-            if istart > cursor:
-                yield (cursor, min(istart, end))
-            cursor = max(cursor, iend)
-            if cursor >= end:
-                break
-        if cursor < end:
-            yield (cursor, end)
-
     def __len__(self):
         return len(self._ivals)
 

@@ -329,12 +329,13 @@ class TestReport:
         assert "table2           FAIL (0/0 cells), claims 2 of 2 hold" in err
         assert "report --strict: table2 failed" in err
 
-    @pytest.mark.parametrize("names", [["table2", "nosuch"],
-                                       ["fig5", "nosuch"]])
+    @pytest.mark.parametrize("names", [["--strict", "table2", "nosuch"],
+                                       ["--strict", "fig5", "nosuch"],
+                                       ["nosuch"]])
     def test_unknown_name_rejected_before_any_work(self, names, capsys,
                                                    tmp_path):
         with pytest.raises(SystemExit) as exit_info:
-            self.report(tmp_path, "--strict", *names)
+            self.report(tmp_path, *names)
         assert exit_info.value.code not in (0, None)
         assert "nosuch" in str(exit_info.value.code)
         assert capsys.readouterr().out == ""

@@ -68,8 +68,6 @@ ALLOWED = {
     "from_json": "SweepSpec/ScenarioSpec inverse of to_json: the registry "
                  "round-trip tests check that the spec JSON `describe` "
                  "prints loses nothing",
-    "covers": "IntervalSet query the interval property tests check",
-    "gaps": "IntervalSet query the interval property tests check",
     "byte_length": "queued bytes: the conservation property tests read it",
     "forwarded": "Node.forwarded, packets a router forwarded: the packet "
                  "conservation tests read it (docs/ARCHITECTURE.md)",

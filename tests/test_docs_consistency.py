@@ -131,7 +131,7 @@ def test_reporting_doc_covers_the_report_layer():
 
     for name in figure_names():
         assert "`%s`" % name in reporting, name
-    for term in ("python -m repro report", "--cached-only", "--sample",
+    for term in ("python -m repro report", "--cached-only", "--strict",
                  "fidelity.json", "fidelity.schema.json",
                  "max_abs_deviation", "rank_correlation",
                  "trend_agreement", "PASS", "WARN", "FAIL", "SKIP",

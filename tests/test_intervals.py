@@ -42,22 +42,6 @@ def test_contiguous_end_when_uncovered():
     assert ivals.contiguous_end(10) == 10
 
 
-def test_covers():
-    ivals = IntervalSet([(0, 10), (20, 30)])
-    assert ivals.covers(0, 10)
-    assert ivals.covers(2, 5)
-    assert not ivals.covers(5, 15)
-    assert not ivals.covers(15, 18)
-    assert ivals.covers(25, 25)  # empty always covered
-
-
-def test_gaps():
-    ivals = IntervalSet([(2, 4), (6, 8)])
-    assert list(ivals.gaps(0, 10)) == [(0, 2), (4, 6), (8, 10)]
-    assert list(ivals.gaps(2, 8)) == [(4, 6)]
-    assert list(IntervalSet().gaps(0, 3)) == [(0, 3)]
-
-
 def test_prune_below():
     ivals = IntervalSet([(0, 10), (20, 30)])
     ivals.prune_below(25)
@@ -111,17 +95,3 @@ def test_property_matches_reference_set(intervals):
         if probe in reference:
             assert ivals.contiguous_end(probe) == end
 
-
-@given(interval_lists(), st.integers(min_value=0, max_value=250))
-@settings(max_examples=100)
-def test_property_gaps_partition(intervals, span_start):
-    """gaps() plus covered intervals exactly tile the query range."""
-    ivals = IntervalSet()
-    for start, end in intervals:
-        ivals.add(start, end)
-    span_end = span_start + 60
-    gap_points = set()
-    for gstart, gend in ivals.gaps(span_start, span_end):
-        gap_points.update(range(gstart, gend))
-    for probe in range(span_start, span_end):
-        assert (probe in gap_points) == (probe not in ivals)

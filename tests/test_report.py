@@ -3,12 +3,16 @@
 Covers the fidelity engine (known rank-correlation/deviation values,
 verdict threshold edges, SKIP paths), the SVG layer (well-formedness),
 the fidelity.json schema validator, report generation end to end, and
-byte-identical regeneration of the committed ``docs/sample_report/``.
+byte-identical regeneration of the committed ``docs/sample_report/`` —
+the figure gate's output, built once per pytest run by :func:`gate`.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import types
 import xml.etree.ElementTree as ElementTree
 
 import pytest
@@ -41,6 +45,51 @@ from repro.results.set import ResultSet
 from repro.sim.stats import five_number_summary
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMITTED = os.path.join(ROOT, "docs", "sample_report")
+SCHEMA_PATH = os.path.join(ROOT, "docs", "fidelity.schema.json")
+
+
+def load_json(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _report_cli(*argv):
+    """Run ``python -m repro report ARGV``; (exit status, stderr)."""
+    from repro.cli import main
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["report"] + list(argv))
+    return status, err.getvalue()
+
+
+def _simulated(*args, **kwargs):
+    raise AssertionError("a --cached-only report simulated")
+
+
+@pytest.fixture(scope="session")
+def gate(tmp_path_factory):
+    """The figure gate over the committed sample's figures, run once:
+    a cold ``report --strict`` into ``fresh`` and a ``--cached-only
+    --strict`` repass, which must not simulate, into ``cached``, at
+    scale 1 on a private cache."""
+    base = tmp_path_factory.mktemp("gate")
+    names = list(load_json(os.path.join(COMMITTED, "fidelity.json"))
+                 ["figures"])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(base / "cache"))
+        patch.setenv("REPRO_WORKERS", "1")
+        patch.delenv("REPRO_SCALE", raising=False)
+        fresh = _report_cli("--strict", *names, "-o", str(base / "fresh"))
+        patch.setattr(api, "run_sweep", _simulated)
+        cached = _report_cli("--strict", "--cached-only", *names,
+                             "-o", str(base / "cached"))
+    return types.SimpleNamespace(
+        names=names, cache_dir=str(base / "cache"),
+        fresh=base / "fresh", fresh_status=fresh[0], fresh_err=fresh[1],
+        cached=base / "cached", cached_status=cached[0],
+        cached_err=cached[1])
 
 
 @pytest.fixture(autouse=True)
@@ -282,37 +331,29 @@ class TestSchemaValidator:
             schema.validate({}, {"patternProperties": {}})
 
     def test_checked_in_schema_loads(self):
-        path = os.path.join(ROOT, "docs", "fidelity.schema.json")
-        with open(path, encoding="utf-8") as handle:
-            json.load(handle)
+        load_json(SCHEMA_PATH)
 
 
 # ---------------------------------------------------------------------------
-# Report generation end to end (tiny sample).
+# Report generation end to end (the committed sample's figures).
 # ---------------------------------------------------------------------------
 class TestGenerateReport:
-    def test_sample_report_end_to_end(self, tmp_path):
-        out = tmp_path / "report"
-        summary = build.generate_report(sample=True, out_dir=str(out))
-        assert sorted(entry["figure"] for entry in summary["figures"]) \
-            == sorted(build.SAMPLE_FIGURES)
-        for name in build.SAMPLE_FIGURES:
-            ElementTree.parse(out / ("%s.svg" % name))
-        document = json.loads((out / "fidelity.json").read_text())
-        schema_path = os.path.join(ROOT, "docs", "fidelity.schema.json")
-        with open(schema_path, encoding="utf-8") as handle:
-            assert schema.validate(document,
-                                   json.load(handle)) == []
-        index = (out / "index.md").read_text()
-        for name in build.SAMPLE_FIGURES:
-            assert "%s.svg" % name in index
-        # Schema v2 carries every figure's claims; the sample's fig7a
-        # grid lacks the long-many cells its claims read, so they are
-        # unevaluated, not true.
+    def test_sample_report_end_to_end(self, gate):
+        assert gate.fresh_status == 0, gate.fresh_err
+        for name in gate.names:
+            assert ("report: %-16s PASS" % name) in gate.fresh_err
+            ElementTree.parse(gate.fresh / ("%s.svg" % name))
+        assert "broken:" not in gate.fresh_err
+        assert "unevaluated:" not in gate.fresh_err
+        document = load_json(gate.fresh / "fidelity.json")
         assert document["schema_version"] == build.SCHEMA_VERSION == 2
-        fig7a = document["figures"]["fig7a"]["fidelity"]["claims"]
-        assert [claim["holds"] for claim in fig7a] == [None, None]
-        assert "Claims: 0 of 2 hold" in index
+        assert document["scale"] == 1.0
+        assert list(document["figures"]) == gate.names
+        assert schema.validate(document, load_json(SCHEMA_PATH)) == []
+        index = (gate.fresh / "index.md").read_text()
+        for name in gate.names:
+            assert "%s.svg" % name in index
+        assert "partial grid" not in index
 
     def test_cached_only_cold_cache_is_graceful(self, tmp_path):
         # Nothing cached: the report must still be produced, with SKIP
@@ -326,28 +367,19 @@ class TestGenerateReport:
         assert entry["cells_expected"] > 0
         assert "partial grid" in (out / "index.md").read_text()
 
-    def test_cached_only_after_run_matches_bytes(self, tmp_path):
-        first = tmp_path / "first"
-        second = tmp_path / "second"
-        build.generate_report(sample=True, out_dir=str(first))
-        # Second pass: cache-only, zero simulations, identical bytes.
-        build.generate_report(sample=True, out_dir=str(second),
-                              cached_only=True)
-        for name in os.listdir(first):
-            assert (first / name).read_bytes() \
-                == (second / name).read_bytes(), name
+    def test_cached_only_after_run_matches_bytes(self, gate):
+        # The repass ran with api.run_sweep raising: it read the cache
+        # only and reproduced every file byte for byte.
+        assert gate.cached_status == 0, gate.cached_err
+        assert sorted(os.listdir(gate.cached)) \
+            == sorted(os.listdir(gate.fresh))
+        for name in os.listdir(gate.fresh):
+            assert (gate.fresh / name).read_bytes() \
+                == (gate.cached / name).read_bytes(), name
 
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="fig99"):
             build.generate_report(["fig99"], str(tmp_path))
-
-    def test_sample_conflicts_are_rejected(self, tmp_path):
-        # --sample must not silently override explicit names or scale.
-        with pytest.raises(ValueError, match="figure names"):
-            build.generate_report(["fig8"], str(tmp_path), sample=True)
-        with pytest.raises(ValueError, match="scale"):
-            build.generate_report(None, str(tmp_path), sample=True,
-                                  scale=2.0)
 
     def test_trend_uses_highlighted_buffers(self):
         # A non-highlighted extreme (16) must not anchor the trend when
@@ -418,21 +450,23 @@ class TestFigureModels:
         holds = [claim["holds"] for claim in figure.score(results).claims]
         assert holds == [figure.sweep is None or None] * len(statements)
 
-    def test_sample_results_fill_the_model_and_its_svg(self):
-        committed = os.path.join(ROOT, "docs", "sample_report")
-        for name in build.SAMPLE_FIGURES:
+    def test_sample_results_fill_the_model_and_its_svg(self, gate,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", gate.cache_dir)
+        for name in gate.names:
             figure = REPORT_FIGURES[name]
-            spec = api.apply_overrides(registry.get(figure.sweep),
-                                       scale=1.0,
-                                       **build.SAMPLE_OVERRIDES[name])
-            results = api.run_sweep(spec, scale=1.0)
+            if figure.sweep is None:
+                continue
+            spec = registry.get(figure.sweep)
+            results = api.load_sweep(spec, scale=1.0)
+            assert len(results) == spec.cell_count(1.0)
             model = figure.model(results, spec, 1.0)
             markup = model.svg()
-            with open(os.path.join(committed, "%s.svg" % name),
+            with open(os.path.join(COMMITTED, "%s.svg" % name),
                       encoding="utf-8") as handle:
                 assert markup == handle.read()
             assert ">%s</text>" % model.title in markup
-            if name == "fig7a":
+            if isinstance(model, Heatmaps):
                 for title, __, __, cell_fn in model.panels:
                     direction = title.split()[1]  # "user talks — ..."
                     for record in results:
@@ -567,41 +601,38 @@ class TestProductionPairing:
 
 
 class TestCommittedSample:
-    def test_sample_report_regenerates_byte_identically(self, tmp_path):
-        committed = os.path.join(ROOT, "docs", "sample_report")
-        out = tmp_path / "regenerated"
-        build.generate_report(sample=True, out_dir=str(out))
-        generated = sorted(os.listdir(out))
-        assert sorted(os.listdir(committed)) == generated
+    """``docs/sample_report/`` is the figure gate's output on the
+    registered scale-1 grids: ``python -m repro report --strict table2
+    fig5 fig7a fig7b -o docs/sample_report``."""
+
+    def test_sample_report_regenerates_byte_identically(self, gate):
+        generated = sorted(os.listdir(gate.fresh))
+        assert sorted(os.listdir(COMMITTED)) == generated
         for name in generated:
-            with open(os.path.join(committed, name), "rb") as handle:
+            with open(os.path.join(COMMITTED, name), "rb") as handle:
                 expected = handle.read()
-            assert (out / name).read_bytes() == expected, (
+            assert (gate.fresh / name).read_bytes() == expected, (
                 "docs/sample_report/%s is stale — regenerate with "
-                "`python -m repro report --sample -o docs/sample_report`"
-                % name)
+                "`python -m repro report --strict %s -o docs/sample_report`"
+                % (name, " ".join(gate.names)))
+
+    def test_committed_sample_passes_the_gate(self):
+        document = load_json(os.path.join(COMMITTED, "fidelity.json"))
+        assert document["figures"]
+        for name, entry in document["figures"].items():
+            assert entry["verdict"] != FAIL, name
+            claims = entry["fidelity"]["claims"]
+            assert claims, name
+            assert [claim["claim"] for claim in claims
+                    if claim["holds"] is not True] == [], name
 
 
 class TestReportCli:
-    def test_report_command(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "rep"
-        assert main(["report", "--sample", "-o", str(out)]) == 0
-        assert (out / "fidelity.json").exists()
-        assert "PASS" in capsys.readouterr().err
-
-    def test_unknown_name_exits_cleanly(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["report", "fig99", "-o", str(tmp_path)])
-
-    def test_sample_with_names_exits_cleanly(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="renders exactly"):
-            main(["report", "fig8", "--sample", "-o", str(tmp_path)])
+    def test_report_command(self, gate):
+        assert gate.fresh_status == 0, gate.fresh_err
+        assert (gate.fresh / "fidelity.json").exists()
+        assert "wrote %s (%d figures: %d PASS; claims" % (
+            gate.fresh, len(gate.names), len(gate.names)) in gate.fresh_err
 
     def test_schema_cli(self, tmp_path, capsys):
         from repro.report.schema import main as schema_main
@@ -609,7 +640,6 @@ class TestReportCli:
         document = tmp_path / "doc.json"
         document.write_text('{"schema_version": 1, "scale": 1.0, '
                             '"figures": {}}')
-        schema_path = os.path.join(ROOT, "docs", "fidelity.schema.json")
-        assert schema_main([str(document), schema_path]) == 0
+        assert schema_main([str(document), SCHEMA_PATH]) == 0
         document.write_text('{"scale": 1.0}')
-        assert schema_main([str(document), schema_path]) == 1
+        assert schema_main([str(document), SCHEMA_PATH]) == 1
