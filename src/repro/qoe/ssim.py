@@ -1,98 +1,186 @@
 """Structural Similarity (SSIM) — full-reference video metric (§8.1).
 
 Clean-room implementation of Wang et al. 2004.  Local statistics use the
-8x8 uniform window of the original paper's fast variant; constants are
-the standard C1=(0.01 L)^2, C2=(0.03 L)^2.
+8x8 uniform window of the original paper's fast variant, with "reflect"
+edges (``d c b a | a b c d | d c b a``, repeated as often as a line
+shorter than the window needs); constants are the standard
+C1=(0.01 L)^2, C2=(0.03 L)^2.
 
-A clip is scored one frame at a time in one :class:`Workspace`, so the
-memory scoring takes does not grow with the clip.
+The window mean is this module's own.  Each window sum is three doubling
+adds per axis (pairs, pairs of pairs, pairs of fours), a balanced tree
+of six roundings that no running sum carries from one pixel to the
+next, and the 1/64 scale is exact.  A frame is scored in bands of rows,
+so its scratch is one full float64 plane for the SSIM map and a few
+band-sized planes; a clip is scored one frame at a time in one
+:class:`Workspace`, so the memory scoring takes does not grow with the
+clip.
 """
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 C1 = 0.01 ** 2
 C2 = 0.03 ** 2
+#: Window side: the three doubling adds per axis fix it at 8.
 WINDOW = 8
+
+#: Pixels the window reaches before its own; ``WINDOW - 1 - BEFORE``
+#: follow it.
+BEFORE = WINDOW // 2
+
+#: Rows of one band.  A band's statistics do not depend on where the
+#: bands split, so neither do the scores.
+BAND_ROWS = 64
+
+
+def _reflect_indices(length):
+    """The source index of each position of a line of ``length`` padded
+    for the window (``BEFORE`` positions before it, the rest after)."""
+    return np.pad(np.arange(length), (BEFORE, WINDOW - 1 - BEFORE),
+                  mode="symmetric")
+
+
+def _row_runs(rows, start, stop):
+    """``[(first, last, begin, end)]``: padded rows ``start:stop`` as runs
+    of consecutive source rows, buffer rows ``first:last`` taking source
+    rows ``begin:end``."""
+    runs = []
+    for position in range(start, stop):
+        source = int(rows[position])
+        if runs and runs[-1][3] == source:
+            first, __, begin, __ = runs[-1]
+            runs[-1] = (first, position - start + 1, begin, source + 1)
+        else:
+            runs.append((position - start, position - start + 1, source,
+                         source + 1))
+    return runs
 
 
 class Workspace:
-    """Five float64 planes to score frame pairs of one shape in.
+    """The float64 scratch to score frame pairs of one shape in.
 
-    Allocated once and reused for every frame of a clip.  The loaded
-    frames are read where they are, in their own dtype: the filters read
-    them directly (``uniform_filter(..., output=)``), the products and
-    the difference are taken in float64 (ufunc ``dtype=``), and the
-    filtered products are filtered in place.  The operations and
-    operands are those of the textbook formula, so the scores are the
-    floats a float64 copy of the frames gives.
+    Allocated once and reused for every frame of a clip: one full
+    ``plane`` (the SSIM map, or the squared error), five band planes for
+    the local statistics and two padded band buffers for the window
+    mean.  The loaded frames are read where they are, in their own
+    dtype.  The operations and operands are those of the textbook
+    formula, applied pixel by pixel, so the scores are the floats a
+    float64 copy of the frames gives.
     """
 
-    __slots__ = ("reference", "degraded", "planes")
+    __slots__ = ("reference", "degraded", "plane", "bands", "_stats",
+                 "_buffers", "_pad_columns", "_pad_sources")
 
     def __init__(self, shape):
         self.reference = self.degraded = None
-        self.planes = tuple(np.empty(shape) for __ in range(5))
+        self.plane = np.empty(shape)
+        height, width = shape
+        rows = _reflect_indices(height)
+        bands = []
+        for start in range(0, height, BAND_ROWS):
+            stop = min(start + BAND_ROWS, height)
+            bands.append((start, stop,
+                          _row_runs(rows, start, stop + WINDOW - 1)))
+        # (start, stop, row runs) of each band of rows.
+        self.bands = tuple(bands)
+        band = min(BAND_ROWS, height)
+        self._stats = tuple(np.empty((band, width)) for __ in range(5))
+        # Zeroed so that the columns past a row's end, which the sums
+        # pass through but nothing reads, always hold finite values.
+        self._buffers = tuple(np.zeros((band + WINDOW - 1,
+                                        width + WINDOW - 1))
+                              for __ in range(2))
+        self._pad_columns = np.r_[0:BEFORE, BEFORE + width:width + WINDOW - 1]
+        self._pad_sources = BEFORE + _reflect_indices(width)[self._pad_columns]
 
     def load(self, reference, degraded):
         """Point the workspace at one frame pair (no copy is made).
 
         The frames must stay unchanged until they are scored.
         """
-        shape = self.planes[0].shape
+        shape = self.plane.shape
         if np.shape(reference) != shape or np.shape(degraded) != shape:
             raise ValueError("shape mismatch %s vs %s"
                              % (np.shape(reference), np.shape(degraded)))
         self.reference = np.asarray(reference)
         self.degraded = np.asarray(degraded)
 
+    def window_mean(self, a, b, runs, out):
+        """The 8x8 window mean of ``a`` (of ``a * b`` unless ``b`` is
+        None) in float64 over the band of :attr:`bands` whose row runs
+        are ``runs``, written to ``out`` (its rows by the frame's
+        width)."""
+        __, width = self.plane.shape
+        rows = len(out)
+        padded, partial = self._buffers
+        inner = slice(BEFORE, BEFORE + width)
+        for first, last, begin, end in runs:
+            np.copyto(padded[first:last, inner], a[begin:end])
+            if b is not None:
+                np.copyto(partial[first:last, inner], b[begin:end])
+        if b is not None:
+            # The pad columns hold stale sums until the reflect below:
+            # zero one side so that their products stay finite.
+            partial[:, :BEFORE] = partial[:, BEFORE + width:] = 0.0
+            np.multiply(padded[:rows + 7], partial[:rows + 7],
+                        out=padded[:rows + 7])
+        # Down the columns, whole padded rows at a time; the reflect
+        # then fills the pad columns from the inner sums...
+        np.add(padded[0:rows + 6], padded[1:rows + 7], out=partial[:rows + 6])
+        np.add(partial[0:rows + 4], partial[2:rows + 6], out=padded[:rows + 4])
+        np.add(padded[0:rows], padded[4:rows + 4], out=partial[:rows])
+        partial[:rows, self._pad_columns] = partial[:rows, self._pad_sources]
+        # ...then along the rows, the band taken as one line: a sum that
+        # runs into the next row lands past the frame's width, unread.
+        n = rows * padded.shape[1]
+        p, q = padded.reshape(-1), partial.reshape(-1)
+        np.add(q[0:n - 1], q[1:n], out=p[:n - 1])
+        np.add(p[0:n - 3], p[2:n - 1], out=q[:n - 3])
+        np.add(q[0:n - 7], q[4:n - 3], out=p[:n - 7])
+        np.copyto(out, padded[:rows, :width])
+        return np.multiply(out, 1.0 / WINDOW ** 2, out=out)
+
     def ssim(self):
         """Mean SSIM of the loaded pair."""
         x, y = self.reference, self.degraded
-        mu_x, mu_y, sigma, numerator, sigma_yy = self.planes
-        uniform_filter(x, size=WINDOW, output=mu_x)
-        uniform_filter(y, size=WINDOW, output=mu_y)
-        # numerator = (2 mu_x mu_y + C1) (2 sigma_xy + C2)
-        sigma_xy = _filtered_product(x, y, sigma)
-        np.multiply(mu_x, mu_y, out=numerator)
-        np.subtract(sigma_xy, numerator, out=sigma_xy)
-        np.multiply(2.0, numerator, out=numerator)
-        np.add(numerator, C1, out=numerator)
-        np.multiply(2.0, sigma_xy, out=sigma_xy)
-        np.add(sigma_xy, C2, out=sigma_xy)
-        np.multiply(numerator, sigma_xy, out=numerator)
-        # sigma_xy is spent: its plane takes sigma_xx.  The means square
-        # in place.
-        sigma_xx = _filtered_product(x, x, sigma)
-        np.multiply(mu_x, mu_x, out=mu_x)
-        np.subtract(sigma_xx, mu_x, out=sigma_xx)
-        _filtered_product(y, y, sigma_yy)
-        np.multiply(mu_y, mu_y, out=mu_y)
-        np.subtract(sigma_yy, mu_y, out=sigma_yy)
-        # denominator = (mu_x^2 + mu_y^2 + C1) (sigma_xx + sigma_yy + C2)
-        denominator = mu_x
-        np.add(mu_x, mu_y, out=denominator)
-        np.add(denominator, C1, out=denominator)
-        np.add(sigma_xx, sigma_yy, out=sigma_xx)
-        np.add(sigma_xx, C2, out=sigma_xx)
-        np.multiply(denominator, sigma_xx, out=denominator)
-        np.divide(numerator, denominator, out=numerator)
-        return float(np.mean(numerator))
+        for start, stop, runs in self.bands:
+            mu_x, mu_y, sigma, numerator, sigma_yy = (
+                stat[:stop - start] for stat in self._stats)
+            self.window_mean(x, None, runs, mu_x)
+            self.window_mean(y, None, runs, mu_y)
+            # numerator = (2 mu_x mu_y + C1) (2 sigma_xy + C2)
+            sigma_xy = self.window_mean(x, y, runs, sigma)
+            np.multiply(mu_x, mu_y, out=numerator)
+            np.subtract(sigma_xy, numerator, out=sigma_xy)
+            np.multiply(2.0, numerator, out=numerator)
+            np.add(numerator, C1, out=numerator)
+            np.multiply(2.0, sigma_xy, out=sigma_xy)
+            np.add(sigma_xy, C2, out=sigma_xy)
+            np.multiply(numerator, sigma_xy, out=numerator)
+            # sigma_xy is spent: its plane takes sigma_xx.  The means
+            # square in place.
+            sigma_xx = self.window_mean(x, x, runs, sigma)
+            np.multiply(mu_x, mu_x, out=mu_x)
+            np.subtract(sigma_xx, mu_x, out=sigma_xx)
+            self.window_mean(y, y, runs, sigma_yy)
+            np.multiply(mu_y, mu_y, out=mu_y)
+            np.subtract(sigma_yy, mu_y, out=sigma_yy)
+            # denominator = (mu_x^2 + mu_y^2 + C1) (sigma_xx + sigma_yy + C2)
+            denominator = mu_x
+            np.add(mu_x, mu_y, out=denominator)
+            np.add(denominator, C1, out=denominator)
+            np.add(sigma_xx, sigma_yy, out=sigma_xx)
+            np.add(sigma_xx, C2, out=sigma_xx)
+            np.multiply(denominator, sigma_xx, out=denominator)
+            np.divide(numerator, denominator, out=self.plane[start:stop])
+        return float(np.mean(self.plane))
 
     def mse(self):
         """Mean squared error of the loaded pair."""
-        error = self.planes[0]
+        error = self.plane
         np.subtract(self.reference, self.degraded, out=error,
                      dtype=np.float64)
         np.square(error, out=error)
         return np.mean(error)
-
-
-def _filtered_product(a, b, out):
-    """``uniform_filter(a * b)`` in float64, computed in ``out``."""
-    np.multiply(a, b, out=out, dtype=np.float64)
-    uniform_filter(out, size=WINDOW, output=out)
-    return out
 
 
 def ssim(reference, degraded):

@@ -66,9 +66,9 @@ class TestRunSweep:
 
 def test_importing_the_api_loads_no_cell_module():
     # Worker and CLI start-up pay for this import; the cell modules
-    # and scipy load only when a cell of their kind runs.
+    # load only when a cell of their kind runs.
     code = ("import sys, repro.api; print(sorted(name for name in ("
-            "'scipy', 'repro.core.voip_study', 'repro.core.video_study', "
+            "'repro.core.voip_study', 'repro.core.video_study', "
             "'repro.core.web_study') if name in sys.modules))")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -1,5 +1,9 @@
 """Tests for the video substrate: sources, codec, TS packing, SSIM/PSNR."""
 
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from proputil import seeded_property
-from scipy.ndimage import uniform_filter
 
 from repro.media.codec import (
     CONCEAL_DC_SHIFT,
@@ -26,9 +29,13 @@ from repro.media.mpegts import (
     slice_packet_map,
 )
 from repro.media.video_source import BITRATES, RESOLUTIONS, generate_clip
+from repro.qoe import ssim as ssim_module
 from repro.qoe.psnr import CAP_DB, psnr, psnr_sequence
 from repro.qoe.ssim import C1, C2, Workspace, ssim, ssim_sequence
 from repro.qoe.video import ssim_to_mos
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def _decoded(reference, received):
@@ -167,15 +174,27 @@ _CLIP = generate_clip("B", "SD", n_frames=26)
 _HD_CLIP = generate_clip("B", "HD", n_frames=14)
 
 
+def _window_mean(plane):
+    """The 8x8 window mean with "reflect" edges, as written: each window
+    sum is three doubling adds down the columns, then three along the
+    rows, and the sum is divided by 64."""
+    padded = np.pad(plane, ((4, 3), (4, 3)), mode="symmetric")
+    for step in (1, 2, 4):
+        padded = padded[:-step] + padded[step:]
+    for step in (1, 2, 4):
+        padded = padded[:, :-step] + padded[:, step:]
+    return padded / 64.0
+
+
 def _ssim_formula(reference, degraded):
     """Wang et al.'s SSIM with the 8x8 uniform window, as written."""
     x = reference.astype(np.float64)
     y = degraded.astype(np.float64)
-    mu_x = uniform_filter(x, size=8)
-    mu_y = uniform_filter(y, size=8)
-    sigma_xx = uniform_filter(x * x, size=8) - mu_x * mu_x
-    sigma_yy = uniform_filter(y * y, size=8) - mu_y * mu_y
-    sigma_xy = uniform_filter(x * y, size=8) - mu_x * mu_y
+    mu_x = _window_mean(x)
+    mu_y = _window_mean(y)
+    sigma_xx = _window_mean(x * x) - mu_x * mu_x
+    sigma_yy = _window_mean(y * y) - mu_y * mu_y
+    sigma_xy = _window_mean(x * y) - mu_x * mu_y
     numerator = (2.0 * (mu_x * mu_y) + C1) * (2.0 * sigma_xy + C2)
     denominator = ((mu_x * mu_x + mu_y * mu_y + C1)
                    * (sigma_xx + sigma_yy + C2))
@@ -258,8 +277,9 @@ def test_scoring_memory_does_not_grow_with_the_clip():
 
 def test_hd_memory_bounds():
     # A 19-frame HD clip C with about 3% of its slices lost.  Scoring
-    # holds the five-plane SSIM workspace (10 float32 frames), decode's
-    # ring (2) and spread scratch (4 and a mask); generation holds the
+    # holds the SSIM workspace (its float64 map plane, 2 float32
+    # frames, and its 64-row band scratch, about 3.4), decode's ring (2)
+    # and spread scratch (4 and a mask); generation holds the
     # two textures (4) and two compositing planes (4) beyond the clip,
     # or, for a clip of one frame, a texture's FFT.
     n_frames = 19
@@ -300,6 +320,93 @@ class TestMpegTs:
         assert sum(p.payload_bytes for p in plans) == sum(sizes)
         mapping = slice_packet_map(plans)
         assert set(mapping) == {key for key, __ in slice_bytes}
+
+
+def _module_window_mean(a, b=None):
+    """The workspace's window mean of ``a`` (``a * b``), band by band."""
+    workspace = Workspace(np.shape(a))
+    width = np.shape(a)[1]
+    return np.concatenate([
+        workspace.window_mean(a, b, runs, np.empty((stop - start, width)))
+        for start, stop, runs in workspace.bands])
+
+
+def _exact_window_mean(plane):
+    """Each 8x8 window's sum rounded once (``math.fsum``), over 64."""
+    padded = np.pad(plane, ((4, 3), (4, 3)), mode="symmetric")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (8, 8))
+    return np.array([[math.fsum(window.ravel().tolist()) for window in row]
+                     for row in windows]) / 64.0
+
+
+#: Unit roundoff of float64.
+_U = 2.0 ** -53
+
+#: Relative error bound of the window mean against the exact one.  A
+#: window sum of non-negative terms taken in six roundings errs by at
+#: most gamma_6 = 6u / (1 - 6u) of the sum, the once-rounded reference
+#: by u, and the 1/64 scale is exact.
+_MEAN_BOUND = (6 * _U / (1 - 6 * _U) + _U) / (1 - _U)
+
+
+def _damaged(frame, seed):
+    """``frame`` with noise, clipped back into [0, 1] as float32."""
+    rng = np.random.default_rng(seed)
+    return np.clip(frame + 0.1 * rng.standard_normal(frame.shape),
+                   0.0, 1.0).astype(np.float32)
+
+
+class TestWindowMean:
+    def _check_accuracy(self, x, y):
+        for b, terms in ((None, x.astype(np.float64)),
+                         (y, x.astype(np.float64) * y)):
+            exact = _exact_window_mean(terms)
+            error = np.abs(_module_window_mean(x, b) - exact)
+            assert np.all(error <= _MEAN_BOUND * exact)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (9, 2), (17, 23),
+                                       (24, 24)])
+    def test_accuracy_on_small_frames(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        # Powers spread the terms over many binades.
+        x = (rng.random(shape) ** 6).astype(np.float32)
+        self._check_accuracy(x, rng.random(shape, dtype=np.float32))
+
+    def test_accuracy_on_an_sd_frame(self):
+        frame = _CLIP[4]
+        self._check_accuracy(frame, _damaged(frame, 4))
+
+    def test_bands_do_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        small = rng.random((37, 29), dtype=np.float32)
+        for x, y in ((small, _damaged(small, 1)), (_CLIP[7],
+                                                    _damaged(_CLIP[7], 2))):
+            formula = _window_mean(x.astype(np.float64) * y)
+            score = _ssim_formula(x, y)
+            for rows in (1, 2, 7, 64, 1000):
+                monkeypatch.setattr(ssim_module, "BAND_ROWS", rows)
+                assert np.array_equal(_module_window_mean(x, y), formula)
+                assert ssim(x, y) == score
+
+
+def test_scoring_video_loads_no_scipy():
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from repro.media.codec import SLICES_PER_FRAME, decode",
+        "from repro.media.video_source import generate_clip",
+        "from repro.qoe.ssim import ssim_sequence",
+        "clip = generate_clip('A', 'SD', n_frames=3)",
+        "received = np.ones((3, SLICES_PER_FRAME), dtype=bool)",
+        "received[1, 2] = False",
+        "assert ssim_sequence(clip, decode(clip, received)) < 1.0",
+        "print(sorted(name for name in sys.modules",
+        "             if name.partition('.')[0] == 'scipy'))",
+    ])
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSsimPsnr:
