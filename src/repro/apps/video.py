@@ -14,6 +14,7 @@ baseline without the set-top-box's proprietary retransmissions.
 """
 
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,12 +31,24 @@ DEADLINE = 1.0
 
 @lru_cache(maxsize=16)
 def clip_frames(clip, resolution, n_frames):
-    """Cached reference frames for (clip, resolution, length)."""
-    return generate_clip(clip, resolution, n_frames=n_frames)
+    """Cached reference frames for (clip, resolution, length).
+
+    Every cell of the process shares the clip, so it is read-only.
+    """
+    frames = generate_clip(clip, resolution, n_frames=n_frames)
+    frames.setflags(write=False)
+    return frames
 
 
+@lru_cache(maxsize=16)
 def build_packet_plan(resolution, n_frames):
-    """Slice sizes and packet layout for one stream."""
+    """Slice sizes and packet layout for one stream, cached per shape.
+
+    Returns ``(plans, slice_map)``: a tuple of
+    :class:`repro.media.mpegts.PacketPlan` and a read-only mapping of
+    ``(frame, slice)`` to the tuple of its packet indices.  Every stream
+    of that shape in the process shares them.
+    """
     per_frame = frame_bytes(resolution, n_frames)
     slice_sizes = []
     for frame_index, total in enumerate(per_frame):
@@ -43,8 +56,10 @@ def build_packet_plan(resolution, n_frames):
         for slice_index in range(SLICES_PER_FRAME):
             extra = 1 if slice_index < total % SLICES_PER_FRAME else 0
             slice_sizes.append(((frame_index, slice_index), base + extra))
-    plans = packetize(slice_sizes)
-    return plans, slice_packet_map(plans)
+    plans = tuple(packetize(slice_sizes))
+    return plans, MappingProxyType({
+        key: tuple(packets)
+        for key, packets in slice_packet_map(plans).items()})
 
 
 class VideoStream:

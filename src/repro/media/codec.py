@@ -93,16 +93,18 @@ def decode(reference, received):
     frame is overwritten when the frame after the next one is decoded
     (copy it to keep it).
 
-    A fully received I frame, or a fully received P frame whose
-    predecessor decoded to exactly its reference, is the clipped
-    reference frame (its spread error is all zero), so it is copied
-    without the per-slice work.  Every other frame is decoded in place:
-    the spread error of a damaged P frame is computed in one scratch
-    buffer, allocated on the first one.
+    A P frame whose predecessor decoded to exactly its reference has a
+    spread error of all zeros, so the error is not computed: its
+    received slices are its reference's.  Such a P frame or an I frame,
+    fully received, is the clipped reference frame and is copied as
+    such.  Every other frame is decoded in place, every row as if
+    received and then each lost slice concealed over its rows; the
+    spread error of a P frame after a damaged one is computed in one
+    scratch buffer, allocated on the first one.
     """
     n_frames, height, __ = reference.shape
     types = frame_types(n_frames)
-    # Locals, not module globals, in the per-slice loop.
+    # Locals, not module globals, in the lost-slice loop.
     propagation, conceal_shift, conceal_dc = (PROPAGATION, CONCEAL_SHIFT,
                                               CONCEAL_DC_SHIFT)
     ring = np.full((2,) + reference.shape[1:], 0.5, dtype=reference.dtype)
@@ -117,8 +119,7 @@ def decode(reference, received):
             previous = current
             yield current
             continue
-        clean = False
-        if types[f] == "P" and f > 0:
+        if types[f] == "P" and f > 0 and not clean:
             # Reference error of the previous reconstruction, dilated
             # vertically by the motion search range: P slices inherit
             # corruption from neighbouring slices at full amplitude
@@ -132,17 +133,18 @@ def decode(reference, received):
                                          MOTION_REACH, scratch)
         else:
             spread_error = None
-        for s in range(SLICES_PER_FRAME):
+        clean = False
+        # Every row as if received, then the lost slices over them.
+        if spread_error is None:
+            np.copyto(current, reference[f])
+        else:
+            np.multiply(propagation, spread_error, out=current)
+            np.add(reference[f], current, out=current)
+        for s in np.flatnonzero(~received[f]).tolist():
             start, stop = slice_rows(height, s)
             rows = current[start:stop]
-            if not received[f][s]:
-                roll_into(rows, previous[start:stop], conceal_shift, axis=1)
-                np.add(rows, conceal_dc, out=rows)
-            elif spread_error is None:
-                rows[...] = reference[f][start:stop]
-            else:
-                np.multiply(propagation, spread_error[start:stop], out=rows)
-                np.add(reference[f][start:stop], rows, out=rows)
+            roll_into(rows, previous[start:stop], conceal_shift, axis=1)
+            np.add(rows, conceal_dc, out=rows)
         np.clip(current, 0.0, 1.0, out=current)
         previous = current
         yield current
@@ -156,9 +158,11 @@ def _spread_error(previous, reference, reach, scratch):
     ``spread = np.where(|down| > |spread|, down, spread)``, where
     ``up``/``down`` are ``error`` rolled by ``reach``/``-reach`` rows.
     They are computed in ``scratch`` (four planes like ``reference``
-    and a bool mask): ``|error|`` is taken once, and each roll is read
-    as its two row-slice views instead of being copied.  Returns the
-    spread plane, valid until the next call.
+    and a bool mask): ``|error|`` is taken once, each roll is read as
+    its two row-slice views instead of being copied, and each select is
+    made in place, ``np.putmask`` for the values and ``np.maximum`` for
+    their magnitudes (the same floats as the select, for frames without
+    NaN).  Returns the spread plane, valid until the next call.
     """
     error, magnitude, spread, spread_magnitude, mask = scratch
     np.subtract(previous, reference, out=error)
@@ -173,6 +177,7 @@ def _spread_error(previous, reference, reach, scratch):
                              (slice(0, shift), slice(rows - shift, rows))):
             wins = mask[into]
             np.greater(magnitude[source], spread_magnitude[into], out=wins)
-            np.copyto(spread[into], error[source], where=wins)
-            np.copyto(spread_magnitude[into], magnitude[source], where=wins)
+            np.putmask(spread[into], wins, error[source])
+            np.maximum(spread_magnitude[into], magnitude[source],
+                       out=spread_magnitude[into])
     return spread

@@ -8,8 +8,6 @@ rankings.
 
 import numpy as np
 
-from repro.qoe.ssim import Workspace
-
 #: Peak pixel value: frames are luminance in [0, 1].
 PEAK = 1.0
 
@@ -22,13 +20,6 @@ def _decibels(mse):
     if mse == 0:
         return float("inf")
     return float(10.0 * np.log10(PEAK * PEAK / mse))
-
-
-def psnr(reference, degraded):
-    """PSNR in dB between two images; identical images give +inf."""
-    workspace = Workspace(np.shape(reference))
-    workspace.load(reference, degraded)
-    return _decibels(workspace.mse())
 
 
 def psnr_sequence(frame_mse):

@@ -13,8 +13,12 @@ next, and the 1/64 scale is exact.  A frame is scored in bands of rows,
 so its scratch is one full float64 plane for the SSIM map and a few
 band-sized planes; a clip is scored one frame at a time in one
 :class:`Workspace`, so the memory scoring takes does not grow with the
-clip.
+clip.  Only the rows whose window reaches a row where the two frames
+differ are scored: every other row scores exactly 1.0, and is written
+as such (see :meth:`Workspace.ssim`).
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +35,12 @@ BEFORE = WINDOW // 2
 #: bands split, so neither do the scores.
 BAND_ROWS = 64
 
+#: Largest reference pixel magnitude at which an unchanged window is
+#: known to score exactly 1.0: below it nothing overflows, and the
+#: rounding of a variance stays far above ``-C2 / 2``, so the
+#: denominator is never zero.  Inf and NaN are outside it.
+TAME = 2.0 ** 16
+
 
 def _reflect_indices(length):
     """The source index of each position of a line of ``length`` padded
@@ -39,12 +49,16 @@ def _reflect_indices(length):
                   mode="symmetric")
 
 
-def _row_runs(rows, start, stop):
-    """``[(first, last, begin, end)]``: padded rows ``start:stop`` as runs
-    of consecutive source rows, buffer rows ``first:last`` taking source
-    rows ``begin:end``."""
+@lru_cache(maxsize=1024)
+def band_runs(height, start, stop):
+    """``((first, last, begin, end), ...)``: the padded rows that output
+    rows ``start:stop`` of a frame ``height`` rows tall read, as runs of
+    consecutive source rows, buffer rows ``first:last`` taking source
+    rows ``begin:end``, for :meth:`Workspace.window_mean`.  Cached: the
+    bands of a frame shape recur frame after frame."""
+    rows = _reflect_indices(height)
     runs = []
-    for position in range(start, stop):
+    for position in range(start, stop + WINDOW - 1):
         source = int(rows[position])
         if runs and runs[-1][3] == source:
             first, __, begin, __ = runs[-1]
@@ -52,7 +66,7 @@ def _row_runs(rows, start, stop):
         else:
             runs.append((position - start, position - start + 1, source,
                          source + 1))
-    return runs
+    return tuple(runs)
 
 
 class Workspace:
@@ -65,24 +79,27 @@ class Workspace:
     dtype.  The operations and operands are those of the textbook
     formula, applied pixel by pixel, so the scores are the floats a
     float64 copy of the frames gives.
+
+    A row whose 8-row window holds no row where the frames differ
+    scores exactly 1.0, so :meth:`ssim` writes 1.0 there instead of
+    computing it.  This is exact: in such a window ``x * y`` and
+    ``x * x`` are the same floats, so the formula's numerator and
+    denominator are too (``2.0 * a == a + a``).  A reference frame with
+    a pixel of magnitude above :data:`TAME` (an inf or a NaN among
+    them) is scored in full.
     """
 
-    __slots__ = ("reference", "degraded", "plane", "bands", "_stats",
-                 "_buffers", "_pad_columns", "_pad_sources")
+    __slots__ = ("reference", "degraded", "plane", "_rows", "_band_rows",
+                 "_stats", "_buffers", "_pad_columns", "_pad_sources")
 
     def __init__(self, shape):
         self.reference = self.degraded = None
         self.plane = np.empty(shape)
         height, width = shape
-        rows = _reflect_indices(height)
-        bands = []
-        for start in range(0, height, BAND_ROWS):
-            stop = min(start + BAND_ROWS, height)
-            bands.append((start, stop,
-                          _row_runs(rows, start, stop + WINDOW - 1)))
-        # (start, stop, row runs) of each band of rows.
-        self.bands = tuple(bands)
-        band = min(BAND_ROWS, height)
+        # The source row of each padded row; output row r reads padded
+        # rows r to r + WINDOW - 1.
+        self._rows = _reflect_indices(height)
+        self._band_rows = band = min(BAND_ROWS, height)
         self._stats = tuple(np.empty((band, width)) for __ in range(5))
         # Zeroed so that the columns past a row's end, which the sums
         # pass through but nothing reads, always hold finite values.
@@ -106,8 +123,8 @@ class Workspace:
 
     def window_mean(self, a, b, runs, out):
         """The 8x8 window mean of ``a`` (of ``a * b`` unless ``b`` is
-        None) in float64 over the band of :attr:`bands` whose row runs
-        are ``runs``, written to ``out`` (its rows by the frame's
+        None) in float64 over the band whose row runs are ``runs`` (see
+        :func:`band_runs`), written to ``out`` (its rows by the frame's
         width)."""
         __, width = self.plane.shape
         rows = len(out)
@@ -139,40 +156,79 @@ class Workspace:
         np.copyto(out, padded[:rows, :width])
         return np.multiply(out, 1.0 / WINDOW ** 2, out=out)
 
+    def scored_rows(self):
+        """``[(start, stop)]``: the runs of rows whose window reaches a
+        row where the loaded frames differ, in order.  Every row when the
+        reference holds a pixel beyond :data:`TAME`."""
+        x = self.reference
+        height, width = self.plane.shape
+        # False, then whether each row is scored, then False.
+        scored = np.zeros(height + 2, dtype=bool)
+        if x.max() <= TAME and x.min() >= -TAME:
+            # The plane is free until the scores are written: its first
+            # bytes hold the comparison.
+            differs = self.plane.reshape(-1).view(np.bool_)[:height * width]
+            differs = differs.reshape(height, width)
+            np.not_equal(x, self.degraded, out=differs)
+            # Differing rows among padded rows 0 to p - 1, at p.
+            reached = np.zeros(height + WINDOW, dtype=np.intp)
+            np.cumsum(differs.any(axis=1)[self._rows], out=reached[1:])
+            np.greater(reached[WINDOW:], reached[:-WINDOW],
+                       out=scored[1:-1])
+        else:
+            scored[1:-1] = True
+        edges = np.flatnonzero(scored[1:] != scored[:-1]).tolist()
+        return list(zip(edges[::2], edges[1::2]))
+
     def ssim(self):
-        """Mean SSIM of the loaded pair."""
-        x, y = self.reference, self.degraded
-        for start, stop, runs in self.bands:
-            mu_x, mu_y, sigma, numerator, sigma_yy = (
-                stat[:stop - start] for stat in self._stats)
-            self.window_mean(x, None, runs, mu_x)
-            self.window_mean(y, None, runs, mu_y)
-            # numerator = (2 mu_x mu_y + C1) (2 sigma_xy + C2)
-            sigma_xy = self.window_mean(x, y, runs, sigma)
-            np.multiply(mu_x, mu_y, out=numerator)
-            np.subtract(sigma_xy, numerator, out=sigma_xy)
-            np.multiply(2.0, numerator, out=numerator)
-            np.add(numerator, C1, out=numerator)
-            np.multiply(2.0, sigma_xy, out=sigma_xy)
-            np.add(sigma_xy, C2, out=sigma_xy)
-            np.multiply(numerator, sigma_xy, out=numerator)
-            # sigma_xy is spent: its plane takes sigma_xx.  The means
-            # square in place.
-            sigma_xx = self.window_mean(x, x, runs, sigma)
-            np.multiply(mu_x, mu_x, out=mu_x)
-            np.subtract(sigma_xx, mu_x, out=sigma_xx)
-            self.window_mean(y, y, runs, sigma_yy)
-            np.multiply(mu_y, mu_y, out=mu_y)
-            np.subtract(sigma_yy, mu_y, out=sigma_yy)
-            # denominator = (mu_x^2 + mu_y^2 + C1) (sigma_xx + sigma_yy + C2)
-            denominator = mu_x
-            np.add(mu_x, mu_y, out=denominator)
-            np.add(denominator, C1, out=denominator)
-            np.add(sigma_xx, sigma_yy, out=sigma_xx)
-            np.add(sigma_xx, C2, out=sigma_xx)
-            np.multiply(denominator, sigma_xx, out=denominator)
-            np.divide(numerator, denominator, out=self.plane[start:stop])
-        return float(np.mean(self.plane))
+        """Mean SSIM of the loaded pair.
+
+        The rows of :meth:`scored_rows` are scored band by band; every
+        other row scores exactly 1.0 (see :class:`Workspace`).
+        """
+        x, y, plane = self.reference, self.degraded, self.plane
+        unscored = 0
+        for first, last in self.scored_rows():
+            plane[unscored:first] = 1.0
+            for start in range(first, last, self._band_rows):
+                self._score_band(x, y, start,
+                                 min(start + self._band_rows, last))
+            unscored = last
+        plane[unscored:] = 1.0
+        return float(np.mean(plane))
+
+    def _score_band(self, x, y, start, stop):
+        """The SSIM map of output rows ``start:stop`` into the plane."""
+        runs = band_runs(len(self.plane), start, stop)
+        mu_x, mu_y, sigma, numerator, sigma_yy = (
+            stat[:stop - start] for stat in self._stats)
+        self.window_mean(x, None, runs, mu_x)
+        self.window_mean(y, None, runs, mu_y)
+        # numerator = (2 mu_x mu_y + C1) (2 sigma_xy + C2)
+        sigma_xy = self.window_mean(x, y, runs, sigma)
+        np.multiply(mu_x, mu_y, out=numerator)
+        np.subtract(sigma_xy, numerator, out=sigma_xy)
+        np.multiply(2.0, numerator, out=numerator)
+        np.add(numerator, C1, out=numerator)
+        np.multiply(2.0, sigma_xy, out=sigma_xy)
+        np.add(sigma_xy, C2, out=sigma_xy)
+        np.multiply(numerator, sigma_xy, out=numerator)
+        # sigma_xy is spent: its plane takes sigma_xx.  The means
+        # square in place.
+        sigma_xx = self.window_mean(x, x, runs, sigma)
+        np.multiply(mu_x, mu_x, out=mu_x)
+        np.subtract(sigma_xx, mu_x, out=sigma_xx)
+        self.window_mean(y, y, runs, sigma_yy)
+        np.multiply(mu_y, mu_y, out=mu_y)
+        np.subtract(sigma_yy, mu_y, out=sigma_yy)
+        # denominator = (mu_x^2 + mu_y^2 + C1) (sigma_xx + sigma_yy + C2)
+        denominator = mu_x
+        np.add(mu_x, mu_y, out=denominator)
+        np.add(denominator, C1, out=denominator)
+        np.add(sigma_xx, sigma_yy, out=sigma_xx)
+        np.add(sigma_xx, C2, out=sigma_xx)
+        np.multiply(denominator, sigma_xx, out=denominator)
+        np.divide(numerator, denominator, out=self.plane[start:stop])
 
     def mse(self):
         """Mean squared error of the loaded pair."""
@@ -181,13 +237,6 @@ class Workspace:
                      dtype=np.float64)
         np.square(error, out=error)
         return np.mean(error)
-
-
-def ssim(reference, degraded):
-    """Mean SSIM between two images in [0, 1].  Identity gives 1.0."""
-    workspace = Workspace(np.shape(reference))
-    workspace.load(reference, degraded)
-    return workspace.ssim()
 
 
 def _frame_pairs(reference_frames, degraded_frames):
@@ -222,15 +271,15 @@ def ssim_sequence(reference_frames, degraded_frames, frame_mse=None):
     for reference, degraded in _frame_pairs(reference_frames,
                                             degraded_frames):
         if np.array_equal(reference, degraded):
-            score, mse = 1.0, 0.0
+            score, error = 1.0, 0.0
         else:
             if workspace is None:
                 workspace = Workspace(np.shape(reference))
             workspace.load(reference, degraded)
-            score, mse = workspace.ssim(), workspace.mse()
+            score, error = workspace.ssim(), workspace.mse()
         scores.append(score)
         if frame_mse is not None:
-            frame_mse.append(mse)
+            frame_mse.append(error)
     if not scores:
         return 1.0
     return float(np.mean(scores))

@@ -1,8 +1,8 @@
 """Validate ``fidelity.json`` against the checked-in JSON Schema.
 
 CI regenerates a tiny report and validates its ``fidelity.json``
-against ``docs/fidelity.schema.json``; the container deliberately has
-no third-party ``jsonschema`` package, so this module implements the
+against ``docs/fidelity.schema.json``; the test environment has no
+third-party ``jsonschema`` package, so this module implements the
 small schema subset that file uses (``type`` — including a list of
 types — ``enum``, ``required``, ``properties``,
 ``additionalProperties``, ``items``, ``minimum``).  Anything else in a
@@ -10,7 +10,7 @@ schema is rejected loudly rather than silently ignored.
 
 Usage::
 
-    python -m repro.report.schema report/fidelity.json \\
+    python3 tests/report_schema.py report/fidelity.json \\
         docs/fidelity.schema.json
 
 Exit status 0 when the document validates, 1 with one line per
@@ -108,7 +108,7 @@ def validate_files(document_path, schema_path):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
-        print("usage: python -m repro.report.schema DOCUMENT SCHEMA",
+        print("usage: python3 tests/report_schema.py DOCUMENT SCHEMA",
               file=sys.stderr)
         return 2
     errors = validate_files(argv[0], argv[1])

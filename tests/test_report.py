@@ -2,9 +2,10 @@
 
 Covers the fidelity engine (known rank-correlation/deviation values,
 verdict threshold edges, SKIP paths), the SVG layer (well-formedness),
-the fidelity.json schema validator, report generation end to end, and
-byte-identical regeneration of the committed ``docs/sample_report/`` —
-the figure gate's output, built once per pytest run by :func:`gate`.
+the fidelity.json schema validator (``report_schema``), report
+generation end to end, and byte-identical regeneration of the committed
+``docs/sample_report/`` — the figure gate's output, built once per
+pytest run by :func:`gate`.
 """
 
 import contextlib
@@ -16,11 +17,12 @@ import types
 import xml.etree.ElementTree as ElementTree
 
 import pytest
+import report_schema as schema
 
 from repro import api
 from repro.core import registry
 from repro.qoe.scales import heat_marker_from_mos
-from repro.report import build, fidelity, schema, svg
+from repro.report import build, fidelity, svg
 from repro.report.fidelity import (
     FAIL,
     PASS,
@@ -635,11 +637,9 @@ class TestReportCli:
             gate.fresh, len(gate.names), len(gate.names)) in gate.fresh_err
 
     def test_schema_cli(self, tmp_path, capsys):
-        from repro.report.schema import main as schema_main
-
         document = tmp_path / "doc.json"
         document.write_text('{"schema_version": 1, "scale": 1.0, '
                             '"figures": {}}')
-        assert schema_main([str(document), SCHEMA_PATH]) == 0
+        assert schema.main([str(document), SCHEMA_PATH]) == 0
         document.write_text('{"scale": 1.0}')
-        assert schema_main([str(document), SCHEMA_PATH]) == 1
+        assert schema.main([str(document), SCHEMA_PATH]) == 1

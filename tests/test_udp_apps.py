@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.video import VideoStream, build_packet_plan
+from repro.apps.video import VideoStream, build_packet_plan, clip_frames
 from repro.apps.voip import VoipCall
 from repro.apps.web import PAGE_OBJECTS, PageFetch, WebServer
 from repro.media.video_source import BITRATES
@@ -111,6 +111,21 @@ class TestVideoStream:
         expected = BITRATES["SD"] / 8 * 24 / 12.5
         assert total == pytest.approx(expected, rel=0.02)
         assert len(mapping) == 24 * 32
+
+    def test_memoized_media_is_read_only(self):
+        # Every later cell of the process reads the same objects, so no
+        # caller may write into them.
+        clip = clip_frames("A", "SD", 2)
+        assert clip_frames("A", "SD", 2) is clip
+        with pytest.raises(ValueError, match="read-only"):
+            clip[0, 0, 0] = 0.5
+        plans, mapping = build_packet_plan("SD", 24)
+        assert build_packet_plan("SD", 24)[0] is plans
+        assert isinstance(plans, tuple)
+        with pytest.raises(TypeError):
+            mapping[0, 0] = (0,)
+        assert all(isinstance(packets, tuple)
+                   for packets in mapping.values())
 
     def test_clean_stream_all_slices(self):
         sim = Simulator()

@@ -30,8 +30,16 @@ from repro.media.mpegts import (
 )
 from repro.media.video_source import BITRATES, RESOLUTIONS, generate_clip
 from repro.qoe import ssim as ssim_module
-from repro.qoe.psnr import CAP_DB, psnr, psnr_sequence
-from repro.qoe.ssim import C1, C2, Workspace, ssim, ssim_sequence
+from repro.qoe.psnr import CAP_DB, psnr_sequence
+from repro.qoe.ssim import (
+    BAND_ROWS,
+    C1,
+    C2,
+    WINDOW,
+    Workspace,
+    band_runs,
+    ssim_sequence,
+)
 from repro.qoe.video import ssim_to_mos
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -48,6 +56,25 @@ def _scores(reference, degraded_frames):
     frame_mse = []
     ssim_value = ssim_sequence(reference, degraded_frames, frame_mse)
     return ssim_value, psnr_sequence(frame_mse)
+
+
+def _loaded(reference, degraded):
+    """A fresh :class:`Workspace` with one frame pair loaded."""
+    workspace = Workspace(np.shape(reference))
+    workspace.load(reference, degraded)
+    return workspace
+
+
+def _ssim(reference, degraded):
+    """Mean SSIM of one frame pair, scored in a fresh workspace."""
+    return _loaded(reference, degraded).ssim()
+
+
+def _psnr(reference, degraded):
+    """PSNR in dB of one frame pair from a fresh workspace's MSE;
+    identical frames give +inf."""
+    mse = _loaded(reference, degraded).mse()
+    return float("inf") if mse == 0 else float(10.0 * np.log10(1.0 / mse))
 
 
 class TestVideoSource:
@@ -240,7 +267,7 @@ class TestIdenticalFrameShortcuts:
 
     def test_identical_frame_scores_exactly(self):
         frame = _CLIP[3]
-        assert ssim(frame, frame) == 1.0
+        assert _ssim(frame, frame) == 1.0
         assert _ssim_formula(frame, frame) == 1.0
         frame_mse = []
         assert ssim_sequence(_CLIP, _CLIP.copy(), frame_mse) == 1.0
@@ -325,10 +352,13 @@ class TestMpegTs:
 def _module_window_mean(a, b=None):
     """The workspace's window mean of ``a`` (``a * b``), band by band."""
     workspace = Workspace(np.shape(a))
-    width = np.shape(a)[1]
+    height, width = np.shape(a)
+    bands = [(start, min(start + ssim_module.BAND_ROWS, height))
+             for start in range(0, height, ssim_module.BAND_ROWS)]
     return np.concatenate([
-        workspace.window_mean(a, b, runs, np.empty((stop - start, width)))
-        for start, stop, runs in workspace.bands])
+        workspace.window_mean(a, b, band_runs(height, start, stop),
+                              np.empty((stop - start, width)))
+        for start, stop in bands])
 
 
 def _exact_window_mean(plane):
@@ -386,7 +416,7 @@ class TestWindowMean:
             for rows in (1, 2, 7, 64, 1000):
                 monkeypatch.setattr(ssim_module, "BAND_ROWS", rows)
                 assert np.array_equal(_module_window_mean(x, y), formula)
-                assert ssim(x, y) == score
+                assert _ssim(x, y) == score
 
 
 def test_scoring_video_loads_no_scipy():
@@ -409,24 +439,53 @@ def test_scoring_video_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+#: Rows of the row-skip frames: more than two bands.
+_TALL = 2 * BAND_ROWS + 21
+
+#: Damaged row ranges of a ``_TALL``-row frame: a run long enough to be
+#: scored in two bands, the reflect edges, and two runs whose windows
+#: overlap.
+_ROW_DAMAGE = {
+    "middle": ((50, 120),),
+    "first rows": ((0, 3),),
+    "last rows": ((_TALL - 2, _TALL),),
+    "two close runs": ((40, 44), (49, 52)),
+}
+
+
+def _rows_reaching(height, rows):
+    """``[(start, stop)]``: the runs of output rows whose 8-row window,
+    with "reflect" edges, holds one of ``rows``."""
+    padded = np.pad(np.arange(height), (4, 3), mode="symmetric")
+    reached = [bool(set(padded[r:r + WINDOW].tolist()) & set(rows))
+               for r in range(height)]
+    runs = []
+    for r, hit in enumerate(reached):
+        if hit and runs and runs[-1][1] == r:
+            runs[-1] = (runs[-1][0], r + 1)
+        elif hit:
+            runs.append((r, r + 1))
+    return runs
+
+
 class TestSsimPsnr:
     def test_identity(self):
         image = generate_clip("A", "SD", n_frames=1)[0]
-        assert ssim(image, image) == pytest.approx(1.0, abs=1e-9)
-        assert psnr(image, image) == float("inf")
+        assert _ssim(image, image) == pytest.approx(1.0, abs=1e-9)
+        assert _psnr(image, image) == float("inf")
 
     def test_noise_lowers_both(self):
         image = generate_clip("A", "SD", n_frames=1)[0].astype(float)
         rng = np.random.default_rng(0)
         noisy = np.clip(image + rng.normal(0, 0.1, image.shape), 0, 1)
-        assert ssim(image, noisy) < 0.95
-        assert psnr(image, noisy) < 25.0
+        assert _ssim(image, noisy) < 0.95
+        assert _psnr(image, noisy) < 25.0
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            ssim(np.zeros((4, 4)), np.zeros((5, 5)))
+            _ssim(np.zeros((4, 4)), np.zeros((5, 5)))
         with pytest.raises(ValueError):
-            psnr(np.zeros((4, 4)), np.zeros((5, 5)))
+            _psnr(np.zeros((4, 4)), np.zeros((5, 5)))
 
     def test_sequence_length_mismatch_raises(self):
         frames = generate_clip("A", "SD", n_frames=3)
@@ -441,9 +500,9 @@ class TestSsimPsnr:
         rng = np.random.default_rng(seed)
         a = rng.random((32, 32))
         b = rng.random((32, 32))
-        value = ssim(a, b)
+        value = _ssim(a, b)
         assert -1.0 <= value <= 1.0
-        assert ssim(b, a) == pytest.approx(value, abs=1e-9)
+        assert _ssim(b, a) == pytest.approx(value, abs=1e-9)
 
     def test_sequence_means(self):
         frames = generate_clip("A", "SD", n_frames=4)
@@ -464,13 +523,45 @@ class TestSsimPsnr:
                 reference + noise * rng.standard_normal((height, width)),
                 0.0, 1.0).astype(np.float32)
             expected = _ssim_formula(reference, degraded)
-            assert ssim(reference, degraded) == expected
-            assert psnr(reference, degraded) == _psnr_formula(reference,
-                                                              degraded)
+            assert _ssim(reference, degraded) == expected
+            assert _psnr(reference, degraded) == _psnr_formula(
+                reference, degraded)
             workspace.load(reference, degraded)
             assert workspace.ssim() == expected
             assert workspace.mse() == np.mean(
                 (reference.astype(np.float64) - degraded) ** 2)
+
+    @pytest.mark.parametrize("damage", sorted(_ROW_DAMAGE))
+    @seeded_property(max_examples=6)
+    def test_property_row_skip_scores_the_formula(self, damage, seed):
+        # Frames taller than two bands, damaged only in some rows: the
+        # rows whose window reaches no damage are not scored, and the
+        # score is still the textbook formula's, bit for bit.
+        rng = np.random.default_rng(seed)
+        width = 1 + seed % 40
+        reference = rng.random((_TALL, width), dtype=np.float32)
+        degraded = reference.copy()
+        for start, stop in _ROW_DAMAGE[damage]:
+            degraded[start:stop] = np.clip(
+                degraded[start:stop]
+                + 0.3 * rng.standard_normal((stop - start, width)),
+                0.0, 1.0)
+        workspace = _loaded(reference, degraded)
+        assert workspace.ssim() == _ssim_formula(reference, degraded)
+        differs = np.flatnonzero((reference != degraded).any(axis=1))
+        assert workspace.scored_rows() == _rows_reaching(_TALL, differs)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e200])
+    def test_equal_frames_beyond_tame_score_the_formula(self, value):
+        # Unchanged rows score 1.0 only for tame values: here the full
+        # computation gives NaN, and so must the workspace.
+        reference = np.random.default_rng(5).random((_TALL, 29))
+        reference[90, 7] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = _ssim_formula(reference, reference.copy())
+            score = _ssim(reference, reference.copy())
+        assert math.isnan(expected)
+        assert math.isnan(score)
 
     def test_mappings_monotone(self):
         ssim_values = [0.3, 0.6, 0.88, 0.95, 1.0]
