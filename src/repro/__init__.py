@@ -11,7 +11,7 @@ models (:mod:`repro.qoe`) and the sensitivity-study grids behind the
 paper's testbed tables and figures (:mod:`repro.core`), declared once
 in a scenario registry (:mod:`repro.core.registry`) and executed by a
 parallel cached grid runner (:mod:`repro.runner`).  ``python -m repro
-list/describe/run/export`` exposes the registered sweeps on the command
+list/describe/export`` exposes the registered sweeps on the command
 line, and ``python -m repro report`` draws the paper's figures and
 checks them against the paper.  Figure 1 and the Section-3 statistics are not
 reproduced: they come from the paper's proprietary CDN corpus, which

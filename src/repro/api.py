@@ -11,7 +11,7 @@ the CLI, the report, the examples and downstream analysis code::
     results.to_csv("fig7b.csv")
 
     for record in api.iter_sweep("fig5"):            # streaming
-        print(record.key, record.summary())
+        print(record.key, record["down_utilization"])
 
     cached = api.load_sweep("fig5")                  # cache-only, no sims
 
@@ -19,7 +19,7 @@ Sweeps are named registry entries (``python -m repro list``) or explicit
 :class:`repro.core.registry.SweepSpec` objects (e.g. from
 :func:`repro.core.registry.adhoc_sweep`).  :func:`apply_overrides`
 narrows or retunes a sweep's axes without editing the registry — the
-same knobs the ``run``/``export`` CLI flags expose.  Results come back as
+same knobs the ``export`` CLI flags expose.  Results come back as
 :class:`repro.results.record.CellResult` records in a
 :class:`repro.results.set.ResultSet`; the payload wire format and
 cache schema underneath are exactly the runner's, so facade runs share

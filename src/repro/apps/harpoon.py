@@ -13,8 +13,6 @@ how the paper's ``short-overload`` scenario reaches ~2170 concurrent
 flows from 768 sessions.
 """
 
-import math
-
 import numpy as np
 
 from repro.tcp import TcpConnection, TcpListener
@@ -34,11 +32,6 @@ MAX_ACTIVE = 20_000
 
 #: Simulated seconds between two samples of the active-transfer count.
 SAMPLE_INTERVAL = 0.25
-
-
-def weibull_mean(shape=WEIBULL_SHAPE, scale=WEIBULL_SCALE):
-    """Analytic mean of the file-size distribution (~50 KB in the paper)."""
-    return scale * math.gamma(1.0 + 1.0 / shape)
 
 
 def weibull_file_sizer(rng):

@@ -7,18 +7,14 @@ Subcommands
 ``describe NAME``
     Full scale-resolved description of one sweep; ``--hashes`` also
     prints each cell's content hash (the result-cache key input).
-``run NAME``
-    Execute a sweep through :func:`repro.api.run_sweep` and print one
-    summary line per cell (``export`` writes the full results).
-    ``--workers/--no-cache/--progress`` map to the runner knobs;
-    ``--workloads/--buffers/--duration/--warmup/--seed``
+``export NAME``
+    Run a sweep through :func:`repro.api.run_sweep` (or, with
+    ``--cached-only``, load it from the cache) and write its
+    :class:`repro.results.set.ResultSet` as CSV or JSON — to stdout or
+    ``--output FILE``.  ``--workers/--no-cache/--progress`` map to the
+    runner knobs; ``--workloads/--buffers/--duration/--warmup/--seed``
     override the spec's axes for ad-hoc runs (overridden runs use
     different cache keys than the registered grid, by design).
-``export NAME``
-    Run (or, with ``--cached-only``, load) a sweep and write its
-    :class:`repro.results.set.ResultSet` as CSV or JSON — to stdout or
-    ``--output FILE``.  Accepts the same runner knobs and axis
-    overrides as ``run``.
 ``report``
     Build the SVG reproduction report (``index.md`` + one SVG per
     figure + ``fidelity.json`` with PASS/WARN/FAIL verdicts against the
@@ -109,58 +105,24 @@ def _parse_csv(text, parse=lambda token: token):
 def _overrides_from(args):
     """The ``repro.api.apply_overrides`` kwargs encoded in CLI flags."""
     overrides = {}
-    if getattr(args, "workloads", None):
+    if args.workloads:
         overrides["workloads"] = _parse_csv(args.workloads)
-    if getattr(args, "buffers", None):
+    if args.buffers:
         overrides["buffers"] = _parse_csv(args.buffers, _parse_buffer)
-    if getattr(args, "duration", None) is not None:
-        overrides["duration"] = args.duration
-    if getattr(args, "warmup", None) is not None:
-        overrides["warmup"] = args.warmup
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+    for name in ("duration", "warmup", "seed"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
     return overrides
 
 
 def _runner_from(args):
     try:
-        return GridRunner(workers=getattr(args, "workers", None),
+        return GridRunner(workers=args.workers,
                           cache=ResultCache(enabled=False)
-                          if getattr(args, "no_cache", False) else None,
-                          progress=True if getattr(args, "progress", False)
-                          else None)
+                          if args.no_cache else None,
+                          progress=True if args.progress else None)
     except ValueError as exc:  # a bad REPRO_WORKERS
         raise SystemExit(str(exc))
-
-
-def _run_through_api(args, runner=None):
-    """Resolve/override/run one sweep for ``run``/``export``.
-
-    Returns ``(resolved spec, scale, ResultSet)`` — the spec already has
-    the CLI's axis overrides applied, so its cell count is the expected
-    result size.
-    """
-    spec = _get_spec(args.name)
-    scale = _scale(args)
-    try:
-        spec = api.apply_overrides(spec, scale=scale,
-                                   **_overrides_from(args))
-        if getattr(args, "cached_only", False):
-            results = api.load_sweep(spec, scale=scale)
-        else:
-            results = api.run_sweep(spec, scale=scale, runner=runner)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    return spec, scale, results
-
-
-def _print_runner_stats(runner):
-    stats = runner.last_stats
-    print("[%d cells: %d cached, %d computed, %.1f s on %d worker%s]"
-          % (stats["cells"], stats["cached"], stats["computed"],
-             stats["elapsed"], stats["workers"],
-             "" if stats["workers"] == 1 else "s"),
-          file=sys.stderr)
 
 
 def _get_spec(name):
@@ -226,20 +188,22 @@ def cmd_describe(args):
     return 0
 
 
-def cmd_run(args):
-    runner = _runner_from(args)
-    spec, __, results = _run_through_api(args, runner=runner)
-    print("%s — %s (%d cells)" % (spec.name, spec.title, len(results)))
-    for record in results:
-        print("  %-40s %s" % (key_str(record.key), record.summary()))
-    _print_runner_stats(runner)
-    return 0
-
-
 def cmd_export(args):
     runner = _runner_from(args)
-    spec, scale, results = _run_through_api(args, runner=runner)
+    spec = _get_spec(args.name)
+    scale = _scale(args)
+    try:
+        spec = api.apply_overrides(spec, scale=scale,
+                                   **_overrides_from(args))
+        if args.cached_only:
+            results = api.load_sweep(spec, scale=scale)
+        else:
+            results = api.run_sweep(spec, scale=scale, runner=runner)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     if args.cached_only:
+        # The spec carries the axis overrides: its cell count is the
+        # expected result size.
         expected = spec.cell_count(scale)
         if not results:
             print("export %s: no cached cells (run the sweep first, or "
@@ -261,7 +225,12 @@ def cmd_export(args):
     else:
         print(text, end="")
     if not args.cached_only:
-        _print_runner_stats(runner)
+        stats = runner.last_stats
+        print("[%d cells: %d cached, %d computed, %.1f s on %d worker%s]"
+              % (stats["cells"], stats["cached"], stats["computed"],
+                 stats["elapsed"], stats["workers"],
+                 "" if stats["workers"] == 1 else "s"),
+              file=sys.stderr)
     return 0
 
 
@@ -318,18 +287,15 @@ def cmd_perf(args):
         print(text)
         return 0
 
-    reference = None
     baseline = None
     try:
         baseline = bench_module.load_baseline(args.baseline)
-        reference = baseline.get("reference")
     except (OSError, ValueError):
         if args.check:
             raise SystemExit("perf --check: no readable baseline at %r"
                              % args.baseline)
     document = bench_module.run_bench(quick=args.quick,
-                                      repetitions=args.repetitions,
-                                      reference=reference)
+                                      repetitions=args.repetitions)
     print(bench_module.render_summary(document))
     # --check compares before anything is written, and a bare --check
     # never rewrites the committed baseline it compares against; pass
@@ -397,13 +363,6 @@ def build_parser():
     describe.add_argument("--scale", type=_parse_scale, default=None)
     describe.set_defaults(fn=cmd_describe)
 
-    run = sub.add_parser("run", help="execute a sweep through the grid "
-                                     "runner and print per-cell summaries")
-    run.add_argument("name")
-    _add_runner_arguments(run)
-    _add_override_arguments(run)
-    run.set_defaults(fn=cmd_run)
-
     export = sub.add_parser(
         "export", help="run (repro.api.run_sweep) or load from cache "
                        "(repro.api.load_sweep) a sweep and write its "
@@ -452,8 +411,7 @@ def build_parser():
                            "BENCH_simcore.json, or nothing under "
                            "--check; '' always skips)")
     perf.add_argument("--baseline", default="BENCH_simcore.json",
-                      help="committed baseline for --check and the "
-                           "pre-overhaul reference block")
+                      help="committed baseline for --check")
     perf.add_argument("--check", action="store_true",
                       help="exit 1 if CPU seconds in Simulator.run "
                            "grew more than --tolerance vs the baseline")

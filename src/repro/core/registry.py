@@ -118,10 +118,6 @@ class ScenarioSpec:
         """Plain-JSON dict representation (tuple-free)."""
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(**data)
-
 
 def access(workload, direction="down", label=""):
     """Shorthand for an access-testbed :class:`ScenarioSpec`."""
@@ -146,7 +142,7 @@ class SweepSpec:
     packets (an entry may be a ``(down, up)`` pair for per-direction
     buffers).
 
-    Cell keys in :meth:`run` results are ``(scenario.key, buffer)``
+    Cell keys in the sweep's results are ``(scenario.key, buffer)``
     extended by one value per entry of ``axes`` (in declaration order).
     """
 
@@ -261,26 +257,6 @@ class SweepSpec:
         if self.buffers_small is None:
             data.pop("buffers_small")
         return data
-
-    @classmethod
-    def from_json(cls, data):
-        data = dict(data)
-        for axis in ("scenarios", "scenarios_small"):
-            if data.get(axis) is not None:
-                data[axis] = tuple(ScenarioSpec.from_json(item)
-                                   for item in data[axis])
-        for axis in ("buffers", "buffers_small"):
-            if data.get(axis) is not None:
-                data[axis] = tuple(tuple(b) if isinstance(b, list) else b
-                                   for b in data[axis])
-        for name in ("counts", "params", "axes"):
-            if data.get(name) is not None:
-                data[name] = tuple(
-                    tuple(tuple(part) if isinstance(part, list) else part
-                          for part in item) if isinstance(item, list)
-                    else item
-                    for item in data[name])
-        return cls(**data)
 
     def describe(self, scale):
         """JSON-ready summary with scale-resolved axes and durations."""

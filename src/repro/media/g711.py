@@ -53,15 +53,3 @@ def alaw_decode(alaw):
 def codec_round_trip(pcm):
     """Encode + decode, returning the companded signal (float64)."""
     return alaw_decode(alaw_encode(pcm)).astype(np.float64)
-
-
-def snr_db(reference, degraded):
-    """Signal-to-noise ratio of ``degraded`` against ``reference``."""
-    reference = np.asarray(reference, dtype=np.float64)
-    degraded = np.asarray(degraded, dtype=np.float64)
-    noise = reference - degraded
-    signal_power = np.mean(reference ** 2)
-    noise_power = np.mean(noise ** 2)
-    if noise_power == 0:
-        return float("inf")
-    return 10.0 * np.log10(signal_power / noise_power)

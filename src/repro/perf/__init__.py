@@ -9,6 +9,3 @@
 
 Both are exposed through ``python -m repro perf``.
 """
-
-from repro.perf.bench import run_bench  # noqa: F401
-from repro.perf.profile import profile_cell  # noqa: F401

@@ -131,12 +131,11 @@ def _measure_workload(name, parts, repetitions):
     }
 
 
-def run_bench(quick=False, repetitions=None, reference=None):
+def run_bench(quick=False, repetitions=None):
     """Run the benchmark; returns the ``BENCH_simcore.json`` document.
 
-    ``reference`` (a dict) is carried into the output verbatim — used to
-    keep the pre-overhaul measurements alongside fresh numbers.  A full
-    run also measures the quick workloads, into the ``quick`` block.
+    A full run also measures the quick workloads, into the ``quick``
+    block.
     """
     workloads = QUICK_WORKLOADS if quick else FULL_WORKLOADS
     if repetitions is None:
@@ -173,8 +172,6 @@ def run_bench(quick=False, repetitions=None, reference=None):
         document["quick"] = {
             name: _measure_workload(name, parts, QUICK_REPETITIONS)
             for name, parts in QUICK_WORKLOADS}
-    if reference is not None:
-        document["reference"] = reference
     return document
 
 
@@ -248,8 +245,4 @@ def render_summary(document):
         "  total  %3d cells  %9d events  %8d ev/s (sim)  peak RSS %.1f MB"
         % (totals["cells"], totals["events"], totals["events_per_sec"],
            totals["peak_rss_kb"] / 1024.0))
-    reference = document.get("reference")
-    if reference and reference.get("events_per_sec"):
-        lines.append("  pre-overhaul reference: %s"
-                     % json.dumps(reference["events_per_sec"]))
     return "\n".join(lines)

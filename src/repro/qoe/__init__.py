@@ -13,7 +13,7 @@ Standardized quality models used by the paper:
 * :mod:`repro.qoe.web` — ITU-T G.1030 page-load-time model.
 """
 
-from repro.qoe.emodel import EModel, delay_impairment, r_to_mos
+from repro.qoe.emodel import delay_impairment, r_to_mos
 from repro.qoe.scales import (
     G114_ACCEPTABLE_MS,
     G114_PROBLEMATIC_MS,
@@ -23,7 +23,6 @@ from repro.qoe.scales import (
 )
 
 __all__ = [
-    "EModel",
     "delay_impairment",
     "r_to_mos",
     "G114_ACCEPTABLE_MS",

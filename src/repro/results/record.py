@@ -33,33 +33,6 @@ from dataclasses import dataclass
 from repro.results.convert import flatten_metrics, format_buffer
 
 
-def _voip_summary(payload):
-    parts = ["%s MOS %.1f" % (direction, mos)
-             for direction, mos in sorted(payload.items())
-             if isinstance(mos, float)]
-    parts += ["m2e %s %.0f ms" % (direction, delay * 1000)
-              for direction, delay in sorted(
-                  payload.get("delay", {}).items())]
-    return "  ".join(parts)
-
-
-#: The ``python -m repro run`` table line of each cell kind's payload.
-SUMMARIES = {
-    "qos": lambda payload: (
-        "down util %5.1f%%  up util %5.1f%%  loss %5.2f%%/%5.2f%%  "
-        "mean delay %4.0f/%4.0f ms" % (
-            payload["down_utilization"] * 100,
-            payload["up_utilization"] * 100,
-            payload["down_loss"] * 100, payload["up_loss"] * 100,
-            payload["down_mean_delay"] * 1000,
-            payload["up_mean_delay"] * 1000)),
-    "voip": _voip_summary,
-    "video": lambda payload: "SSIM %.2f  MOS %.1f  pkt loss %.1f%%" % (
-        payload["ssim"], payload["mos"], payload["packet_loss"] * 100),
-    "web": lambda payload: "median PLT %.2f s  MOS %.1f" % (
-        payload["median_plt"], payload["mos"]),
-}
-
 _AXES = ("kind", "scenario", "buffer_packets", "seed", "key", "index")
 
 
@@ -67,7 +40,7 @@ _AXES = ("kind", "scenario", "buffer_packets", "seed", "key", "index")
 class CellResult:
     """One executed grid cell and its payload."""
 
-    kind: str  # the task's cell kind, a key of SUMMARIES
+    kind: str  # the task's cell kind, one of repro.runner.task.KINDS
     scenario: str
     buffer_packets: object  # packets: int, or a (down, up) tuple
     seed: int
@@ -131,10 +104,6 @@ class CellResult:
         row.update(self.metrics)
         return row
 
-    def summary(self):
-        """One-line human summary of the cell (the CLI's per-cell line)."""
-        return SUMMARIES[self.kind](self.payload)
-
     def __getitem__(self, name):
         return self.payload[name]
 
@@ -142,9 +111,11 @@ class CellResult:
 def record_from_payload(task, payload, key=None, index=None):
     """Build the record of a :class:`repro.runner.task.CellTask` from its
     (fresh or cache-loaded) JSON payload."""
-    if task.kind not in SUMMARIES:
+    from repro.runner.task import KINDS  # the runner imports this module
+
+    if task.kind not in KINDS:
         raise ValueError("no record type for cell kind %r (have %s)"
-                         % (task.kind, sorted(SUMMARIES)))
+                         % (task.kind, KINDS))
     return CellResult(kind=task.kind, scenario=str(task.scenario),
                       buffer_packets=task.buffer_packets, seed=task.seed,
                       params=task.params, payload=payload, key=key,

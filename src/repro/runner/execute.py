@@ -22,9 +22,10 @@ once the payload is built.
 import gc
 from importlib import import_module
 
-# Canonical payload→JSON conversion lives in repro.results.convert;
-# re-exported here because workers and older call sites import it from
-# the execution module.
+# Canonical payload→JSON conversion lives in repro.results.convert.
+# execute_task calls it through this module's name, so the per-layer
+# benchmark's ``results.jsonify`` layer can patch
+# ``repro.runner.execute:jsonify``.
 from repro.results.convert import jsonify
 
 #: Each cell kind's cell function, as ``(module, attribute)``.

@@ -3,8 +3,7 @@
 This package is the "testbed hardware" substrate of the reproduction:
 an event engine (:mod:`repro.sim.engine`), packets
 (:mod:`repro.sim.packet`), the drop-tail bottleneck queue
-(:mod:`repro.sim.queues`), store-and-forward bottleneck links (closed-form
-on the testbeds, event-driven as the tests' reference) and closed-form
+(:mod:`repro.sim.queues`), closed-form store-and-forward bottleneck and
 edge links (:mod:`repro.sim.link`), hosts/routers (:mod:`repro.sim.node`)
 and the two dumbbell topologies used by the paper
 (:mod:`repro.sim.topology`).
@@ -15,10 +14,10 @@ cancellable kind.  Packets are plain objects that any callback may keep.
 """
 
 from repro.sim.engine import SimTimeError, Simulator, Timer
-from repro.sim.link import DropTailLink, EdgeLink, Interface
+from repro.sim.link import DropTailLink, EdgeLink
 from repro.sim.node import Node
 from repro.sim.packet import FLAG_ACK, FLAG_FIN, FLAG_SYN, Packet
-from repro.sim.queues import DropTailQueue, Queue, QueueStats
+from repro.sim.queues import DropTailQueue, QueueStats
 from repro.sim.topology import (
     AccessNetwork,
     BackboneNetwork,
@@ -29,7 +28,6 @@ __all__ = [
     "SimTimeError",
     "Simulator",
     "Timer",
-    "Interface",
     "DropTailLink",
     "EdgeLink",
     "Node",
@@ -37,7 +35,6 @@ __all__ = [
     "FLAG_SYN",
     "FLAG_ACK",
     "FLAG_FIN",
-    "Queue",
     "QueueStats",
     "DropTailQueue",
     "AccessNetwork",

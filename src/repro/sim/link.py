@@ -1,21 +1,18 @@
-"""Store-and-forward output interfaces.
+"""Store-and-forward links.
 
 One direction of a bottleneck link is an output queue, a serializer
 running at ``rate_bps`` and a propagation delay to the receiving node.
 Buffers under study live in the bottleneck queues; all QoS measurements
-(utilization, loss, queueing delay) are taken there.  Two classes model
-it, with the same counters and the same floats:
+(utilization, loss, queueing delay) are taken there.
 
-* :class:`DropTailLink`, for a plain drop-tail FIFO (the paper's
-  buffers), computes the serializer in closed form: a FIFO that drops
-  only at the tail knows a packet's departure time the moment it accepts
-  it.  The arrival decides drop or accept and hands the packet straight
-  to its next hop, so the bottleneck adds no event of its own.  Its
-  counters are replayed lazily, in FIFO order, before every read.
-* :class:`Interface` is event-driven (one event per serialized packet)
-  and takes any :class:`repro.sim.queues.Queue`.  No testbed builds
-  one: it is the reference the tests compare :class:`DropTailLink`
-  against, and the link the tests build around their own queues.
+A :class:`DropTailLink`, for a plain drop-tail FIFO (the paper's
+buffers), computes the serializer in closed form: a FIFO that drops only
+at the tail knows a packet's departure time the moment it accepts it.
+The arrival decides drop or accept and hands the packet straight to its
+next hop, so the bottleneck adds no event of its own.  Its counters are
+replayed lazily, in FIFO order, before every read.  The tests check it,
+float for float, against an event-driven link with one event per
+serialized packet (``tests/reference_link.py``).
 
 An :class:`EdgeLink` models one direction of a host<->router edge link,
 which never drops and whose counters nothing reads: it computes its
@@ -30,8 +27,8 @@ from repro.sim.queues import DropTailQueue
 _INF = float("inf")
 
 
-class InterfaceStats:
-    """Resettable transmit counters for one interface."""
+class LinkStats:
+    """Resettable transmit counters for one link direction."""
 
     __slots__ = ("tx_packets", "tx_bytes", "window_start")
 
@@ -51,150 +48,6 @@ class InterfaceStats:
         return min(1.0, (self.tx_bytes * 8.0) / (rate_bps * elapsed))
 
 
-class Interface:
-    """One direction of a point-to-point link.
-
-    Hot-path notes: the serializer chain (``send`` → ``_tx_done``) runs
-    once per packet and open-codes both the engine's scheduling and the
-    start-of-next-transmission logic.  A serialized packet whose next hop
-    would forward it onto an :class:`EdgeLink` enters that edge link
-    directly, at its arrival time (egress cut-through: the forwarding
-    node's receive event is skipped).
-
-    Parameters
-    ----------
-    sim:
-        The driving :class:`repro.sim.engine.Simulator`.
-    name:
-        Diagnostic label, e.g. ``"homerouter->dslam"``.
-    rate_bps:
-        Serialization rate in bit/s.
-    prop_delay:
-        One-way propagation delay in seconds.
-    queue:
-        A :class:`repro.sim.queues.Queue` holding packets awaiting
-        serialization.  The buffer size under study is this queue's
-        capacity.
-    dst_node:
-        Receiving :class:`repro.sim.node.Node`.
-    """
-
-    __slots__ = ("sim", "name", "rate_bps", "prop_delay", "queue",
-                 "dst_node", "stats", "_busy", "_tx_started", "_tx_done_cb",
-                 "_deliver_cb", "_q_push", "_q_pop")
-
-    def __init__(self, sim, name, rate_bps, prop_delay, queue, dst_node):
-        self.sim = sim
-        self.name = name
-        self.rate_bps = float(rate_bps)
-        self.prop_delay = float(prop_delay)
-        self.queue = queue
-        self.dst_node = dst_node
-        self.stats = InterfaceStats()
-        self._busy = False
-        self._tx_started = 0.0
-        # Bound-method caches: creating a bound method per scheduled
-        # event (or per queue operation) is measurable at packet rates.
-        self._tx_done_cb = self._tx_done
-        self._deliver_cb = dst_node.receive
-        self._q_push = queue.push
-        self._q_pop = queue.pop
-
-    # ------------------------------------------------------------------
-    # The send/_tx_done pair below runs once per packet — with
-    # EdgeLink.send_at, the hottest path in the simulator.  It
-    # open-codes the engine's ``call_later`` (same ``[time, seq, fn,
-    # args]`` entries, same sequence-number order, no negative delays
-    # possible here), so keep it in lock-step with
-    # :class:`repro.sim.engine.Simulator`.
-    def send(self, packet):
-        """Queue ``packet`` for transmission; start the serializer if idle.
-
-        Returns False when the queue dropped the packet.
-        """
-        sim = self.sim
-        now = sim.now
-        accepted = self._q_push(packet, now)
-        if accepted and not self._busy:
-            packet = self._q_pop(now)
-            if packet is not None:
-                self._busy = True
-                self._tx_started = now
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._heap,
-                         [now + (packet.size * 8.0) / self.rate_bps, seq,
-                          self._tx_done_cb, packet])
-                sim._live += 1
-        return accepted
-
-    def _tx_done(self, packet):
-        sim = self.sim
-        now = sim.now
-        stats = self.stats
-        stats.tx_packets += 1
-        # A packet in flight across a reset_stats() only counts for the part
-        # of its serialization inside the new window; crediting the whole
-        # size would overstate post-warm-up utilization on slow links.
-        started = self._tx_started
-        tx_time = now - started
-        if started < stats.window_start:
-            started = stats.window_start
-        if tx_time > 0.0:
-            stats.tx_bytes += packet.size * (now - started) / tx_time
-        else:
-            stats.tx_bytes += packet.size
-        node = self.dst_node
-        edge = node.routes.get(packet.dst)
-        if edge.__class__ is EdgeLink:
-            # Egress cut-through: the packet would only be forwarded onto
-            # the edge link on arrival, so it enters it now, at its
-            # arrival time.
-            node._forwarded += 1
-            edge.send_at(packet, now + self.prop_delay)
-        else:
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap,
-                     [now + self.prop_delay, seq, self._deliver_cb, packet])
-            sim._live += 1
-        # Start serializing the next queued packet (inline _start_next:
-        # this tail runs once per transmitted packet).
-        packet = self._q_pop(now)
-        if packet is None:
-            self._busy = False
-            return
-        self._tx_started = now
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap,
-                 [now + (packet.size * 8.0) / self.rate_bps, seq,
-                  self._tx_done_cb, packet])
-        sim._live += 1
-
-    # ------------------------------------------------------------------
-    def reset_stats(self):
-        """Zero both interface and queue measurement counters (post warm-up)."""
-        self.stats.reset(self.sim.now)
-        self.queue.stats.reset()
-
-    def utilization(self):
-        """Utilization since the last :meth:`reset_stats`."""
-        return self.stats.utilization(self.rate_bps, self.sim.now)
-
-    def stats_at(self, sched):
-        """The transmit counters (kept eagerly here; see :class:`DropTailLink`)."""
-        return self.stats
-
-    def backlog(self):
-        """``(waiting, in_service)``: queued packets, and 1 while serializing."""
-        return len(self.queue), int(self._busy)
-
-    def __repr__(self):
-        return "Interface(%s, %.0f bit/s, q=%d)" % (
-            self.name,
-            self.rate_bps,
-            len(self.queue),
-        )
-
-
 #: Started packets a :class:`DropTailLink` lets accumulate before it
 #: replays their counters; bounds its log to ``capacity + 256`` records.
 _REPLAY_BATCH = 256
@@ -203,11 +56,11 @@ _REPLAY_BATCH = 256
 class DropTailLink:
     """One direction of a drop-tail bottleneck, in closed form.
 
-    Takes the same arguments as :class:`Interface`, but only a plain
-    :class:`repro.sim.queues.DropTailQueue`, and produces the same
-    drops, departures and counters, float for float, with no event of
-    its own.  A packet offered at ``now`` (its arrival event at the
-    router) is handled there and then:
+    Takes a plain :class:`repro.sim.queues.DropTailQueue` and produces
+    the drops, departures and counters of an event-driven FIFO
+    serializer, float for float, with no event of its own.  A packet
+    offered at ``now`` (its arrival event at the router) is handled there
+    and then:
 
     1. Every waiting packet whose service started before ``now`` is
        retired; the others are what the event-driven queue would hold.
@@ -230,8 +83,9 @@ class DropTailLink:
     tick sees (:meth:`stats_at`).
 
     **Counters replayed on read.**  Accept and drop counts are kept at
-    once; dequeues, sojourn times, transmit counters (with the warm-up
-    proration of :meth:`Interface._tx_done`) and the egress node's
+    once; dequeues, sojourn times, transmit counters (a packet in
+    flight across :meth:`reset_stats` counts only the part of its
+    serialization inside the new window) and the egress node's
     ``forwarded`` count are logged per accepted packet and replayed, in
     FIFO order, up to the current time before every reader:
     :attr:`stats`, :attr:`queue`, :meth:`stats_at`,
@@ -258,7 +112,7 @@ class DropTailLink:
         self.dst_node = dst_node
         self._queue = queue
         self._capacity = queue.capacity_packets
-        self._stats = InterfaceStats()
+        self._stats = LinkStats()
         self._deliver_cb = dst_node.receive
         dst_node._lazy_links.append(self)  # its forwarded count reads ours
         self._free = 0.0  # when the last accepted packet finishes
@@ -376,8 +230,10 @@ class DropTailLink:
             start, finish, size, __, to_edge = log[index]
             if finish >= now and (finish > now or start > sched):
                 break
-            # Interface._tx_done's proration of a packet in flight across
-            # a reset_stats(), operation for operation.
+            # A packet in flight across a reset_stats() only counts for
+            # the part of its serialization inside the new window;
+            # crediting the whole size would overstate post-warm-up
+            # utilization on slow links.
             tx_time = finish - start
             if start < window_start:
                 start = window_start
@@ -404,7 +260,7 @@ class DropTailLink:
     # ------------------------------------------------------------------
     @property
     def stats(self):
-        """Transmit counters (:class:`InterfaceStats`), replayed up to now."""
+        """Transmit counters (:class:`LinkStats`), replayed up to now."""
         self.replay()
         return self._stats
 
@@ -421,7 +277,7 @@ class DropTailLink:
         return self._queue
 
     def reset_stats(self):
-        """Zero both interface and queue measurement counters (post warm-up)."""
+        """Zero both link and queue measurement counters (post warm-up)."""
         self.replay()
         self._stats.reset(self.sim.now)
         self._queue.stats.reset()
@@ -448,9 +304,9 @@ class EdgeLink:
     reads their counters.  A packet entering at time ``t`` starts
     serializing at ``max(t, free)``, where ``free`` is when the previous
     packet finishes, and arrives at the receiving node ``prop_delay``
-    after it finishes.  These are the same floats the event-driven
-    :class:`Interface` serializer produces for a FIFO that never drops,
-    but only the arrival is an event, and its sequence number is drawn
+    after it finishes.  These are the same floats an event-driven
+    serializer produces for a FIFO that never drops, but only the
+    arrival is an event, and its sequence number is drawn
     at entry rather than at serializer completion.  A packet on an edge
     link is therefore held only by its arrival's heap entry.
 

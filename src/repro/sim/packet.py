@@ -45,9 +45,6 @@ class Packet:
     payload:
         Opaque application object (RTP frame descriptors, HTTP message
         markers...).  Never inspected below the transport layer.
-    enqueued_at:
-        When the packet entered its current queue (queueing-delay
-        accounting).
     scheduled_at:
         When its arrival at the next node was scheduled, i.e. when it
         entered its current edge link
@@ -70,7 +67,6 @@ class Packet:
         "ts",
         "ts_echo",
         "payload",
-        "enqueued_at",
         "scheduled_at",
     )
 
@@ -103,7 +99,6 @@ class Packet:
         self.ts = ts
         self.ts_echo = ts_echo
         self.payload = payload
-        self.enqueued_at = 0.0
         self.scheduled_at = 0.0
 
     def flag_names(self):

@@ -2,22 +2,15 @@
 
 The paper studies plain drop-tail FIFOs sized in packets (the NetFPGA
 Stanford reference router and Cisco line cards both drop at the tail), so
-:class:`DropTailQueue` is the paper's buffer; on the testbeds
-:class:`repro.sim.link.DropTailLink` serves it in closed form and keeps
-only its capacity and statistics.
-
-Queues share the :class:`Queue` interface used by the event-driven
-reference :class:`repro.sim.link.Interface`:
-
-* ``push(packet, now)`` → bool — False means the packet was dropped.
-* ``pop(now)`` → packet or None.
+:class:`DropTailQueue` is the paper's buffer.  On the testbeds
+:class:`repro.sim.link.DropTailLink` serves it in closed form: packets
+never pass through the queue, which holds only its capacity and its
+statistics.
 
 Capacity is a packet count, as in the paper's Table 2.  Statistics
-(:class:`QueueStats`) are collected uniformly: enqueue/drop/dequeue
-counters, their byte totals and sojourn-time aggregates.
+(:class:`QueueStats`) are enqueue/drop/dequeue counters, their byte
+totals and sojourn-time aggregates.
 """
-
-from collections import deque
 
 
 class QueueStats:
@@ -70,96 +63,12 @@ class QueueStats:
         return self.dropped / arrived
 
 
-class Queue:
-    """Abstract FIFO with drop policy.  Subclasses implement push/pop.
+class DropTailQueue:
+    """A drop-tail buffer of ``capacity_packets`` packets — the paper's
+    buffer — and the :class:`QueueStats` its link keeps for it."""
 
-    The shared plumbing (``_accept``/``_reject``/``_take``) updates the
-    :class:`QueueStats` counters inline: it runs once per packet at every
-    :class:`repro.sim.link.Interface`.
-    """
+    __slots__ = ("capacity_packets", "stats")
 
-    __slots__ = ("capacity_packets", "stats", "_queue", "_bytes")
-
-    def __init__(self, capacity_packets=None):
-        if capacity_packets is None:
-            raise ValueError("queue needs a packet capacity")
+    def __init__(self, capacity_packets):
         self.capacity_packets = capacity_packets
         self.stats = QueueStats()
-        self._queue = deque()
-        self._bytes = 0
-
-    # -- state ----------------------------------------------------------
-    def __len__(self):
-        return len(self._queue)
-
-    @property
-    def byte_length(self):
-        """Bytes currently queued."""
-        return self._bytes
-
-    def _would_overflow(self):
-        return len(self._queue) >= self.capacity_packets
-
-    # -- interface ------------------------------------------------------
-    def push(self, packet, now):
-        raise NotImplementedError
-
-    def pop(self, now):
-        raise NotImplementedError
-
-    # -- shared plumbing --------------------------------------------------
-    def _accept(self, packet, now):
-        queue = self._queue
-        size = packet.size
-        packet.enqueued_at = now
-        queue.append(packet)
-        self._bytes += size
-        stats = self.stats
-        stats.enqueued += 1
-        stats.bytes_enqueued += size
-
-    def _reject(self, packet):
-        stats = self.stats
-        stats.dropped += 1
-        stats.bytes_dropped += packet.size
-
-    def _take(self, now):
-        packet = self._queue.popleft()
-        size = packet.size
-        self._bytes -= size
-        sojourn = now - packet.enqueued_at
-        stats = self.stats
-        stats.dequeued += 1
-        stats.bytes_dequeued += size
-        stats.delay_sum += sojourn
-        stats.delay_samples += 1
-        if sojourn > stats.delay_max:
-            stats.delay_max = sojourn
-        return packet
-
-
-class DropTailQueue(Queue):
-    """Plain FIFO that drops arrivals once full — the paper's buffer.
-
-    On the testbeds a drop-tail bottleneck is a
-    :class:`repro.sim.link.DropTailLink`, which reads only this queue's
-    capacity and statistics; ``push``/``pop`` serve the reference
-    :class:`repro.sim.link.Interface` the tests compare it against.
-    """
-
-    __slots__ = ()
-
-    def push(self, packet, now):
-        if self._would_overflow():
-            self._reject(packet)
-            return False
-        self._accept(packet, now)
-        return True
-
-    def pop(self, now):
-        if not self._queue:
-            return None
-        return self._take(now)
-
-    def __repr__(self):
-        return "DropTailQueue(len=%d/%s)" % (len(self._queue), self.capacity_packets)

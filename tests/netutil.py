@@ -1,9 +1,8 @@
 """Shared helpers for building small test networks."""
 
+from reference_link import FifoQueue, Interface
 from repro.sim import Simulator
-from repro.sim.link import Interface
 from repro.sim.node import Node
-from repro.sim.queues import DropTailQueue
 from repro.tcp import TcpConnection, TcpListener
 from repro.util.units import MBPS, ms
 
@@ -18,9 +17,9 @@ def two_hosts(rate_bps=10 * MBPS, delay=ms(10), queue_packets=100):
     a = Node(sim, "a", 1)
     b = Node(sim, "b", 2)
     a_to_b = Interface(sim, "a->b", rate_bps, delay,
-                       DropTailQueue(capacity_packets=queue_packets), b)
+                       FifoQueue(capacity_packets=queue_packets), b)
     b_to_a = Interface(sim, "b->a", rate_bps, delay,
-                       DropTailQueue(capacity_packets=queue_packets), a)
+                       FifoQueue(capacity_packets=queue_packets), a)
     a.set_default_route(a_to_b)
     b.set_default_route(b_to_a)
     return sim, a, b

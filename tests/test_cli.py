@@ -36,13 +36,20 @@ class TestParsing:
         assert exit_info.value.code == 2
         assert "invalid choice: 'figures'" in capsys.readouterr().err
 
+    def test_run_command_is_gone(self, capsys):
+        # `export` is the one command that runs a sweep.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "fig5"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'run'" in capsys.readouterr().err
+
     def test_unknown_sweep_exits_cleanly(self):
         with pytest.raises(SystemExit):
             main(["describe", "fig99"])
 
     def test_bad_scale_is_a_usage_error(self, capsys, tmp_path):
         # Every --scale goes through the check REPRO_SCALE does.
-        for command in (["list"], ["describe", "fig5"], ["run", "fig5"],
+        for command in (["list"], ["describe", "fig5"], ["export", "fig5"],
                         ["report"], ["perf"]):
             for bad in ("nan", "inf", "0", "-3", "banana"):
                 with pytest.raises(SystemExit) as exit_info:
@@ -89,21 +96,21 @@ class TestDescribe:
 
 class TestRun:
     def test_tiny_override_run(self, capsys):
-        code = main(["run", "fig4-up", "--workloads", "long-few",
+        code = main(["export", "fig4-up", "--workloads", "long-few",
                      "--buffers", "8", "--duration", "2", "--warmup", "1",
                      "--no-cache"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "long-few/8" in out
-        assert "util" in out
+        captured = capsys.readouterr()
+        assert "long-few/8" in captured.out
+        assert "down_utilization" in captured.out
+        assert "[1 cells: 0 cached, 1 computed" in captured.err
 
     def test_json_run(self, capsys):
-        # `run` prints the table only; a run's JSON comes from `export`.
+        # A run's JSON comes from `--format json`; there is no --json.
         argv = ["fig4-up", "--workloads", "long-few", "--buffers", "8",
                 "--duration", "2", "--warmup", "1", "--no-cache"]
-        for option in (["--json"], ["--format", "json"]):
-            with pytest.raises(SystemExit):
-                main(["run"] + argv + option)
+        with pytest.raises(SystemExit):
+            main(["export"] + argv + ["--json"])
         capsys.readouterr()
         assert main(["export"] + argv + ["--format", "json"]) == 0
         (record,) = json.loads(capsys.readouterr().out)
@@ -112,7 +119,7 @@ class TestRun:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
-            main(["run", "fig5", "--workloads", "mystery"])
+            main(["export", "fig5", "--workloads", "mystery"])
 
     @pytest.mark.parametrize("argv, message", [
         (["fig7a", "--workloads", "noBG", "--buffers", "0"], "buffer size"),
@@ -126,25 +133,24 @@ class TestRun:
     ])
     def test_out_of_range_cell_values_rejected(self, argv, message):
         with pytest.raises(SystemExit, match=message):
-            main(["run"] + argv + ["--no-cache"])
+            main(["export"] + argv + ["--no-cache"])
 
     def test_bad_workers_is_a_usage_error(self, capsys, monkeypatch):
         for bad in ("0", "-2", "two"):
             with pytest.raises(SystemExit) as exit_info:
-                main(["run", "fig5", "--workers", bad])
+                main(["export", "fig5", "--workers", bad])
             assert exit_info.value.code == 2, bad
             assert "at least 1" in capsys.readouterr().err
         monkeypatch.setenv("REPRO_WORKERS", "0")
         with pytest.raises(SystemExit, match="REPRO_WORKERS must be at least"):
-            main(["run", "fig5", "--buffers", "8"])
+            main(["export", "fig5", "--buffers", "8"])
 
     def test_bad_env_scale_exits_with_its_message(self, monkeypatch,
                                                   tmp_path):
         # Every command that reads REPRO_SCALE exits with the one-line
         # message of the --scale check, before any work, not a traceback.
         monkeypatch.setenv("REPRO_SCALE", "abc")
-        for command in (["list"], ["describe", "fig5"], ["run", "fig5"],
-                        ["export", "fig5"],
+        for command in (["list"], ["describe", "fig5"], ["export", "fig5"],
                         ["report", "table2", "-o", str(tmp_path / "out")]):
             with pytest.raises(SystemExit) as exit_info:
                 main(command)
@@ -156,7 +162,7 @@ class TestRun:
 
     def test_malformed_buffers_rejected(self):
         with pytest.raises(SystemExit):
-            main(["run", "fig5", "--buffers", "8x"])
+            main(["export", "fig5", "--buffers", "8x"])
 
     @pytest.mark.parametrize("argv, message", [
         (["fig7a", "--workloads", "noBG", "--buffers", "8,8"],
@@ -168,7 +174,7 @@ class TestRun:
                                                           message, capsys,
                                                           tmp_path):
         with pytest.raises(SystemExit) as exit_info:
-            main(["run"] + argv)
+            main(["export"] + argv)
         code = exit_info.value.code
         assert isinstance(code, str) and message in code
         assert capsys.readouterr().out == ""
@@ -186,19 +192,15 @@ class TestRun:
         assert record["payload"]["duration"] == 2.0
 
     def test_per_direction_buffer_override(self, capsys):
-        code = main(["run", "fig4-up", "--workloads", "long-few",
+        code = main(["export", "fig4-up", "--workloads", "long-few",
                      "--buffers", "16:4", "--duration", "2", "--warmup",
                      "1", "--no-cache"])
         assert code == 0
         assert "long-few/(16, 4)" in capsys.readouterr().out
 
     def test_format_csv(self, capsys):
-        # `run` has no --format; a run's CSV comes from `export`.
         argv = ["fig4-up", "--workloads", "long-few", "--buffers", "8",
                 "--duration", "2", "--warmup", "1"]
-        with pytest.raises(SystemExit):
-            main(["run"] + argv + ["--format", "csv"])
-        capsys.readouterr()
         assert main(["export"] + argv + ["--format", "csv"]) == 0
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 1

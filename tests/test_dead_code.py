@@ -49,29 +49,18 @@ DEFINERS = (PACKAGE, os.path.join(ROOT, "examples"))
 READERS = ("src", "examples", "perfbench")
 
 ALLOWED = {
-    # Reference oracles the tests compare the models against.
-    "snr_db": "oracle: tests check the G.711 codec's SNR against it",
-    "weibull_mean": "oracle: tests check the Harpoon sampler's mean against it",
-    "EModel": "G.107 E-model as one object: tests check the standard's "
-              "anchor points through it",
-    "stanford_packets": "Table 2's BDP/sqrt(n) rule: tests check it yields "
-                        "the 28-packet backbone buffer",
-    "Interface": "event-driven link: tests check DropTailLink against it "
-                 "float for float, and build links around their own "
-                 "queues with it",
     # Paper data and catalogs kept for the paper, not for a caller.
     "FIG4_BIDIR_DOWNLINK": "digitized paper data (Figure 4, bidir panel)",
     "FIG4_BIDIR_UPLINK": "digitized paper data (Figure 4, bidir panel)",
     "ACCESS_SCENARIOS": "Table 1 access catalog: tests check its rows",
     "BACKBONE_SCENARIOS": "Table 1 backbone catalog: tests check its rows",
-    # Queries the tests read, with no caller in the tree.
-    "from_json": "SweepSpec/ScenarioSpec inverse of to_json: the registry "
-                 "round-trip tests check that the spec JSON `describe` "
-                 "prints loses nothing",
-    "byte_length": "queued bytes: the conservation property tests read it",
-    "forwarded": "Node.forwarded, packets a router forwarded: the packet "
-                 "conservation tests read it (docs/ARCHITECTURE.md)",
     # Needed by open ROADMAP work.
+    "stanford_packets": "Table 2's BDP/sqrt(n) rule: tests check it yields "
+                        "the 28-packet backbone buffer, and the many-flows "
+                        "theory oracle (ROADMAP item 7d) needs it",
+    "forwarded": "Node.forwarded, packets a router forwarded: the packet "
+                 "conservation tests read it (docs/ARCHITECTURE.md), and "
+                 "the per-cell audit (ROADMAP item 7a) needs it",
     "fork": "RngRegistry.fork: per-flow seed jitter (ROADMAP item 2) needs it",
 }
 
@@ -438,17 +427,10 @@ def test_a_self_store_is_read_only_by_its_kin_or_from_outside():
 # ---------------------------------------------------------------------------
 # Dead options: every defaulted parameter is set by some call.
 # ---------------------------------------------------------------------------
-_EMODEL = "G.107 input of the E-model oracle, at the standard's default"
-_WEIBULL = ("paper's file-size parameter of the oracle the tests check the "
-            "Harpoon sampler's mean against")
-
 #: Defaulted parameters no call in the readers sets, keyed
 #: ``Class(param)`` (constructor), ``Class.method(param)`` or
 #: ``function(param)``, with the reason each stays a parameter.
 ALLOWED_OPTIONS = {
-    "Queue(capacity_packets)": "a queue built without a capacity is "
-                               "rejected loudly: tests check the "
-                               "ValueError",
     "Cubic(mss)": "the base class's signature: tests build every "
                   "algorithm as cls(mss=...)",
     "Cubic(initial_window_segments)": "the base class's signature, whose "
@@ -457,15 +439,6 @@ ALLOWED_OPTIONS = {
                             "index * stagger starts with seeded jitter",
     "TcpListener(delayed_ack)": "the ROADMAP's one-Reno-flow theory "
                                 "oracle runs with delayed ACKs off",
-    "EModel(r0)": _EMODEL,
-    "EModel(ie)": _EMODEL,
-    "EModel(bpl)": _EMODEL,
-    "EModel(burst_ratio)": _EMODEL,
-    "EModel(advantage)": _EMODEL,
-    "EModel.score(loss_rate)": "tests score the E-model oracle at a loss "
-                               "rate",
-    "weibull_mean(shape)": _WEIBULL,
-    "weibull_mean(scale)": _WEIBULL,
     "stanford_packets(packet_bytes)": "input of Table 2's BDP/sqrt(n) "
                                       "rule, which tests check",
     "GridRunner(log)": "test seam: tests capture the run log",

@@ -9,15 +9,14 @@ message boundaries — and connections must still close cleanly.
 import numpy as np
 import pytest
 
+from reference_link import FifoQueue, Interface
 from repro.sim import Simulator
-from repro.sim.link import Interface
 from repro.sim.node import Node
-from repro.sim.queues import DropTailQueue
 from repro.tcp import Cubic, Reno, TcpConnection, TcpListener
 from repro.util.units import MBPS, ms
 
 
-class RandomDropQueue(DropTailQueue):
+class RandomDropQueue(FifoQueue):
     """Drop-tail queue that also drops arrivals with probability ``p``."""
 
     def __init__(self, capacity_packets, p, rng):

@@ -1,16 +1,17 @@
-"""Unit tests for Interface transmit accounting, the EdgeLink and the
-closed-form DropTailLink."""
+"""Unit tests for the reference Interface's transmit accounting, and the
+closed-form EdgeLink and DropTailLink checked against it."""
 
 import random
 
 import pytest
 
 from proputil import seeded_property
+from reference_link import FifoQueue, Interface
 from repro.sim.engine import Simulator
-from repro.sim.link import DropTailLink, EdgeLink, Interface, InterfaceStats
+from repro.sim.link import DropTailLink, EdgeLink, LinkStats
 from repro.sim.node import Node
 from repro.sim.packet import Packet
-from repro.sim.queues import DropTailQueue, Queue, QueueStats
+from repro.sim.queues import DropTailQueue, QueueStats
 from repro.sim.stats import UtilizationSampler
 
 
@@ -21,7 +22,7 @@ def make_packet(size=1000):
 def make_interface(sim, rate_bps=8000.0):
     sink = Node(sim, "sink", 2)  # no socket on the port: drops on arrival
     return Interface(sim, "slow", rate_bps, 0.0,
-                     DropTailQueue(capacity_packets=10), sink)
+                     FifoQueue(capacity_packets=10), sink)
 
 
 def test_full_packet_credited_inside_window():
@@ -97,7 +98,7 @@ def _send_all(sim, link_send, traffic, dst):
 def _unbounded_interface(sim, name, rate, delay, dst):
     """An event-driven Interface whose queue can hold any test's traffic."""
     return Interface(sim, name, rate, delay,
-                     DropTailQueue(capacity_packets=10 ** 6), dst)
+                     FifoQueue(capacity_packets=10 ** 6), dst)
 
 
 @seeded_property()
@@ -172,7 +173,7 @@ def test_edge_link_send_accepts_and_delivers_once_serialized():
 
 # ---------------------------------------------------------------------------
 # DropTailLink: the closed-form drop-tail bottleneck must reproduce the
-# event-driven Interface with a DropTailQueue, drop for drop, float for
+# event-driven Interface with a FifoQueue, drop for drop, float for
 # float, counter for counter.
 # ---------------------------------------------------------------------------
 def _offer_all(sim, link, offers, verdicts):
@@ -200,7 +201,7 @@ def _counters(link, node):
     queue = link.queue.stats
     stats = link.stats
     return ([getattr(queue, name) for name in QueueStats.__slots__],
-            [getattr(stats, name) for name in InterfaceStats.__slots__],
+            [getattr(stats, name) for name in LinkStats.__slots__],
             node.forwarded, link.backlog())
 
 
@@ -215,8 +216,8 @@ def _run_bottleneck(make_link, offers, rate, delay, capacity, cut_through,
                                            host))
     else:  # straight into the host's receive event
         node = host
-    link = make_link(sim, "bottleneck", rate, delay,
-                     DropTailQueue(capacity_packets=capacity), node)
+    queue = (FifoQueue if make_link is Interface else DropTailQueue)(capacity)
+    link = make_link(sim, "bottleneck", rate, delay, queue, node)
     verdicts = []
     _offer_all(sim, link, offers, verdicts)
     sim.run(until=reset_at)
@@ -317,7 +318,7 @@ def test_sampler_tick_sees_completions_by_the_tie_rule():
     assert results[1]["samples"] == [0.0, 0.75, 0.0, 1.0]
 
 
-class _OtherQueue(Queue):
+class _OtherQueue(DropTailQueue):
     """A queue with some other drop policy; only its type matters here."""
 
     __slots__ = ()

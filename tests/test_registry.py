@@ -23,6 +23,25 @@ PAPER_NAMES = ("fig4-up", "fig4-down", "fig5", "table1-access",
                "fig9b", "fig10a", "fig10b", "fig11")
 
 
+def scenario_from_json(data):
+    """The :class:`ScenarioSpec` whose ``to_json()`` is ``data``."""
+    return ScenarioSpec(**data)
+
+
+def sweep_from_json(data):
+    """The :class:`SweepSpec` whose ``to_json()`` is ``data`` (after a
+    JSON round trip, which turns every tuple into a list)."""
+    def tuples(value):
+        return (tuple(tuples(item) for item in value)
+                if isinstance(value, list) else value)
+
+    data = {name: tuples(value) for name, value in data.items()}
+    for axis in ("scenarios", "scenarios_small"):
+        if data.get(axis) is not None:
+            data[axis] = tuple(ScenarioSpec(**item) for item in data[axis])
+    return SweepSpec(**data)
+
+
 def runner_for(tmp_path):
     return GridRunner(workers=1, progress=False,
                       cache=ResultCache(directory=str(tmp_path), enabled=True))
@@ -49,7 +68,7 @@ class TestScenarioSpec:
 
     def test_json_round_trip(self):
         spec = access("long-few", "up", label="uplink")
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert scenario_from_json(spec.to_json()) == spec
 
 
 class TestRegistryCatalog:
@@ -72,7 +91,7 @@ class TestRegistryCatalog:
     def test_every_spec_json_round_trips(self):
         for spec in REGISTRY.values():
             data = json.loads(json.dumps(spec.to_json()))
-            assert SweepSpec.from_json(data) == spec, spec.name
+            assert sweep_from_json(data) == spec, spec.name
 
     def test_every_spec_lowers_to_tasks(self):
         for spec in REGISTRY.values():

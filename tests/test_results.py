@@ -65,7 +65,6 @@ class TestRecordRoundTrip:
         assert record.payload == payload  # wire format untouched
         metrics = record.metrics
         assert metrics, "every kind must expose scalar metrics"
-        assert record.summary()  # the one-line `run` table entry
 
         (row,) = ResultSet([record]).to_rows()
         for name, value in metrics.items():
@@ -118,36 +117,6 @@ class TestRecordRoundTrip:
         assert web["median_plt"] == web_payload["median_plt"]
         assert web["plts"] == web_payload["plts"]  # series kept on payload
         assert "plts" not in web.metrics  # ... but it is not a metric
-
-
-# ---------------------------------------------------------------------------
-# The `python -m repro run` table line, pinned per kind.
-# ---------------------------------------------------------------------------
-SUMMARY_PAYLOADS = {
-    "qos": ({"down_utilization": 0.7021, "up_utilization": 0.274,
-             "down_loss": 0.0913, "up_loss": 0.0,
-             "down_mean_delay": 0.0031, "up_mean_delay": 0.0004},
-            "down util  70.2%  up util  27.4%  loss  9.13%/ 0.00%  "
-            "mean delay    3/   0 ms"),
-    "voip": ({"talks": 4.41, "listens": 3.95,
-              "delay": {"talks": 0.1516, "listens": 0.2504}},
-             "listens MOS 4.0  talks MOS 4.4  m2e listens 250 ms  "
-             "m2e talks 152 ms"),
-    "video": ({"ssim": 0.8765, "psnr": 31.2, "mos": 3.25,
-               "packet_loss": 0.0125},
-              "SSIM 0.88  MOS 3.2  pkt loss 1.2%"),
-    "web": ({"median_plt": 0.6789, "p80_plt": 0.9, "mos": 4.66,
-             "plts": [0.6789]},
-            "median PLT 0.68 s  MOS 4.7"),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(SUMMARY_PAYLOADS))
-def test_summary_text_is_pinned_per_kind(kind):
-    payload, text = SUMMARY_PAYLOADS[kind]
-    record = CellResult(kind=kind, scenario="s", buffer_packets=8, seed=0,
-                        params=(), payload=payload)
-    assert record.summary() == text
 
 
 # ---------------------------------------------------------------------------

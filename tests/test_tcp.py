@@ -2,9 +2,8 @@
 
 import pytest
 
+from reference_link import FifoQueue, Interface
 from repro.sim import Simulator
-from repro.sim.link import Interface
-from repro.sim.queues import DropTailQueue
 from repro.sim.topology import AccessNetwork
 from repro.tcp import Cubic, Reno, TcpConnection, TcpListener
 from repro.util.units import MBPS, ms
@@ -12,7 +11,7 @@ from repro.util.units import MBPS, ms
 from tests.netutil import TransferRecorder, run_transfer, two_hosts
 
 
-class FirstSendDropQueue(DropTailQueue):
+class FirstSendDropQueue(FifoQueue):
     """Drop-tail queue that drops the first copy of each data segment
     whose sequence number is in ``seqs``."""
 

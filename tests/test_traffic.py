@@ -1,16 +1,24 @@
 """Tests for the traffic generators (Harpoon and bulk flows)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.apps.bulk import BulkTraffic
 from repro.apps.harpoon import (
+    WEIBULL_SCALE,
+    WEIBULL_SHAPE,
     HarpoonGenerator,
     weibull_file_sizer,
-    weibull_mean,
 )
 from repro.sim import Simulator
 from repro.sim.topology import AccessNetwork
+
+
+def weibull_mean():
+    """Analytic mean of the paper's file-size distribution."""
+    return WEIBULL_SCALE * math.gamma(1.0 + 1.0 / WEIBULL_SHAPE)
 
 
 class TestFileSizes:
