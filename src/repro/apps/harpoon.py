@@ -169,10 +169,10 @@ class HarpoonGenerator:
         connection.on_close = lambda c: self._connections.discard(c)
 
     def _on_server_message(self, connection, meta):
-        kind, nbytes = meta
-        if kind == "get":
-            connection.send(nbytes, meta=("file", nbytes))
-            connection.close()
+        # A download's ("get", nbytes) request is the only marked message.
+        __, nbytes = meta
+        connection.send(nbytes)
+        connection.close()
 
     def _on_server_peer_fin(self, connection):
         # Upload direction: the client half-closed after its file; finish.
@@ -212,7 +212,7 @@ class HarpoonGenerator:
             connection.on_peer_fin = lambda c: (finish(True), c.close())
         else:
             connection.on_established = (
-                lambda c: (c.send(nbytes, meta=("put", nbytes)), c.close()))
+                lambda c: (c.send(nbytes), c.close()))
             connection.on_peer_fin = lambda c: finish(True)
         connection.on_close = (
             lambda c: (finish(False), self._connections.discard(c)))

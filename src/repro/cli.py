@@ -27,10 +27,11 @@ Subcommands
     docs/sample_report`` at scale 1.  See ``docs/REPORTING.md``.
 ``perf``
     Sim-core performance tooling: run the sim-core benchmark and write
-    ``BENCH_simcore.json`` (``--quick`` for the CI smoke mode,
-    ``--check`` to fail when CPU seconds inside ``Simulator.run`` grew
-    by more than 30% versus the committed baseline), or profile one
-    registry cell with ``--profile SWEEP [--cell N]``.
+    ``BENCH_simcore.json`` (``--check`` instead compares the run with
+    the committed file and fails when a workload's executed events
+    differ or its CPU seconds inside ``Simulator.run`` grew by more
+    than 30%), or profile one registry cell with
+    ``--profile SWEEP [--cell N]``.
 
 Exit status is 0 on success, 2 on bad arguments (argparse), 1 on
 runtime failure.
@@ -86,7 +87,7 @@ def _scale(args):
 
 
 def _parse_positive_int(text):
-    """argparse type of ``--workers``/``--repetitions``: an int >= 1."""
+    """argparse type of ``--workers``: an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -287,23 +288,19 @@ def cmd_perf(args):
         print(text)
         return 0
 
-    baseline = None
-    try:
-        baseline = bench_module.load_baseline(args.baseline)
-    except (OSError, ValueError):
-        if args.check:
+    if args.check:
+        try:
+            baseline = bench_module.load_baseline()
+        except (OSError, ValueError):
             raise SystemExit("perf --check: no readable baseline at %r"
-                             % args.baseline)
-    document = bench_module.run_bench(quick=args.quick,
-                                      repetitions=args.repetitions)
+                             % bench_module.DEFAULT_OUTPUT)
+    document = bench_module.run_bench()
     print(bench_module.render_summary(document))
     # --check compares before anything is written, and a bare --check
     # never rewrites the committed baseline it compares against; pass
     # --output explicitly to keep the fresh measurement.
-    passed = True
-    if args.check:
-        passed = bench_module.check_regression(document, baseline,
-                                               tolerance=args.tolerance)
+    passed = (not args.check
+              or bench_module.check_regression(document, baseline))
     output = args.output
     if output is None:
         output = "" if args.check else bench_module.DEFAULT_OUTPUT
@@ -401,23 +398,14 @@ def build_parser():
     perf = sub.add_parser(
         "perf", help="sim-core benchmark (BENCH_simcore.json) and "
                      "cell profiler")
-    perf.add_argument("--quick", action="store_true",
-                      help="CI smoke mode: scale-0.25 cells, 2 reps")
-    perf.add_argument("--repetitions", type=_parse_positive_int,
-                      default=None,
-                      help="best-of-N timing (default: 3, quick: 2)")
     perf.add_argument("--output", default=None,
                       help="where to write the bench JSON (default: "
                            "BENCH_simcore.json, or nothing under "
                            "--check; '' always skips)")
-    perf.add_argument("--baseline", default="BENCH_simcore.json",
-                      help="committed baseline for --check")
     perf.add_argument("--check", action="store_true",
-                      help="exit 1 if CPU seconds in Simulator.run "
-                           "grew more than --tolerance vs the baseline")
-    perf.add_argument("--tolerance", type=float, default=0.30,
-                      help="allowed fractional growth of CPU seconds in "
-                           "Simulator.run (default 0.30)")
+                      help="exit 1 if a workload's events differ from "
+                           "BENCH_simcore.json or its CPU seconds in "
+                           "Simulator.run grew more than 30%%")
     perf.add_argument("--profile", metavar="SWEEP", default=None,
                       help="cProfile one registry cell instead of "
                            "benchmarking")

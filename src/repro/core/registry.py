@@ -12,7 +12,7 @@ declaration:
   sweep up in :data:`REGISTRY`, so the report's grid and the CLI's are
   the *same tasks* (bit-identical cell hashes, shared result cache),
   and takes its heatmap axes from that spec;
-* ``python -m repro list/describe/run`` (see :mod:`repro.cli`) exposes
+* ``python -m repro list/describe/export`` (see :mod:`repro.cli`) exposes
   the catalog on the command line.
 
 Specs are frozen, JSON-serializable dataclasses; :meth:`SweepSpec.tasks`
@@ -285,14 +285,15 @@ def adhoc_sweep(name, kind, scenarios, buffers, seed=0, warmup=5.0,
     """Build an unregistered spec with a *literal* (unscaled) duration.
 
     For scripts, examples and tests whose explicit ``duration=`` must
-    pass through verbatim: the base duration doubles as its own floor,
-    making :meth:`SweepSpec.resolved_duration` the identity at any
-    ``REPRO_SCALE`` ≤ 1 and callers responsible for scaling above it.
+    pass through verbatim: the floor alone carries the value (the base
+    duration is 0), so :meth:`SweepSpec.resolved_duration` returns it at
+    every ``REPRO_SCALE``, as a :func:`repro.api.apply_overrides`
+    duration does.
     """
     return SweepSpec(
         name=name, kind=kind, title=name, provenance="ad-hoc",
         scenarios=tuple(scenarios), buffers=tuple(buffers), seed=seed,
-        warmup=warmup, duration=duration, duration_min=duration,
+        warmup=warmup, duration=0.0, duration_min=duration,
         params=tuple(params), axes=tuple(axes))
 
 

@@ -1,9 +1,12 @@
 """The sim-core benchmark behind ``BENCH_simcore.json``.
 
 Measures the packet-level hot path end-to-end on fixed registry cell
-workloads (the Figure 5 QoS grid and the Figure 7 VoIP grids) and
-reports:
+workloads (the Figure 5 QoS grid and the Figure 7 VoIP grids, at scale
+0.25) and reports:
 
+* ``events`` — events the simulator executed over the workload.  Exact:
+  the simulator is deterministic, so a count that varies between
+  repetitions means nondeterminism crept in, and the bench raises.
 * ``sim_seconds`` — CPU seconds spent inside
   :meth:`repro.sim.engine.Simulator.run` over the workload.  This is
   *the* hot-path metric: it excludes per-cell QoE post-processing (numpy
@@ -15,18 +18,13 @@ reports:
   wall-clock second: the number that bounds registry sweep throughput.
 * ``peak_rss_kb`` — ``ru_maxrss`` after the run.
 
-Timings are best-of-``repetitions`` to shave scheduler noise; event
-counts are exact and must not vary between repetitions (the simulator is
-deterministic — a varying count means nondeterminism crept in, and the
-bench raises).
+Timings are the best of ``REPETITIONS`` runs, to shave scheduler noise.
 
-``check_regression`` compares a fresh measurement against the committed
-``BENCH_simcore.json`` and fails when a workload's ``sim_seconds`` grew
-by more than 30%, which is the CI perf-smoke gate.  A full-mode run
-also measures the quick workloads (the ``quick`` block), so the quick CI
-smoke has a baseline of its own.  Cross-machine numbers differ by
-design; the committed baseline is refreshed whenever a PR deliberately
-moves it.
+``check_regression``, the CI perf-smoke gate, compares a fresh
+measurement with the committed ``BENCH_simcore.json``: exact events,
+and ``sim_seconds`` within ``TOLERANCE``.  Cross-machine timings differ
+by design; the baseline is refreshed whenever a PR deliberately moves
+it.
 """
 
 import json
@@ -40,34 +38,21 @@ from repro.sim import engine
 #: Default benchmark artifact, relative to the current directory.
 DEFAULT_OUTPUT = "BENCH_simcore.json"
 
-SCHEMA = 1
+SCHEMA = 2
 
 #: Workload definitions: name -> ((sweep, scale), ...).  "fig7" is both
-#: halves of Figure 7 (download- and upload-congested VoIP).
-FULL_WORKLOADS = (
-    ("fig5", (("fig5", 1.0),)),
-    ("fig7", (("fig7a", 1.0), ("fig7b", 1.0))),
-)
-
-#: Quick mode: smaller cells (scale 0.25 resolves every sweep to its
-#: duration floors), gated against the baseline's ``quick`` block.
-QUICK_WORKLOADS = (
+#: halves of Figure 7 (download- and upload-congested VoIP); scale 0.25
+#: resolves every sweep to its duration floors.
+WORKLOADS = (
     ("fig5", (("fig5", 0.25),)),
     ("fig7", (("fig7a", 0.25), ("fig7b", 0.25))),
 )
 
-#: Best-of repetitions of each mode when none are given.
-FULL_REPETITIONS = 3
-QUICK_REPETITIONS = 2
+#: Best-of repetitions of every timing.
+REPETITIONS = 3
 
-
-def _workload_tasks(parts):
-    from repro.core.registry import get
-
-    tasks = []
-    for sweep_name, scale in parts:
-        tasks.extend(get(sweep_name).tasks(scale))
-    return tasks
+#: Allowed fractional growth of a workload's ``sim_seconds``.
+TOLERANCE = 0.30
 
 
 class _SimRunTimer:
@@ -97,13 +82,15 @@ class _SimRunTimer:
         return False
 
 
-def _measure_workload(name, parts, repetitions):
+def _measure_workload(name, parts):
+    from repro.core.registry import get
     from repro.runner.execute import execute_task
 
-    tasks = _workload_tasks(parts)
+    tasks = [task for sweep, scale in parts
+             for task in get(sweep).tasks(scale)]
     best_wall = best_sim = None
     events = None
-    for __ in range(repetitions):
+    for __ in range(REPETITIONS):
         with _SimRunTimer() as timer:
             events_before = engine.total_events()
             wall_start = time.perf_counter()
@@ -131,20 +118,10 @@ def _measure_workload(name, parts, repetitions):
     }
 
 
-def run_bench(quick=False, repetitions=None):
-    """Run the benchmark; returns the ``BENCH_simcore.json`` document.
-
-    A full run also measures the quick workloads, into the ``quick``
-    block.
-    """
-    workloads = QUICK_WORKLOADS if quick else FULL_WORKLOADS
-    if repetitions is None:
-        repetitions = QUICK_REPETITIONS if quick else FULL_REPETITIONS
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1, got %r" % (repetitions,))
-    results = {}
-    for name, parts in workloads:
-        results[name] = _measure_workload(name, parts, repetitions)
+def run_bench():
+    """Run the benchmark; returns the ``BENCH_simcore.json`` document."""
+    results = {name: _measure_workload(name, parts)
+               for name, parts in WORKLOADS}
     totals = {
         "cells": sum(w["cells"] for w in results.values()),
         "events": sum(w["events"] for w in results.values()),
@@ -158,21 +135,15 @@ def run_bench(quick=False, repetitions=None):
     totals["cells_per_sec"] = (
         round(totals["cells"] / totals["wall_seconds"], 3)
         if totals["wall_seconds"] else 0.0)
-    document = {
+    return {
         "schema": SCHEMA,
         "kind": "simcore-bench",
-        "mode": "quick" if quick else "full",
-        "repetitions": repetitions,
+        "repetitions": REPETITIONS,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "workloads": results,
         "totals": totals,
     }
-    if not quick:
-        document["quick"] = {
-            name: _measure_workload(name, parts, QUICK_REPETITIONS)
-            for name, parts in QUICK_WORKLOADS}
-    return document
 
 
 def write_bench(document, path=DEFAULT_OUTPUT):
@@ -182,57 +153,45 @@ def write_bench(document, path=DEFAULT_OUTPUT):
     return path
 
 
-def load_baseline(path=DEFAULT_OUTPUT):
-    with open(path) as handle:
+def load_baseline():
+    with open(DEFAULT_OUTPUT) as handle:
         return json.load(handle)
 
 
-def baseline_workloads(baseline, mode):
-    """The per-workload numbers ``baseline`` holds for ``mode`` runs."""
-    if baseline.get("mode") == mode:
-        return baseline.get("workloads", {})
-    if mode == "quick":
-        return baseline.get("quick", {})
-    return {}
-
-
-def check_regression(current, baseline, tolerance=0.30):
-    """Fail (return False) if a workload's ``sim_seconds`` grew by more
-    than ``tolerance``; prints one line per workload on stderr.
-
-    Compares the CPU seconds inside ``Simulator.run`` of each workload
-    present in both documents, measured in the same mode (a quick run is
-    compared with the baseline's ``quick`` block); events/sec is printed
-    for information only.  Machine-to-machine variance is real — the
-    committed baseline and the tolerance are calibrated for CI-class
-    hardware.
-    """
-    bases = baseline_workloads(baseline, current.get("mode"))
-    if not bases:
-        print("perf-check: the baseline has no %s-mode workloads"
-              % current.get("mode"), file=sys.stderr)
-        return False
+def check_regression(current, baseline):
+    """Fail (return False) if a workload's events differ from the
+    baseline's, its ``sim_seconds`` exceed the baseline's by more than
+    ``TOLERANCE``, or the baseline lacks it; prints one stderr line per
+    workload (events/sec for information only)."""
     ok = True
     for name, workload in current["workloads"].items():
-        base = bases.get(name)
-        if base is None or not base.get("sim_seconds"):
-            continue
-        ceiling = base["sim_seconds"] * (1.0 + tolerance)
-        status = "ok" if workload["sim_seconds"] <= ceiling else "REGRESSED"
-        print("perf-check %-6s %s: %.3f s in Simulator.run vs baseline "
-              "%.3f s (ceiling %.3f s); %d ev/s vs %d"
-              % (name, status, workload["sim_seconds"], base["sim_seconds"],
-                 ceiling, workload.get("events_per_sec", 0),
-                 base.get("events_per_sec", 0)), file=sys.stderr)
-        if status != "ok":
+        base = baseline["workloads"].get(name)
+        if base is None:
+            print("perf-check %-6s MISSING: the baseline has no such "
+                  "workload" % name, file=sys.stderr)
             ok = False
+            continue
+        ceiling = base["sim_seconds"] * (1.0 + TOLERANCE)
+        failed = []
+        if workload["events"] != base["events"]:
+            failed.append("EVENTS")
+        if workload["sim_seconds"] > ceiling:
+            failed.append("TIME")
+        status = "+".join(failed) or "ok"
+        print("perf-check %-6s %s: %d events vs baseline %d; %.3f s in "
+              "Simulator.run vs baseline %.3f s (ceiling %.3f s); "
+              "%d ev/s vs %d"
+              % (name, status, workload["events"], base["events"],
+                 workload["sim_seconds"], base["sim_seconds"], ceiling,
+                 workload.get("events_per_sec", 0),
+                 base.get("events_per_sec", 0)), file=sys.stderr)
+        ok = ok and not failed
     return ok
 
 
 def render_summary(document):
     """Human-readable one-block summary of a bench document."""
-    lines = ["sim-core bench (%s mode, best of %d):"
-             % (document["mode"], document["repetitions"])]
+    lines = ["sim-core bench (best of %d):" % document["repetitions"]]
     for name, workload in document["workloads"].items():
         lines.append(
             "  %-6s %3d cells  %9d events  %7.3f s (sim)  %8d ev/s  "

@@ -111,11 +111,6 @@ class CellResult:
 def record_from_payload(task, payload, key=None, index=None):
     """Build the record of a :class:`repro.runner.task.CellTask` from its
     (fresh or cache-loaded) JSON payload."""
-    from repro.runner.task import KINDS  # the runner imports this module
-
-    if task.kind not in KINDS:
-        raise ValueError("no record type for cell kind %r (have %s)"
-                         % (task.kind, KINDS))
     return CellResult(kind=task.kind, scenario=str(task.scenario),
                       buffer_packets=task.buffer_packets, seed=task.seed,
                       params=task.params, payload=payload, key=key,

@@ -350,7 +350,10 @@ class TestPerf:
         (["--profile", "nope"], "unknown sweep 'nope'"),
         (["--profile", "fig5", "--cell", "999"], "cell 999 out of range"),
         (["--profile", "fig5", "--sort", "bogus"], "invalid choice: 'bogus'"),
-        (["--repetitions", "0"], "at least 1, got '0'"),
+        (["--quick"], "unrecognized arguments: --quick"),
+        (["--repetitions", "1"], "unrecognized arguments: --repetitions 1"),
+        (["--tolerance", "0.3"], "unrecognized arguments: --tolerance 0.3"),
+        (["--baseline", "b.json"], "unrecognized arguments: --baseline"),
     ])
     def test_bad_arguments_exit_cleanly(self, argv, message, capsys):
         # A one-line message and a non-zero exit, never a traceback and

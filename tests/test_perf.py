@@ -38,77 +38,68 @@ class TestBench:
     @pytest.fixture()
     def tiny_workloads(self, monkeypatch):
         tiny = (("fig7", (("fig7a", 0.1),)),)
-        monkeypatch.setattr(bench, "FULL_WORKLOADS", tiny)
-        monkeypatch.setattr(bench, "QUICK_WORKLOADS", tiny)
+        monkeypatch.setattr(bench, "WORKLOADS", tiny)
+        monkeypatch.setattr(bench, "REPETITIONS", 1)
         return tiny
 
-    def test_run_bench_document_shape(self, tiny_workloads, tmp_path):
-        document = bench.run_bench(quick=True, repetitions=1)
-        assert document["mode"] == "quick"
+    def test_run_bench_document_shape(self, tiny_workloads, tmp_path,
+                                      monkeypatch):
+        document = bench.run_bench()
+        assert set(document) == {"schema", "kind", "repetitions", "python",
+                                  "machine", "workloads", "totals"}
         workload = document["workloads"]["fig7"]
         assert workload["cells"] == 9
         assert workload["events"] > 0
         assert workload["events_per_sec"] > 0
         assert document["totals"]["events"] == workload["events"]
         assert document["totals"]["peak_rss_kb"] > 0
-        path = bench.write_bench(document, str(tmp_path / "bench.json"))
-        assert bench.load_baseline(path) == json.loads(
-            json.dumps(document))
+        monkeypatch.chdir(tmp_path)
+        bench.write_bench(document)
+        assert bench.load_baseline() == json.loads(json.dumps(document))
         assert "ev/s" in bench.render_summary(document)
 
-    def test_full_run_measures_the_quick_workloads(self, tiny_workloads):
-        document = bench.run_bench(quick=False, repetitions=1)
-        assert document["mode"] == "full"
-        assert set(document["quick"]) == {"fig7"}
-        assert (document["quick"]["fig7"]["events"]
-                == document["workloads"]["fig7"]["events"])
-        assert document["quick"]["fig7"]["sim_seconds"] > 0
-
-    def test_rejects_nonpositive_repetitions(self, tiny_workloads):
-        with pytest.raises(ValueError):
-            bench.run_bench(quick=True, repetitions=0)
-
-    def test_event_counts_deterministic_across_reps(self, tiny_workloads):
-        one = bench.run_bench(quick=True, repetitions=1)
-        two = bench.run_bench(quick=True, repetitions=2)
+    def test_event_counts_deterministic_across_reps(self, tiny_workloads,
+                                                    monkeypatch):
+        one = bench.run_bench()
+        monkeypatch.setattr(bench, "REPETITIONS", 2)
+        two = bench.run_bench()
         assert (one["workloads"]["fig7"]["events"]
                 == two["workloads"]["fig7"]["events"])
 
 
 class TestRegressionCheck:
-    def _doc(self, sim_seconds, mode="full", name="fig5"):
-        return {"mode": mode,
-                "workloads": {name: {"sim_seconds": sim_seconds,
+    def _doc(self, sim_seconds, events=1000, name="fig5"):
+        return {"workloads": {name: {"sim_seconds": sim_seconds,
+                                     "events": events,
                                      "events_per_sec": 1000}}}
 
     def test_ok_within_tolerance(self, capsys):
-        assert bench.check_regression(self._doc(1.25), self._doc(1.0),
-                                      tolerance=0.30)
+        assert bench.check_regression(self._doc(1.25), self._doc(1.0))
+        assert "fig5   ok" in capsys.readouterr().err
 
-    def test_fails_beyond_tolerance(self):
-        assert not bench.check_regression(self._doc(1.35), self._doc(1.0),
-                                          tolerance=0.30)
+    def test_fails_beyond_tolerance(self, capsys):
+        assert not bench.check_regression(self._doc(1.35), self._doc(1.0))
+        assert "fig5   TIME" in capsys.readouterr().err
 
     def test_events_per_sec_is_not_gated(self):
         current = self._doc(1.0)
         current["workloads"]["fig5"]["events_per_sec"] = 10
         assert bench.check_regression(current, self._doc(1.0))
 
-    def test_missing_baseline_workload_is_skipped(self):
-        current = self._doc(10.0)
-        current["workloads"]["fig7"] = {"sim_seconds": 1.0}
-        assert bench.check_regression(current, self._doc(1.0, name="fig7"))
+    def test_an_event_off_by_one_fails_even_when_faster(self, capsys):
+        assert not bench.check_regression(self._doc(0.5, events=336627),
+                                          self._doc(1.0, events=336626))
+        err = capsys.readouterr().err
+        assert "fig5   EVENTS" in err
+        assert "336627 events vs baseline 336626" in err
 
-    def test_quick_run_is_checked_against_the_quick_block(self):
-        baseline = self._doc(10.0)
-        baseline["quick"] = self._doc(1.0)["workloads"]
-        assert bench.check_regression(self._doc(1.2, "quick"), baseline)
-        assert not bench.check_regression(self._doc(2.0, "quick"), baseline)
-
-    def test_baseline_without_the_mode_fails(self, capsys):
-        assert not bench.check_regression(self._doc(1.0, "quick"),
-                                          self._doc(1.0))
-        assert "no quick-mode workloads" in capsys.readouterr().err
+    def test_missing_baseline_workload_fails(self, capsys):
+        current = self._doc(1.0)
+        current["workloads"]["fig7"] = self._doc(1.0)["workloads"]["fig5"]
+        assert not bench.check_regression(current, self._doc(1.0))
+        err = capsys.readouterr().err
+        assert "fig5   ok" in err
+        assert "fig7   MISSING" in err
 
 
 class TestProfileHarness:
@@ -132,10 +123,15 @@ def test_committed_baseline_is_wellformed():
     path = Path(__file__).resolve().parent.parent / "BENCH_simcore.json"
     document = json.loads(path.read_text())
     assert document["kind"] == "simcore-bench"
-    assert set(document["workloads"]) == {"fig5", "fig7"}
-    assert set(document["quick"]) == {"fig5", "fig7"}
-    for workload in (*document["workloads"].values(),
-                     *document["quick"].values()):
+    assert document["schema"] == bench.SCHEMA
+    assert "mode" not in document and "quick" not in document
+    workloads = document["workloads"]
+    assert {name: workload["sweeps"] for name, workload in workloads.items()
+            } == {name: ["%s@%g" % part for part in parts]
+                  for name, parts in bench.WORKLOADS}
+    assert workloads["fig5"]["events"] == 336626
+    assert workloads["fig7"]["events"] == 495844
+    for workload in workloads.values():
         assert workload["sim_seconds"] > 0
         assert workload["events_per_sec"] > 0
 

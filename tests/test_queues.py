@@ -35,10 +35,6 @@ class TestDropTail:
         assert queue.stats.dropped == 1
         assert queue.stats.enqueued == 3
 
-    def test_requires_some_capacity(self):
-        with pytest.raises(TypeError):
-            DropTailQueue()
-
     def test_sojourn_stats(self):
         queue = FifoQueue(capacity_packets=10)
         queue.push(make_packet(), now=1.0)

@@ -192,6 +192,7 @@ class TestAdhocSweep:
         spec = adhoc_sweep("t", "qos", [access("noBG")], [8], duration=2.5)
         assert spec.resolved_duration(scale=1.0) == 2.5
         assert spec.resolved_duration(scale=0.01) == 2.5
+        assert spec.resolved_duration(scale=4.0) == 2.5
 
     def test_run_returns_keyed_reports(self, tmp_path):
         spec = adhoc_sweep("t", "qos", [access("long-few", "down")], [8, 16],

@@ -225,13 +225,6 @@ class TestConvertHelpers:
 
         assert runner_jsonify is jsonify  # one copy, not three
 
-    def test_unknown_kind_rejected(self):
-        class Fake:
-            kind = "quantum"
-
-        with pytest.raises(ValueError):
-            record_from_payload(Fake(), {})
-
     def test_base_record_value_errors_name_unknown_columns(self):
         record = CellResult(kind="qos", scenario="s", buffer_packets=8,
                             seed=0, params=(), payload={"x": 1.0})
