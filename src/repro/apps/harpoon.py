@@ -79,7 +79,10 @@ class HarpoonGenerator:
         Number of concurrent user sessions.
     direction:
         ``"down"`` — servers send the files (typical web browsing);
-        ``"up"`` — clients upload the files.
+        ``"up"`` — clients upload the files.  A download's server sends
+        the file once the ``REQUEST_BYTES`` request has arrived, with the
+        size the client recorded under its address and port (the
+        simulated form of a request naming the file).
     interarrival_mean:
         Mean of the exponential gap between transfer starts per session.
     rng:
@@ -115,6 +118,7 @@ class HarpoonGenerator:
         self._session_active = [0] * sessions
         self._listeners = []
         self._connections = set()
+        self._download_sizes = {}  # (client addr, client port) -> bytes
         self._stopped = False
         self._started = False
 
@@ -144,6 +148,7 @@ class HarpoonGenerator:
         for connection in list(self._connections):
             connection.abort()
         self._connections.clear()
+        self._download_sizes.clear()
         for listener in self._listeners:
             listener.close()
 
@@ -164,15 +169,21 @@ class HarpoonGenerator:
     # ------------------------------------------------------------------
     def _on_server_connection(self, connection):
         self._connections.add(connection)
-        connection.on_message = self._on_server_message
+        nbytes = self._download_sizes.pop(
+            (connection.peer_addr, connection.peer_port), None)
+        if nbytes is not None:
+            received = 0
+
+            def on_data(connection, delivered):
+                nonlocal received
+                received += delivered
+                if received == REQUEST_BYTES:
+                    connection.send(nbytes)
+                    connection.close()
+
+            connection.on_data = on_data
         connection.on_peer_fin = self._on_server_peer_fin
         connection.on_close = lambda c: self._connections.discard(c)
-
-    def _on_server_message(self, connection, meta):
-        # A download's ("get", nbytes) request is the only marked message.
-        __, nbytes = meta
-        connection.send(nbytes)
-        connection.close()
 
     def _on_server_peer_fin(self, connection):
         # Upload direction: the client half-closed after its file; finish.
@@ -207,8 +218,8 @@ class HarpoonGenerator:
                 self.stats.completed += 1
 
         if self.direction == "down":
-            connection.on_established = (
-                lambda c: c.send(REQUEST_BYTES, meta=("get", nbytes)))
+            self._download_sizes[client.addr, connection.local_port] = nbytes
+            connection.on_established = lambda c: c.send(REQUEST_BYTES)
             connection.on_peer_fin = lambda c: (finish(True), c.close())
         else:
             connection.on_established = (

@@ -8,7 +8,10 @@ teardown.
 
 :class:`PageFetch` performs exactly that: connect, then for each object
 send a request and wait for the full response before requesting the
-next; PLT runs from SYN to the last response byte.
+next; PLT runs from SYN to the last response byte.  Both ends frame the
+exchange by counting delivered bytes: the k-th ``REQUEST_BYTES`` request
+on a connection asks for ``PAGE_OBJECTS[k]``, and that object's last
+byte ends its response.
 """
 
 from repro.tcp import TcpConnection, TcpListener
@@ -24,7 +27,8 @@ WEB_PORT = 80
 
 
 class WebServer:
-    """Static HTTP server: replies to ``("GET", size)`` with ``size`` bytes."""
+    """Static HTTP server: answers the k-th request on a connection with
+    ``PAGE_OBJECTS[k]`` bytes."""
 
     def __init__(self, sim, node, cc="reno"):
         self.listener = TcpListener(
@@ -34,13 +38,16 @@ class WebServer:
         )
 
     def _on_connection(self, connection):
-        connection.on_message = self._on_message
-        connection.on_peer_fin = self._on_peer_fin
+        received = 0  # request bytes delivered on this connection
 
-    def _on_message(self, connection, meta):
-        kind, size = meta
-        if kind == "GET":
-            connection.send(size, meta=("RESP", size))
+        def on_data(connection, nbytes):
+            nonlocal received
+            received += nbytes
+            if received % REQUEST_BYTES == 0:
+                connection.send(PAGE_OBJECTS[received // REQUEST_BYTES - 1])
+
+        connection.on_data = on_data
+        connection.on_peer_fin = self._on_peer_fin
 
     def _on_peer_fin(self, connection):
         if not connection.close_requested:
@@ -67,11 +74,12 @@ class PageFetch:
         self.done = False
         self.failed = False
         self._next_object = 0
+        self._awaited = 0  # bytes of the requested object not yet delivered
         self.connection = TcpConnection(
             sim, node, peer_addr=server_addr, peer_port=WEB_PORT,
             cc=make_cc(cc))
         self.connection.on_established = self._on_established
-        self.connection.on_message = self._on_message
+        self.connection.on_data = self._on_data
         self.connection.on_peer_fin = lambda c: c.close()
         self.connection.on_close = self._on_close
 
@@ -90,15 +98,15 @@ class PageFetch:
 
     # ------------------------------------------------------------------
     def _request_next(self):
-        size = PAGE_OBJECTS[self._next_object]
-        self.connection.send(REQUEST_BYTES, meta=("GET", size))
+        self._awaited = PAGE_OBJECTS[self._next_object]
+        self.connection.send(REQUEST_BYTES)
 
     def _on_established(self, connection):
         self._request_next()
 
-    def _on_message(self, connection, meta):
-        kind, __ = meta
-        if kind != "RESP":
+    def _on_data(self, connection, nbytes):
+        self._awaited -= nbytes
+        if self._awaited > 0:
             return
         self._next_object += 1
         if self._next_object < len(PAGE_OBJECTS):

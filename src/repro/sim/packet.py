@@ -43,8 +43,9 @@ class Packet:
         timestamp option used for Karn-safe RTT sampling; ``ts_echo < 0``
         means "nothing to echo" — simulated time 0.0 is a valid stamp).
     payload:
-        Opaque application object (RTP frame descriptors, HTTP message
-        markers...).  Never inspected below the transport layer.
+        Opaque application object: the media index of an RTP datagram
+        (:mod:`repro.udp.rtp`); ``None`` on TCP, whose segments carry
+        only byte counts.  Never inspected below the transport layer.
     scheduled_at:
         When its arrival at the next node was scheduled, i.e. when it
         entered its current edge link

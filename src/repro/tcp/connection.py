@@ -15,16 +15,13 @@ top of the simulator's packet/node layer:
   segments remain valid;
 * pluggable congestion control (:mod:`repro.tcp.cc`).
 
-Applications talk to connections through a message-oriented facade:
-:meth:`TcpConnection.send` queues ``nbytes`` and optionally marks the end
-of an application message; the receiving side fires ``on_message`` once
-every byte of that message has been delivered in order.  Actual payload
-bytes are never materialized — only counts flow through the simulator —
-but delivery ordering, retransmission and flow dynamics are real.
+A connection is a plain byte stream: :meth:`TcpConnection.send` queues
+``nbytes``, and the peer's ``on_data`` reports each in-order advance of
+the delivered byte count (web and Harpoon frame their requests by it).
+Actual payload bytes are never materialized — only counts flow through
+the simulator — but delivery ordering, retransmission and flow dynamics
+are real.
 """
-
-import heapq
-from bisect import bisect_right
 
 from repro.sim.engine import Timer
 from repro.sim.packet import (
@@ -76,7 +73,8 @@ class TcpConnection:
     Client side::
 
         conn = TcpConnection(sim, node, peer_addr=server.addr, peer_port=80)
-        conn.on_established = lambda c: c.send(300, meta="GET /")
+        conn.on_established = lambda c: c.send(300)
+        conn.on_data = lambda c, nbytes: ...  # in-order delivered bytes
         conn.connect()
 
     Server side: created by :class:`repro.tcp.listener.TcpListener`.
@@ -85,16 +83,13 @@ class TcpConnection:
     __slots__ = (
         "sim", "node", "peer_addr", "peer_port", "local_port", "cc", "mss",
         "delayed_ack", "state", "stats",
-        "on_established", "on_data", "on_message", "on_peer_fin", "on_close",
+        "on_established", "on_data", "on_peer_fin", "on_close",
         "snd_una", "snd_nxt", "_snd_max", "_app_bytes", "_infinite",
-        "_fin_pending", "_fin_sent", "_fin_acked", "_fin_seq",
-        "_tx_marker_offsets", "_tx_marker_meta", "_dupacks", "_in_recovery",
-        "_recover",
-        "_inflation", "_partial_acks", "srtt", "rttvar",
-        "min_rtt", "rto", "_rto_timer", "_handshake_retries",
-        "rcv_nxt", "_rx_holes", "_rx_marker_heap", "_rx_marker_seen",
-        "_peer_fin_seq", "_peer_fin_consumed", "_delack_timer",
-        "_pending_ack_segments", "_ts_to_echo",
+        "_fin_pending", "_fin_sent", "_fin_acked", "_fin_seq", "_dupacks",
+        "_in_recovery", "_recover", "_inflation", "_partial_acks", "srtt",
+        "rttvar", "min_rtt", "rto", "_rto_timer", "_handshake_retries",
+        "rcv_nxt", "_rx_holes", "_peer_fin_seq", "_peer_fin_consumed",
+        "_delack_timer", "_pending_ack_segments", "_ts_to_echo",
     )
 
     def __init__(
@@ -121,7 +116,6 @@ class TcpConnection:
         # Application callbacks (assign after construction).
         self.on_established = None
         self.on_data = None  # fn(conn, delivered_bytes)
-        self.on_message = None  # fn(conn, meta)
         self.on_peer_fin = None  # fn(conn)
         self.on_close = None  # fn(conn)
 
@@ -135,8 +129,6 @@ class TcpConnection:
         self._fin_sent = False
         self._fin_acked = False
         self._fin_seq = None
-        self._tx_marker_offsets = []
-        self._tx_marker_meta = []
         self._dupacks = 0
         self._in_recovery = False
         self._recover = 0
@@ -152,8 +144,6 @@ class TcpConnection:
         # --- receiver state -------------------------------------------------
         self.rcv_nxt = 0
         self._rx_holes = None  # lazily created IntervalSet for OOO data
-        self._rx_marker_heap = []
-        self._rx_marker_seen = set()
         self._peer_fin_seq = None
         self._peer_fin_consumed = False
         self._delack_timer = Timer(sim, self._send_ack_now)
@@ -175,21 +165,13 @@ class TcpConnection:
         self._send_control(FLAG_SYN, seq=0)
         self._rto_timer.restart(self.rto)
 
-    def send(self, nbytes, meta=None):
-        """Queue ``nbytes`` of application data.
-
-        When ``meta`` is given, the byte at the end of this call marks an
-        application-message boundary: the peer's ``on_message(conn, meta)``
-        fires once everything up to it has been delivered in order.
-        """
+    def send(self, nbytes):
+        """Queue ``nbytes`` of application data."""
         if nbytes < 0:
             raise ValueError("cannot send %d bytes" % nbytes)
         if self._fin_pending or self._fin_sent:
             raise RuntimeError("send() after close()")
         self._app_bytes += nbytes
-        if meta is not None:
-            self._tx_marker_offsets.append(self._app_bytes)
-            self._tx_marker_meta.append(meta)
         self._try_send()
 
     def send_forever(self):
@@ -270,48 +252,8 @@ class TcpConnection:
             if entry is None or entry[2] is None:  # inline Timer.active
                 rto_timer.restart(self.rto)
 
-    def _markers_for(self, seq, payload_len):
-        """Message markers whose end offset falls inside this segment.
-
-        Zero-length messages produce markers at offset 0 which no data
-        byte covers; they ride on the first data segment (and on the FIN,
-        see :meth:`_all_markers`).
-        """
-        if not self._tx_marker_offsets:
-            return None
-        stream_start = seq - 1  # data offset of the segment's first byte
-        if stream_start == 0:
-            lo = 0  # include zero-offset markers on the first segment
-        else:
-            lo = bisect_right(self._tx_marker_offsets, stream_start)
-        hi = bisect_right(self._tx_marker_offsets, stream_start + payload_len)
-        if lo == hi:
-            return None
-        return [
-            (self._tx_marker_offsets[i], i, self._tx_marker_meta[i])
-            for i in range(lo, hi)
-        ]
-
-    def _all_markers(self):
-        """Every marker queued so far — attached to FINs as a safety net.
-
-        Receivers deduplicate by marker id, so re-announcing is harmless
-        and guarantees that markers for zero-length messages arrive even
-        when no data segment ever carried them.
-        """
-        if not self._tx_marker_offsets:
-            return None
-        return [
-            (offset, i, meta)
-            for i, (offset, meta) in enumerate(
-                zip(self._tx_marker_offsets, self._tx_marker_meta)
-            )
-        ]
-
     def _send_segment(self, seq, payload_len):
         now = self.sim.now
-        markers = (self._markers_for(seq, payload_len)
-                   if self._tx_marker_offsets else None)
         packet = Packet(
             self.node.addr,          # src
             self.peer_addr,          # dst
@@ -325,7 +267,7 @@ class TcpConnection:
             payload_len,
             now,                     # ts
             self._ts_to_echo,
-            markers,
+            None,                    # payload
         )
         snd_max = self._snd_max
         if seq < snd_max:
@@ -341,7 +283,7 @@ class TcpConnection:
         self._pending_ack_segments = 0
         self.node.send(packet)
 
-    def _send_control(self, flags, seq, markers=None):
+    def _send_control(self, flags, seq):
         """Send a segment without payload (SYN, SYN-ACK or FIN)."""
         now = self.sim.now
         packet = Packet(
@@ -357,7 +299,7 @@ class TcpConnection:
             0,                       # payload_len
             now,                     # ts
             self._ts_to_echo,
-            markers,
+            None,                    # payload
         )
         self.node.send(packet)
 
@@ -367,8 +309,7 @@ class TcpConnection:
             self.stats.retransmitted_segments += 1
         else:
             self._snd_max = seq + 1
-        self._send_control(FLAG_FIN | FLAG_ACK, seq=seq,
-                           markers=self._all_markers())
+        self._send_control(FLAG_FIN | FLAG_ACK, seq=seq)
 
     def _retransmit_head(self):
         """Retransmit the segment at ``snd_una`` (data or FIN)."""
@@ -392,8 +333,6 @@ class TcpConnection:
             else:
                 self.handle_syn(packet)
             return
-        if packet.payload is not None:
-            self._stash_markers(packet.payload)
         if flags & FLAG_ACK:
             self._process_ack(packet)
         if packet.payload_len > 0:
@@ -517,22 +456,15 @@ class TcpConnection:
         self._rto_timer.restart(self.rto)
 
     def _on_rto(self):
-        if self.state == SYN_SENT:
+        if self.state in (SYN_SENT, SYN_RCVD):
             self._handshake_retries += 1
             if self._handshake_retries > MAX_HANDSHAKE_RETRIES:
                 self._fail_connection()
                 return
             self.rto = min(self.rto * 2.0, MAX_RTO)
-            self._send_control(FLAG_SYN, seq=0)
-            self._rto_timer.restart(self.rto)
-            return
-        if self.state == SYN_RCVD:
-            self._handshake_retries += 1
-            if self._handshake_retries > MAX_HANDSHAKE_RETRIES:
-                self._fail_connection()
-                return
-            self.rto = min(self.rto * 2.0, MAX_RTO)
-            self._send_control(FLAG_SYN | FLAG_ACK, seq=0)
+            self._send_control(
+                FLAG_SYN if self.state == SYN_SENT else FLAG_SYN | FLAG_ACK,
+                seq=0)
             self._rto_timer.restart(self.rto)
             return
         if self.snd_nxt <= self.snd_una:
@@ -613,8 +545,6 @@ class TcpConnection:
         if delivered > 0:
             if self.on_data is not None:
                 self.on_data(self, delivered)
-            if self._rx_marker_heap:
-                self._fire_markers()
             if self._peer_fin_seq is not None and not self._peer_fin_consumed:
                 self._consume_fin_if_ready()
 
@@ -633,24 +563,8 @@ class TcpConnection:
                 if entry is None or entry[2] is None:
                     delack.start(DELACK_TIMEOUT)
 
-    def _stash_markers(self, markers):
-        for offset, marker_id, meta in markers:
-            if marker_id in self._rx_marker_seen:
-                continue  # duplicate delivery via retransmission
-            self._rx_marker_seen.add(marker_id)
-            heapq.heappush(self._rx_marker_heap, (offset, marker_id, meta))
-
-    def _fire_markers(self):
-        delivered_offset = self.rcv_nxt - 1  # data offset delivered so far
-        heap = self._rx_marker_heap
-        while heap and heap[0][0] <= delivered_offset:
-            __, __, meta = heapq.heappop(heap)
-            if self.on_message is not None:
-                self.on_message(self, meta)
-
     def _process_fin(self, packet):
         self._peer_fin_seq = packet.seq + packet.payload_len
-        self._fire_markers()
         self._consume_fin_if_ready()
         self._send_ack_now()
 

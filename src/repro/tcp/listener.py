@@ -14,7 +14,7 @@ class TcpListener:
     on_connection:
         ``fn(connection)`` invoked for every new connection *before* the
         SYN is processed, so the application can attach callbacks (e.g.
-        ``on_message``) without racing the handshake.
+        ``on_data``) without racing the handshake.
     cc_factory:
         Zero-argument callable building the congestion controller for
         each accepted connection; defaults to Reno.

@@ -30,7 +30,6 @@ class TransferRecorder:
 
     def __init__(self):
         self.bytes = 0
-        self.messages = []
         self.established = 0
         self.peer_fin = 0
         self.closed = 0
@@ -38,7 +37,6 @@ class TransferRecorder:
 
     def attach(self, connection):
         connection.on_data = self._on_data
-        connection.on_message = self._on_message
         connection.on_established = self._on_established
         connection.on_peer_fin = self._on_peer_fin
         connection.on_close = self._on_close
@@ -46,9 +44,6 @@ class TransferRecorder:
 
     def _on_data(self, connection, nbytes):
         self.bytes += nbytes
-
-    def _on_message(self, connection, meta):
-        self.messages.append(meta)
 
     def _on_established(self, connection):
         self.established += 1
@@ -72,7 +67,7 @@ def run_transfer(nbytes, rate_bps=10 * MBPS, delay=ms(10), queue_packets=100,
     recorder = TransferRecorder()
 
     def on_server_conn(conn):
-        conn.send(nbytes, meta="file")
+        conn.send(nbytes)
         conn.close()
 
     TcpListener(sim, b, 80, on_connection=on_server_conn,

@@ -31,30 +31,12 @@ class TestHandshakeAndTransfer:
     def test_small_transfer_completes(self):
         sim, recorder, client = run_transfer(10_000)
         assert recorder.bytes == 10_000
-        assert recorder.messages == ["file"]
         assert recorder.established == 1
         assert client.state == "closed"
 
     def test_large_transfer_completes(self):
         sim, recorder, client = run_transfer(2_000_000)
         assert recorder.bytes == 2_000_000
-
-    def test_zero_byte_message(self):
-        sim, a, b = two_hosts()
-        recorder = TransferRecorder()
-
-        def on_server_conn(conn):
-            conn.send(0, meta="empty")
-            conn.close()
-
-        TcpListener(sim, b, 80, on_connection=on_server_conn)
-        client = recorder.attach(
-            TcpConnection(sim, a, peer_addr=b.addr, peer_port=80))
-        client.on_peer_fin = lambda c: c.close()
-        client.connect()
-        sim.run(until=10)
-        assert recorder.messages == ["empty"]
-        assert recorder.bytes == 0
 
     def test_transfer_time_reasonable(self):
         # 1 MB at 10 Mbit/s is ~0.8 s of serialization + slow start.
@@ -64,40 +46,27 @@ class TestHandshakeAndTransfer:
         finish = recorder.close_times[0]
         assert 0.8 < finish < 3.0
 
-    def test_multiple_messages_in_order(self):
-        sim, a, b = two_hosts()
-        recorder = TransferRecorder()
-
-        def on_server_conn(conn):
-            for index in range(5):
-                conn.send(10_000, meta=index)
-            conn.close()
-
-        TcpListener(sim, b, 80, on_connection=on_server_conn)
-        client = recorder.attach(
-            TcpConnection(sim, a, peer_addr=b.addr, peer_port=80))
-        client.on_peer_fin = lambda c: c.close()
-        client.connect()
-        sim.run(until=30)
-        assert recorder.messages == [0, 1, 2, 3, 4]
-        assert recorder.bytes == 50_000
-
     def test_request_response_round_trip(self):
         sim, a, b = two_hosts(delay=ms(25))
-        got = {}
+        got = {"req": 0, "resp": 0}
+
+        def on_request_data(conn, nbytes):
+            got["req"] += nbytes
+            if got["req"] == 300:  # the whole request is in: answer it
+                conn.send(40_000)
+                conn.close()
 
         def on_server_conn(conn):
-            conn.on_message = lambda c, meta: (c.send(40_000, meta="resp"),
-                                               c.close())
+            conn.on_data = on_request_data
 
         TcpListener(sim, b, 80, on_connection=on_server_conn)
         client = TcpConnection(sim, a, peer_addr=b.addr, peer_port=80)
-        client.on_established = lambda c: c.send(300, meta="req")
-        client.on_message = lambda c, meta: got.setdefault("meta", meta)
+        client.on_established = lambda c: c.send(300)
+        client.on_data = lambda c, n: got.__setitem__("resp", got["resp"] + n)
         client.on_peer_fin = lambda c: c.close()
         client.connect()
         sim.run(until=20)
-        assert got["meta"] == "resp"
+        assert got == {"req": 300, "resp": 40_000}
         assert client.state == "closed"
 
     def test_both_endpoints_unregistered_after_close(self):
@@ -123,7 +92,6 @@ class TestLossRecovery:
         sim, recorder, client = run_transfer(
             500_000, rate_bps=2 * MBPS, queue_packets=5, until=120)
         assert recorder.bytes == 500_000
-        assert recorder.messages == ["file"]
 
     def test_fast_retransmit_used_under_loss(self):
         sim, a, b = two_hosts(rate_bps=2 * MBPS, queue_packets=5)
@@ -131,7 +99,7 @@ class TestLossRecovery:
 
         def on_server_conn(conn):
             server_conns.append(conn)
-            conn.send(500_000, meta="file")
+            conn.send(500_000)
             conn.close()
 
         TcpListener(sim, b, 80, on_connection=on_server_conn)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from reference_link import FifoQueue
+from repro.apps import harpoon
 from repro.apps.bulk import BulkTraffic
 from repro.apps.harpoon import (
     WEIBULL_SCALE,
@@ -13,7 +15,11 @@ from repro.apps.harpoon import (
     weibull_file_sizer,
 )
 from repro.sim import Simulator
+from repro.sim.packet import FLAG_SYN
 from repro.sim.topology import AccessNetwork
+from repro.tcp import TcpConnection
+
+from tests.netutil import two_hosts
 
 
 def weibull_mean():
@@ -93,6 +99,52 @@ class TestHarpoon:
         with pytest.raises(ValueError):
             HarpoonGenerator(sim, net.servers, net.clients, 1,
                              direction="sideways")
+
+    def test_download_delivers_each_drawn_size(self, monkeypatch):
+        # From CUTOFF on, every SYN toward the server is lost, so the
+        # transfers started after it fail their handshakes.
+        CUTOFF = 6.0
+
+        class SynCutoffQueue(FifoQueue):
+            def push(self, packet, now):
+                if packet.flags & FLAG_SYN and now >= CUTOFF:
+                    self._reject(packet)
+                    return False
+                return super().push(packet, now)
+
+        # The i-th drawn size belongs to the i-th client connection.
+        clients, sizes = [], []
+
+        class RecordedConnection(TcpConnection):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.started_at = self.sim.now
+                clients.append(self)
+
+        monkeypatch.setattr(harpoon, "TcpConnection", RecordedConnection)
+        sim, client, server = two_hosts(queue_packets=1000)
+        client.default_route.queue = SynCutoffQueue(capacity_packets=1000)
+        generator = HarpoonGenerator(
+            sim, [server], [client], sessions=3, direction="down",
+            interarrival_mean=0.5, rng=np.random.default_rng(5))
+        draw = generator.file_sizer
+        generator.file_sizer = lambda: sizes.append(draw()) or sizes[-1]
+        generator.start()
+        sim.run(until=CUTOFF + 130.0)
+
+        done = [(c, size) for c, size in zip(clients, sizes)
+                if c.state == "closed" and c.rcv_nxt > 0]
+        assert len(done) == generator.stats.completed > 10
+        # SYN and FIN take one sequence number each; the rest is the file.
+        assert all(c.rcv_nxt == 1 + size + 1 for c, size in done)
+        # Every transfer the server accepted took its size from the map;
+        # only the handshakes that never reached the server left theirs.
+        cut = [c for c in clients if c.started_at >= CUTOFF]
+        assert any(c.state == "closed" for c in cut)  # a failed handshake
+        assert set(generator._download_sizes) == {
+            (client.addr, c.local_port) for c in cut}
+        generator.stop()
+        assert generator._download_sizes == {}
 
     def test_double_start_rejected(self):
         sim = Simulator()
